@@ -181,10 +181,15 @@ def invariants(pi: Cover) -> CoverInvariants:
     over the maximal H-normal subgroups of Ker(pi), groups them by kernel
     type, and per simple-module class computes (support, multiplicity)
     through the dual pair of the joint quotient.
+
+    Memoized on the cover (``pi._invariants``) once ``pi`` is known to be
+    fundamental; the ``supp`` arrays are read-only, as is ``pi.image``.
     """
     from . import cohomology as ch
     from . import gmodules as gm
 
+    if pi._invariants is not None:
+        return pi._invariants
     if not is_fundamental(pi):
         raise NotFundamental("invariants need a fundamental cover")
     src = pi.source
@@ -218,19 +223,22 @@ def invariants(pi: Cover) -> CoverInvariants:
         _, q = quotient(src, Subgroup(src, tuple(sorted(common))))
         joint = _cover_through(pi, q)
         pair = ch.x2(joint, module)
+        supp = pair.image_rows()
+        supp.flags.writeable = False
         ab_classes.append(
             AbClassInvariant(
                 module=module,
                 endo_field=pair.dual.endo_field,
-                supp=pair.image_rows(),
+                supp=supp,
                 mult=pair.f_nullity,
             )
         )
-    return CoverInvariants(
+    pi._invariants = CoverInvariants(
         base=pi.target,
         na_classes=tuple(NaClassInvariant(cover=c, mult=m) for c, m in na),
         ab_classes=tuple(ab_classes),
     )
+    return pi._invariants
 
 
 def _is_abelian_subgroup(group: FiniteGroup, sub: Subgroup) -> bool:

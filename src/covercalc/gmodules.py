@@ -104,10 +104,11 @@ class GModule:
         return out
 
     def structural_key(self) -> bytes:
+        """Exact key: the sizes first, then the table and every matrix."""
         return (
-            self.group.mul.tobytes()
-            + bytes([self.p % 251, self.dim % 251])
-            + b"".join(m.astype(np.int8).tobytes() for m in self.action)
+            np.array([self.group.order, self.p, self.dim], dtype=np.int64).tobytes()
+            + self.group.mul.tobytes()
+            + b"".join(m.astype(np.int64).tobytes() for m in self.action)
         )
 
     def __repr__(self) -> str:

@@ -258,14 +258,10 @@ def _closure_large(group: FiniteGroup, seed) -> tuple[int, ...]:
     frontier = np.flatnonzero(member)
     current = frontier
     while frontier.size:
-        prods = np.concatenate(
-            [
-                mul[np.ix_(frontier, current)].ravel(),
-                mul[np.ix_(current, frontier)].ravel(),
-            ]
-        )
-        cand = np.unique(prods)
-        new = cand[~member[cand]]
+        reached = np.zeros(group.order, dtype=bool)
+        reached[mul[np.ix_(frontier, current)]] = True
+        reached[mul[np.ix_(current, frontier)]] = True
+        new = np.flatnonzero(reached & ~member)
         member[new] = True
         current = np.flatnonzero(member)
         if current.size == group.order:
@@ -324,43 +320,9 @@ def _class_closures(group: FiniteGroup, elements) -> set[tuple[int, ...]]:
 # subgroup enumeration
 
 
-def all_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup, via join-closure of the cyclic subgroups.
-
-    Canonically sorted by (order, element tuple). Memoized on the group.
-    """
-    if group._subgroups is not None:
-        return group._subgroups
-    cyclics = {closure_of(group, [g]) for g in range(group.order)}
-    found: set[tuple[int, ...]] = {(0,)} | cyclics
-    frontier = set(cyclics)
-    while frontier:
-        new: set[tuple[int, ...]] = set()
-        for s in frontier:
-            for c in cyclics:
-                if set(c) <= set(s):
-                    continue
-                j = closure_of(group, list(s) + list(c))
-                if j not in found:
-                    found.add(j)
-                    new.add(j)
-        frontier = new
-    subs = tuple(
-        Subgroup(group, elems)
-        for elems in sorted(found, key=lambda e: (len(e), e))
-    )
-    group._subgroups = subs
-    return subs
-
-
-def normal_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
-    """All normal subgroups, via join-closure of normal closures of elements.
-
-    Canonically sorted by (order, element tuple). Memoized on the group.
-    """
-    if group._normals is not None:
-        return group._normals
-    blocks = _class_closures(group, range(1, group.order))
+def _join_lattice(group: FiniteGroup, blocks, join) -> tuple[Subgroup, ...]:
+    """Close ``blocks`` (element tuples) and the trivial subgroup under
+    ``join``, canonically sorted by (order, element tuple)."""
     found: set[tuple[int, ...]] = {(0,)} | blocks
     frontier = set(blocks)
     while frontier:
@@ -369,38 +331,7 @@ def normal_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
             for c in blocks:
                 if set(c) <= set(s):
                     continue
-                j = closure_of(group, list(s) + list(c))
-                if j not in found:
-                    found.add(j)
-                    new.add(j)
-        frontier = new
-    subs = tuple(
-        Subgroup(group, elems)
-        for elems in sorted(found, key=lambda e: (len(e), e))
-    )
-    group._normals = subs
-    return subs
-
-
-def normal_subgroups_inside(group: FiniteGroup, bound: Subgroup) -> tuple[Subgroup, ...]:
-    """Normal subgroups of ``group`` contained in the normal subgroup ``bound``."""
-    if not same_group(bound.parent, group):
-        raise Incompatible("subgroup belongs to a different group")
-    if not bound.is_normal():
-        raise NotNormal("bound subgroup is not normal")
-    if bound.order == group.order:
-        return normal_subgroups(group)
-    # conjugacy classes of elements of a normal subgroup stay inside it
-    blocks = _class_closures(group, bound.elements)
-    found: set[tuple[int, ...]] = {(0,)} | blocks
-    frontier = set(blocks)
-    while frontier:
-        new: set[tuple[int, ...]] = set()
-        for s in frontier:
-            for c in blocks:
-                if set(c) <= set(s):
-                    continue
-                j = closure_of(group, list(s) + list(c))
+                j = join(s, c)
                 if j not in found:
                     found.add(j)
                     new.add(j)
@@ -408,6 +339,54 @@ def normal_subgroups_inside(group: FiniteGroup, bound: Subgroup) -> tuple[Subgro
     return tuple(
         Subgroup(group, elems)
         for elems in sorted(found, key=lambda e: (len(e), e))
+    )
+
+
+def all_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
+    """Every subgroup, via join-closure of the cyclic subgroups.
+
+    Canonically sorted by (order, element tuple). Memoized on the group.
+    """
+    if group._subgroups is None:
+        cyclics = {closure_of(group, [g]) for g in range(group.order)}
+        group._subgroups = _join_lattice(
+            group, cyclics, lambda s, c: closure_of(group, s + c)
+        )
+    return group._subgroups
+
+
+def normal_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
+    """All normal subgroups, via joins of normal closures of elements.
+
+    The join of two normal subgroups N, M is their product set N·M, read
+    off the table with no closure. Canonically sorted by (order, element
+    tuple). Memoized on the group (``group._normals``), which also serves
+    every ``normal_subgroups_inside`` call on it.
+    """
+    if group._normals is None:
+
+        def product_set(s: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
+            member = np.zeros(group.order, dtype=bool)
+            member[group.mul[np.ix_(s, c)]] = True
+            return tuple(np.flatnonzero(member).tolist())
+
+        blocks = _class_closures(group, range(1, group.order))
+        group._normals = _join_lattice(group, blocks, product_set)
+    return group._normals
+
+
+def normal_subgroups_inside(group: FiniteGroup, bound: Subgroup) -> tuple[Subgroup, ...]:
+    """Normal subgroups of ``group`` contained in the normal subgroup ``bound``.
+
+    A filter over the memoized ``normal_subgroups(group)``, in its
+    canonical (order, element tuple) sort.
+    """
+    if not same_group(bound.parent, group):
+        raise Incompatible("subgroup belongs to a different group")
+    if not bound.is_normal():
+        raise NotNormal("bound subgroup is not normal")
+    return tuple(
+        s for s in normal_subgroups(group) if s.mask & ~bound.mask == 0
     )
 
 
@@ -477,7 +456,8 @@ def generating_set(group: FiniteGroup) -> tuple[int, ...]:
 class GroupHom:
     """A homomorphism, stored as the full image array.
 
-    ``image[h]`` is the index in the target of the image of element ``h``.
+    ``image[h]`` is the index in the target of the image of element ``h``;
+    the array is a read-only copy, so data memoized on the map stays valid.
     """
 
     def __init__(
@@ -487,7 +467,7 @@ class GroupHom:
         image: np.ndarray,
         check: bool = True,
     ) -> None:
-        image = np.asarray(image, dtype=np.int32)
+        image = np.array(image, dtype=np.int32)  # a private, read-only copy
         if image.shape != (source.order,):
             raise Incompatible("image array has wrong length")
         if check:
@@ -500,6 +480,7 @@ class GroupHom:
         self.source = source
         self.target = target
         self.image = image
+        image.flags.writeable = False
 
     def __call__(self, x: int) -> int:
         return int(self.image[x])
@@ -542,13 +523,14 @@ class GroupHom:
 
 
 class Cover(GroupHom):
-    """A surjective homomorphism; caches its kernel."""
+    """A surjective homomorphism; caches its kernel and invariants."""
 
     def __init__(self, source, target, image, check: bool = True) -> None:
         super().__init__(source, target, image, check=check)
         if len(np.unique(self.image)) != target.order:
             raise Incompatible("cover must be surjective")
         self._kernel = super().kernel()
+        self._invariants = None  # fundament.invariants memo
 
     def kernel(self) -> Subgroup:
         return self._kernel

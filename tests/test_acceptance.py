@@ -259,6 +259,29 @@ def test_accept_decision_vs_search():
     )
 
 
+def test_accept_decision_vs_search_four_factors():
+    t0 = time.perf_counter()
+    pool = cover_pool(ETA0, ETA1, max_factors=4)
+    assert len(pool) == 15
+    assert max(tau.source.order for tau in pool) == 32
+    for tau in pool:
+        for tau_prime in pool:
+            assert dominates(tau_prime, tau) == (
+                find_epimorphism_over(tau, tau_prime) is not None
+            )
+            assert isomorphic_fundamental(tau, tau_prime) == (
+                find_isomorphism_over(tau, tau_prime) is not None
+            )
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 60.0
+    report(
+        "decision-vs-search-4",
+        f"domination and isomorphism decisions match backtracking searches "
+        f"on all 225 ordered pairs of the C2 pool with up to 4 factors "
+        f"(carriers up to order 32, {elapsed:.2f}s < 60s)",
+    )
+
+
 # ---------------------------------------------------------------------------
 # 6. duality round trips for powers of a simple module
 

@@ -121,6 +121,14 @@ def test_space_is_memoized():
     assert cohom_space(C2, F2TRIV_C2) is cohom_space(C2, F2TRIV_C2)
 
 
+def test_space_cache_key_is_exact():
+    # 509 = 7 (mod 251): a key that keeps p modulo a byte confuses them
+    small = cohom_space(C2, trivial_module(C2, 7, 1))
+    big = cohom_space(C2, trivial_module(C2, 509, 1))
+    assert big.p == 509
+    assert big is not small
+
+
 # ---------------------------------------------------------------------------
 # cochain mechanics
 

@@ -226,6 +226,25 @@ def test_invariants_require_fundamental():
         invariants(terminal_cover(SMALL_GROUPS["C4"]()))
 
 
+def test_invariants_raise_on_every_call_for_non_fundamental():
+    pi = terminal_cover(SMALL_GROUPS["C4"]())
+    for _ in range(2):
+        with pytest.raises(NotFundamental):
+            invariants(pi)
+
+
+def test_invariants_are_memoized_on_the_cover_and_frozen():
+    pi = power_cover(ETA1, 2)
+    inv = invariants(pi)
+    assert invariants(pi) is inv
+    (ab,) = inv.ab_classes
+    assert ab.supp.shape[0] == 1
+    with pytest.raises(ValueError):
+        ab.supp[0, 0] = 0
+    with pytest.raises(ValueError):
+        pi.image[0] = 0
+
+
 def test_nonabelian_multiplicity_counts_copies():
     one = trivial_group()
     t_a5 = terminal_cover(alt5())

@@ -20,11 +20,13 @@ from catalog import (
 from covercalc import (
     BuildLimits,
     Cover,
+    FiniteGroup,
     GroupHom,
     Subgroup,
     build_group,
     compose,
     cyclic_group,
+    fiber_product,
     find_epimorphism_over,
     find_isomorphism_over,
     identity_cover,
@@ -41,6 +43,7 @@ from covercalc.groups import (
     closure_of,
     is_minimal_normal,
     normal_subgroups,
+    normal_subgroups_inside,
     subgroup_from_elements,
 )
 
@@ -141,6 +144,59 @@ def test_maximal_normal_in_proper_bound():
     tops = maximal_normal_in(d4, center)
     assert [t.elements for t in tops] == [(0,)]
     assert maximal_normal_in(d4, Subgroup(d4, (0,))) == ()
+
+
+def relabeled(group, seed):
+    """The same group with its non-identity elements renumbered by a
+    seeded permutation ``sigma`` (old index -> new index)."""
+    rng = np.random.default_rng(seed)
+    sigma = np.concatenate([[0], 1 + rng.permutation(group.order - 1)])
+    mul = np.empty_like(group.mul)
+    mul[np.ix_(sigma, sigma)] = sigma[group.mul]
+    return FiniteGroup(mul, name=group.name), sigma
+
+
+@pytest.mark.parametrize("name", ["V4", "S3", "D4", "Q8", "A4", "C3xC3"])
+def test_normal_subgroups_inside_every_bound_matches_oracle(name):
+    g = GROUPS[name]
+    table = raw_table(g)
+    twin, sigma = relabeled(g, seed=len(name))
+    for bound in normal_subgroups(g):
+        got = normal_subgroups_inside(g, bound)
+        want = oracles.normal_subgroups_inside(table, frozenset(bound.elements))
+        assert {s.elements for s in got} == {tuple(sorted(s)) for s in want}
+        keys = [(s.order, s.elements) for s in got]
+        assert keys == sorted(keys)
+        moved = Subgroup(twin, tuple(int(sigma[x]) for x in bound.elements))
+        assert [s.order for s in normal_subgroups_inside(twin, moved)] == [
+            s.order for s in got
+        ]
+
+
+def _set_closure(rows, seed):
+    elems = {0, *seed}
+    frontier = set(elems)
+    while frontier:
+        reached = {rows[a][b] for a in frontier for b in elems}
+        reached |= {rows[b][a] for a in frontier for b in elems}
+        frontier = reached - elems
+        elems |= frontier
+    return tuple(sorted(elems))
+
+
+def test_closure_on_large_group_matches_set_closure():
+    factors = [terminal_cover(alt5()), terminal_cover(cyclic_group(13))]
+    g = fiber_product(trivial_group(), factors).carrier
+    assert g.order == 780  # past 256, so closure_of takes the array path
+    rows = g.mul.tolist()
+    rng = np.random.default_rng(5)
+    sizes = set()
+    for _ in range(4):
+        seed = [int(x) for x in rng.choice(g.order, size=int(rng.integers(1, 3)))]
+        got = closure_of(g, seed)
+        assert got == _set_closure(rows, seed)
+        sizes.add(len(got))
+    assert len(sizes) > 1
 
 
 def test_subgroup_from_elements_validates():
