@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
 
@@ -559,15 +558,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--max-order", type=int, default=None, help="override the group order cap"
     )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="seed for randomized dev commands"
-    )
     parser.add_argument("command", help=f"one of {', '.join(sorted(_COMMANDS))}")
     parser.add_argument("args", nargs="*", help="command arguments")
     ns = parser.parse_args(argv)
-    if ns.seed is not None:
-        random.seed(ns.seed)
-        np.random.seed(ns.seed % 2**32)
     limits = (
         BuildLimits(order_cap=ns.max_order) if ns.max_order is not None else DEFAULT_LIMITS
     )

@@ -22,7 +22,7 @@ from .errors import (
     OrderCapExceeded,
     SpaceMismatch,
 )
-from .groups import Cover, FiniteGroup, identity_cover, same_group
+from .groups import Cover, FiniteGroup, generating_set, identity_cover, same_group
 from .gmodules import (
     EndoField,
     GModule,
@@ -35,6 +35,7 @@ from .gmodules import (
 )
 from .linalg import (
     IncrementalRowReduce,
+    nullspace_mod_p,
     rank_mod_p,
     row_echelon_mod_p,
     solve_mod_p,
@@ -85,20 +86,15 @@ class TwoCochain:
         return self.table[1:, 1:, :].reshape(-1)
 
     def is_cocycle(self) -> bool:
-        g = self.group
-        p = self.module.p
-        rows = g.mul_rows
-        act = self.module.action
-        t = self.table
-        for x in range(1, g.order):
-            ax = act[x]
-            for y in range(1, g.order):
-                xy = rows[x][y]
-                for z in range(1, g.order):
-                    lhs = (ax @ t[y, z] + t[x, rows[y][z]]) % p
-                    rhs = (t[xy, z] + t[x, y]) % p
-                    if not np.array_equal(lhs, rhs):
-                        return False
+        """The identity x.f(y,z) + f(x,yz) = f(xy,z) + f(x,y), checked for x
+        in ``generating_set(group)`` and all (y, z): that suffices for a
+        normalized cochain (see ``CohomSpace._cocycle_basis``)."""
+        g, t = self.group, self.table
+        for x in generating_set(g):
+            lhs = t @ self.module.action[x].T + t[x][g.mul]
+            rhs = t[g.mul[x]] + t[x][:, None, :]
+            if ((lhs - rhs) % self.module.p).any():
+                return False
         return True
 
 
@@ -152,68 +148,59 @@ class CohomSpace:
 
     # -- construction ---------------------------------------------------
 
-    def _index(self, s: int, t: int, j: int) -> int:
-        n = self.group.order
-        d = self.module.dim
-        return ((s - 1) * (n - 1) + (t - 1)) * d + j
-
     def _cocycle_basis(self) -> np.ndarray:
+        """Nullspace of the cocycle identity, imposed for x in a generating
+        set S only.
+
+        For h = df, the 3-cocycle identity at (s, y, z, w) gives
+        h(sy, z, w) = s.h(y, z, w); with h(1, ., .) = 0 for a normalized f,
+        h vanishing on S x G x G vanishes everywhere. So the nullspace, and
+        with it the RREF-derived basis, equals the one over all x in G.
+        Rows are indexed (y, z, r) per x, columns (s, t, j); y, z run over
+        the non-identity elements, where the identity is not automatic.
+        """
         g, mod = self.group, self.module
         n, d, p, u = g.order, mod.dim, mod.p, self._u
         if u == 0:
             return np.zeros((0, 0), dtype=np.int64)
-        rows = g.mul_rows
-        constraints: list[np.ndarray] = []
-        for x in range(1, n):
-            ax = mod.action[x]
-            for y in range(1, n):
-                xy = rows[x][y]
-                for z in range(1, n):
-                    yz = rows[y][z]
-                    for r in range(d):
-                        row = np.zeros(u, dtype=np.int64)
-                        # x . f(y,z)
-                        for c in range(d):
-                            row[self._index(y, z, c)] += int(ax[r, c])
-                        # + f(x, yz) - f(xy, z) - f(x, y) = 0
-                        if yz != 0:
-                            row[self._index(x, yz, r)] += 1
-                        if xy != 0:
-                            row[self._index(xy, z, r)] -= 1
-                        row[self._index(x, y, r)] -= 1
-                        constraints.append(row % p)
-        if not constraints:
-            return np.eye(u, dtype=np.int64)
-        from .linalg import nullspace_mod_p
-
-        return nullspace_mod_p(np.array(constraints, dtype=np.int64), p)
+        k = n - 1
+        y, z = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
+        yz = g.mul[y, z]
+        eye = np.eye(d, dtype=np.int64)
+        blocks = []
+        for x in generating_set(g):
+            if x == 0:
+                continue
+            xy = g.mul[x, y]
+            c = np.zeros((k, k, d, k, k, d), dtype=np.int64)
+            # x.f(y,z) + f(x,yz) - f(xy,z) - f(x,y) = 0; f(1, .) = f(., 1) = 0
+            c[y - 1, z - 1, :, y - 1, z - 1, :] += mod.action[x]
+            m = yz != 0
+            c[y[m] - 1, z[m] - 1, :, x - 1, yz[m] - 1, :] += eye
+            m = xy != 0
+            c[y[m] - 1, z[m] - 1, :, xy[m] - 1, z[m] - 1, :] -= eye
+            c[y - 1, z - 1, :, x - 1, y - 1, :] -= eye
+            blocks.append(c.reshape(k * k * d, u))
+        return nullspace_mod_p(np.vstack(blocks) % p, p)
 
     def _coboundary_basis(self) -> np.ndarray:
+        """RREF of the boundaries of the cochains e_j at w, rows (w, j)."""
         g, mod = self.group, self.module
         n, d, p, u = g.order, mod.dim, mod.p, self._u
-        gens: list[np.ndarray] = []
-        rows = g.mul_rows
-        for w in range(1, n):
-            for j in range(d):
-                # c supported at w with value e_j; boundary:
-                # (x,y) -> x.c(y) - c(xy) + c(x)
-                vec = np.zeros(u, dtype=np.int64)
-                for x in range(1, n):
-                    for y in range(1, n):
-                        val = np.zeros(d, dtype=np.int64)
-                        if y == w:
-                            val += mod.action[x][:, j]
-                        if rows[x][y] == w:
-                            val[j] -= 1
-                        if x == w:
-                            val[j] += 1
-                        if val.any():
-                            base = self._index(x, y, 0)
-                            vec[base : base + d] = (vec[base : base + d] + val) % p
-                gens.append(vec % p)
-        if not gens:
+        if u == 0:
             return np.zeros((0, u), dtype=np.int64)
-        reduced, _ = row_echelon_mod_p(np.array(gens, dtype=np.int64), p)
+        k = n - 1
+        x, y = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
+        xy = g.mul[x, y]
+        j = np.arange(d)
+        b = np.zeros((k, d, k, k, d), dtype=np.int64)
+        # the boundary (x, y) -> x.c(y) - c(xy) + c(x) of c = e_j at w:
+        # x.c(y) where w = y, -c(xy) where w = xy, c(x) where w = x
+        b[y - 1, :, x - 1, y - 1, :] += np.asarray(mod.action)[x].transpose(0, 1, 3, 2)
+        m = xy != 0
+        b[xy[m, None] - 1, j, x[m, None] - 1, y[m, None] - 1, j] -= 1
+        b[x[..., None] - 1, j, x[..., None] - 1, y[..., None] - 1, j] += 1
+        reduced, _ = row_echelon_mod_p(b.reshape(k * d, u) % p, p)
         return reduced
 
     def _scalar_action(self) -> np.ndarray:

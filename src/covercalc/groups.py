@@ -284,17 +284,29 @@ def subgroup_from_elements(group: FiniteGroup, elements) -> Subgroup:
     return sub
 
 
+def _distinct(indices, n: int) -> np.ndarray:
+    """Sorted distinct values of an index array over ``range(n)``.
+
+    A boolean scatter, not ``np.unique``: the first ``np.unique`` in a
+    process imports ``numpy.ma`` (about 18 ms), which small cold commands
+    would otherwise pay.
+    """
+    member = np.zeros(n, dtype=bool)
+    member[indices] = True
+    return np.flatnonzero(member)
+
+
 def _conjugacy_orbit(group: FiniteGroup, x: int) -> np.ndarray:
     """Sorted orbit of ``x`` under conjugation by the whole group."""
     gx = group.mul[:, x]
-    return np.unique(group.mul[gx, group.inv])
+    return _distinct(group.mul[gx, group.inv], group.order)
 
 
 def _normal_closure(group: FiniteGroup, seed: list[int]) -> tuple[int, ...]:
     if not seed:
         return closure_of(group, [])
-    conj = np.unique(
-        np.concatenate([_conjugacy_orbit(group, int(x)) for x in seed])
+    conj = _distinct(
+        np.concatenate([_conjugacy_orbit(group, int(x)) for x in seed]), group.order
     )
     return closure_of(group, conj)
 
@@ -324,17 +336,18 @@ def _join_lattice(group: FiniteGroup, blocks, join) -> tuple[Subgroup, ...]:
     """Close ``blocks`` (element tuples) and the trivial subgroup under
     ``join``, canonically sorted by (order, element tuple)."""
     found: set[tuple[int, ...]] = {(0,)} | blocks
-    frontier = set(blocks)
+    block_sets = [(c, frozenset(c)) for c in blocks]
+    frontier = {s: frozenset(s) for s in blocks}
     while frontier:
-        new: set[tuple[int, ...]] = set()
-        for s in frontier:
-            for c in blocks:
-                if set(c) <= set(s):
+        new: dict[tuple[int, ...], frozenset[int]] = {}
+        for s, s_set in frontier.items():
+            for c, c_set in block_sets:
+                if c_set <= s_set:
                     continue
                 j = join(s, c)
                 if j not in found:
                     found.add(j)
-                    new.add(j)
+                    new[j] = frozenset(j)
         frontier = new
     return tuple(
         Subgroup(group, elems)
@@ -366,9 +379,7 @@ def normal_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
     if group._normals is None:
 
         def product_set(s: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
-            member = np.zeros(group.order, dtype=bool)
-            member[group.mul[np.ix_(s, c)]] = True
-            return tuple(np.flatnonzero(member).tolist())
+            return tuple(_distinct(group.mul[np.ix_(s, c)], group.order).tolist())
 
         blocks = _class_closures(group, range(1, group.order))
         group._normals = _join_lattice(group, blocks, product_set)
@@ -486,10 +497,10 @@ class GroupHom:
         return int(self.image[x])
 
     def is_surjective(self) -> bool:
-        return len(np.unique(self.image)) == self.target.order
+        return len(_distinct(self.image, self.target.order)) == self.target.order
 
     def is_injective(self) -> bool:
-        return len(np.unique(self.image)) == self.source.order
+        return len(_distinct(self.image, self.target.order)) == self.source.order
 
     def is_isomorphism(self) -> bool:
         return self.source.order == self.target.order and self.is_surjective()
@@ -499,7 +510,9 @@ class GroupHom:
         return Subgroup(self.source, elems)
 
     def image_subgroup(self) -> Subgroup:
-        return Subgroup(self.target, tuple(int(x) for x in np.unique(self.image)))
+        return Subgroup(
+            self.target, tuple(int(x) for x in _distinct(self.image, self.target.order))
+        )
 
     def apply_subgroup(self, sub: Subgroup) -> Subgroup:
         elems = tuple(sorted({int(self.image[x]) for x in sub.elements}))
@@ -527,7 +540,7 @@ class Cover(GroupHom):
 
     def __init__(self, source, target, image, check: bool = True) -> None:
         super().__init__(source, target, image, check=check)
-        if len(np.unique(self.image)) != target.order:
+        if len(_distinct(self.image, target.order)) != target.order:
             raise Incompatible("cover must be surjective")
         self._kernel = super().kernel()
         self._invariants = None  # fundament.invariants memo

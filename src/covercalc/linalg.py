@@ -60,10 +60,13 @@ def row_echelon_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if pr != r:
             M[[r, pr]] = M[[pr, r]]
         M[r] = (M[r] * inv_mod(int(M[r, c]), p)) % p
-        other = np.nonzero(M[:, c])[0]
-        for rr in other:
-            if rr != r:
-                M[rr] = (M[rr] - M[rr, c] * M[r]) % p
+        # clear column c from every other row with one rank-1 update; row r
+        # is zero left of c, so only columns c.. change
+        coef = M[:, c].copy()
+        coef[r] = 0
+        other = np.flatnonzero(coef)
+        if other.size:
+            M[other, c:] = (M[other, c:] - np.outer(coef[other], M[r, c:])) % p
         pivot_cols.append(c)
         r += 1
     return M[: len(pivot_cols)], pivot_cols

@@ -8,6 +8,7 @@ import numpy as np
 
 from covercalc import (
     Cover,
+    FiniteGroup,
     GModule,
     Subgroup,
     build_group,
@@ -71,6 +72,17 @@ SMALL_GROUPS = {
     "Q8": quaternion8,
     "C3xC3": c3_squared,
 }
+
+
+def relabel(group, rng, keep_generators: bool = True):
+    """``group`` with its non-identity elements renamed by a random
+    permutation from ``rng``; the stored generators follow the renaming,
+    or are dropped when ``keep_generators`` is false."""
+    sigma = np.array([0] + rng.sample(range(1, group.order), group.order - 1))
+    mul = np.empty_like(group.mul)
+    mul[np.ix_(sigma, sigma)] = sigma[group.mul]
+    gens = tuple(int(sigma[g]) for g in group.generators) if keep_generators else ()
+    return FiniteGroup(mul, name=group.name, generators=gens)
 
 
 def generated_subgroup(group, seeds) -> Subgroup:

@@ -2,13 +2,17 @@
 
 Everything in this file is deliberately naive and self-contained: raw
 multiplication tables (tuples of tuples, identity at index 0), subset
-enumeration, and exhaustive cochain enumeration. It never imports the
-package under test, so agreement between the two is meaningful.
+enumeration, exhaustive cochain enumeration, and the degree-2 linear
+systems over every group element, solved by plain dense elimination. It
+never imports the package under test, so agreement between the two is
+meaningful.
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+import numpy as np
 
 # ---------------------------------------------------------------------------
 # table builders
@@ -264,6 +268,22 @@ def _act(mat, v, p):
     return tuple(sum(mat[r][c] * v[c] for c in range(d)) % p for r in range(d))
 
 
+def cocycle_identity_holds(table, p, action, f):
+    """x.f(y,z) + f(x,yz) = f(xy,z) + f(x,y) for every (x, y, z) of G^3.
+
+    ``f(a, b)`` returns the value at (a, b) as a tuple over GF(p).
+    """
+    n = len(table)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                lhs = _vec_add(_act(action[x], f(y, z), p), f(x, table[y][z]), p)
+                rhs = _vec_add(f(table[x][y], z), f(x, y), p)
+                if lhs != rhs:
+                    return False
+    return True
+
+
 def h2_dim_by_enumeration(table, p, action):
     """dim H^2(G, A) over GF(p) by enumerating all normalized cochains.
 
@@ -276,25 +296,13 @@ def h2_dim_by_enumeration(table, p, action):
     pairs = [(a, b) for a in nontriv for b in nontriv]
     vecs = list(product(range(p), repeat=d))
 
-    def is_cocycle(f):
-        get = lambda a, b: f[(a, b)] if (a, b) in f else (0,) * d
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    lhs = _vec_add(
-                        _act(action[x], get(y, z), p),
-                        get(x, table[y][z]),
-                        p,
-                    )
-                    rhs = _vec_add(get(table[x][y], z), get(x, y), p)
-                    if lhs != rhs:
-                        return False
-        return True
+    def get(a, b):
+        return f[(a, b)] if (a, b) in f else (0,) * d
 
     cocycles = []
     for assignment in product(vecs, repeat=len(pairs)):
         f = dict(zip(pairs, assignment))
-        if is_cocycle(f):
+        if cocycle_identity_holds(table, p, action, get):
             cocycles.append(f)
 
     coboundaries = set()
@@ -317,6 +325,135 @@ def h2_dim_by_enumeration(table, p, action):
         dim += 1
     assert nz % nb == 0 and nb * p ** dim == nz
     return dim
+
+
+# ---------------------------------------------------------------------------
+# cohomology in degree 2 from the full linear systems (dense GF(p)
+# elimination in numpy; the identity is imposed for every x, not just for
+# generators)
+
+
+def rref_mod_p(mat, p):
+    """Reduced row echelon form over GF(p) by Gauss-Jordan; returns (the
+    nonzero rows, their pivot columns)."""
+    m = np.array(mat, dtype=np.int64) % p
+    pivots = []
+    for c in range(m.shape[1]):
+        r = len(pivots)
+        if r == m.shape[0]:
+            break
+        below = np.flatnonzero(m[r:, c])
+        if below.size == 0:
+            continue
+        m[[r, r + below[0]]] = m[[r + below[0], r]]
+        m[r] = m[r] * pow(int(m[r, c]), p - 2, p) % p
+        factor = m[:, c].copy()
+        factor[r] = 0
+        hit = np.flatnonzero(factor)
+        m[hit] = (m[hit] - np.outer(factor[hit], m[r])) % p
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def cochain_column(n, d, s, t, j):
+    """Coordinate of the j-th entry of f(s, t), s and t non-identity."""
+    return ((s - 1) * (n - 1) + (t - 1)) * d + j
+
+
+def cocycle_nullspace(table, p, action, xs=None):
+    """The normalized 2-cocycles: nullspace of the identity at every
+    (x, y, z) of non-identity elements, (n-1)^3 * d constraint rows; with
+    ``xs``, of the identity for x in ``xs`` only.
+
+    Rows are added one x at a time to a running RREF, so that order 24 is
+    affordable. The basis has one row per free column c of the RREF: 1 at
+    c, minus the RREF's column c at the pivots, 0 elsewhere.
+    """
+    n = len(table)
+    d = len(action[0])
+    u = (n - 1) ** 2 * d
+    rows, pivots = np.zeros((0, u), dtype=np.int64), []
+    for x in range(1, n) if xs is None else xs:
+        block = np.zeros(((n - 1) ** 2 * d, u), dtype=np.int64)
+        i = 0
+        for y in range(1, n):
+            for z in range(1, n):
+                for r in range(d):
+                    for c in range(d):
+                        block[i, cochain_column(n, d, y, z, c)] += action[x][r][c]
+                    if table[y][z]:
+                        block[i, cochain_column(n, d, x, table[y][z], r)] += 1
+                    if table[x][y]:
+                        block[i, cochain_column(n, d, table[x][y], z, r)] -= 1
+                    block[i, cochain_column(n, d, x, y, r)] -= 1
+                    i += 1
+        if pivots:
+            # in float64 for speed; exact, every sum is an integer below 2**53
+            block -= np.rint(block[:, pivots].astype(float) @ rows).astype(np.int64)
+        block %= p
+        block = block[block.any(axis=1)]
+        if len(block):
+            rows, pivots = rref_mod_p(np.vstack([rows, block]), p)
+    free = [c for c in range(u) if c not in set(pivots)]
+    basis = np.zeros((len(free), u), dtype=np.int64)
+    for k, c in enumerate(free):
+        basis[k, c] = 1
+        basis[k, pivots] = -rows[:, c] % p
+    return basis
+
+
+def coboundary_rref(table, p, action):
+    """RREF of the boundaries (a, b) -> a.c(b) - c(ab) + c(a) of the
+    cochains c = e_j at w, over every non-identity w and every j."""
+    n = len(table)
+    d = len(action[0])
+    gens = []
+    for w in range(1, n):
+        for j in range(d):
+            c = [[0] * d for _ in range(n)]
+            c[w][j] = 1
+            vec = [0] * ((n - 1) ** 2 * d)
+            for a in range(1, n):
+                for b in range(1, n):
+                    val = _vec_add(
+                        _act(action[a], c[b], p), _vec_sub(c[a], c[table[a][b]], p), p
+                    )
+                    for r in range(d):
+                        vec[cochain_column(n, d, a, b, r)] = val[r]
+            gens.append(vec)
+    return rref_mod_p(np.array(gens, dtype=np.int64), p)[0]
+
+
+def h2_representatives(z_rows, b_rows, p):
+    """The cocycle rows that leave the span of the coboundaries and of the
+    cocycle rows before them, in order."""
+    span = np.array(b_rows, dtype=np.int64)
+    rank = len(rref_mod_p(span, p)[1])
+    reps = []
+    for z in z_rows:
+        grown = np.vstack([span, z])
+        if len(rref_mod_p(grown, p)[1]) > rank:
+            reps.append(z)
+            span, rank = grown, rank + 1
+    return np.array(reps, dtype=np.int64).reshape(-1, np.shape(z_rows)[1])
+
+
+def h2_scalar_matrix(h_rows, b_rows, generator, p):
+    """Matrix of the field generator on H^2 coordinates: column i holds the
+    h-coefficients of h_rows[i] with ``generator`` applied to every value,
+    written in the basis h_rows + b_rows (the combination is unique)."""
+    m, u = np.shape(h_rows)
+    if m == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    d = len(generator)
+    basis = np.vstack([h_rows, b_rows]).T
+    cols = []
+    for rep in h_rows:
+        image = (rep.reshape(-1, d) @ np.array(generator).T % p).reshape(-1)
+        rows, pivots = rref_mod_p(np.column_stack([basis, image]), p)
+        assert pivots == list(range(basis.shape[1]))
+        cols.append(rows[:m, -1])
+    return np.array(cols, dtype=np.int64).T % p
 
 
 def commutant_dimension(p, gens):

@@ -28,6 +28,7 @@ from catalog import (
     f4_over_c3,
     nonsplit_cover_c2,
     nonsplit_cover_c3,
+    relabel,
     split_cover_c2,
     split_cover_c3,
 )
@@ -56,10 +57,11 @@ from covercalc import (
     quotient,
     terminal_cover,
     trivial_group,
+    trivial_module,
     x2,
     y2,
 )
-from covercalc.cli import parse_workspace, run_command
+from covercalc.cli import Workspace, parse_workspace, run_command
 from covercalc.fiber import _product_of_subsets
 from covercalc.groups import (
     Cover,
@@ -225,6 +227,25 @@ def test_accept_h2_dimensions():
         "h2-dimensions",
         f"library dims equal enumeration oracle dims: "
         f"{expected} ({elapsed:.2f}s < 5s)",
+    )
+
+
+def test_accept_h2_s4_any_labeling():
+    # H^2(S4, F2) = F2^2 and H^2(S4, F3) = 0, on the built-in labeling through
+    # the h2 command and on a relabeled table without stored generators
+    t0 = time.perf_counter()
+    ws = Workspace()
+    relabeled = relabel(ws.group("S4"), random.Random(24), keep_generators=False)
+    for p, want in ((2, 2), (3, 0)):
+        _, doc = run_command(ws, "h2", ["S4", f"F{p}triv"])
+        assert doc["dim_p"] == want
+        assert cohom_space(relabeled, trivial_module(relabeled, p, 1)).dim_p == want
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 20.0
+    report(
+        "h2-s4",
+        f"dim_p 2 over F2 and 0 over F3, built-in and relabeled "
+        f"({elapsed:.2f}s < 20s)",
     )
 
 

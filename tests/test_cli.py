@@ -5,6 +5,7 @@ codes."""
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -429,27 +430,45 @@ def test_main_max_order_cap(capsys):
     assert "exceeds cap 7" in capsys.readouterr().err
 
 
-def test_main_seed_accepted(capsys):
-    rc = main(["--seed", "7", "series", "C2->1"])
-    assert rc == 0
-    assert capsys.readouterr().out.strip() == "[2, 1]"
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports covercalc from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
+    )
 
 
 def test_console_script_runs():
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "covercalc",
-            "-f",
-            INTRO,
-            "isomorphic",
-            "fprod(eta1,eta1)",
-            "fprod(eta0,eta1)",
-        ],
-        capture_output=True,
-        text=True,
-        timeout=60,
+    proc = run_python(
+        "-m",
+        "covercalc",
+        "-f",
+        INTRO,
+        "isomorphic",
+        "fprod(eta1,eta1)",
+        "fprod(eta0,eta1)",
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "true"
+
+
+def test_cold_commands_do_not_import_numpy_ma():
+    # numpy imports numpy.ma on the first np.unique, which costs more than a
+    # small cold command; neither the import nor these commands may need it
+    proc = run_python(
+        "-c",
+        "import sys\n"
+        "import covercalc\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "from covercalc.cli import main\n"
+        "for argv in (['series', 'C4->1'], ['h2', 'D4', 'F2triv'], ['fundament', 'S4->1']):\n"
+        "    assert main(argv) == 0\n"
+        "print('numpy.ma' in sys.modules)\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False", "import covercalc imports numpy.ma"
+    assert lines[-1] == "False", "a cold command imports numpy.ma"

@@ -10,6 +10,8 @@ realization map y2 both ways.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from catalog import (
     generated_subgroup,
     nonsplit_cover_c2,
     nonsplit_cover_c3,
+    relabel,
     sign_cover,
     split_cover_c2,
     split_cover_c3,
@@ -44,11 +47,13 @@ from covercalc import (
     inflate_module,
     module_from_cover,
     push_cochain,
+    quotient,
     terminal_cover,
     trivial_module,
     x2,
     y2,
 )
+from covercalc.cli import Workspace
 from covercalc.errors import (
     Incompatible,
     KernelNotAbelian,
@@ -59,6 +64,8 @@ from covercalc.errors import (
     NotSimple,
     SpaceMismatch,
 )
+from covercalc.groups import normal_subgroups
+import oracles
 from oracles import h2_dim_by_enumeration
 
 C2 = SMALL_GROUPS["C2"]()
@@ -106,6 +113,125 @@ def test_h2_dimension_matches_enumeration(make, frozen):
     )
     assert live == frozen
     assert space.f_dim == space.dim_p // space.endo_field.k
+
+
+# ---------------------------------------------------------------------------
+# the generator-indexed cocycle system against the full one (every x in G)
+
+
+H2_GROUP_NAMES = ["C2", "C3", "C4", "V4", "C6", "S3", "C8", "C9", "D4", "Q8", "A4", "S4"]
+
+
+def builtin(name):
+    return Workspace().group(name)
+
+
+def a4_f4():
+    """F4 inflated to A4 along A4 -> A4/V4, a group with C3's table."""
+    a4 = builtin("A4")
+    v4 = next(s for s in normal_subgroups(a4) if s.order == 4)
+    return inflate_module(quotient(a4, v4)[1], F4MOD)
+
+
+def assert_bytes_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_space_matches_full_system(group, module):
+    table, action, p = table_rows(group), module_action_tuples(module), module.p
+    space = cohom_space(group, module)
+    z = oracles.cocycle_nullspace(table, p, action)
+    b = oracles.coboundary_rref(table, p, action)
+    h = oracles.h2_representatives(z, b, p)
+    assert_bytes_equal(space.z_basis, z)
+    assert_bytes_equal(space.b_basis, b)
+    assert_bytes_equal(space.h_reps, h)
+    scalars = oracles.h2_scalar_matrix(h, b, space.endo_field.generator_matrix, p)
+    assert_bytes_equal(space.scalar_matrix, scalars)
+
+
+@pytest.mark.parametrize("name", H2_GROUP_NAMES)
+def test_h2_bases_equal_full_system(name):
+    group = builtin(name)
+    for p in (2, 3, 5):
+        assert_space_matches_full_system(group, trivial_module(group, p, 1))
+
+
+@pytest.mark.parametrize("keep_generators", [True, False], ids=["stored", "greedy"])
+@pytest.mark.parametrize("name", H2_GROUP_NAMES)
+def test_h2_bases_equal_full_system_relabeled(name, keep_generators):
+    group = relabel(builtin(name), random.Random(f"{name}-{keep_generators}"), keep_generators)
+    assert bool(group.generators) == keep_generators
+    for p in (2, 3, 5):
+        assert_space_matches_full_system(group, trivial_module(group, p, 1))
+
+
+@pytest.mark.parametrize(
+    "make", [f3_sign, f4_over_c3, a4_f4], ids=["f3_sign", "f4_over_c3", "f4_over_a4"]
+)
+def test_h2_bases_equal_full_system_simple_modules(make):
+    module = make()
+    assert_space_matches_full_system(module.group, module)
+
+
+def _oracle_is_cocycle(cochain):
+    t = cochain.table
+    return oracles.cocycle_identity_holds(
+        table_rows(cochain.group),
+        cochain.module.p,
+        module_action_tuples(cochain.module),
+        lambda a, b: tuple(int(v) for v in t[a, b]),
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: trivial_module(builtin("S3"), 3, 1),
+        lambda: trivial_module(builtin("D4"), 2, 1),
+        lambda: trivial_module(builtin("Q8"), 2, 1),
+        lambda: trivial_module(relabel(builtin("A4"), random.Random(3), False), 2, 1),
+        lambda: trivial_module(builtin("S4"), 2, 1),
+        f4_over_c3,
+        a4_f4,
+    ],
+    ids=["S3-F3", "D4-F2", "Q8-F2", "A4-F2-greedy", "S4-F2", "C3-F4", "A4-F4"],
+)
+def test_is_cocycle_matches_every_x_oracle(make):
+    module = make()
+    group, p, d = module.group, module.p, module.dim
+    n = group.order
+    rng = np.random.default_rng(n * p + d)
+    space = cohom_space(group, module)
+    for _ in range(5):
+        table = rng.integers(0, p, size=(n, n, d))
+        table[0] = table[:, 0] = 0
+        cochain = TwoCochain(group, module, table)
+        assert cochain.is_cocycle() == _oracle_is_cocycle(cochain)
+    # cochains that satisfy the identity at one x, and so on <x>, but
+    # usually not on the rest of the group
+    rows, action = table_rows(group), module_action_tuples(module)
+    for x in range(1, n):
+        partial = oracles.cocycle_nullspace(rows, p, action, xs=[x])
+        table = np.zeros((n, n, d), dtype=np.int64)
+        table[1:, 1:] = (rng.integers(0, p, size=len(partial)) @ partial % p).reshape(
+            n - 1, n - 1, d
+        )
+        cochain = TwoCochain(group, module, table)
+        assert cochain.is_cocycle() == _oracle_is_cocycle(cochain)
+    for _ in range(3):
+        vec = rng.integers(0, p, size=len(space.z_basis)) @ space.z_basis % p
+        table = np.zeros((n, n, d), dtype=np.int64)
+        table[1:, 1:] = vec.reshape(n - 1, n - 1, d)
+        cocycle = TwoCochain(group, module, table)
+        assert cocycle.is_cocycle() and _oracle_is_cocycle(cocycle)
+        # n >= 3: a single changed entry always breaks the identity
+        s, t = rng.integers(1, n, size=2)
+        table[s, t, rng.integers(d)] += rng.integers(1, p)
+        broken = TwoCochain(group, module, table)
+        assert not broken.is_cocycle()
+        assert not _oracle_is_cocycle(broken)
 
 
 def test_space_requires_simple_module():
