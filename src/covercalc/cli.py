@@ -259,7 +259,7 @@ def _group_doc(g: FiniteGroup) -> dict:
     return {
         "name": g.name,
         "order": g.order,
-        "mul": [[int(x) for x in row] for row in g.mul],
+        "mul": g.mul.tolist(),
     }
 
 

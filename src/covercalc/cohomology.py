@@ -22,7 +22,15 @@ from .errors import (
     OrderCapExceeded,
     SpaceMismatch,
 )
-from .groups import Cover, FiniteGroup, generating_set, identity_cover, same_group
+from .groups import (
+    Cover,
+    FiniteGroup,
+    _commute,
+    _least_section,
+    generating_set,
+    identity_cover,
+    same_group,
+)
 from .gmodules import (
     EndoField,
     GModule,
@@ -329,31 +337,17 @@ def extension_from_cocycle(cochain: TwoCochain) -> ExtensionRealization:
     mod = cochain.module
     n, p, d = g.order, mod.p, mod.dim
     q = mod.size
-    add_idx = np.empty((q, q), dtype=np.int64)
-    vecs = [mod.index_to_vector(a) for a in range(q)]
-    for a1 in range(q):
-        for a2 in range(q):
-            add_idx[a1, a2] = mod.vector_to_index((vecs[a1] + vecs[a2]) % p)
-    act_idx = np.empty((n, q), dtype=np.int64)
-    for x in range(n):
-        m = mod.action[x]
-        for a in range(q):
-            act_idx[x, a] = mod.vector_to_index(m @ vecs[a] % p)
-    f_idx = np.empty((n, n), dtype=np.int64)
-    for x in range(n):
-        for y in range(n):
-            f_idx[x, y] = mod.vector_to_index(cochain.table[x, y] % p)
+    # module elements as vectors and back (index = sum of v_j p^j)
+    vecs = np.array([mod.index_to_vector(a) for a in range(q)], dtype=np.int64).reshape(q, d)
+    weights = p ** np.arange(d, dtype=np.int64)
+    add_idx = ((vecs[:, None, :] + vecs[None, :, :]) % p @ weights).astype(np.int32)
+    act_idx = np.stack([vecs @ m.T % p @ weights for m in mod.action])  # [x, a]: x.a
+    f_idx = cochain.table % p @ weights
+    # (a1, g1)(a2, g2) over axes (a1, g1, a2, g2)
+    shifted = add_idx[np.arange(q)[:, None, None], act_idx[None, :, :]]
+    a_out = add_idx[shifted[..., None], f_idx[None, :, None, :]]  # int32, like the table
     size = q * n
-    rows = g.mul_rows
-    mul = np.empty((size, size), dtype=np.int32)
-    for a1 in range(q):
-        for g1 in range(n):
-            i = a1 * n + g1
-            for a2 in range(q):
-                shifted = add_idx[a1, act_idx[g1, a2]]
-                for g2 in range(n):
-                    a_out = add_idx[shifted, f_idx[g1, g2]]
-                    mul[i, a2 * n + g2] = a_out * n + rows[g1][g2]
+    mul = (a_out * n + g.mul[None, :, None, :]).reshape(size, size)
     base_gens = tuple(int(x) for x in (g.generators or tuple(range(1, n))))
     base_labels = g.generator_labels
     if len(base_labels) != len(base_gens):
@@ -366,9 +360,8 @@ def extension_from_cocycle(cochain: TwoCochain) -> ExtensionRealization:
         generators=gens,
         generator_labels=labels,
     )
-    image = np.fromiter((i % n for i in range(size)), dtype=np.int32, count=size)
-    cover = Cover(ext, g, image, check=False)
-    embed = np.fromiter((a * n for a in range(q)), dtype=np.int64, count=q)
+    cover = Cover(ext, g, np.arange(size) % n, check=False)
+    embed = np.arange(q, dtype=np.int64) * n
     return ExtensionRealization(cover=cover, module=mod, embed=embed, cochain=cochain)
 
 
@@ -377,30 +370,15 @@ def cover_cochain(pi: Cover) -> TwoCochain:
     section; coefficients in the conjugation module on the kernel."""
     ker = pi.kernel()
     src = pi.source
-    rows = src.mul_rows
-    for a in ker.elements:
-        for b in ker.elements:
-            if rows[a][b] != rows[b][a]:
-                raise KernelNotAbelian("cover kernel is not abelian")
+    if not _commute(src, ker.elements, ker.elements):
+        raise KernelNotAbelian("cover kernel is not abelian")
     mod = module_from_cover(pi, ker)
     coords = kernel_coordinates(ker)
-    base = pi.target
-    n = base.order
-    section = np.full(n, -1, dtype=np.int64)
-    for h in range(src.order):
-        gidx = int(pi.image[h])
-        if section[gidx] < 0:
-            section[gidx] = h
-    inv = src.inv
-    d = mod.dim
-    table = np.zeros((n, n, d), dtype=np.int64)
-    for s in range(1, n):
-        us = int(section[s])
-        for t in range(1, n):
-            h = rows[us][int(section[t])]
-            k = rows[h][int(inv[int(section[int(pi.image[h])])])]
-            table[s, t] = coords.to_vector[k]
-    return TwoCochain(base, mod, table)
+    # f(s, t) is the kernel part of u_s u_t against u_st, u the least section
+    section = _least_section(pi)
+    h = src.mul[np.ix_(section, section)]
+    k = src.mul[h, src.inv[section[pi.image[h]]]]
+    return TwoCochain(pi.target, mod, coords.vector_table()[k])
 
 
 def cocycle_from_extension(pi: Cover, ident: ModuleHom) -> CohomClass:

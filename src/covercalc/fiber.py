@@ -29,6 +29,9 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _commute,
+    _least_section,
+    _product_set,
     all_subgroups,
     identity_cover,
     is_indecomposable,
@@ -103,13 +106,19 @@ def fiber_product(
             f"carrier order {expected} exceeds cap {limits.order_cap}"
         )
 
-    # group elements of every factor by their base image, preserving order
+    # group elements of every factor by their base image, preserving order;
+    # every fiber of factor i has |K_i| elements, pos[i][h] is h's place in it
     fibers: list[list[list[int]]] = []
+    pos: list[np.ndarray] = []
     for cov in factors:
         by_base: list[list[int]] = [[] for _ in range(base.order)]
-        for h, g in enumerate(cov.image):
-            by_base[int(g)].append(h)
+        for h, g in enumerate(cov.image.tolist()):
+            by_base[g].append(h)
         fibers.append(by_base)
+        place = np.empty(cov.source.order, dtype=np.int32)
+        for fiber in by_base:
+            place[fiber] = np.arange(len(fiber), dtype=np.int32)
+        pos.append(place)
 
     first = factors[0]
     tuples: list[tuple[int, ...]] = []
@@ -118,38 +127,25 @@ def fiber_product(
         rest = [fibers[i][g] for i in range(1, len(factors))]
         for tail in iter_product(*rest):
             tuples.append((h0, *tail))
-    index = {t: i for i, t in enumerate(tuples)}
     n = len(tuples)
     assert n == expected
 
-    full_space = 1
-    for s in sizes:
-        full_space *= s
-    if n > 256 and full_space <= 5_000_000:
-        # componentwise products, resolved through a linear key over the
-        # full product space (blockwise, to bound transient memory)
-        tup_arr = np.asarray(tuples, dtype=np.int64)
-        strides = np.empty(len(sizes), dtype=np.int64)
-        acc = 1
-        for k in range(len(sizes) - 1, -1, -1):
-            strides[k] = acc
-            acc *= sizes[k]
-        lookup = np.full(full_space, -1, dtype=np.int64)
-        lookup[tup_arr @ strides] = np.arange(n, dtype=np.int64)
-        factor_mul = [c.source.mul for c in factors]
-        mul = np.empty((n, n), dtype=np.int32)
-        for start in range(0, n, 1024):
-            stop = min(start + 1024, n)
-            keys = np.zeros((stop - start, n), dtype=np.int64)
-            for k, fm in enumerate(factor_mul):
-                keys += fm[np.ix_(tup_arr[start:stop, k], tup_arr[:, k])] * strides[k]
-            mul[start:stop] = lookup[keys]
-    else:
-        factor_rows = [c.source.mul_rows for c in factors]
-        mul = np.empty((n, n), dtype=np.int32)
-        for i, a in enumerate(tuples):
-            for j, b in enumerate(tuples):
-                mul[i, j] = index[tuple(fr[x][y] for fr, x, y in zip(factor_rows, a, b))]
+    # the row of (h0, h1, ...) is h0·Π|K_i| plus the mixed radix of the
+    # fiber places of h1, ..., so each factor table maps straight to a
+    # partial row number, and products are sums of those (row blocks bound
+    # the transient memory)
+    stride = 1
+    ranked = []
+    for cov, place in zip(factors[:0:-1], pos[:0:-1]):
+        ranked.append(place[cov.source.mul] * stride)
+        stride *= len(place) // base.order
+    ranked.append(first.source.mul * stride)
+    coords = np.asarray(tuples, dtype=np.intp).T[::-1]
+    mul = np.zeros((n, n), dtype=np.int32)
+    for start in range(0, n, 1024):
+        block = slice(start, start + 1024)
+        for table, col in zip(ranked, coords):
+            mul[block] += table[np.ix_(col[block], col)]
     name = "fprod(" + ",".join(c.source.name for c in factors) + ")"
     carrier = FiniteGroup(mul, name=name)
 
@@ -174,8 +170,8 @@ def fiber_product(
         Subgroup(
             carrier,
             tuple(
-                index[t]
-                for t in tuples
+                i
+                for i, t in enumerate(tuples)
                 if all(x == 0 for k, x in enumerate(t) if k != j)
                 and int(factors[0].image[t[0]]) == 0
             ),
@@ -226,14 +222,6 @@ def restrict(fp: FiberProduct, subset) -> tuple[FiberProduct, Cover]:
     return sub, proj
 
 
-def _product_of_subsets(group: FiniteGroup, parts: list[tuple[int, ...]]) -> set[int]:
-    rows = group.mul_rows
-    cur = {0}
-    for part in parts:
-        cur = {rows[a][b] for a in cur for b in part}
-    return cur
-
-
 def is_fiber_presentation(p_list, pi: Cover) -> bool:
     """Decide whether covers ``p_list`` present their common source as the
     fiber product of the induced factor covers over ``pi.target``.
@@ -255,7 +243,7 @@ def is_fiber_presentation(p_list, pi: Cover) -> bool:
         ker_pi = pi.kernel()
         if any(not ker_pi.contains(x) for x in p.kernel().elements):
             raise Incompatible("cover kernel not inside the base kernel")
-    l_full = set(pi.kernel().elements)
+    l_full = pi.kernel().elements
     parts: list[tuple[int, ...]] = []
     for j in range(len(p_list)):
         cur = set(range(src.order))
@@ -268,7 +256,7 @@ def is_fiber_presentation(p_list, pi: Cover) -> bool:
         size *= len(part)
     if size != len(l_full):
         return False
-    return _product_of_subsets(src, parts) == l_full
+    return tuple(_product_set(src, parts).tolist()) == l_full
 
 
 def is_compact_fiber_product(fp: FiberProduct) -> bool:
@@ -339,8 +327,7 @@ def _compact_by_independence(fp: FiberProduct) -> bool:
 
 def _kernel_is_abelian(cov: Cover) -> bool:
     ker = cov.kernel().elements
-    rows = cov.source.mul_rows
-    return all(rows[a][b] == rows[b][a] for a in ker for b in ker)
+    return _commute(cov.source, ker, ker)
 
 
 def _group_by_module_class(fp: FiberProduct, abelian_indices):
@@ -408,13 +395,12 @@ def kernel_normal_decomposition(fp: FiberProduct, sub: Subgroup) -> KernelDecomp
         i for i in nonabelian if fp.axis_kernels[i].mask & ~sub.mask == 0
     )
     blocks = []
-    rows = fp.carrier.mul_rows
     for indices, module in _group_by_module_class(fp, abelian):
-        block_elems = _product_of_subsets(
-            fp.carrier, [fp.axis_kernels[i].elements for i in indices]
+        block_elems = set(
+            _product_set(fp.carrier, [fp.axis_kernels[i].elements for i in indices]).tolist()
         )
         component = Subgroup(
-            fp.carrier, tuple(sorted(set(sub.elements) & block_elems))
+            fp.carrier, tuple(x for x in sub.elements if x in block_elems)
         )
         blocks.append(AbelianBlock(indices=indices, module=module, component=component))
 
@@ -423,8 +409,8 @@ def kernel_normal_decomposition(fp: FiberProduct, sub: Subgroup) -> KernelDecomp
     size = 1
     for piece in pieces:
         size *= len(piece)
-    rebuilt = _product_of_subsets(fp.carrier, pieces)
-    if size != sub.order or rebuilt != set(sub.elements):
+    rebuilt = tuple(_product_set(fp.carrier, pieces).tolist())
+    if size != sub.order or rebuilt != sub.elements:
         raise Incompatible(
             "normal subgroup does not decompose along the axes; "
             "is some factor decomposable?"
@@ -520,10 +506,8 @@ def _try_aligned_axes(fp: FiberProduct, block: AbelianBlock):
         for i in block.indices
         if fp.axis_kernels[i].mask & ~block.component.mask == 0
     ]
-    prod = _product_of_subsets(
-        fp.carrier, [fp.axis_kernels[i].elements for i in inside]
-    )
-    if prod == set(block.component.elements):
+    prod = _product_set(fp.carrier, [fp.axis_kernels[i].elements for i in inside])
+    if tuple(prod.tolist()) == block.component.elements:
         return tuple(inside)
     return None
 
@@ -531,22 +515,11 @@ def _try_aligned_axes(fp: FiberProduct, block: AbelianBlock):
 def _pushout_image(fp, proj, ext, coords, psi, module_a) -> np.ndarray:
     """Image array of carrier -> pushout extension source: push the block
     coordinate along the dual vector ``psi``."""
-    base = fp.base
-    out = np.empty(fp.carrier.order, dtype=np.int32)
-    # least-index section of ext, matching the cocycle convention
-    section = np.full(base.order, -1, dtype=np.int64)
-    for h in range(ext.source.order):
-        g = int(ext.image[h])
-        if section[g] < 0:
-            section[g] = h
-    inv_arr = ext.source.inv
-    rows = ext.source.mul_rows
-    for x in range(fp.carrier.order):
-        h = int(proj.image[x])
-        g = int(ext.image[h])
-        k = rows[h][int(inv_arr[int(section[g])])]
-        vec = coords.to_vector[k]
-        img = psi @ np.asarray(vec, dtype=np.int64) % module_a.p
-        a_idx = module_a.vector_to_index(img)
-        out[x] = a_idx * base.order + g
-    return out
+    h = proj.image
+    g = ext.image[h]
+    # the kernel part of h relative to the least-index section of ext,
+    # matching the cocycle convention
+    k = ext.source.mul[h, ext.source.inv[_least_section(ext)[g]]]
+    img = coords.vector_table()[k] @ np.asarray(psi, dtype=np.int64).T % module_a.p
+    a_idx = img @ module_a.p ** np.arange(module_a.dim, dtype=np.int64)
+    return (a_idx * fp.base.order + g).astype(np.int32)

@@ -28,6 +28,8 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _commute,
+    _product_set,
     compose,
     find_isomorphism_over,
     identity_cover,
@@ -200,7 +202,7 @@ def invariants(pi: Cover) -> CoverInvariants:
         _, q = quotient(src, sub)
         cov = _cover_through(pi, q)
         kq = cov.kernel()
-        if _is_abelian_subgroup(cov.source, kq):
+        if _commute(cov.source, kq.elements, kq.elements):
             module = gm.module_from_cover(cov, kq)
             for entry in ab:
                 if gm.modules_isomorphic(entry[0], module):
@@ -239,11 +241,6 @@ def invariants(pi: Cover) -> CoverInvariants:
         ab_classes=tuple(ab_classes),
     )
     return pi._invariants
-
-
-def _is_abelian_subgroup(group: FiniteGroup, sub: Subgroup) -> bool:
-    rows = group.mul_rows
-    return all(rows[a][b] == rows[b][a] for a in sub.elements for b in sub.elements)
 
 
 def _transport_rows(rows: np.ndarray, space_src, iso, space_dst) -> np.ndarray:
@@ -448,21 +445,16 @@ def exists_semicartesian_lift(pi: Cover, tau: Cover, tau_prime: Cover) -> bool:
 # recognizing fundaments and fundament series
 
 
-def _product_set(group: FiniteGroup, left, right) -> set[int]:
-    rows = group.mul_rows
-    return {rows[a][b] for a in left for b in right}
-
-
 def _has_diagonal_square(rho: Cover, pi_bar: Cover) -> bool:
     """Whether some quotient of rho.source by a maximal normal subgroup of
     the composite kernel yields a semi-cartesian square under ``rho``
     (the obstruction to ``pi_bar`` being the fundament of the composite)."""
     comp = compose(pi_bar, rho)
     ker_comp = comp.kernel()
-    ker_rho = set(rho.kernel().elements)
-    target = set(ker_comp.elements)
+    ker_rho = rho.kernel().elements
     for sub in maximal_normal_in(rho.source, ker_comp):
-        if _product_set(rho.source, sub.elements, ker_rho) == target:
+        product = _product_set(rho.source, (sub.elements, ker_rho))
+        if tuple(product.tolist()) == ker_comp.elements:
             return True
     return False
 

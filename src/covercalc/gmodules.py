@@ -23,7 +23,15 @@ from .errors import (
     NotSimple,
     NotSubmodule,
 )
-from .groups import Cover, FiniteGroup, Subgroup, generating_set, same_group
+from .groups import (
+    Cover,
+    FiniteGroup,
+    Subgroup,
+    _commute,
+    _least_section,
+    generating_set,
+    same_group,
+)
 from .linalg import (
     IncrementalRowReduce,
     nullspace_mod_p,
@@ -75,13 +83,10 @@ class GModule:
             ident = np.eye(self.dim, dtype=np.int64)
             if not np.array_equal(self.action[0], ident):
                 raise Incompatible("identity must act trivially")
-            rows = group.mul_rows
+            acts = np.stack(self.action)
             for g in generating_set(group):
-                for h in range(group.order):
-                    lhs = self.action[rows[g][h]]
-                    rhs = self.action[g] @ self.action[h] % p
-                    if not np.array_equal(lhs, rhs):
-                        raise Incompatible("action is not a homomorphism")
+                if not np.array_equal(acts[group.mul[g]], self.action[g] @ acts % p):
+                    raise Incompatible("action is not a homomorphism")
 
     def act(self, g: int, vec: np.ndarray) -> np.ndarray:
         return self.action[g] @ np.asarray(vec, dtype=np.int64) % self.p
@@ -160,6 +165,13 @@ class KernelCoords:
     to_vector: dict[int, tuple[int, ...]] = field(repr=False)
     from_vector: dict[tuple[int, ...], int] = field(repr=False)
 
+    def vector_table(self) -> np.ndarray:
+        """Row e is the vector of element e of the parent group (zero
+        outside the subgroup)."""
+        out = np.zeros((self.subgroup.parent.order, self.dim), dtype=np.int64)
+        out[list(self.to_vector)] = list(self.to_vector.values())
+        return out
+
 
 def kernel_coordinates(sub: Subgroup) -> KernelCoords:
     """Deterministic coordinates on an elementary abelian subgroup.
@@ -168,14 +180,11 @@ def kernel_coordinates(sub: Subgroup) -> KernelCoords:
     Raises NotElementaryAbelian if the subgroup is not elementary abelian.
     """
     group = sub.parent
-    rows = group.mul_rows
     elems = sub.elements
     if len(elems) == 1:
         return KernelCoords(sub, 2, 0, (), {0: ()}, {(): 0})
-    for a in elems:
-        for b in elems:
-            if rows[a][b] != rows[b][a]:
-                raise NotElementaryAbelian("subgroup is not abelian")
+    if not _commute(group, elems, elems):
+        raise NotElementaryAbelian("subgroup is not abelian")
     orders = {group.element_order(x) for x in elems if x != 0}
     if len(orders) != 1:
         raise NotElementaryAbelian("mixed element orders")
@@ -192,11 +201,12 @@ def kernel_coordinates(sub: Subgroup) -> KernelCoords:
             continue
         # extend every known element by powers of the new basis vector x
         basis.append(x)
+        col = group.mul[:, x].tolist()
         current = list(to_vector.items())
         for elt, vec in current:
             acc = elt
             for k in range(1, p):
-                acc = rows[acc][x]
+                acc = col[acc]
                 to_vector[acc] = vec + (k,)
         for elt, vec in current:
             to_vector[elt] = vec + (0,)
@@ -222,31 +232,15 @@ def module_from_cover(pi: Cover, sub: Subgroup) -> GModule:
     ker = pi.kernel()
     if sub.mask & ~ker.mask:
         raise NotCentralInKernel("subgroup is not inside the kernel")
-    rows = src.mul_rows
-    for k in ker.elements:
-        for x in sub.elements:
-            if rows[k][x] != rows[x][k]:
-                raise NotCentralInKernel(
-                    "subgroup is not centralized by the kernel"
-                )
+    if not _commute(src, ker.elements, sub.elements):
+        raise NotCentralInKernel("subgroup is not centralized by the kernel")
     coords = kernel_coordinates(sub)
     base = pi.target
-    section = np.full(base.order, -1, dtype=np.int64)
-    for h in range(src.order):
-        g = int(pi.image[h])
-        if section[g] < 0:
-            section[g] = h
-    mats = []
-    for g in range(base.order):
-        h = int(section[g])
-        cols = []
-        for b in coords.basis_elements:
-            conj = src.conjugate(h, b)
-            cols.append(coords.to_vector[conj])
-        if coords.dim:
-            mats.append(np.array(cols, dtype=np.int64).T % coords.p)
-        else:
-            mats.append(np.zeros((0, 0), dtype=np.int64))
+    section = _least_section(pi)
+    # column j of the matrix for g is the vector of s·b_j·s^-1, s = section[g]
+    basis = np.asarray(coords.basis_elements, dtype=np.intp)
+    conj = src.mul[src.mul[section[:, None], basis], src.inv[section][:, None]]
+    mats = coords.vector_table()[conj].transpose(0, 2, 1) % coords.p
     return GModule(base, coords.p, tuple(mats), check=True)
 
 

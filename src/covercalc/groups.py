@@ -101,20 +101,12 @@ class FiniteGroup:
         self.generators = tuple(int(g) for g in generators)
         self.generator_labels = tuple(generator_labels)
         self.element_perms = element_perms
-        self._mul_rows: list[list[int]] | None = None
         self._orders: np.ndarray | None = None
         self._subgroups: tuple[Subgroup, ...] | None = None
         self._normals: tuple[Subgroup, ...] | None = None
         self._gen_cache: tuple[int, ...] | None = None
 
     # -- basic structure ----------------------------------------------------
-
-    @property
-    def mul_rows(self) -> list[list[int]]:
-        """Table as nested lists (faster for tight Python loops)."""
-        if self._mul_rows is None:
-            self._mul_rows = self.mul.tolist()
-        return self._mul_rows
 
     def product(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
@@ -131,14 +123,14 @@ class FiniteGroup:
 
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
-            rows = self.mul_rows
-            out = np.empty(self.order, dtype=np.int32)
-            for x in range(self.order):
-                k, cur = 1, x
-                while cur != 0:
-                    cur = rows[cur][x]
-                    k += 1
-                out[x] = k
+            out = np.ones(self.order, dtype=np.int32)
+            xs = np.arange(1, self.order)
+            powers, k = xs, 1
+            while xs.size:  # powers[i] = xs[i]^k; drop each x once it hits 0
+                powers, k = self.mul[powers, xs], k + 1
+                done = powers == 0
+                out[xs[done]] = k
+                xs, powers = xs[~done], powers[~done]
             self._orders = out
         return self._orders
 
@@ -217,57 +209,36 @@ class Subgroup:
 
 
 def closure_of(group: FiniteGroup, seed: tuple[int, ...] | list[int]) -> tuple[int, ...]:
-    """Elements of the subgroup generated by ``seed`` (sorted)."""
-    if group.order > 256:
-        return _closure_large(group, seed)
-    seed = [int(s) for s in seed]
-    rows = group.mul_rows
-    seen = 1  # bitmask, identity always in
-    elems = [0]
-    stack = [s for s in seed if s != 0]
-    for s in stack:
-        seen |= 1 << s
-    elems.extend(dict.fromkeys(s for s in seed if s != 0))
-    frontier = list(elems)
-    while frontier:
-        new: list[int] = []
-        for a in frontier:
-            row = rows[a]
-            for b in elems:
-                for c in (row[b], rows[b][a]):
-                    if not seen >> c & 1:
-                        seen |= 1 << c
-                        new.append(c)
-        elems.extend(new)
-        frontier = new
-    return tuple(sorted(elems))
+    """Elements of the subgroup generated by ``seed`` (sorted).
 
-
-def _closure_large(group: FiniteGroup, seed) -> tuple[int, ...]:
-    """Array-based closure BFS; pays off once the group is big.
-
-    Each round multiplies the unprocessed frontier against everything seen
-    so far (both orders), so every pair of members gets multiplied by the
-    time the later of the two leaves the frontier.
+    The orbit of the identity under right multiplication by generators
+    (Holt–Eick–O'Brien, *Handbook of Computational Group Theory*, §4.1).
+    Seed elements are taken in order; one already reached is skipped, any
+    other becomes a generator, read as its column of the table. After each
+    new generator the known elements are closed again, so the cost is
+    O(|H|·|gens|) lookups.
     """
     mul = group.mul
-    member = np.zeros(group.order, dtype=bool)
-    member[0] = True
+    reached = bytearray(group.order)
+    reached[0] = 1
+    elems = [0]
+    cols: list[list[int]] = []
     for s in seed:
-        member[int(s)] = True
-    frontier = np.flatnonzero(member)
-    current = frontier
-    while frontier.size:
-        reached = np.zeros(group.order, dtype=bool)
-        reached[mul[np.ix_(frontier, current)]] = True
-        reached[mul[np.ix_(current, frontier)]] = True
-        new = np.flatnonzero(reached & ~member)
-        member[new] = True
-        current = np.flatnonzero(member)
-        if current.size == group.order:
-            break  # everything is reached; no round can add more
-        frontier = new
-    return tuple(int(x) for x in np.flatnonzero(member))
+        s = int(s)
+        if reached[s]:
+            continue
+        cols.append(mul[:, s].tolist())
+        old = len(elems)  # these are closed under the earlier columns already
+        i = 0
+        while i < len(elems):
+            x = elems[i]
+            for col in cols[-1:] if i < old else cols:
+                y = col[x]
+                if not reached[y]:
+                    reached[y] = 1
+                    elems.append(y)
+            i += 1
+    return tuple(sorted(elems))
 
 
 def subgroup_from_elements(group: FiniteGroup, elements) -> Subgroup:
@@ -275,13 +246,11 @@ def subgroup_from_elements(group: FiniteGroup, elements) -> Subgroup:
     elems = tuple(sorted(set(int(e) for e in elements)))
     if not elems or elems[0] != 0:
         raise Incompatible("a subgroup must contain the identity (index 0)")
-    sub = Subgroup(group, elems)
-    rows = group.mul_rows
-    for a in elems:
-        for b in elems:
-            if not sub.contains(rows[a][b]):
-                raise Incompatible("element set is not closed under products")
-    return sub
+    member = np.zeros(group.order, dtype=bool)
+    member[list(elems)] = True
+    if not member[group.mul[np.ix_(elems, elems)]].all():
+        raise Incompatible("element set is not closed under products")
+    return Subgroup(group, elems)
 
 
 def _distinct(indices, n: int) -> np.ndarray:
@@ -294,6 +263,24 @@ def _distinct(indices, n: int) -> np.ndarray:
     member = np.zeros(n, dtype=bool)
     member[indices] = True
     return np.flatnonzero(member)
+
+
+def _product_set(group: FiniteGroup, parts) -> np.ndarray:
+    """Sorted distinct products a_1·…·a_k with a_i in ``parts[i]``, each
+    part a sorted tuple of distinct elements; the identity alone for no
+    parts."""
+    cur = np.asarray(parts[0] if parts else (0,), dtype=np.intp)
+    for part in parts[1:]:
+        # index arrays broadcast to the |cur| x |part| block (cheaper than np.ix_)
+        cur = _distinct(group.mul[cur[:, None], np.asarray(part, dtype=np.intp)], group.order)
+    return cur
+
+
+def _commute(group: FiniteGroup, a, b) -> bool:
+    """Whether every element of ``a`` commutes with every element of ``b``."""
+    a = np.asarray(a, dtype=np.intp)[:, None]
+    b = np.asarray(b, dtype=np.intp)
+    return bool((group.mul[a, b] == group.mul[b, a]).all())
 
 
 def _conjugacy_orbit(group: FiniteGroup, x: int) -> np.ndarray:
@@ -377,12 +364,10 @@ def normal_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
     every ``normal_subgroups_inside`` call on it.
     """
     if group._normals is None:
-
-        def product_set(s: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
-            return tuple(_distinct(group.mul[np.ix_(s, c)], group.order).tolist())
-
         blocks = _class_closures(group, range(1, group.order))
-        group._normals = _join_lattice(group, blocks, product_set)
+        group._normals = _join_lattice(
+            group, blocks, lambda s, c: tuple(_product_set(group, (s, c)).tolist())
+        )
     return group._normals
 
 
@@ -552,6 +537,12 @@ class Cover(GroupHom):
         return f"Cover({self.source.name} ->> {self.target.name})"
 
 
+def _least_section(cover: Cover) -> np.ndarray:
+    """The least element of each fiber of ``cover``, indexed by the target
+    (every fiber has |kernel| elements)."""
+    return np.argsort(cover.image, kind="stable")[:: cover.kernel().order]
+
+
 def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
     """outer o inner (apply ``inner`` first)."""
     if not same_group(inner.target, outer.source):
@@ -596,37 +587,28 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, Cover]:
     if not normal.is_normal():
         raise NotNormal("cannot quotient by a non-normal subgroup")
     n = group.order
-    rows = group.mul_rows
-    coset_of = [-1] * n
-    reps: list[int] = []
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for k in normal.elements:
-            coset_of[rows[x][k]] = idx
-    m = len(reps)
-    qmul = np.empty((m, m), dtype=np.int32)
-    for a, ra in enumerate(reps):
-        row = rows[ra]
-        for b, rb in enumerate(reps):
-            qmul[a, b] = coset_of[row[rb]]
-    gens = tuple(
-        dict.fromkeys(coset_of[g] for g in group.generators if coset_of[g] != 0)
-    )
+    least = group.mul[:, list(normal.elements)].min(axis=1)  # least of x·N
+    reps = _distinct(least, n)
+    number = np.empty(n, dtype=np.int32)
+    number[reps] = np.arange(len(reps), dtype=np.int32)
+    coset_of = number[least]
+    qmul = coset_of[group.mul[np.ix_(reps, reps)]]
+    # the first generator in each non-identity coset, with its own label
+    first: dict[int, int] = {}
+    for i, g in enumerate(group.generators):
+        first.setdefault(int(coset_of[g]), i)
+    first.pop(0, None)
+    gens = tuple(first)
     labels = tuple(
-        lab
-        for g, lab in zip(group.generators, group.generator_labels)
-        if coset_of[g] != 0
-    )[: len(gens)]
+        group.generator_labels[i] for i in first.values() if i < len(group.generator_labels)
+    )
     q = FiniteGroup(
         qmul,
         name=f"{group.name}/N{normal.order}",
         generators=gens,
         generator_labels=labels,
     )
-    cov = Cover(group, q, np.asarray(coset_of, dtype=np.int32), check=False)
+    cov = Cover(group, q, coset_of, check=False)
     return q, cov
 
 
@@ -743,102 +725,74 @@ def _search_hom(
         return np.zeros(src.order, dtype=np.int32) if dst.order == 1 else None
     src_orders = src.element_orders()
     dst_orders = dst.element_orders()
-    dst_rows = dst.mul_rows
-    src_rows = src.mul_rows
-
     candidates: list[list[int]] = []
     for g in gens:
-        og = int(src_orders[g])
-        fiber = int(src_base[g])
-        cand = [
-            k
-            for k in range(dst.order)
-            if int(dst_base[k]) == fiber
-            and (
-                og == int(dst_orders[k])
-                if want_iso
-                else og % int(dst_orders[k]) == 0
-            )
-        ]
+        og = src_orders[g]
+        fits = og == dst_orders if want_iso else og % dst_orders == 0
+        cand = np.flatnonzero((dst_base == src_base[g]) & fits).tolist()
         if not cand:
             return None
         candidates.append(cand)
 
     # the image lies inside the subgroup generated by all candidate values,
     # so a surjection needs that subgroup to be everything
-    pool = set()
-    for cand in candidates:
-        pool.update(cand)
-    if len(closure_of(dst, tuple(pool))) != dst.order:
+    if len(closure_of(dst, [k for cand in candidates for k in cand])) != dst.order:
         return None
 
     n = src.order
+    src_fiber, dst_fiber = src_base.tolist(), dst_base.tolist()
+    src_ord, dst_ord = src_orders.tolist(), dst_orders.tolist()
+    src_cols = [src.mul[:, g].tolist() for g in gens]
+    dst_cols: dict[int, list[int]] = {}
 
-    def extend(mapping: dict[int, int], g: int, k: int) -> dict[int, int] | None:
-        """Close mapping ∪ {g -> k} under products; None on conflict."""
-        new = dict(mapping)
-        if g in new:
-            return new if new[g] == k else None
-        new[g] = k
-        if int(src_base[g]) != int(dst_base[k]):
-            return None
-        frontier = [g]
-        while frontier:
-            nxt: list[int] = []
-            items = list(new.items())
-            for a in frontier:
-                fa = new[a]
-                for b, fb in items:
-                    for prod, fprod in (
-                        (src_rows[a][b], dst_rows[fa][fb]),
-                        (src_rows[b][a], dst_rows[fb][fa]),
-                    ):
-                        known = new.get(prod)
-                        if known is None:
-                            if int(src_base[prod]) != int(dst_base[fprod]):
-                                return None
-                            if want_iso and int(src_orders[prod]) != int(
-                                dst_orders[fprod]
-                            ):
-                                return None
-                            if int(src_orders[prod]) % int(dst_orders[fprod]) != 0:
-                                return None
-                            new[prod] = fprod
-                            nxt.append(prod)
-                        elif known != fprod:
-                            return None
-            frontier = nxt
-        if want_iso:
-            vals = list(new.values())
-            if len(set(vals)) != len(vals):
-                return None
-        return new
+    def extend(img: list[int], dom: list[int], pairs: list, i: int, k: int):
+        """Close the map img ∪ {gens[i] -> k} under right multiplication by
+        the generator pairs, as pairs (x, f(x)); None on conflict.
 
-    def backtrack(i: int, mapping: dict[int, int]) -> dict[int, int] | None:
+        The map is the orbit of (1, 1) in src × dst, so it is a
+        homomorphism exactly when no element gets two images. With exact
+        orders (``want_iso``) the kernel is trivial, so the map is injective.
+        """
+        g = gens[i]
+        if img[g] >= 0:
+            return (img, dom, pairs) if img[g] == k else None
+        col = dst_cols.get(k)
+        if col is None:
+            col = dst_cols[k] = dst.mul[:, k].tolist()
+        img, dom, pairs = img.copy(), dom.copy(), pairs + [(src_cols[i], col)]
+        old = len(dom)  # these are closed under the old pairs already
+        j = 0
+        while j < len(dom):
+            x = dom[j]
+            fx = img[x]
+            for sc, dc in pairs[-1:] if j < old else pairs:
+                y, fy = sc[x], dc[fx]
+                known = img[y]
+                if known < 0:
+                    if src_fiber[y] != dst_fiber[fy]:
+                        return None
+                    if (src_ord[y] != dst_ord[fy]) if want_iso else (src_ord[y] % dst_ord[fy]):
+                        return None
+                    img[y] = fy
+                    dom.append(y)
+                elif known != fy:
+                    return None
+            j += 1
+        return img, dom, pairs
+
+    def backtrack(i: int, img: list[int], dom: list[int], pairs: list):
         if i == len(gens):
-            if len(mapping) != n:
-                return None
-            img = set(mapping.values())
-            if len(img) != dst.order:
-                return None
-            if want_iso and len(mapping) != len(img):
-                return None
-            return mapping
+            return img if len(dom) == n and len(set(img)) == dst.order else None
         for k in candidates[i]:
-            nxt = extend(mapping, gens[i], k)
+            nxt = extend(img, dom, pairs, i, k)
             if nxt is not None:
-                res = backtrack(i + 1, nxt)
+                res = backtrack(i + 1, *nxt)
                 if res is not None:
                     return res
         return None
 
-    found = backtrack(0, {0: 0})
-    if found is None:
-        return None
-    image = np.empty(n, dtype=np.int32)
-    for a, fa in found.items():
-        image[a] = fa
-    return image
+    found = backtrack(0, [0] + [-1] * (n - 1), [0], [])
+    return None if found is None else np.array(found, dtype=np.int32)
 
 
 def find_isomorphism_over(pi: Cover, pi_prime: Cover) -> GroupHom | None:

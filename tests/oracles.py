@@ -225,6 +225,19 @@ def fundament_series_sizes(table):
     return sizes
 
 
+def quotient_table(table, normal):
+    """Table of G/N with the coset of x numbered in order of least
+    elements; returns (table, coset number of each element)."""
+    coset_of = [-1] * len(table)
+    reps = []
+    for x in range(len(table)):
+        if coset_of[x] < 0:
+            for k in normal:
+                coset_of[table[x][k]] = len(reps)
+            reps.append(x)
+    return tuple(tuple(coset_of[table[a][b]] for b in reps) for a in reps), coset_of
+
+
 # ---------------------------------------------------------------------------
 # fiber products of tables
 
@@ -249,6 +262,46 @@ def fiber_table(tables, maps):
         for a in carrier
     )
     return table, carrier
+
+
+# ---------------------------------------------------------------------------
+# homomorphisms over a common base
+
+
+def first_hom_over(src, dst, src_base, dst_base, gens, bijective=False):
+    """The first surjective hom f: src -> dst with dst_base[f(x)] ==
+    src_base[x], or None.
+
+    Tries the images of ``gens`` in lexicographic order, each over its
+    generator's base fiber, and returns the image tuple of the first
+    assignment that extends to such a map (bijective if asked).
+    """
+    n, m = len(src), len(dst)
+    if bijective and n != m:
+        return None
+    fibers = [[k for k in range(m) if dst_base[k] == src_base[g]] for g in gens]
+    for images in product(*fibers):
+        f = {0: 0}
+        todo = [0]
+        ok = True
+        while todo and ok:
+            x = todo.pop()
+            for g, k in zip(gens, images):
+                y, fy = src[x][g], dst[f[x]][k]
+                if y not in f:
+                    f[y] = fy
+                    todo.append(y)
+                elif f[y] != fy:
+                    ok = False
+        if not ok or len(f) != n:
+            continue
+        if any(f[src[a][b]] != dst[f[a]][f[b]] for a in range(n) for b in range(n)):
+            continue
+        if any(dst_base[f[x]] != src_base[x] for x in range(n)):
+            continue
+        if len(set(f.values())) == m:  # onto; with n == m also bijective
+            return tuple(f[x] for x in range(n))
+    return None
 
 
 # ---------------------------------------------------------------------------

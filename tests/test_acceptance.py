@@ -35,6 +35,7 @@ from catalog import (
 from covercalc import (
     CohomClass,
     GModule,
+    GroupHom,
     Subgroup,
     cohom_space,
     compose_horizontal,
@@ -62,9 +63,9 @@ from covercalc import (
     y2,
 )
 from covercalc.cli import Workspace, parse_workspace, run_command
-from covercalc.fiber import _product_of_subsets
 from covercalc.groups import (
     Cover,
+    _product_set,
     closure_of,
     normal_subgroups,
     normal_subgroups_inside,
@@ -303,6 +304,28 @@ def test_accept_decision_vs_search_four_factors():
     )
 
 
+def test_accept_search_from_order_243():
+    # once a cost cliff: one such search took minutes when the extension
+    # step multiplied every pair of mapped elements
+    split = split_cover_c3()
+    tau = fiber_product(split.target, [split] * 4).structure_map
+    tau_prime = fiber_product(split.target, [split] * 3).structure_map
+    assert (tau.source.order, tau_prime.source.order) == (243, 81)
+    t0 = time.perf_counter()
+    found = find_epimorphism_over(tau, tau_prime)
+    elapsed = time.perf_counter() - t0
+    assert found is not None
+    hom = GroupHom(tau.source, tau_prime.source, found.image)  # checks products
+    assert hom.is_surjective()
+    assert np.array_equal(tau_prime.image[found.image], tau.image)
+    assert elapsed < 60.0
+    report(
+        "search-243",
+        f"an epimorphism over C3 from the order-243 split^4 carrier onto the "
+        f"order-81 split^3 carrier ({elapsed:.2f}s < 60s)",
+    )
+
+
 # ---------------------------------------------------------------------------
 # 6. duality round trips for powers of a simple module
 
@@ -428,8 +451,8 @@ def test_accept_square_laws():
     checked = 0
     for h, n, l, m in triples[:170]:
         sq = _tower_square(h, n, l, m)
-        prod = _product_of_subsets(h, [n.elements, l.elements])
-        covers_m = prod == set(m.elements)
+        prod = _product_set(h, [n.elements, l.elements])
+        covers_m = tuple(prod.tolist()) == m.elements
         trivial_meet = set(n.elements) & set(l.elements) == {0}
         assert is_semi_cartesian(sq) == covers_m
         assert is_cartesian(sq) == (covers_m and trivial_meet)
@@ -503,9 +526,8 @@ def test_accept_kernel_decomposition():
             decomp = kernel_normal_decomposition(fp, sub)
             pieces = [fp.axis_kernels[i] for i in decomp.swallowed_nonabelian]
             pieces += [b.component for b in decomp.abelian_blocks]
-            assert _product_of_subsets(
-                fp.carrier, [p.elements for p in pieces]
-            ) == set(sub.elements)
+            rebuilt = _product_set(fp.carrier, [p.elements for p in pieces])
+            assert tuple(rebuilt.tolist()) == sub.elements
             checked += 1
     report(
         "kernel-decomposition",

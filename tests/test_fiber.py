@@ -8,6 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from catalog import (
     alt5,
     nonsplit_cover_c2,
@@ -39,8 +40,7 @@ from covercalc.errors import (
     OrderCapExceeded,
     TargetMismatch,
 )
-from covercalc.fiber import _product_of_subsets
-from covercalc.groups import normal_subgroups_inside, same_group
+from covercalc.groups import _product_set, normal_subgroups_inside, same_group
 
 ETA0 = split_cover_c2()
 ETA1 = nonsplit_cover_c2()
@@ -48,7 +48,7 @@ C2 = ETA0.target
 
 
 def product_set(group, subgroups):
-    return _product_of_subsets(group, [s.elements for s in subgroups])
+    return set(_product_set(group, [s.elements for s in subgroups]).tolist())
 
 
 def make_fprod(factors):
@@ -90,6 +90,12 @@ def test_carrier_and_projections(combo):
     for t in fp.tuples:
         images = {int(combo[i].image[t[i]]) for i in range(len(combo))}
         assert len(images) == 1
+    # the carrier table and numbering match the tuple-by-tuple pullback
+    table, carrier = oracles.fiber_table(
+        [c.source.mul.tolist() for c in combo], [c.image.tolist() for c in combo]
+    )
+    assert list(fp.tuples) == carrier
+    assert fp.carrier.mul.tolist() == [list(row) for row in table]
 
 
 @pytest.mark.parametrize("combo", ALL_COMBOS)
@@ -370,10 +376,10 @@ def check_alignment(fp, sub):
         new_fp.structure_map.image[omega.image], fp.structure_map.image
     )
     moved = omega.apply_subgroup(sub)
-    expected = _product_of_subsets(
+    expected = _product_set(
         new_fp.carrier, [new_fp.axis_kernels[i].elements for i in axes]
     )
-    assert set(moved.elements) == expected
+    assert moved.elements == tuple(expected.tolist())
     # the new family is still a presentation over the same base
     if new_fp.arity >= 2:
         assert is_fiber_presentation(new_fp.projections, new_fp.structure_map)

@@ -10,11 +10,14 @@ import oracles
 from catalog import (
     SMALL_GROUPS,
     alt5,
+    cover_pool,
     generated_subgroup,
     klein_four,
     nonsplit_cover_c2,
+    nonsplit_cover_c3,
     quaternion8,
     split_cover_c2,
+    split_cover_c3,
     sym3,
 )
 from covercalc import (
@@ -41,6 +44,7 @@ from covercalc.errors import Incompatible, NotNormal, OrderCapExceeded
 from covercalc.groups import (
     all_subgroups,
     closure_of,
+    generating_set,
     is_minimal_normal,
     normal_subgroups,
     normal_subgroups_inside,
@@ -87,11 +91,11 @@ def test_order_cap_enforced():
 
 
 def test_element_orders_match_oracle():
-    for name in ("S3", "Q8", "A4", "D4", "C6"):
-        g = GROUPS[name]
-        assert sorted(int(x) for x in g.element_orders()) == oracles.element_orders(
-            raw_table(g)
-        )
+    for g in GROUPS.values():
+        table = raw_table(g)
+        assert g.element_orders().tolist() == [
+            oracles.element_order(table, x) for x in range(g.order)
+        ]
 
 
 def test_quaternion_matches_symbolic_table():
@@ -185,18 +189,41 @@ def _set_closure(rows, seed):
 
 
 def test_closure_on_large_group_matches_set_closure():
-    factors = [terminal_cover(alt5()), terminal_cover(cyclic_group(13))]
-    g = fiber_product(trivial_group(), factors).carrier
-    assert g.order == 780  # past 256, so closure_of takes the array path
-    rows = g.mul.tolist()
+    big = fiber_product(
+        trivial_group(), [terminal_cover(alt5()), terminal_cover(cyclic_group(13))]
+    ).carrier
+    assert big.order == 780
     rng = np.random.default_rng(5)
     sizes = set()
-    for _ in range(4):
-        seed = [int(x) for x in rng.choice(g.order, size=int(rng.integers(1, 3)))]
-        got = closure_of(g, seed)
-        assert got == _set_closure(rows, seed)
-        sizes.add(len(got))
-    assert len(sizes) > 1
+    for g in [*GROUPS.values(), alt5(), big]:
+        rows = g.mul.tolist()
+        inv = g.inv.tolist()
+        picks = [int(x) for x in rng.choice(g.order, size=min(g.order, 3 if g is big else 12))]
+        singles = [[x] for x in picks]
+        pairs = [[x, int(rng.integers(g.order))] for x in picks]
+        orbits = [sorted({rows[rows[h][x]][inv[h]] for h in range(g.order)}) for x in picks]
+        joins = [
+            list(closure_of(g, [x])) + list(closure_of(g, [int(rng.integers(g.order))]))
+            for x in picks
+        ]
+        for seed in singles + pairs + orbits + joins:
+            got = closure_of(g, seed)
+            assert got == _set_closure(rows, seed)
+            sizes.add(len(got))
+    assert {1, 60, 780} <= sizes
+
+
+def test_quotient_labels_follow_their_generators():
+    # C2^3 = <a, b, c> mod <ab>: a and b fall into one coset
+    c2_cubed = build_group(
+        [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)],
+        labels=("a", "b", "c"),
+        name="C2^3",
+    )
+    a, b, c = c2_cubed.generators
+    q, cover = quotient(c2_cubed, generated_subgroup(c2_cubed, [c2_cubed.product(a, b)]))
+    assert q.generators == (int(cover.image[a]), int(cover.image[c]))
+    assert q.generator_labels == ("a", "c")
 
 
 def test_subgroup_from_elements_validates():
@@ -319,6 +346,38 @@ def test_find_epimorphism_over_impossible():
     assert find_epimorphism_over(split_cover_c2(), nonsplit_cover_c2()) is None
 
 
+def _search_pairs():
+    c2_pool = cover_pool(split_cover_c2(), nonsplit_cover_c2(), 3)
+    c3_pool = [
+        c for c in cover_pool(split_cover_c3(), nonsplit_cover_c3(), 3) if c.source.order <= 27
+    ]
+    for pool in (c2_pool, c3_pool):
+        for tau in pool:
+            for tau_p in pool:
+                yield tau, tau_p
+
+
+def test_searches_return_the_first_map_of_the_oracle():
+    # the CLI reports the first map found, so the image itself must match
+    checked = 0
+    for tau, tau_p in _search_pairs():
+        args = (
+            tau.source.mul.tolist(),
+            tau_p.source.mul.tolist(),
+            tau.image.tolist(),
+            tau_p.image.tolist(),
+            generating_set(tau.source),
+        )
+        for found, bijective in (
+            (find_epimorphism_over(tau, tau_p), False),
+            (find_isomorphism_over(tau, tau_p), True),
+        ):
+            got = None if found is None else tuple(found.image.tolist())
+            assert got == oracles.first_hom_over(*args, bijective=bijective)
+            checked += got is not None
+    assert checked > 80  # some maps exist, so the images are compared
+
+
 def test_is_indecomposable():
     assert is_indecomposable(nonsplit_cover_c2())
     assert is_indecomposable(split_cover_c2())
@@ -373,3 +432,6 @@ def test_quotient_sizes_multiply(name):
         q, cover = quotient(g, n)
         assert q.order * n.order == g.order
         assert cover.kernel() == n
+        table, coset_of = oracles.quotient_table(raw_table(g), n.elements)
+        assert raw_table(q) == table
+        assert cover.image.tolist() == coset_of
