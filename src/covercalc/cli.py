@@ -256,10 +256,12 @@ def parse_module(ws: Workspace, group: FiniteGroup, text: str):
 
 
 def _group_doc(g: FiniteGroup) -> dict:
+    # the table stays an array until the document is written as JSON, so
+    # text mode never builds order² Python ints
     return {
         "name": g.name,
         "order": g.order,
-        "mul": g.mul.tolist(),
+        "mul": g.mul,
     }
 
 
@@ -571,7 +573,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if ns.json:
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps(doc, sort_keys=True, default=np.ndarray.tolist))
     else:
         for line in lines:
             print(line)

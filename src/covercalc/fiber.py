@@ -30,9 +30,9 @@ from .groups import (
     GroupHom,
     Subgroup,
     _commute,
+    _has_proper_supplement,
     _least_section,
     _product_set,
-    all_subgroups,
     identity_cover,
     is_indecomposable,
     same_group,
@@ -49,9 +49,6 @@ __all__ = [
     "kernel_normal_decomposition",
     "align_normal_to_axes",
 ]
-
-COMPACTNESS_EXHAUSTIVE_CAP = 2000
-
 
 @dataclass(frozen=True)
 class FiberProduct:
@@ -262,67 +259,13 @@ def is_fiber_presentation(p_list, pi: Cover) -> bool:
 def is_compact_fiber_product(fp: FiberProduct) -> bool:
     """True iff no proper subgroup of the carrier surjects onto every factor.
 
-    Exhaustive subgroup search below the order cap; above it, falls back to
-    the independence criterion for indecomposable factors (pairwise
-    non-isomorphic over the base, with the classes of the non-split
-    abelian-kernel factors linearly independent over the endomorphism
-    field), which is cross-checked against the exhaustive route in tests.
+    One search at every order: ``_has_proper_supplement`` over the
+    projections, which backtracks over one preimage per generator of each
+    factor. Raises EmptyFactorList for the empty product.
     """
     if fp.arity == 0:
         raise EmptyFactorList("compactness needs at least one factor")
-    if fp.carrier.order <= COMPACTNESS_EXHAUSTIVE_CAP:
-        orders = [c.source.order for c in fp.factors]
-        for sub in all_subgroups(fp.carrier):
-            if sub.order == fp.carrier.order:
-                continue
-            if all(
-                len({t[i] for t in (fp.tuples[x] for x in sub.elements)}) == orders[i]
-                for i in range(fp.arity)
-            ):
-                return False
-        return True
-    if all(is_indecomposable(c) for c in fp.factors):
-        return _compact_by_independence(fp)
-    raise OrderCapExceeded(
-        "carrier too large for exhaustive compactness and factors are not "
-        "all indecomposable"
-    )
-
-
-def _compact_by_independence(fp: FiberProduct) -> bool:
-    """Independence criterion for indecomposable factors (fast path)."""
-    from . import cohomology as ch
-    from . import gmodules as gm
-    from .groups import find_isomorphism_over
-
-    idx = list(range(fp.arity))
-    abelian = [i for i in idx if _kernel_is_abelian(fp.factors[i])]
-    nonabelian = [i for i in idx if i not in set(abelian)]
-    for a in range(len(nonabelian)):
-        for b in range(a + 1, len(nonabelian)):
-            i, j = nonabelian[a], nonabelian[b]
-            if find_isomorphism_over(fp.factors[i], fp.factors[j]) is not None:
-                return False
-    blocks = _group_by_module_class(fp, abelian)
-    for indices, module in blocks:
-        space = ch.cohom_space(fp.base, module)
-        classes = []
-        for i in indices:
-            cov = fp.factors[i]
-            ident = gm.first_module_iso(
-                gm.module_from_cover(cov, cov.kernel()), module
-            )
-            classes.append(ch.cocycle_from_extension(cov, ident).coords)
-        # split factors have the zero class; two of them would be
-        # isomorphic over the base, so at most one may appear
-        nonzero = [c for c in classes if c.any()]
-        if len(classes) - len(nonzero) > 1:
-            return False
-        if nonzero:
-            mat = np.array(nonzero, dtype=np.int64)
-            if space.f_rank(mat) != len(nonzero):
-                return False
-    return True
+    return not _has_proper_supplement(fp.carrier, fp.projections)
 
 
 def _kernel_is_abelian(cov: Cover) -> bool:

@@ -77,6 +77,7 @@ class GModule:
         self.p = p
         self.action = tuple(np.asarray(m, dtype=np.int64) % p for m in action)
         self.dim = int(self.action[0].shape[0]) if self.action else 0
+        self._endo = None  # endo_field memo
         if len(self.action) != group.order:
             raise Incompatible("need one action matrix per group element")
         if check and self.dim:
@@ -312,8 +313,11 @@ def endo_field(module: GModule) -> EndoField:
 
     Elements are sorted by matrix bytes; the multiplicative generator is
     the least element generating the unit group (the identity when q = 2,
-    whose unit group is trivial).
+    whose unit group is trivial). Memoized on the module
+    (``module._endo``); the tables are read-only.
     """
+    if module._endo is not None:
+        return module._endo
     if not is_simple_module(module):
         raise NotSimple("endomorphism field needs a simple module")
     p, d = module.p, module.dim
@@ -335,22 +339,24 @@ def endo_field(module: GModule) -> EndoField:
             (c + coef * b) % p for c in combos for coef in range(p)
         ]
     elements = tuple(sorted(combos, key=lambda m: m.tobytes()))
-    index = {m.tobytes(): i for i, m in enumerate(elements)}
     q = len(elements)
     assert q == p ** k
-    add = np.empty((q, q), dtype=np.int64)
-    mul = np.empty((q, q), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            add[i, j] = index[((a + b) % p).tobytes()]
-            mul[i, j] = index[(a @ b % p).tobytes()]
-    ident_idx = index[np.eye(d, dtype=np.int64).astype(np.int64).tobytes()]
+    # an element's coefficients are its entries at columns where the basis
+    # is the identity; their mixed-radix code gives its place in ``elements``
+    cols = [int(np.flatnonzero((basis_flat.T == e).all(axis=1))[0]) for e in np.eye(k)]
+    radix = p ** np.arange(k, dtype=np.int64)
+    stack = np.array(elements)
+    coords = stack.reshape(q, d * d)[:, cols]
+    place = np.empty(q, dtype=np.int64)
+    place[coords @ radix] = np.arange(q)
+    add = place[(coords[:, None] + coords[None]) % p @ radix]
+    at_row, at_col = np.divmod(cols, d)  # the product's entries at those columns
+    mul = place[np.einsum("ikb,jbk->ijk", stack[:, at_row], stack[:, :, at_col]) % p @ radix]
+    ident_idx = int(place[np.eye(d, dtype=np.int64).reshape(-1)[cols] @ radix])
     generator = ident_idx
     if q > 2:
         for i, m in enumerate(elements):
-            if i == index[np.zeros((d, d), dtype=np.int64).tobytes()]:
-                continue
-            if i == ident_idx:
+            if i == place[0] or i == ident_idx:
                 continue
             # multiplicative order of element i
             order, cur = 1, i
@@ -362,7 +368,8 @@ def endo_field(module: GModule) -> EndoField:
             if order == q - 1:
                 generator = i
                 break
-    return EndoField(
+    add.flags.writeable = mul.flags.writeable = False
+    module._endo = EndoField(
         module=module,
         basis_endos=basis,
         elements=elements,
@@ -370,6 +377,7 @@ def endo_field(module: GModule) -> EndoField:
         mul_table=mul,
         generator_index=generator,
     )
+    return module._endo
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ __all__ = [
     "quotient",
     "subgroup_from_elements",
     "closure_of",
-    "all_subgroups",
     "normal_subgroups",
     "normal_subgroups_inside",
     "maximal_normal_in",
@@ -102,7 +101,6 @@ class FiniteGroup:
         self.generator_labels = tuple(generator_labels)
         self.element_perms = element_perms
         self._orders: np.ndarray | None = None
-        self._subgroups: tuple[Subgroup, ...] | None = None
         self._normals: tuple[Subgroup, ...] | None = None
         self._gen_cache: tuple[int, ...] | None = None
 
@@ -319,9 +317,13 @@ def _class_closures(group: FiniteGroup, elements) -> set[tuple[int, ...]]:
 # subgroup enumeration
 
 
-def _join_lattice(group: FiniteGroup, blocks, join) -> tuple[Subgroup, ...]:
-    """Close ``blocks`` (element tuples) and the trivial subgroup under
-    ``join``, canonically sorted by (order, element tuple)."""
+def _join_lattice(group: FiniteGroup, blocks) -> tuple[Subgroup, ...]:
+    """Close ``blocks`` (element tuples of normal subgroups) and the trivial
+    subgroup under joins, canonically sorted by (order, element tuple).
+
+    The join of two normal subgroups N, M is their product set N·M, read
+    off the table with no closure.
+    """
     found: set[tuple[int, ...]] = {(0,)} | blocks
     block_sets = [(c, frozenset(c)) for c in blocks]
     frontier = {s: frozenset(s) for s in blocks}
@@ -331,7 +333,7 @@ def _join_lattice(group: FiniteGroup, blocks, join) -> tuple[Subgroup, ...]:
             for c, c_set in block_sets:
                 if c_set <= s_set:
                     continue
-                j = join(s, c)
+                j = tuple(_product_set(group, (s, c)).tolist())
                 if j not in found:
                     found.add(j)
                     new[j] = frozenset(j)
@@ -342,32 +344,16 @@ def _join_lattice(group: FiniteGroup, blocks, join) -> tuple[Subgroup, ...]:
     )
 
 
-def all_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup, via join-closure of the cyclic subgroups.
-
-    Canonically sorted by (order, element tuple). Memoized on the group.
-    """
-    if group._subgroups is None:
-        cyclics = {closure_of(group, [g]) for g in range(group.order)}
-        group._subgroups = _join_lattice(
-            group, cyclics, lambda s, c: closure_of(group, s + c)
-        )
-    return group._subgroups
-
-
 def normal_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
-    """All normal subgroups, via joins of normal closures of elements.
+    """All normal subgroups, via product-set joins of normal closures of
+    elements.
 
-    The join of two normal subgroups N, M is their product set N·M, read
-    off the table with no closure. Canonically sorted by (order, element
-    tuple). Memoized on the group (``group._normals``), which also serves
-    every ``normal_subgroups_inside`` call on it.
+    Canonically sorted by (order, element tuple). Memoized on the group
+    (``group._normals``), which also serves every
+    ``normal_subgroups_inside`` call on it.
     """
     if group._normals is None:
-        blocks = _class_closures(group, range(1, group.order))
-        group._normals = _join_lattice(
-            group, blocks, lambda s, c: tuple(_product_set(group, (s, c)).tolist())
-        )
+        group._normals = _join_lattice(group, _class_closures(group, range(1, group.order)))
     return group._normals
 
 
@@ -793,6 +779,51 @@ def _search_hom(
 
     found = backtrack(0, [0] + [-1] * (n - 1), [0], [])
     return None if found is None else np.array(found, dtype=np.int32)
+
+
+def _has_proper_supplement(group: FiniteGroup, covers) -> bool:
+    """Whether some proper subgroup of ``group`` maps onto the target of
+    every cover in ``covers`` (each with source ``group``).
+
+    A minimal such subgroup L is generated by one element of each fiber
+    ``cov.image == s``, over every cover and every s in
+    ``generating_set(cov.target)``: one element of L from each fiber
+    generates a subgroup of L that still maps onto every target. So the
+    search backtracks over the fibers with ``closure_of``, choosing an
+    element only from a fiber the partial subgroup does not meet yet. A
+    branch whose closure is the whole group is pruned, and each (depth,
+    elements) pair is explored once. Choices inside a proper supplement
+    are never pruned, so the search finds one whenever one exists
+    (Holt–Eick–O'Brien, ch. 4; the same shape as ``_search_hom``). The
+    trivial group has no proper subgroup, so it gives False.
+    """
+    n = group.order
+    fibers = [
+        np.flatnonzero(cov.image == s).tolist()
+        for cov in covers
+        for s in generating_set(cov.target)
+    ]
+    seen: set[tuple[int, tuple[int, ...]]] = set()
+
+    def search(i: int, gens: list[int], elems: tuple[int, ...]) -> bool:
+        member = bytearray(n)
+        for x in elems:
+            member[x] = 1
+        while i < len(fibers) and any(member[x] for x in fibers[i]):
+            i += 1
+        if i == len(fibers):
+            return len(elems) < n
+        for x in fibers[i]:
+            more = gens + [x]
+            sub = closure_of(group, more)
+            if len(sub) == n or (i, sub) in seen:
+                continue
+            seen.add((i, sub))
+            if search(i + 1, more, sub):
+                return True
+        return False
+
+    return search(0, [], (0,))
 
 
 def find_isomorphism_over(pi: Cover, pi_prime: Cover) -> GroupHom | None:

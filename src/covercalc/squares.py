@@ -10,8 +10,9 @@ A square has four covers::
      B ----->> A
        bottom
 
-All predicates work on kernels, which is both the cheapest route and the
-one stable under recomposition; the remaining textbook criteria are kept
+The (semi-)cartesian predicates work on kernels, which is both the
+cheapest route and the one stable under recomposition; compactness is the
+supplement search of ``groups``. The remaining textbook criteria are kept
 as test oracles.
 """
 
@@ -20,14 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Mismatch, NotCartesian, NotCommutative, SourceTargetMismatch
-from .groups import (
-    Cover,
-    all_subgroups,
-    compose,
-    find_epimorphism_over,
-    is_indecomposable,
-    same_group,
-)
+from .groups import Cover, _has_proper_supplement, compose, same_group
 
 __all__ = [
     "CommSquare",
@@ -96,36 +90,17 @@ def is_semi_cartesian(sq: CommSquare) -> bool:
 
 def is_compact_cartesian(sq: CommSquare) -> bool:
     """For a cartesian square: no proper subgroup of the corner source
-    surjects onto both edges.
+    surjects onto both edges out of it.
 
-    Raises NotCartesian when the square is not cartesian. When the bottom
-    cover is indecomposable, compactness is equivalent to the absence of a
-    surjection g: G ->> B with bottom o g = right, which is much cheaper
-    than the subgroup sweep; otherwise the subgroup lattice is searched
-    exhaustively.
+    Raises NotCartesian when the square is not cartesian. Otherwise one
+    search, ``_has_proper_supplement`` over the top and left covers. (When
+    the bottom cover is indecomposable this is equivalent to the absence
+    of a surjection g: G ->> B with bottom o g = right; the tests compare
+    the two.)
     """
     if not is_cartesian(sq):
         raise NotCartesian("compactness is defined for cartesian squares only")
-    if is_indecomposable(sq.bottom):
-        return find_epimorphism_over(sq.right, sq.bottom) is None
-    return not _has_proper_full_subgroup(sq)
-
-
-def _has_proper_full_subgroup(sq: CommSquare) -> bool:
-    h = sq.corner_source
-    n_g = sq.top.target.order
-    n_b = sq.left.target.order
-    top_img = sq.top.image
-    left_img = sq.left.image
-    for sub in all_subgroups(h):
-        if sub.order == h.order:
-            continue
-        elems = sub.elements
-        if len({int(top_img[x]) for x in elems}) != n_g:
-            continue
-        if len({int(left_img[x]) for x in elems}) == n_b:
-            return True
-    return False
+    return not _has_proper_supplement(sq.corner_source, (sq.top, sq.left))
 
 
 def compose_horizontal(first: CommSquare, second: CommSquare) -> CommSquare:

@@ -74,15 +74,27 @@ SMALL_GROUPS = {
 }
 
 
-def relabel(group, rng, keep_generators: bool = True):
+def relabel(group, rng, keep_generators: bool = True, sigma=None):
     """``group`` with its non-identity elements renamed by a random
-    permutation from ``rng``; the stored generators follow the renaming,
-    or are dropped when ``keep_generators`` is false."""
-    sigma = np.array([0] + rng.sample(range(1, group.order), group.order - 1))
+    permutation from ``rng`` (or by ``sigma``, element x becoming
+    sigma[x]); the stored generators follow the renaming, or are dropped
+    when ``keep_generators`` is false."""
+    if sigma is None:
+        sigma = np.array([0] + rng.sample(range(1, group.order), group.order - 1))
     mul = np.empty_like(group.mul)
     mul[np.ix_(sigma, sigma)] = sigma[group.mul]
     gens = tuple(int(sigma[g]) for g in group.generators) if keep_generators else ()
     return FiniteGroup(mul, name=group.name, generators=gens)
+
+
+def relabel_cover(cover, rng) -> Cover:
+    """``cover`` with its source relabeled by ``relabel``; the map follows
+    the renaming."""
+    n = cover.source.order
+    sigma = np.array([0] + rng.sample(range(1, n), n - 1))
+    image = np.empty_like(cover.image)
+    image[sigma] = cover.image
+    return Cover(relabel(cover.source, rng, sigma=sigma), cover.target, image)
 
 
 def generated_subgroup(group, seeds) -> Subgroup:

@@ -5,11 +5,13 @@ multiplication tables (tuples of tuples, identity at index 0), subset
 enumeration, exhaustive cochain enumeration, and the degree-2 linear
 systems over every group element, solved by plain dense elimination. It
 never imports the package under test, so agreement between the two is
-meaningful.
+meaningful; the one exception, ``compact_by_independence``, states the
+paper's compactness criterion in the package's own terms and says why.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -132,6 +134,47 @@ def all_subgroup_sets(table):
         if is_subgroup_set(table, s):
             out.append(s)
     return out
+
+
+def generated_set(table, gens):
+    """The subgroup generated by ``gens``: the orbit of the identity under
+    right multiplication by them (works at any order)."""
+    elems = [0]
+    seen = {0}
+    for x in elems:
+        for g in gens:
+            y = table[x][g]
+            if y not in seen:
+                seen.add(y)
+                elems.append(y)
+    return frozenset(elems)
+
+
+@lru_cache(maxsize=None)
+def subgroup_sets_by_joins(table):
+    """Every subgroup: the cyclic subgroups, closed under joins.
+
+    ``table`` must be hashable (a tuple of tuples); the result is cached
+    per table. Each subgroup keeps the generators it was reached by, so a
+    join with <x> is the orbit under those generators and x. Affordable
+    up to order 64 or so.
+    """
+    cyclic = {}
+    for x in range(len(table)):
+        cyclic.setdefault(generated_set(table, [x]), x)
+    found = {s: (x,) for s, x in cyclic.items()}
+    frontier = dict(found)
+    while frontier:
+        new = {}
+        for s, gens in frontier.items():
+            for c, x in cyclic.items():
+                if x in s:
+                    continue
+                j = generated_set(table, gens + (x,))
+                if j not in found:
+                    found[j] = new[j] = gens + (x,)
+        frontier = new
+    return tuple(found)
 
 
 def conjugate(table, g, x):
@@ -262,6 +305,90 @@ def fiber_table(tables, maps):
         for a in carrier
     )
     return table, carrier
+
+
+# ---------------------------------------------------------------------------
+# compactness
+
+
+def has_proper_supplement(table, maps):
+    """Whether some proper subgroup maps onto the image of every map in
+    ``maps`` (index lists over the group), by a sweep of the whole
+    subgroup lattice."""
+    n = len(table)
+    sizes = [len(set(m)) for m in maps]
+    return any(
+        len(s) < n and all(len({m[x] for x in s}) == k for m, k in zip(maps, sizes))
+        for s in subgroup_sets_by_joins(table)
+    )
+
+
+def compact_by_independence(fp):
+    """The paper's compactness criterion for a fiber product ``fp`` of
+    indecomposable covers: no two factors with non-abelian kernels are
+    isomorphic over the base, at most one factor per abelian kernel class
+    splits, and the extension classes of the others are linearly
+    independent over the endomorphism field.
+
+    Unlike the rest of this file it is built from the package (its
+    isomorphism search, modules and H^2), because the criterion is stated
+    in those terms; what makes it a check is that it is a different
+    theorem from the subgroup search that decides compactness.
+    """
+    from covercalc import cohomology as ch
+    from covercalc import gmodules as gm
+    from covercalc.groups import _commute, find_isomorphism_over
+
+    def abelian_kernel(cov):
+        ker = cov.kernel().elements
+        return _commute(cov.source, ker, ker)
+
+    nonabelian = [c for c in fp.factors if not abelian_kernel(c)]
+    for a in range(len(nonabelian)):
+        for b in range(a + 1, len(nonabelian)):
+            if find_isomorphism_over(nonabelian[a], nonabelian[b]) is not None:
+                return False
+    blocks = []  # [representative module, factors with that kernel module]
+    for cov in fp.factors:
+        if not abelian_kernel(cov):
+            continue
+        module = gm.module_from_cover(cov, cov.kernel())
+        for block in blocks:
+            if gm.modules_isomorphic(block[0], module):
+                block[1].append(cov)
+                break
+        else:
+            blocks.append([module, [cov]])
+    for module, covs in blocks:
+        classes = []
+        for cov in covs:
+            ident = gm.first_module_iso(gm.module_from_cover(cov, cov.kernel()), module)
+            classes.append(ch.cocycle_from_extension(cov, ident).coords)
+        nonzero = [c for c in classes if c.any()]
+        if len(classes) - len(nonzero) > 1:
+            return False
+        space = ch.cohom_space(fp.base, module)
+        if nonzero and space.f_rank(np.array(nonzero, dtype=np.int64)) != len(nonzero):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# endomorphism fields
+
+
+def field_tables(elements, p):
+    """Addition and multiplication tables of a finite field of matrices
+    over GF(p), by one lookup of the matrix bytes per pair."""
+    index = {m.tobytes(): i for i, m in enumerate(elements)}
+    q = len(elements)
+    add = np.empty((q, q), dtype=np.int64)
+    mul = np.empty((q, q), dtype=np.int64)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            add[i, j] = index[((a + b) % p).tobytes()]
+            mul[i, j] = index[(a @ b % p).tobytes()]
+    return add, mul
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,6 @@ from covercalc.groups import (
     normal_subgroups,
     normal_subgroups_inside,
 )
-from covercalc.squares import _has_proper_full_subgroup
 
 ETA0 = split_cover_c2()
 ETA1 = nonsplit_cover_c2()
@@ -326,6 +325,21 @@ def test_accept_search_from_order_243():
     )
 
 
+def test_accept_compactness_above_order_2000():
+    # A5 x C4 x C13 (order 3120) is compact; its factors are not all
+    # indecomposable, so no criterion short of a subgroup search applies
+    t0 = time.perf_counter()
+    lines, _ = run_command(Workspace(), "fprod", ["A5->1", "C4->1", "C13->1"])
+    elapsed = time.perf_counter() - t0
+    assert lines[1] == "carrier order: 3120"
+    assert lines[-1] == "compact: true"
+    assert elapsed < 30.0
+    report(
+        "compactness-3120",
+        f"fprod A5->1 C4->1 C13->1 is compact ({elapsed:.2f}s < 30s)",
+    )
+
+
 # ---------------------------------------------------------------------------
 # 6. duality round trips for powers of a simple module
 
@@ -460,7 +474,10 @@ def test_accept_square_laws():
             assert is_indecomposable(sq.bottom) == is_indecomposable(sq.top)
             if is_indecomposable(sq.bottom):
                 fast = find_epimorphism_over(sq.right, sq.bottom) is None
-                brute = not _has_proper_full_subgroup(sq)
+                brute = not oracles.has_proper_supplement(
+                    tuple(map(tuple, h.mul.tolist())),
+                    [sq.top.image.tolist(), sq.left.image.tolist()],
+                )
                 assert fast == brute == is_compact_cartesian(sq)
         checked += 1
 

@@ -4,6 +4,7 @@ compactness, and splitting normal subgroups of the kernel along the axes."""
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -11,21 +12,28 @@ import pytest
 import oracles
 from catalog import (
     alt5,
+    dihedral4,
+    generated_subgroup,
     nonsplit_cover_c2,
     nonsplit_cover_c3,
+    quaternion8,
+    relabel_cover,
     sign_cover,
     split_cover_c2,
     split_cover_c3,
+    sym3,
 )
 from covercalc import (
     BuildLimits,
     Subgroup,
     align_normal_to_axes,
     compose,
+    cyclic_group,
     fiber_product,
     identity_cover,
     is_compact_fiber_product,
     is_fiber_presentation,
+    is_indecomposable,
     kernel_normal_decomposition,
     restrict,
     terminal_cover,
@@ -257,36 +265,77 @@ def test_mixed_characteristic_pair_is_compact():
     assert is_compact_fiber_product(fp)
 
 
+def terminal_product(*groups):
+    return fiber_product(trivial_group(), [terminal_cover(g) for g in groups])
+
+
+def swept_compact(fp) -> bool:
+    """Compactness by the oracle's sweep of the whole subgroup lattice."""
+    table = tuple(map(tuple, fp.carrier.mul.tolist()))
+    return not oracles.has_proper_supplement(table, [p.image.tolist() for p in fp.projections])
+
+
+C3_PAIRS = [
+    list(c)
+    for c in itertools.combinations_with_replacement([split_cover_c3(), nonsplit_cover_c3()], 2)
+]
+
+# products of order <= 64 beyond the two pools, some with decomposable factors
+OTHERS = [
+    make_fprod([sign_cover(), ETA1]),
+    make_fprod([identity_cover(C2), ETA1]),
+    terminal_product(dihedral4(), dihedral4()),
+    terminal_product(quaternion8(), dihedral4()),
+    terminal_product(sym3(), sym3()),
+]
+
+
 @pytest.mark.parametrize("combo", ALL_COMBOS)
-def test_independence_route_agrees_with_exhaustive(combo, monkeypatch):
-    import covercalc.fiber as fiber_mod
-
+def test_independence_route_agrees_with_exhaustive(combo):
+    # the paper's criterion (all factors indecomposable) and the lattice sweep
     fp = make_fprod(combo)
-    exhaustive = is_compact_fiber_product(fp)
-    monkeypatch.setattr(fiber_mod, "COMPACTNESS_EXHAUSTIVE_CAP", 1)
-    assert is_compact_fiber_product(fp) == exhaustive
+    want = swept_compact(fp)
+    assert oracles.compact_by_independence(fp) == want
+    assert is_compact_fiber_product(fp) == want
 
 
-def test_independence_route_on_order_three_pool(monkeypatch):
-    import covercalc.fiber as fiber_mod
-
-    s3 = split_cover_c3()
-    n3 = nonsplit_cover_c3()
-    for combo in itertools.combinations_with_replacement([s3, n3], 2):
-        fp = fiber_product(s3.target, list(combo))
-        exhaustive = is_compact_fiber_product(fp)
-        monkeypatch.setattr(fiber_mod, "COMPACTNESS_EXHAUSTIVE_CAP", 1)
-        assert is_compact_fiber_product(fp) == exhaustive
-        monkeypatch.setattr(fiber_mod, "COMPACTNESS_EXHAUSTIVE_CAP", 2000)
+def test_independence_route_on_order_three_pool():
+    for combo in C3_PAIRS:
+        fp = make_fprod(combo)
+        want = swept_compact(fp)
+        assert oracles.compact_by_independence(fp) == want
+        assert is_compact_fiber_product(fp) == want
 
 
-def test_independence_route_requires_indecomposable_factors(monkeypatch):
-    import covercalc.fiber as fiber_mod
+@pytest.mark.parametrize("second", [cyclic_group(13), alt5()], ids=["C13", "A5"])
+def test_independence_route_with_alternating_factor(second):
+    # A5 x C13 (order 780) is compact; A5 x A5 (order 3600, above any
+    # lattice sweep) is not, its two non-abelian factors being isomorphic
+    fp = terminal_product(alt5(), second)
+    want = oracles.compact_by_independence(fp)
+    assert want == (second.order == 13)
+    assert is_compact_fiber_product(fp) == want
 
-    fp = fiber_product(C2, [identity_cover(C2), ETA1])
-    monkeypatch.setattr(fiber_mod, "COMPACTNESS_EXHAUSTIVE_CAP", 1)
-    with pytest.raises(OrderCapExceeded):
-        is_compact_fiber_product(fp)
+
+@pytest.mark.parametrize("fp", OTHERS, ids=lambda fp: fp.carrier.name)
+def test_compactness_matches_supplement_sweep(fp):
+    want = swept_compact(fp)
+    assert is_compact_fiber_product(fp) == want
+    if all(is_indecomposable(c) for c in fp.factors):
+        assert oracles.compact_by_independence(fp) == want
+
+
+@pytest.mark.parametrize(
+    "fp",
+    [make_fprod(c) for c in ALL_COMBOS + C3_PAIRS] + OTHERS,
+    ids=lambda fp: fp.carrier.name,
+)
+def test_compactness_survives_relabeling(fp):
+    rng = random.Random(fp.carrier.order)
+    for _ in range(2):
+        factors = [relabel_cover(cov, rng) for cov in fp.factors]
+        relabeled = fiber_product(fp.base, factors)
+        assert is_compact_fiber_product(relabeled) == is_compact_fiber_product(fp)
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +402,13 @@ def test_decomposition_validates_input():
 
 
 def test_decomposition_rejects_non_normal_subgroup():
-    # carrier of the mixed product is dicyclic of order 12, which has
-    # non-normal subgroups; normality is checked before kernel membership
-    from covercalc.groups import all_subgroups
-
+    # carrier of the mixed product is dicyclic of order 12, whose cyclic
+    # subgroups of order 4 are not normal; normality is checked before
+    # kernel membership
     sign = sign_cover()
     fp = fiber_product(sign.target, [sign, ETA1])
-    bad = next(s for s in all_subgroups(fp.carrier) if not s.is_normal())
+    cyclics = (generated_subgroup(fp.carrier, [x]) for x in range(fp.carrier.order))
+    bad = next(s for s in cyclics if not s.is_normal())
     with pytest.raises(NotNormal):
         kernel_normal_decomposition(fp, bad)
 

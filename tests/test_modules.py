@@ -19,18 +19,23 @@ from hypothesis import strategies as st
 
 from catalog import (
     SMALL_GROUPS,
+    alt4,
     alt5,
     f2_trivial,
     f3_sign,
     f4_over_c3,
+    generated_subgroup,
     nonsplit_cover_c2,
+    nonsplit_cover_c3,
     sign_cover,
     split_cover_c2,
+    split_cover_c3,
 )
 from covercalc import (
     GModule,
     ModuleHom,
     complement,
+    cyclic_group,
     decompose_isotypic,
     direct_sum_module,
     endo_field,
@@ -41,6 +46,7 @@ from covercalc import (
     is_simple_module,
     modules_isomorphic,
     module_from_cover,
+    quotient,
     terminal_cover,
     trivial_module,
 )
@@ -61,7 +67,7 @@ from covercalc.gmodules import (
     restrict_to_subspace,
     submodule_generated,
 )
-from oracles import commutant_dimension
+from oracles import commutant_dimension, field_tables
 
 C2 = SMALL_GROUPS["C2"]()
 C3 = SMALL_GROUPS["C3"]()
@@ -269,6 +275,52 @@ def test_endo_field_axioms(module):
         left = field.mul_table[a, field.add_table[b, c]]
         right = field.add_table[field.mul_table[a, b], field.mul_table[a, c]]
         assert left == right
+
+
+def _kernel_module(cov):
+    return module_from_cover(cov, cov.kernel())
+
+
+def _f9_over_c8():
+    # C8 acting on F3^2 by a matrix of order 8: the endomorphisms are F9
+    m = np.array([[0, 1], [1, 1]])
+    powers = [np.eye(2, dtype=int)]
+    for _ in range(7):
+        powers.append(powers[-1] @ m % 3)
+    return GModule(cyclic_group(8), 3, tuple(powers))
+
+
+def _a4_over_c3():
+    a4 = alt4()
+    v4 = generated_subgroup(a4, [x for x in range(a4.order) if a4.element_order(x) == 2])
+    return _kernel_module(quotient(a4, v4)[1])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda p=p: trivial_module(C2, p, 1) for p in (2, 3, 5, 7, 11, 509)]
+    + [f3_sign, f4_over_c3, _f9_over_c8, _a4_over_c3]
+    + [
+        lambda cov=cov: _kernel_module(cov())
+        for cov in (split_cover_c2, nonsplit_cover_c2, split_cover_c3, nonsplit_cover_c3, sign_cover)
+    ],
+    ids=[f"F{p}" for p in (2, 3, 5, 7, 11, 509)]
+    + ["f3-sign", "f4-plane", "f9-plane", "a4-kernel", "eta0", "eta1", "split3", "nonsplit3", "sign"],
+)
+def test_endo_field_tables_match_pairwise_oracle(make):
+    field = endo_field(make())
+    add, mul = field_tables(field.elements, field.p)
+    assert field.add_table.dtype == add.dtype and field.mul_table.dtype == mul.dtype
+    assert np.array_equal(field.add_table, add)
+    assert np.array_equal(field.mul_table, mul)
+
+
+def test_endo_field_is_memoized_on_the_module():
+    module = f4_over_c3()
+    field = endo_field(module)
+    assert endo_field(module) is field
+    with pytest.raises(ValueError):
+        field.mul_table[0, 0] = 1
 
 
 def test_endo_field_requires_simple():

@@ -16,6 +16,7 @@ import random
 import numpy as np
 import pytest
 
+import oracles
 from catalog import SMALL_GROUPS
 from covercalc import (
     Cover,
@@ -34,7 +35,6 @@ from covercalc import (
 )
 from covercalc.errors import Mismatch, NotCartesian, NotCommutative, SourceTargetMismatch
 from covercalc.groups import closure_of, normal_subgroups, normal_subgroups_inside
-from covercalc.squares import _has_proper_full_subgroup
 
 SQUARE_GROUPS = ["V4", "C4", "C6", "S3", "D4", "Q8", "A4", "C3xC3"]
 GROUPS = {name: SMALL_GROUPS[name]() for name in SQUARE_GROUPS}
@@ -80,6 +80,15 @@ def tower_triples(h):
         for n in inside:
             for l in inside:
                 yield n, l, m
+
+
+def swept_compact(sq) -> bool:
+    """Compactness of a cartesian square by the oracle's sweep of the
+    corner's whole subgroup lattice."""
+    table = tuple(map(tuple, sq.corner_source.mul.tolist()))
+    return not oracles.has_proper_supplement(
+        table, [sq.top.image.tolist(), sq.left.image.tolist()]
+    )
 
 
 def universal_map(sq):
@@ -161,11 +170,21 @@ def test_indecomposable_corollaries(name):
             swallowed = sq.top.kernel().is_subgroup_of(sq.left.kernel())
             assert is_semi_cartesian(sq) == (not swallowed)
             if cart:
-                # compactness fast path vs brute-force subgroup sweep
+                # no lift of the right edge over the bottom iff compact
                 fast = find_epimorphism_over(sq.right, sq.bottom) is None
-                brute = not _has_proper_full_subgroup(sq)
+                brute = swept_compact(sq)
                 assert fast == brute
                 assert is_compact_cartesian(sq) == brute
+
+
+@pytest.mark.parametrize("name", SQUARE_GROUPS)
+def test_compact_cartesian_matches_supplement_sweep(name):
+    # every cartesian tower square, with decomposable bottoms too
+    h = GROUPS[name]
+    for n, l, m in tower_triples(h):
+        sq = tower_square(h, n, l, m)
+        if is_cartesian(sq):
+            assert is_compact_cartesian(sq) == swept_compact(sq), (name, n, l, m)
 
 
 @pytest.mark.parametrize("name", ["V4", "D4", "Q8", "A4", "S3"])
