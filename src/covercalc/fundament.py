@@ -68,16 +68,17 @@ def fundament_kernel(pi: Cover) -> Subgroup:
 
     These are exactly the normal subgroups N <= Ker(pi) with H/N ->> G
     indecomposable. For Ker(pi) = 1 the family is empty and the result is
-    Ker(pi) itself.
+    Ker(pi) itself. Memoized on the cover (``pi._fundament``).
     """
-    ker = pi.kernel()
-    members = maximal_normal_in(pi.source, ker)
-    if not members:
-        return ker
-    common = set(ker.elements)
-    for sub in members:
-        common &= set(sub.elements)
-    return Subgroup(pi.source, tuple(sorted(common)))
+    if pi._fundament is None:
+        ker = pi.kernel()
+        common = ker.mask
+        for sub in maximal_normal_in(pi.source, ker):
+            common &= sub.mask
+        pi._fundament = Subgroup(
+            pi.source, tuple(x for x in ker.elements if common >> x & 1)
+        )
+    return pi._fundament
 
 
 def is_fundamental(pi: Cover) -> bool:

@@ -308,6 +308,24 @@ class EndoField:
         return self.elements[self.generator_index]
 
 
+def _hom_basis(module: GModule, target: GModule) -> np.ndarray:
+    """F_p basis of Hom_G(K, A), one flattened (dA x dK, row-major) X per row.
+
+    The nullspace of X·a_K(g) = a_A(g)·X for g in the generating set (the
+    identity alone for a trivial group): row (g, i, j) holds the
+    coefficients of entry (i, j) of X·a_K(g) - a_A(g)·X, built for all
+    generators by one einsum over the stacked matrices.
+    """
+    p, dk, da = module.p, module.dim, target.dim
+    gens = list(generating_set(module.group) or (0,))
+    ak = np.stack([module.action[g] for g in gens])
+    aa = np.stack([target.action[g] for g in gens])
+    system = np.einsum("ab,gdc->gacbd", np.eye(da, dtype=np.int64), ak) - np.einsum(
+        "gab,cd->gacbd", aa, np.eye(dk, dtype=np.int64)
+    )
+    return nullspace_mod_p(system.reshape(-1, da * dk) % p, p)
+
+
 def endo_field(module: GModule) -> EndoField:
     """Compute End_G(A) for a simple module, with deterministic labeling.
 
@@ -321,15 +339,7 @@ def endo_field(module: GModule) -> EndoField:
     if not is_simple_module(module):
         raise NotSimple("endomorphism field needs a simple module")
     p, d = module.p, module.dim
-    gens = generating_set(module.group)
-    rows = []
-    for g in gens or (0,):
-        a = module.action[g]
-        # unknown X (d x d, flattened row-major): X a - a X = 0
-        sys = np.kron(np.eye(d, dtype=np.int64), a.T) - np.kron(a, np.eye(d, dtype=np.int64))
-        rows.append(sys % p)
-    system = np.vstack(rows) if rows else np.zeros((0, d * d), dtype=np.int64)
-    basis_flat = nullspace_mod_p(system, p)
+    basis_flat = _hom_basis(module, module)
     basis = tuple(b.reshape(d, d) for b in basis_flat)
     k = len(basis)
     # enumerate all q elements as F_p-combinations of the basis
@@ -434,16 +444,7 @@ def hom_space(module: GModule, target: GModule) -> DualSpace:
     dk, da = module.dim, target.dim
     if dk == 0 or da == 0:
         return DualSpace(module, target, endo, (), ())
-    gens = generating_set(module.group) or (0,)
-    rows = []
-    for g in gens:
-        ak, aa = module.action[g], target.action[g]
-        # unknown X (da x dk, row-major): X ak - aa X = 0
-        sys = np.kron(np.eye(da, dtype=np.int64), ak.T) - np.kron(aa, np.eye(dk, dtype=np.int64))
-        rows.append(sys % p)
-    system = np.vstack(rows)
-    flat = nullspace_mod_p(system, p)
-    fp_basis = tuple(v.reshape(da, dk) for v in flat)
+    fp_basis = tuple(v.reshape(da, dk) for v in _hom_basis(module, target))
     J = endo.generator_matrix
     picked, _ = f_independent_subset(
         fp_basis, lambda m: J @ m % p, p, endo.k
@@ -599,23 +600,27 @@ def complement_in(
     return reduced
 
 
-def modules_isomorphic(a: GModule, b: GModule) -> bool:
-    """G-isomorphism test for simple modules (Schur: any nonzero hom)."""
+def _iso_basis(a: GModule, b: GModule) -> np.ndarray:
+    """F_p basis of Hom_G(a, b) for simple modules, flattened as in
+    ``_hom_basis``; by Schur it is empty or its nonzero combinations are
+    all isomorphisms."""
     if not is_simple_module(a) or not is_simple_module(b):
         raise NotSimple("isomorphism test implemented for simple modules")
-    if a.p != b.p or a.dim != b.dim:
-        return False
-    if not same_group(a.group, b.group):
-        return False
-    dual = hom_space(a, b)
-    return dual.fp_dim > 0
+    if a.p != b.p or a.dim != b.dim or not same_group(a.group, b.group):
+        return np.zeros((0, b.dim * a.dim), dtype=np.int64)
+    return _hom_basis(a, b)
+
+
+def modules_isomorphic(a: GModule, b: GModule) -> bool:
+    """G-isomorphism test for simple modules (Schur: any nonzero hom)."""
+    return len(_iso_basis(a, b)) > 0
 
 
 def first_module_iso(a: GModule, b: GModule) -> ModuleHom:
     """A deterministic G-isomorphism between isomorphic simple modules."""
-    if not modules_isomorphic(a, b):
+    basis = _iso_basis(a, b)
+    if not len(basis):
         raise NotSimple("modules are not isomorphic simple modules")
-    dual = hom_space(a, b)
-    hom = ModuleHom(a, b, dual.fp_basis[0])
+    hom = ModuleHom(a, b, basis[0].reshape(b.dim, a.dim))
     assert hom.is_isomorphism()
     return hom

@@ -101,7 +101,7 @@ class FiniteGroup:
         self.generator_labels = tuple(generator_labels)
         self.element_perms = element_perms
         self._orders: np.ndarray | None = None
-        self._normals: tuple[Subgroup, ...] | None = None
+        self._normals: dict[int, tuple[Subgroup, ...]] = {}  # by bound mask
         self._gen_cache: tuple[int, ...] | None = None
 
     # -- basic structure ----------------------------------------------------
@@ -345,31 +345,31 @@ def _join_lattice(group: FiniteGroup, blocks) -> tuple[Subgroup, ...]:
 
 
 def normal_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
-    """All normal subgroups, via product-set joins of normal closures of
-    elements.
-
-    Canonically sorted by (order, element tuple). Memoized on the group
-    (``group._normals``), which also serves every
-    ``normal_subgroups_inside`` call on it.
-    """
-    if group._normals is None:
-        group._normals = _join_lattice(group, _class_closures(group, range(1, group.order)))
-    return group._normals
+    """All normal subgroups: the whole-group entry of
+    ``normal_subgroups_inside``, canonically sorted by (order, element
+    tuple)."""
+    return normal_subgroups_inside(group, group.full_subgroup())
 
 
 def normal_subgroups_inside(group: FiniteGroup, bound: Subgroup) -> tuple[Subgroup, ...]:
     """Normal subgroups of ``group`` contained in the normal subgroup ``bound``.
 
-    A filter over the memoized ``normal_subgroups(group)``, in its
-    canonical (order, element tuple) sort.
+    Each one is a join of normal closures of elements of ``bound``, so the
+    lattice is built from the class closures of ``bound``'s own elements,
+    never from the whole group's (Holt–Eick–O'Brien). Canonically
+    sorted by (order, element tuple) and memoized on the group
+    (``group._normals``, keyed by ``bound.mask``); a non-normal bound is
+    never stored.
     """
     if not same_group(bound.parent, group):
         raise Incompatible("subgroup belongs to a different group")
-    if not bound.is_normal():
-        raise NotNormal("bound subgroup is not normal")
-    return tuple(
-        s for s in normal_subgroups(group) if s.mask & ~bound.mask == 0
-    )
+    found = group._normals.get(bound.mask)
+    if found is None:
+        if not bound.is_normal():
+            raise NotNormal("bound subgroup is not normal")
+        found = _join_lattice(group, _class_closures(group, bound.elements))
+        group._normals[bound.mask] = found
+    return found
 
 
 def maximal_normal_in(group: FiniteGroup, bound: Subgroup) -> tuple[Subgroup, ...]:
@@ -507,7 +507,8 @@ class GroupHom:
 
 
 class Cover(GroupHom):
-    """A surjective homomorphism; caches its kernel and invariants."""
+    """A surjective homomorphism; caches its kernel, fundament kernel and
+    invariants."""
 
     def __init__(self, source, target, image, check: bool = True) -> None:
         super().__init__(source, target, image, check=check)
@@ -515,6 +516,7 @@ class Cover(GroupHom):
             raise Incompatible("cover must be surjective")
         self._kernel = super().kernel()
         self._invariants = None  # fundament.invariants memo
+        self._fundament = None  # fundament.fundament_kernel memo
 
     def kernel(self) -> Subgroup:
         return self._kernel

@@ -391,6 +391,30 @@ def field_tables(elements, p):
     return add, mul
 
 
+def hom_system_nullspace(source_gens, target_gens, p):
+    """Basis of {X : X·a(g) = b(g)·X for every listed g}, X a dB x dA
+    matrix flattened row-major, from the per-generator Kronecker system
+    kron(I, a(g)^T) - kron(b(g), I) stacked in the order of the lists.
+
+    The basis has one row per free column c of the system's RREF: 1 at c,
+    minus the RREF's column c at the pivots, 0 elsewhere.
+    """
+    blocks = []
+    for a, b in zip(source_gens, target_gens):
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        eye_b = np.eye(len(b), dtype=np.int64)
+        eye_a = np.eye(len(a), dtype=np.int64)
+        blocks.append((np.kron(eye_b, a.T) - np.kron(b, eye_a)) % p)
+    rows, pivots = rref_mod_p(np.vstack(blocks), p)
+    u = rows.shape[1]
+    free = [c for c in range(u) if c not in set(pivots)]
+    basis = np.zeros((len(free), u), dtype=np.int64)
+    for k, c in enumerate(free):
+        basis[k, c] = 1
+        basis[k, pivots] = -rows[:, c] % p
+    return basis
+
+
 # ---------------------------------------------------------------------------
 # homomorphisms over a common base
 

@@ -303,6 +303,34 @@ def test_accept_decision_vs_search_four_factors():
     )
 
 
+def test_accept_decision_vs_search_order_243():
+    pool = cover_pool(split_cover_c3(), nonsplit_cover_c3(), max_factors=4)
+    assert len(pool) == 15
+    assert max(tau.source.order for tau in pool) == 243
+    decided = searched = 0.0
+    true_pairs = 0
+    for tau in pool:
+        for tau_prime in pool:
+            t0 = time.perf_counter()
+            dom = dominates(tau_prime, tau)
+            iso = isomorphic_fundamental(tau, tau_prime)
+            t1 = time.perf_counter()
+            epi_found = find_epimorphism_over(tau, tau_prime) is not None
+            iso_found = find_isomorphism_over(tau, tau_prime) is not None
+            t2 = time.perf_counter()
+            assert dom == epi_found and iso == iso_found
+            decided, searched = decided + t1 - t0, searched + t2 - t1
+            true_pairs += dom
+    assert decided + searched < 60.0
+    report(
+        "decision-vs-search-243",
+        f"domination and isomorphism decisions match backtracking searches "
+        f"on all 225 ordered pairs of the C3 pool with up to 4 factors "
+        f"(carriers up to order 243, {true_pairs} dominated pairs; decisions "
+        f"{decided:.2f}s, searches {searched:.2f}s, {decided + searched:.2f}s < 60s)",
+    )
+
+
 def test_accept_search_from_order_243():
     # once a cost cliff: one such search took minutes when the extension
     # step multiplied every pair of mapped elements

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracles
 from catalog import (
     SMALL_GROUPS,
     alt5,
@@ -59,6 +60,7 @@ from covercalc.errors import (
     NotFundamental,
     NotFundamentalStage,
 )
+from covercalc.groups import normal_subgroups_inside
 
 ETA0 = split_cover_c2()
 ETA1 = nonsplit_cover_c2()
@@ -140,6 +142,29 @@ def test_fundament_kernel_examples():
     assert fundament_kernel(terminal_cover(alt5())).is_trivial()
     # trivial kernel: the family of maximal normals is empty
     assert fundament_kernel(identity_cover(c4)).is_trivial()
+
+
+def test_fundament_kernel_is_memoized_on_the_cover():
+    pi = terminal_cover(SMALL_GROUPS["A4"]())
+    assert fundament_kernel(pi) is fundament_kernel(pi)
+    assert fundament_kernel(pi).order == 4
+    pi = POOL_C3[-1]
+    assert fundament_kernel(pi) is fundament_kernel(pi)
+    assert fundament_kernel(pi).is_trivial()
+
+
+def test_kernel_lattices_of_the_pools_match_oracle():
+    # the per-bound lattice under Ker(pi), against the brute-force one
+    pools = cover_pool(ETA0, ETA1, max_factors=4) + POOL_C3
+    assert max(pi.source.order for pi in pools) == 81
+    for pi in pools:
+        table = tuple(tuple(row) for row in pi.source.mul.tolist())
+        ker = pi.kernel()
+        got = [s.elements for s in normal_subgroups_inside(pi.source, ker)]
+        want = oracles.normal_subgroups_inside(table, frozenset(ker.elements))
+        assert set(got) == {tuple(sorted(s)) for s in want}
+        assert len(got) == len(want)
+        assert got == sorted(got, key=lambda e: (len(e), e))
 
 
 def test_fundament_splits_off():

@@ -176,6 +176,41 @@ def test_normal_subgroups_inside_every_bound_matches_oracle(name):
         ]
 
 
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_normal_subgroups_inside_is_the_filtered_whole_lattice(name):
+    # the per-bound lattice is built from the bound's own classes, yet it
+    # is tuple-equal, in the same order, to the whole lattice cut down
+    g = GROUPS[name]
+    whole = normal_subgroups(g)
+    for bound in whole:
+        got = normal_subgroups_inside(g, bound)
+        want = tuple(s for s in whole if s.mask & ~bound.mask == 0)
+        assert got == want
+        assert all(s.parent is g for s in got)
+
+
+def test_normal_subgroups_inside_is_memoized_per_bound():
+    d4 = GROUPS["D4"]
+    center = next(s for s in normal_subgroups(d4) if s.order == 2)
+    assert normal_subgroups_inside(d4, center) is normal_subgroups_inside(d4, center)
+    # an equal bound built afresh hits the same entry
+    again = Subgroup(d4, center.elements)
+    assert normal_subgroups_inside(d4, again) is normal_subgroups_inside(d4, center)
+    assert normal_subgroups(d4) is normal_subgroups_inside(d4, d4.full_subgroup())
+
+
+def test_non_normal_bound_raises_on_every_call():
+    s3 = GROUPS["S3"]
+    transposition = next(
+        generated_subgroup(s3, [x]) for x in range(s3.order) if s3.element_order(x) == 2
+    )
+    for _ in range(2):
+        with pytest.raises(NotNormal):
+            normal_subgroups_inside(s3, transposition)
+    with pytest.raises(Incompatible):
+        normal_subgroups_inside(GROUPS["C6"], transposition)
+
+
 def _set_closure(rows, seed):
     elems = {0, *seed}
     frontier = set(elems)

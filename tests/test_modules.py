@@ -21,6 +21,7 @@ from catalog import (
     SMALL_GROUPS,
     alt4,
     alt5,
+    cover_pool,
     f2_trivial,
     f3_sign,
     f4_over_c3,
@@ -67,7 +68,8 @@ from covercalc.gmodules import (
     restrict_to_subspace,
     submodule_generated,
 )
-from oracles import commutant_dimension, field_tables
+from covercalc.groups import generating_set
+from oracles import commutant_dimension, field_tables, hom_system_nullspace
 
 C2 = SMALL_GROUPS["C2"]()
 C3 = SMALL_GROUPS["C3"]()
@@ -326,6 +328,96 @@ def test_endo_field_is_memoized_on_the_module():
 def test_endo_field_requires_simple():
     with pytest.raises(NotSimple):
         endo_field(direct_sum_module(F2TRIV, 2))
+
+
+def _generator_actions(module):
+    return [module.action[g] for g in generating_set(module.group) or (0,)]
+
+
+def _kron_nullspace(module, target):
+    """The per-generator Kronecker system's nullspace (tests/oracles.py)."""
+    return hom_system_nullspace(
+        _generator_actions(module), _generator_actions(target), module.p
+    )
+
+
+def _flat(mats, width):
+    return np.array([m.reshape(-1) for m in mats], dtype=np.int64).reshape(-1, width)
+
+
+def assert_bytes_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda p=p: trivial_module(C2, p, 1) for p in (2, 3, 509)]
+    + [f3_sign, f4_over_c3, _f9_over_c8, lambda: conjugated_sum(_f9_over_c8(), 1, 3)],
+    ids=["F2", "F3", "F509", "f3-sign", "f4-plane", "f9-plane", "f9-scrambled"],
+)
+def test_endo_field_equals_kron_system(make):
+    module = make()
+    p, d = module.p, module.dim
+    field = endo_field(module)
+    basis = _kron_nullspace(module, module)
+    assert_bytes_equal(_flat(field.basis_endos, d * d), basis)
+    combos = [np.zeros(d * d, dtype=np.int64)]
+    for b in basis:
+        combos = [(c + coef * b) % p for c in combos for coef in range(p)]
+    elements = sorted((c.reshape(d, d) for c in combos), key=lambda m: m.tobytes())
+    assert_bytes_equal(np.array(field.elements), np.array(elements))
+    add, mul = field_tables(elements, p)
+    assert_bytes_equal(field.add_table, add)
+    assert_bytes_equal(field.mul_table, mul)
+
+
+def _hom_system_cases():
+    f9 = _f9_over_c8()
+    simples = [trivial_module(C2, p, 1) for p in (3, 509)] + [F2TRIV, F3SIGN, F4MOD, f9]
+    cases = [(m, m) for m in simples]
+    cases += [(direct_sum_module(F4MOD, 2), F4MOD), (direct_sum_module(F3SIGN, 3), F3SIGN)]
+    # scrambled coordinates, so that a generator matrix is not symmetric
+    # (every element of order 3 in GL2(F2) is, so the F4 plane cannot be)
+    cases += [(conjugated_sum(f9, 1, 10), f9), (conjugated_sum(f9, 2, 9), f9)]
+    cases += [(f9, conjugated_sum(f9, 1, 11)), (_a4_over_c3(), _a4_over_c3())]
+    # the kernel modules of dimension >= 2 in the two pools (14 of them)
+    for split, nonsplit in (
+        (split_cover_c2(), nonsplit_cover_c2()),
+        (split_cover_c3(), nonsplit_cover_c3()),
+    ):
+        for cov in cover_pool(split, nonsplit, max_factors=3):
+            if cov.kernel().order >= 4:
+                module = _kernel_module(cov)
+                cases.append((module, trivial_module(split.target, module.p, 1)))
+    return cases
+
+
+def test_hom_space_equals_kron_system():
+    cases = _hom_system_cases()
+    unsymmetric = [
+        any(not np.array_equal(m, m.T) for m in _generator_actions(k) + _generator_actions(a))
+        for k, a in cases
+    ]
+    assert sum(unsymmetric) >= 3 and len(cases) == 26
+    for module, target in cases:
+        dual = hom_space(module, target)
+        want = _kron_nullspace(module, target)
+        assert_bytes_equal(_flat(dual.fp_basis, target.dim * module.dim), want)
+        if is_simple_module(module):
+            assert modules_isomorphic(module, target) == (len(want) > 0)
+            if len(want):
+                iso = first_module_iso(module, target)
+                assert_bytes_equal(iso.matrix.reshape(1, -1), want[:1])
+
+
+def test_first_module_iso_rejects_non_isomorphic_and_non_simple():
+    with pytest.raises(NotSimple):
+        first_module_iso(trivial_module(C2, 3, 1), F3SIGN)
+    with pytest.raises(NotSimple):
+        first_module_iso(direct_sum_module(F2TRIV, 2), F2TRIV)
+    with pytest.raises(NotSimple):
+        first_module_iso(F2TRIV, F4MOD)
 
 
 # ---------------------------------------------------------------------------
