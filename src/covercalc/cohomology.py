@@ -42,11 +42,10 @@ from .gmodules import (
     module_from_cover,
 )
 from .linalg import (
-    IncrementalRowReduce,
+    independent_rows,
     nullspace_mod_p,
     rank_mod_p,
     row_echelon_mod_p,
-    solve_mod_p,
 )
 
 __all__ = [
@@ -130,28 +129,25 @@ class CohomSpace:
             )
         self.z_basis = self._cocycle_basis()
         self.b_basis = self._coboundary_basis()
-        reps = []
-        span = IncrementalRowReduce(u, p) if u else None
-        if span is not None:
-            for row in self.b_basis:
-                span.add(row)
-            for row in self.z_basis:
-                if span.add(row):
-                    reps.append(row % p)
-        self.h_reps = (
-            np.array(reps, dtype=np.int64)
-            if reps
-            else np.zeros((0, u), dtype=np.int64)
-        )
-        self.dim_p = len(reps)
+        # the cocycles a greedy scan keeps after the coboundaries, which
+        # are in RREF and so all kept
+        nb = len(self.b_basis)
+        kept = independent_rows(np.vstack([self.b_basis, self.z_basis]), p)
+        self.h_reps = self.z_basis[[i - nb for i in kept[nb:]]]
+        self.dim_p = len(self.h_reps)
         if self.dim_p % field.k:
             raise Incompatible("H^2 dimension not divisible by field degree")
         self.f_dim = self.dim_p // field.k
-        self._solver = (
-            np.vstack([self.h_reps, self.b_basis]).T
-            if (self.dim_p or len(self.b_basis))
-            else np.zeros((u, 0), dtype=np.int64)
+        # basis = [h_reps; b_basis] has independent rows, so the RREF of
+        # [basis | I] is [R | T] with T·basis = R; a cocycle v = c·basis
+        # has c = v[P]·T at the pivot columns P of R
+        self._basis = np.vstack([self.h_reps, self.b_basis])
+        r = len(self._basis)
+        reduced, pivots = row_echelon_mod_p(
+            np.hstack([self._basis, np.eye(r, dtype=np.int64)]), p
         )
+        self._pivots = np.asarray(pivots, dtype=np.intp)
+        self._transform = reduced[:, u:]
         self.scalar_matrix = self._scalar_action()
 
     # -- construction ---------------------------------------------------
@@ -226,16 +222,17 @@ class CohomSpace:
     # -- queries ----------------------------------------------------------
 
     def structural_key(self) -> bytes:
-        return self.group.mul.tobytes() + self.module.structural_key()
+        return self.module.structural_key()
 
     def coordinates_of_flat(self, vec: np.ndarray) -> np.ndarray:
         """H^2-coordinates of a cocycle given by its flat table."""
         if self.dim_p == 0:
             return np.zeros(0, dtype=np.int64)
-        sol = solve_mod_p(self._solver, vec, self.p)
-        if sol is None:
+        v = np.asarray(vec, dtype=np.int64) % self.p
+        coords = v[self._pivots] @ self._transform % self.p
+        if ((coords @ self._basis - v) % self.p).any():
             raise NotCocycle("vector is not in the cocycle span")
-        return sol[: self.dim_p] % self.p
+        return coords[: self.dim_p]
 
     def class_of(self, cochain: TwoCochain) -> CohomClass:
         if not cochain.is_cocycle():
@@ -252,18 +249,11 @@ class CohomSpace:
 
     def f_rank(self, vectors: np.ndarray) -> int:
         """F-dimension of the F-span of coordinate vectors (rows)."""
-        vectors = np.asarray(vectors, dtype=np.int64) % self.p
-        span = IncrementalRowReduce(self.dim_p, self.p)
-        count = 0
-        for v in vectors:
-            if span.contains(v):
-                continue
-            count += 1
-            w = v
-            for _ in range(self.endo_field.k):
-                span.add(w)
-                w = self.scalar_matrix @ w % self.p
-        return count
+        # the F-span of the rows is the F_p-span of V, V·S^T, ..., V·(S^T)^(k-1)
+        powers = [np.asarray(vectors, dtype=np.int64) % self.p]
+        for _ in range(self.endo_field.k - 1):
+            powers.append(powers[-1] @ self.scalar_matrix.T % self.p)
+        return rank_mod_p(np.vstack(powers), self.p) // self.endo_field.k
 
     def __repr__(self) -> str:
         return (
@@ -292,21 +282,17 @@ class CohomClass:
         return not self.coords.any()
 
 
-_space_cache: dict[bytes, CohomSpace] = {}
-
-
 def cohom_space(group: FiniteGroup, module: GModule, field: EndoField | None = None) -> CohomSpace:
-    """H^2(group, module) for a simple module; memoized per (group, module)."""
+    """H^2(group, module) for a simple module; memoized on the group
+    (``group._spaces``, keyed by the module's structural key)."""
     if not is_simple_module(module):
         raise NotSimple("cohomology space needs a simple module")
     if not same_group(module.group, group):
         raise Incompatible("module is over a different group")
-    key = group.mul.tobytes() + module.structural_key()
-    cached = _space_cache.get(key)
-    if cached is not None:
-        return cached
-    space = CohomSpace(group, module, field or endo_field(module))
-    _space_cache[key] = space
+    key = module.structural_key()
+    space = group._spaces.get(key)
+    if space is None:
+        space = group._spaces[key] = CohomSpace(group, module, field or endo_field(module))
     return space
 
 
@@ -444,12 +430,7 @@ def inflate(pi: Cover, cls: CohomClass) -> CohomClass:
     src = pi.source
     rep = cls.representative()
     mod_up = inflate_module(pi, rep.module)
-    n = src.order
-    table = np.zeros((n, n, mod_up.dim), dtype=np.int64)
-    for s in range(n):
-        ps = int(pi.image[s])
-        for t in range(n):
-            table[s, t] = rep.table[ps, int(pi.image[t])]
+    table = rep.table[np.ix_(pi.image, pi.image)]
     space_up = cohom_space(src, mod_up)
     return space_up.class_of(TwoCochain(src, mod_up, table))
 

@@ -38,6 +38,7 @@ from .groups import (
     quotient,
     same_group,
 )
+from .gmodules import _module_iso
 from .linalg import row_space_le
 
 __all__ = [
@@ -258,6 +259,17 @@ def _transport_rows(rows: np.ndarray, space_src, iso, space_dst) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
+def _matching_class(module, classes):
+    """The first class whose module is isomorphic to the simple ``module``,
+    with the isomorphism onto it, from one Hom_G solve per class tried;
+    ``(None, None)`` when no class matches."""
+    for c in classes:
+        iso = _module_iso(module, c.module)
+        if iso is not None:
+            return c, iso
+    return None, None
+
+
 def _check_comparable(tau_prime: Cover, tau: Cover) -> None:
     if not same_group(tau_prime.target, tau.target):
         raise BaseMismatch("covers are over different base groups")
@@ -272,7 +284,6 @@ def dominates(tau_prime: Cover, tau: Cover) -> bool:
     matching support.
     """
     from . import cohomology as ch
-    from . import gmodules as gm
 
     _check_comparable(tau_prime, tau)
     inv_p = invariants(tau_prime)
@@ -290,14 +301,7 @@ def dominates(tau_prime: Cover, tau: Cover) -> bool:
             return False
     base = tau.target
     for cls in inv_p.ab_classes:
-        match = next(
-            (
-                c
-                for c in inv.ab_classes
-                if gm.modules_isomorphic(cls.module, c.module)
-            ),
-            None,
-        )
+        match, iso = _matching_class(cls.module, inv.ab_classes)
         if match is None:
             if cls.mult > 0 or len(cls.supp):
                 return False
@@ -306,7 +310,6 @@ def dominates(tau_prime: Cover, tau: Cover) -> bool:
             return False
         space_src = ch.cohom_space(base, cls.module)
         space_dst = ch.cohom_space(base, match.module)
-        iso = gm.first_module_iso(cls.module, match.module)
         moved = _transport_rows(cls.supp, space_src, iso, space_dst)
         if not row_space_le(moved, match.supp, space_dst.p):
             return False
@@ -376,7 +379,6 @@ def exists_semicartesian_lift(pi: Cover, tau: Cover, tau_prime: Cover) -> bool:
     the inflation restricted to the support.
     """
     from . import cohomology as ch
-    from . import gmodules as gm
     from .fiber import fiber_product
 
     if not same_group(tau.target, pi.source):
@@ -418,14 +420,7 @@ def exists_semicartesian_lift(pi: Cover, tau: Cover, tau_prime: Cover) -> bool:
         k = cls.endo_field.k
         supp_f_dim = len(cls.supp) // k
         nullity = supp_f_dim - space_up.f_rank(lifted_rows)
-        match = next(
-            (
-                c
-                for c in inv.ab_classes
-                if gm.modules_isomorphic(module_up, c.module)
-            ),
-            None,
-        )
+        match, iso = _matching_class(module_up, inv.ab_classes)
         if match is None:
             if lifted_rows.size and lifted_rows.any():
                 return False
@@ -433,7 +428,6 @@ def exists_semicartesian_lift(pi: Cover, tau: Cover, tau_prime: Cover) -> bool:
                 return False
             continue
         space_dst = ch.cohom_space(big, match.module)
-        iso = gm.first_module_iso(module_up, match.module)
         moved = _transport_rows(lifted_rows, space_up, iso, space_dst)
         if not row_space_le(moved, match.supp, space_dst.p):
             return False

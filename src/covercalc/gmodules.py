@@ -33,11 +33,11 @@ from .groups import (
     same_group,
 )
 from .linalg import (
-    IncrementalRowReduce,
+    independent_rows,
     nullspace_mod_p,
     rank_mod_p,
     row_echelon_mod_p,
-    row_space_contains,
+    row_space_le,
 )
 
 __all__ = [
@@ -252,16 +252,9 @@ def trivial_module(group: FiniteGroup, p: int, dim: int = 1) -> GModule:
 
 def direct_sum_module(module: GModule, n: int) -> GModule:
     """The direct sum of ``n`` copies (block-diagonal action)."""
-    mats = []
-    for g in range(module.group.order):
-        blocks = [module.action[g]] * n
-        d = module.dim * n
-        out = np.zeros((d, d), dtype=np.int64)
-        for i in range(n):
-            lo = i * module.dim
-            out[lo : lo + module.dim, lo : lo + module.dim] = module.action[g]
-        mats.append(out)
-    return GModule(module.group, module.p, tuple(mats), check=False)
+    ident = np.eye(n, dtype=np.int64)
+    mats = tuple(np.kron(ident, a) for a in module.action)
+    return GModule(module.group, module.p, mats, check=False)
 
 
 def is_simple_module(module: GModule) -> bool:
@@ -418,19 +411,15 @@ def f_independent_subset(items, scalar_fn, p: int, k: int):
     items = [np.asarray(v, dtype=np.int64) % p for v in items]
     if not items:
         return [], []
-    length = items[0].size
-    span = IncrementalRowReduce(length, p)
-    picked, indices = [], []
-    for pos, v in enumerate(items):
-        if span.contains(v.reshape(-1)):
-            continue
-        picked.append(v)
-        indices.append(pos)
-        w = v
+    # item i is picked iff the greedy scan keeps row i·k of the stacked
+    # scalar images v, J v, ..., J^(k-1) v of every item
+    rows = []
+    for v in items:
         for _ in range(k):
-            span.add(w.reshape(-1))
-            w = scalar_fn(w)
-    return picked, indices
+            rows.append(v.reshape(-1))
+            v = scalar_fn(v)
+    indices = [i // k for i in independent_rows(np.array(rows), p) if i % k == 0]
+    return [items[i] for i in indices], indices
 
 
 def hom_space(module: GModule, target: GModule) -> DualSpace:
@@ -509,12 +498,10 @@ def _is_invariant_subspace(module: GModule, rows: np.ndarray) -> bool:
     if rows.size == 0:
         return True
     reduced, _ = row_echelon_mod_p(rows, module.p)
-    for g in generating_set(module.group) or (0,):
-        for v in reduced:
-            img = module.action[g] @ v % module.p
-            if not row_space_contains(reduced, img, module.p):
-                return False
-    return True
+    return all(
+        row_space_le(reduced @ module.action[g].T % module.p, reduced, module.p)
+        for g in generating_set(module.group) or (0,)
+    )
 
 
 def submodule_generated(module: GModule, vec: np.ndarray) -> np.ndarray:
@@ -616,11 +603,20 @@ def modules_isomorphic(a: GModule, b: GModule) -> bool:
     return len(_iso_basis(a, b)) > 0
 
 
-def first_module_iso(a: GModule, b: GModule) -> ModuleHom:
-    """A deterministic G-isomorphism between isomorphic simple modules."""
+def _module_iso(a: GModule, b: GModule) -> ModuleHom | None:
+    """The deterministic G-isomorphism between simple modules (the first
+    row of their Hom_G basis), or None when they are not isomorphic."""
     basis = _iso_basis(a, b)
     if not len(basis):
-        raise NotSimple("modules are not isomorphic simple modules")
+        return None
     hom = ModuleHom(a, b, basis[0].reshape(b.dim, a.dim))
     assert hom.is_isomorphism()
+    return hom
+
+
+def first_module_iso(a: GModule, b: GModule) -> ModuleHom:
+    """A deterministic G-isomorphism between isomorphic simple modules."""
+    hom = _module_iso(a, b)
+    if hom is None:
+        raise NotSimple("modules are not isomorphic simple modules")
     return hom

@@ -102,6 +102,7 @@ class FiniteGroup:
         self.element_perms = element_perms
         self._orders: np.ndarray | None = None
         self._normals: dict[int, tuple[Subgroup, ...]] = {}  # by bound mask
+        self._spaces: dict[bytes, object] = {}  # cohom_space memo, by module key
         self._gen_cache: tuple[int, ...] | None = None
 
     # -- basic structure ----------------------------------------------------
@@ -287,15 +288,6 @@ def _conjugacy_orbit(group: FiniteGroup, x: int) -> np.ndarray:
     return _distinct(group.mul[gx, group.inv], group.order)
 
 
-def _normal_closure(group: FiniteGroup, seed: list[int]) -> tuple[int, ...]:
-    if not seed:
-        return closure_of(group, [])
-    conj = _distinct(
-        np.concatenate([_conjugacy_orbit(group, int(x)) for x in seed]), group.order
-    )
-    return closure_of(group, conj)
-
-
 def _class_closures(group: FiniteGroup, elements) -> set[tuple[int, ...]]:
     """Normal closures of the given elements, one closure per conjugacy
     class (the closure only depends on the class, and the subgroup
@@ -396,14 +388,8 @@ def is_minimal_normal(group: FiniteGroup, sub: Subgroup) -> bool:
         raise Incompatible("subgroup belongs to a different group")
     if not sub.is_normal():
         raise NotNormal("subgroup is not normal")
-    if sub.is_trivial():
-        return False
-    full = set(sub.elements)
-    return all(
-        set(_normal_closure(group, [x])) == full
-        for x in sub.elements
-        if x != 0
-    )
+    # every class in it closes to all of it (none at all when trivial)
+    return _class_closures(group, sub.elements) == {sub.elements}
 
 
 def generating_set(group: FiniteGroup) -> tuple[int, ...]:

@@ -660,6 +660,79 @@ def h2_scalar_matrix(h_rows, b_rows, generator, p):
     return np.array(cols, dtype=np.int64).T % p
 
 
+
+# ---------------------------------------------------------------------------
+# GF(p) spans grown one row at a time, and single solves
+
+
+class RunningRref:
+    """A reduced row echelon basis grown one appended row at a time."""
+
+    def __init__(self, n, p):
+        self.n, self.p = n, p
+        self.rows, self.pivots = [], []
+
+    def _reduce(self, vec):
+        v = np.asarray(vec, dtype=np.int64).reshape(-1) % self.p
+        for row, pc in zip(self.rows, self.pivots):
+            if v[pc]:
+                v = (v - v[pc] * row) % self.p
+        return v
+
+    def contains(self, vec):
+        return not self._reduce(vec).any()
+
+    def add(self, vec):
+        """Extend the basis by ``vec``; True iff the span grew."""
+        v = self._reduce(vec)
+        nz = np.flatnonzero(v)
+        if nz.size == 0:
+            return False
+        pc = int(nz[0])
+        v = v * pow(int(v[pc]), self.p - 2, self.p) % self.p
+        self.rows = [(row - row[pc] * v) % self.p for row in self.rows]
+        pos = sum(1 for c in self.pivots if c < pc)
+        self.rows.insert(pos, v)
+        self.pivots.insert(pos, pc)
+        return True
+
+
+def greedy_independent_rows(mat, p):
+    """Indices of the rows that are not in the span of the rows before them."""
+    mat = np.asarray(mat, dtype=np.int64)
+    span = RunningRref(mat.shape[1] if mat.ndim == 2 else 0, p)
+    return [i for i, row in enumerate(mat) if span.add(row)]
+
+
+def greedy_f_independent(items, scalar_fn, p, k):
+    """Indices of the items outside the F-span of the items before them;
+    the F-span of v is the F_p-span of scalar_fn^j(v) for j < k."""
+    span, picked = None, []
+    for i, v in enumerate(items):
+        v = np.asarray(v, dtype=np.int64) % p
+        if span is None:
+            span = RunningRref(v.size, p)
+        if span.contains(v):
+            continue
+        picked.append(i)
+        for _ in range(k):
+            span.add(v)
+            v = scalar_fn(v)
+    return picked
+
+
+def solve_mod_p(mat, rhs, p):
+    """One solution x of mat @ x = rhs over GF(p), free variables zero; None
+    when there is none."""
+    mat = np.asarray(mat, dtype=np.int64) % p
+    n = mat.shape[1]
+    rows, pivots = rref_mod_p(np.column_stack([mat, np.asarray(rhs) % p]), p)
+    if n in pivots:
+        return None
+    x = np.zeros(n, dtype=np.int64)
+    x[pivots] = rows[:, n]
+    return x
+
 def commutant_dimension(p, gens):
     """dim over GF(p) of matrices commuting with all gens (d x d, tiny d)."""
     d = len(gens[0])

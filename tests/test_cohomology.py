@@ -484,6 +484,29 @@ def test_inflate_nonsplit_class_to_klein_four():
     assert zero_up.is_zero()
 
 
+def test_inflate_reads_the_table_through_the_cover():
+    # the inflated class is the class of (s, t) -> f(pi(s), pi(t)), built
+    # entry by entry, along V4 ->> C2 and A4 ->> C3
+    a4 = builtin("A4")
+    v4 = next(s for s in normal_subgroups(a4) if s.order == 4)
+    to_c3 = quotient(a4, v4)[1]
+    for cover, module in [
+        (split_cover_c2(), F2TRIV_C2),
+        (to_c3, trivial_module(to_c3.target, 3, 1)),
+    ]:
+        space = cohom_space(cover.target, module)
+        n = cover.source.order
+        for coords in np.eye(space.dim_p, dtype=np.int64):
+            rep = space.representative(coords)
+            up = inflate(cover, CohomClass(space, coords))
+            table = np.zeros((n, n, module.dim), dtype=np.int64)
+            for s in range(n):
+                for t in range(n):
+                    table[s, t] = rep.table[cover.image[s], cover.image[t]]
+            want = up.space.class_of(TwoCochain(cover.source, up.space.module, table))
+            assert np.array_equal(up.coords, want.coords)
+
+
 def test_inflation_is_additive():
     space = cohom_space(V4, f2_trivial(V4, 1))
     pi = identity_cover(V4)

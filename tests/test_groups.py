@@ -278,6 +278,20 @@ def test_is_minimal_normal():
         is_minimal_normal(GROUPS["S3"], generated_subgroup(GROUPS["S3"], [2]))
 
 
+def test_is_minimal_normal_matches_oracle():
+    # minimal iff every non-identity element has the whole subgroup as
+    # its normal closure
+    for name, group in GROUPS.items():
+        table = raw_table(group)
+        for sub in normal_subgroups(group):
+            want = not sub.is_trivial() and all(
+                oracles.normal_closure(table, [x]) == set(sub.elements)
+                for x in sub.elements
+                if x
+            )
+            assert is_minimal_normal(group, sub) == want, (name, sub.elements)
+
+
 # ---------------------------------------------------------------------------
 # quotients
 

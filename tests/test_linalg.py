@@ -1,0 +1,240 @@
+"""The GF(p) elimination core and the H^2 queries built on it.
+
+``independent_rows``, ``CohomSpace.coordinates_of_flat``, ``f_rank`` and
+``f_independent_subset`` are checked against references in
+tests/oracles.py that grow a span one row at a time or solve one system
+per query.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import covercalc.cohomology
+import oracles
+from catalog import f3_sign, f4_over_c3
+from covercalc import (
+    FiniteGroup,
+    cohom_space,
+    direct_sum_module,
+    endo_field,
+    hom_space,
+    trivial_module,
+)
+from covercalc.errors import NotCocycle
+from covercalc.gmodules import f_independent_subset
+from covercalc.linalg import (
+    independent_rows,
+    nullspace_mod_p,
+    rank_mod_p,
+    row_echelon_mod_p,
+    row_space_le,
+)
+from test_cohomology import H2_GROUP_NAMES, a4_f4, builtin
+from test_modules import _f9_over_c8, conjugated_sum
+
+PRIMES = (2, 3, 5, 509)
+
+
+def random_matrices(p, seed):
+    """Seeded matrices of every kind the scan has to get right: empty,
+    zero-width, zero rows, repeated rows, low rank and full rank."""
+    rng = np.random.default_rng(seed)
+    mats = [
+        np.zeros((0, 4), dtype=np.int64),
+        np.zeros((3, 0), dtype=np.int64),
+        np.zeros((4, 5), dtype=np.int64),
+        np.eye(6, dtype=np.int64),
+        rng.integers(0, p, size=(6, 6)),
+        rng.integers(0, p, size=(9, 4)),
+        rng.integers(0, p, size=(3, 11)),
+    ]
+    for rank in (1, 2, 3):
+        low = rng.integers(0, p, size=(10, rank)) @ rng.integers(0, p, size=(rank, 7)) % p
+        mats.append(low)
+        mixed = np.vstack([np.zeros((1, 7), dtype=np.int64), low[:3], low[:3], 2 * low[1:2] % p])
+        mats.append(rng.permutation(mixed))
+    return mats
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_independent_rows_matches_greedy_scan(p):
+    for seed in range(5):
+        for mat in random_matrices(p, seed):
+            kept = independent_rows(mat, p)
+            assert kept == oracles.greedy_independent_rows(mat, p)
+            assert len(kept) == rank_mod_p(mat, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rank_nullspace_and_containment_match_oracle(p):
+    for seed in range(3):
+        for mat in random_matrices(p, 10 + seed):
+            if not mat.size:
+                continue
+            reduced, pivots = row_echelon_mod_p(mat, p)
+            want, want_pivots = oracles.rref_mod_p(mat, p)
+            assert pivots == want_pivots and np.array_equal(reduced, want)
+            null = nullspace_mod_p(mat, p)
+            assert len(null) == mat.shape[1] - len(pivots)
+            assert not (mat @ null.T % p).any()
+            rows = mat[: len(mat) // 2]
+            assert row_space_le(rows, mat, p)
+            assert row_space_le(mat, rows, p) == (rank_mod_p(rows, p) == len(pivots))
+
+
+# ---------------------------------------------------------------------------
+# H^2 coordinates: one factorization at construction, two products a query
+
+
+COORD_CASES = [(name, p) for name in H2_GROUP_NAMES for p in (2, 3)]
+
+
+def space_for(name, p):
+    group = builtin(name)
+    return cohom_space(group, trivial_module(group, p, 1))
+
+
+def a4_f4_space():
+    module = a4_f4()  # dim_p 2 over F4, so k = 2
+    return cohom_space(module.group, module)
+
+
+def assert_coordinates_match_oracle_solve(space, rng):
+    p = space.p
+    basis = np.vstack([space.h_reps, space.b_basis])
+    for _ in range(4):
+        c = rng.integers(0, p, size=len(basis))
+        vec = c @ basis % p
+        coords = space.coordinates_of_flat(vec)
+        assert coords.tolist() == c[: space.dim_p].tolist()
+        if space.dim_p:
+            assert coords.tolist() == oracles.solve_mod_p(basis.T, vec, p)[: space.dim_p].tolist()
+
+
+@pytest.mark.parametrize("name,p", COORD_CASES, ids=[f"{n}-F{p}" for n, p in COORD_CASES])
+def test_coordinates_of_flat_match_oracle_solve(name, p):
+    assert_coordinates_match_oracle_solve(space_for(name, p), np.random.default_rng(p))
+
+
+@pytest.mark.parametrize("make", [f3_sign, f4_over_c3, a4_f4], ids=["f3_sign", "f4_over_c3", "f4_over_a4"])
+def test_coordinates_of_flat_match_oracle_solve_simple_modules(make):
+    module = make()
+    space = cohom_space(module.group, module)
+    assert_coordinates_match_oracle_solve(space, np.random.default_rng(7))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda n=n: space_for(n, 2) for n in ("C4", "V4", "D4", "Q8", "A4")]
+    + [a4_f4_space],
+    ids=["C4", "V4", "D4", "Q8", "A4", "A4-F4"],
+)
+def test_vector_outside_the_cocycles_is_not_a_cocycle(make):
+    space = make()
+    assert space.dim_p
+    rng = np.random.default_rng(space._u)
+    outside = [
+        e
+        for e in np.eye(space._u, dtype=np.int64)
+        if oracles.solve_mod_p(space.z_basis.T, e, 2) is None
+    ]
+    assert outside
+    for e in outside[:5]:
+        vec = (rng.integers(0, 2, size=len(space.z_basis)) @ space.z_basis + e) % 2
+        with pytest.raises(NotCocycle):
+            space.coordinates_of_flat(vec)
+
+
+# ---------------------------------------------------------------------------
+# F-ranks and F-independent subsets against the one-row-at-a-time scan
+
+
+def oracle_f_rank(space, rows):
+    return len(
+        oracles.greedy_f_independent(
+            rows, lambda v: space.scalar_matrix @ v % space.p, space.p, space.endo_field.k
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: space_for("V4", 2),
+        lambda: space_for("D4", 2),
+        lambda: space_for("S4", 2),
+        a4_f4_space,
+    ],
+    ids=["V4-F2", "D4-F2", "S4-F2", "A4-F4"],
+)
+def test_f_rank_matches_greedy_scan(make):
+    space = make()
+    p, m = space.p, space.dim_p
+    assert m
+    rng = np.random.default_rng(m)
+    assert space.f_rank(np.zeros((0, m), dtype=np.int64)) == 0
+    for count in (1, 2, 3, 5):
+        rows = rng.integers(0, p, size=(count, m))
+        rows[rng.integers(count)] = 0
+        if count > 1:
+            rows[-1] = space.scalar_matrix @ rows[0] % p  # an F-multiple
+        assert space.f_rank(rows) == oracle_f_rank(space, rows)
+    one = np.eye(m, dtype=np.int64)[:1]
+    assert space.f_rank(one) == 1
+
+
+def f_item_cases():
+    """(items, scalar_fn, p, k): Hom_G bases with repeats, scalar multiples
+    and combinations, over fields F2, F3, F4 and F9."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for module, n in [
+        (trivial_module(builtin("C2"), 2, 1), 3),
+        (f3_sign(), 2),
+        (f4_over_c3(), 3),
+        (_f9_over_c8(), 2),
+        (_f9_over_c8(), 3),
+    ]:
+        field = endo_field(module)
+        j, p = field.generator_matrix, module.p
+        basis = list(hom_space(direct_sum_module(module, n), module).fp_basis)
+        combo = sum(int(c) * b for c, b in zip(rng.integers(0, p, size=len(basis)), basis)) % p
+        items = [basis[0], j @ basis[0] % p, basis[0]] + basis[1:] + [combo, 0 * combo]
+        order = rng.permutation(len(items))
+        cases.append(([items[i] for i in order], lambda m, j=j, p=p: j @ m % p, p, field.k))
+    f9 = _f9_over_c8()
+    scrambled = conjugated_sum(f9, 1, 3)
+    field = endo_field(f9)
+    j = field.generator_matrix
+    plane = [np.array(v) for v in ([1, 0], [0, 1], [1, 1], j @ [1, 2] % 3)]
+    cases.append((plane, lambda v: j @ v % 3, 3, field.k))
+    dual = hom_space(scrambled, f9)
+    cases.append((list(dual.fp_basis), lambda m: j @ m % 3, 3, field.k))
+    return cases
+
+
+def test_f_independent_subset_matches_greedy_scan():
+    for items, scalar_fn, p, k in f_item_cases():
+        picked, indices = f_independent_subset(items, scalar_fn, p, k)
+        assert indices == oracles.greedy_f_independent(items, scalar_fn, p, k)
+        assert all(np.array_equal(a, items[i] % p) for a, i in zip(picked, indices))
+    assert f_independent_subset([], None, 2, 1) == ([], [])
+
+
+# ---------------------------------------------------------------------------
+# the H^2 memo lives on the group
+
+
+def test_space_is_memoized_on_its_group():
+    group = builtin("D4")
+    module = trivial_module(group, 2, 1)
+    space = cohom_space(group, module)
+    assert group._spaces[module.structural_key()] is space
+    assert cohom_space(group, trivial_module(group, 2, 1)) is space
+    twin = FiniteGroup(group.mul.copy(), name="D4'")
+    twin_space = cohom_space(twin, trivial_module(twin, 2, 1))
+    assert twin_space is not space and twin._spaces and not set(twin._spaces.values()) & {space}
+    assert twin_space.structural_key() == space.structural_key()
+    assert not hasattr(covercalc.cohomology, "_space_cache")

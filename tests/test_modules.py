@@ -450,6 +450,19 @@ def test_hom_space_mismatches():
         hom_space(trivial_module(C3, 2, 1), F2TRIV)
 
 
+def test_direct_sum_is_block_diagonal():
+    for module, n in [(F3SIGN, 3), (F4MOD, 2), (_f9_over_c8(), 2), (F2TRIV, 1)]:
+        big = direct_sum_module(module, n)
+        d = module.dim
+        assert big.dim == n * d and big.p == module.p
+        for g in range(module.group.order):
+            want = np.zeros((n * d, n * d), dtype=np.int64)
+            for i in range(n):
+                want[i * d : (i + 1) * d, i * d : (i + 1) * d] = module.action[g]
+            assert big.action[g].dtype == np.int64
+            assert np.array_equal(big.action[g], want)
+
+
 def test_f_independent_subset_collapses_scalar_multiples():
     field = endo_field(F4MOD)
     j = field.generator_matrix
