@@ -275,19 +275,15 @@ def _kernel_is_abelian(cov: Cover) -> bool:
 
 def _group_by_module_class(fp: FiberProduct, abelian_indices):
     """Group abelian-kernel factor indices by iso class of kernel module."""
-    from . import gmodules as gm
+    from .fundament import _module_class
+    from .gmodules import module_from_cover
 
-    blocks: list[tuple[list[int], object]] = []
+    blocks: dict[int, tuple[list[int], object]] = {}  # by registry index
     for i in abelian_indices:
         cov = fp.factors[i]
-        module = gm.module_from_cover(cov, cov.kernel())
-        for indices, rep in blocks:
-            if gm.modules_isomorphic(rep, module):
-                indices.append(i)
-                break
-        else:
-            blocks.append(([i], module))
-    return [(tuple(indices), rep) for indices, rep in blocks]
+        module = module_from_cover(cov, cov.kernel())
+        blocks.setdefault(_module_class(fp.base, module)[0], ([], module))[0].append(i)
+    return [(tuple(indices), rep) for indices, rep in blocks.values()]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,12 @@ when its fundament kernel is trivial; such covers are classified up to
 isomorphism over G by multiplicities of non-abelian kernel classes and,
 per simple-module class A, a multiplicity and a support subspace of
 H^2(G, A).
+
+Classes belong to the base, not to a pair of covers: each base group
+keeps a registry of them (``_class_index``), so a class is matched, and a
+support carried into its representative's H^2 coordinates, once per base.
+Comparing two covers then compares class indices, multiplicities and
+canonical supports.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .groups import (
     same_group,
 )
 from .gmodules import _module_iso
-from .linalg import row_space_le
+from .linalg import row_echelon_mod_p, row_space_le
 
 __all__ = [
     "CoverInvariants",
@@ -198,29 +204,20 @@ def invariants(pi: Cover) -> CoverInvariants:
         raise NotFundamental("invariants need a fundamental cover")
     src = pi.source
     ker = pi.kernel()
-    na: list[list] = []  # [representative cover, count]
-    ab: list[list] = []  # [representative module, [N list]]
+    na: dict[int, list] = {}  # class index -> [representative cover, count]
+    ab: dict[int, list] = {}  # class index -> [representative module, [N list]]
     for sub in maximal_normal_in(src, ker):
         _, q = quotient(src, sub)
         cov = _cover_through(pi, q)
         kq = cov.kernel()
         if _commute(cov.source, kq.elements, kq.elements):
             module = gm.module_from_cover(cov, kq)
-            for entry in ab:
-                if gm.modules_isomorphic(entry[0], module):
-                    entry[1].append(sub)
-                    break
-            else:
-                ab.append([module, [sub]])
+            index = _module_class(pi.target, module)[0]
+            ab.setdefault(index, [module, []])[1].append(sub)
         else:
-            for entry in na:
-                if find_isomorphism_over(cov, entry[0]) is not None:
-                    entry[1] += 1
-                    break
-            else:
-                na.append([cov, 1])
+            na.setdefault(_cover_class(pi.target, cov), [cov, 0])[1] += 1
     ab_classes = []
-    for module, subs in ab:
+    for module, subs in ab.values():
         common = set(range(src.order))
         for sub in subs:
             common &= set(sub.elements)
@@ -239,35 +236,77 @@ def invariants(pi: Cover) -> CoverInvariants:
         )
     pi._invariants = CoverInvariants(
         base=pi.target,
-        na_classes=tuple(NaClassInvariant(cover=c, mult=m) for c, m in na),
+        na_classes=tuple(NaClassInvariant(cover=c, mult=m) for c, m in na.values()),
         ab_classes=tuple(ab_classes),
     )
     return pi._invariants
 
 
-def _transport_rows(rows: np.ndarray, space_src, iso, space_dst) -> np.ndarray:
-    """Carry H^2 coordinate rows along a coefficient-module isomorphism."""
+def _class_index(base: FiniteGroup, key: bytes, item, match) -> tuple[int, object]:
+    """The index of ``item``'s class in ``base``'s registry, with the map
+    ``match(item, rep)`` found onto its representative (None when ``item``
+    is the representative). ``match`` runs only for a key not seen before,
+    against the earlier representatives of the same type; an unmatched
+    item becomes a new representative. The exact key makes equal tables
+    take one path, whichever base object they came with."""
+    hit = base._class_of.get(key)
+    if hit is None:
+        for i, rep in enumerate(base._classes):
+            found = match(item, rep) if type(rep) is type(item) else None
+            if found is not None:
+                hit = (i, found)
+                break
+        else:
+            base._classes.append(item)
+            hit = (len(base._classes) - 1, None)
+        base._class_of[key] = hit
+    return hit
+
+
+def _cover_class(base: FiniteGroup, cov: Cover) -> int:
+    """Registry index of the class of a cover over ``base`` (non-abelian
+    kernel), keyed by its source order, table and image."""
+    src = cov.source
+    key = b"N" + np.int64(src.order).tobytes() + src.mul.tobytes()
+    key += cov.image.astype(np.int64).tobytes()
+    return _class_index(base, key, cov, find_isomorphism_over)[0]
+
+
+def _module_class(base: FiniteGroup, module) -> tuple[int, object]:
+    """Registry index of a simple module's class, with the isomorphism
+    onto the representative (None for the representative itself)."""
+    return _class_index(base, b"A" + module.structural_key(), module, _module_iso)
+
+
+def _support_class(base: FiniteGroup, module, rows: np.ndarray) -> tuple[int, np.ndarray]:
+    """The class index of ``module`` and the F-subspace spanned by
+    ``rows`` (coordinates in H^2(base, module)), carried into the
+    representative's H^2 coordinates and reduced to RREF, read-only.
+
+    Schur makes the isomorphisms onto the representative the nonzero
+    F-multiples of one another, so the subspace does not depend on which
+    one carries it. Memoized on ``base`` by the exact support bytes."""
     from . import cohomology as ch
 
-    out = []
-    for row in np.asarray(rows, dtype=np.int64):
-        rep = space_src.representative(row)
-        pushed = ch.push_cochain(rep, iso.matrix, space_dst.module)
-        out.append(space_dst.class_of(pushed).coords)
-    if not out:
-        return np.zeros((0, space_dst.dim_p), dtype=np.int64)
-    return np.array(out, dtype=np.int64)
-
-
-def _matching_class(module, classes):
-    """The first class whose module is isomorphic to the simple ``module``,
-    with the isomorphism onto it, from one Hom_G solve per class tried;
-    ``(None, None)`` when no class matches."""
-    for c in classes:
-        iso = _module_iso(module, c.module)
+    rows = np.asarray(rows, dtype=np.int64)
+    key = (module.structural_key(), rows.shape, rows.tobytes())
+    hit = base._supports.get(key)
+    if hit is None:
+        index, iso = _module_class(base, module)
         if iso is not None:
-            return c, iso
-    return None, None
+            space = ch.cohom_space(base, module)
+            rep = base._classes[index]
+            dst = ch.cohom_space(base, rep)
+            moved = [
+                dst.class_of(ch.push_cochain(space.representative(r), iso.matrix, rep))
+                for r in rows
+            ]
+            rows = np.array([c.coords for c in moved], dtype=np.int64)
+            rows = rows.reshape(len(moved), dst.dim_p)
+        canonical, _ = row_echelon_mod_p(rows, module.p)
+        canonical.flags.writeable = False
+        hit = base._supports[key] = (index, canonical)
+    return hit
 
 
 def _check_comparable(tau_prime: Cover, tau: Cover) -> None:
@@ -277,43 +316,44 @@ def _check_comparable(tau_prime: Cover, tau: Cover) -> None:
         raise NotFundamental("comparison needs fundamental covers")
 
 
+def _indexed(base: FiniteGroup, inv: CoverInvariants) -> tuple[dict, dict]:
+    """The classes of ``inv`` by their index in ``base``'s registry: the
+    multiplicity of each non-abelian class, and the multiplicity and
+    canonical support of each simple-module class."""
+    na = {_cover_class(base, c.cover): c.mult for c in inv.na_classes}
+    ab = {}
+    for c in inv.ab_classes:
+        index, supp = _support_class(base, c.module, c.supp)
+        ab[index] = (c.mult, supp)
+    return na, ab
+
+
+def _bounded(base: FiniteGroup, index: int, mult: int, supp, ab: dict) -> bool:
+    """Whether class ``index`` of ``ab`` has multiplicity at least
+    ``mult`` and a support containing ``supp`` (an absent class has
+    multiplicity 0 and support 0)."""
+    have, span = ab.get(index, (0, supp[:0]))
+    return mult <= have and row_space_le(supp, span, base._classes[index].p)
+
+
 def dominates(tau_prime: Cover, tau: Cover) -> bool:
     """Whether ``tau_prime`` is dominated by ``tau`` (both fundamental,
     same base): every class multiplicity of ``tau_prime`` is bounded by
     the matching one of ``tau`` and every support is contained in the
     matching support.
-    """
-    from . import cohomology as ch
 
+    Classes are matched once per base: both sides are looked up in the
+    class registry of ``tau.target``, so a pair compares class indices,
+    multiplicities and supports in the representative's coordinates,
+    with no Hom_G solve or transport for a class seen before.
+    """
     _check_comparable(tau_prime, tau)
-    inv_p = invariants(tau_prime)
-    inv = invariants(tau)
-    for cls in inv_p.na_classes:
-        match = next(
-            (
-                c
-                for c in inv.na_classes
-                if find_isomorphism_over(cls.cover, c.cover) is not None
-            ),
-            None,
-        )
-        if match is None or cls.mult > match.mult:
-            return False
     base = tau.target
-    for cls in inv_p.ab_classes:
-        match, iso = _matching_class(cls.module, inv.ab_classes)
-        if match is None:
-            if cls.mult > 0 or len(cls.supp):
-                return False
-            continue
-        if cls.mult > match.mult:
-            return False
-        space_src = ch.cohom_space(base, cls.module)
-        space_dst = ch.cohom_space(base, match.module)
-        moved = _transport_rows(cls.supp, space_src, iso, space_dst)
-        if not row_space_le(moved, match.supp, space_dst.p):
-            return False
-    return True
+    na, ab = _indexed(base, invariants(tau))
+    na_p, ab_p = _indexed(base, invariants(tau_prime))
+    return all(m <= na.get(i, 0) for i, m in na_p.items()) and all(
+        _bounded(base, i, m, supp, ab) for i, (m, supp) in ab_p.items()
+    )
 
 
 def isomorphic_fundamental(tau: Cover, tau_prime: Cover) -> bool:
@@ -387,21 +427,12 @@ def exists_semicartesian_lift(pi: Cover, tau: Cover, tau_prime: Cover) -> bool:
         raise BaseMismatch("tau_prime must cover the target of the base map")
     if not is_fundamental(tau) or not is_fundamental(tau_prime):
         raise NotFundamental("lifting criterion needs fundamental covers")
-    inv = invariants(tau)
-    inv_p = invariants(tau_prime)
     big = pi.source
-
+    na, ab = _indexed(big, invariants(tau))
+    inv_p = invariants(tau_prime)
     for cls in inv_p.na_classes:
         pulled = fiber_product(pi.target, [pi, cls.cover]).projections[0]
-        match = next(
-            (
-                c
-                for c in inv.na_classes
-                if find_isomorphism_over(pulled, c.cover) is not None
-            ),
-            None,
-        )
-        if match is None or cls.mult > match.mult:
+        if cls.mult > na.get(_cover_class(big, pulled), 0):
             return False
 
     for cls in inv_p.ab_classes:
@@ -420,18 +451,8 @@ def exists_semicartesian_lift(pi: Cover, tau: Cover, tau_prime: Cover) -> bool:
         k = cls.endo_field.k
         supp_f_dim = len(cls.supp) // k
         nullity = supp_f_dim - space_up.f_rank(lifted_rows)
-        match, iso = _matching_class(module_up, inv.ab_classes)
-        if match is None:
-            if lifted_rows.size and lifted_rows.any():
-                return False
-            if nullity + cls.mult > 0:
-                return False
-            continue
-        space_dst = ch.cohom_space(big, match.module)
-        moved = _transport_rows(lifted_rows, space_up, iso, space_dst)
-        if not row_space_le(moved, match.supp, space_dst.p):
-            return False
-        if nullity + cls.mult > match.mult:
+        index, supp = _support_class(big, module_up, lifted_rows)
+        if not _bounded(big, index, nullity + cls.mult, supp, ab):
             return False
     return True
 

@@ -78,6 +78,7 @@ class GModule:
         self.action = tuple(np.asarray(m, dtype=np.int64) % p for m in action)
         self.dim = int(self.action[0].shape[0]) if self.action else 0
         self._endo = None  # endo_field memo
+        self._simple: bool | None = None  # is_simple_module memo
         if len(self.action) != group.order:
             raise Incompatible("need one action matrix per group element")
         if check and self.dim:
@@ -258,19 +259,17 @@ def direct_sum_module(module: GModule, n: int) -> GModule:
 
 
 def is_simple_module(module: GModule) -> bool:
-    """True iff nonzero and every nonzero vector generates the module."""
-    d = module.dim
-    if d == 0:
-        return False
-    if d == 1:
-        return True
-    p = module.p
-    for idx in range(1, p ** d):
-        v = module.index_to_vector(idx)
-        orbit = np.array([m @ v % p for m in module.action], dtype=np.int64)
-        if rank_mod_p(orbit, p) < d:
-            return False
-    return True
+    """True iff nonzero and every nonzero vector generates the module.
+
+    Memoized on the module (``module._simple``)."""
+    if module._simple is None:
+        d, p = module.dim, module.p
+        vectors = map(module.index_to_vector, range(1, p ** d)) if d > 1 else ()
+        module._simple = d > 0 and all(
+            rank_mod_p(np.array([m @ v % p for m in module.action]), p) == d
+            for v in vectors
+        )
+    return module._simple
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,14 @@ class FiniteGroup:
         self._orders: np.ndarray | None = None
         self._normals: dict[int, tuple[Subgroup, ...]] = {}  # by bound mask
         self._spaces: dict[bytes, object] = {}  # cohom_space memo, by module key
+        # the class registry (fundament._class_index): one representative
+        # per class of simple modules and of covers with non-abelian kernel
+        self._classes: list = []
+        # exact key -> (class index, map onto the representative or None)
+        self._class_of: dict[bytes, tuple[int, object]] = {}
+        # (module key, shape, bytes) of a support -> (class index, the
+        # support in the representative's H^2 coordinates, RREF, read-only)
+        self._supports: dict[tuple, tuple[int, np.ndarray]] = {}
         self._gen_cache: tuple[int, ...] | None = None
 
     # -- basic structure ----------------------------------------------------

@@ -5,8 +5,11 @@ multiplication tables (tuples of tuples, identity at index 0), subset
 enumeration, exhaustive cochain enumeration, and the degree-2 linear
 systems over every group element, solved by plain dense elimination. It
 never imports the package under test, so agreement between the two is
-meaningful; the one exception, ``compact_by_independence``, states the
-paper's compactness criterion in the package's own terms and says why.
+meaningful. Two exceptions say why: ``compact_by_independence`` states
+the paper's compactness criterion in the package's own terms, and the
+per-pair class matching (``dominates_by_matching``,
+``lift_by_matching``) is the route the package took before its per-base
+class registry.
 """
 
 from __future__ import annotations
@@ -369,6 +372,131 @@ def compact_by_independence(fp):
             return False
         space = ch.cohom_space(fp.base, module)
         if nonzero and space.f_rank(np.array(nonzero, dtype=np.int64)) != len(nonzero):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# class matching per pair of covers
+
+
+def module_iso(a, b):
+    """The first-basis-row G-isomorphism a -> b of simple modules (its
+    matrix, target x source) from the Hom system over every group
+    element, or None when they are not isomorphic (Schur: a nonzero map
+    is an isomorphism)."""
+    if (a.p, a.dim) != (b.p, b.dim):
+        return None
+    basis = hom_system_nullspace(a.action, b.action, a.p)
+    return basis[0].reshape(b.dim, a.dim) if len(basis) else None
+
+
+def matching_class(module, classes):
+    """The first class whose module is isomorphic to ``module``, with the
+    isomorphism onto it; ``(None, None)`` when none is."""
+    for c in classes:
+        iso = module_iso(module, c.module)
+        if iso is not None:
+            return c, iso
+    return None, None
+
+
+def transport_rows(rows, space_src, matrix, space_dst):
+    """H^2 coordinate rows carried along a coefficient isomorphism: each
+    row's representative cocycle, pushed through ``matrix``, read back
+    in ``space_dst``."""
+    from covercalc import cohomology as ch
+
+    out = []
+    for r in np.asarray(rows, dtype=np.int64):
+        pushed = ch.push_cochain(space_src.representative(r), matrix, space_dst.module)
+        out.append(space_dst.class_of(pushed).coords)
+    return np.array(out, dtype=np.int64).reshape(len(out), space_dst.dim_p)
+
+
+def _support_within(rows, space_src, match, space_dst):
+    """Whether ``rows``, transported along the matched class's
+    isomorphism, lie in that class's support."""
+    cls, matrix = match
+    moved = transport_rows(rows, space_src, matrix, space_dst)
+    rank = len(rref_mod_p(cls.supp, space_dst.p)[1])
+    return len(rref_mod_p(np.vstack([cls.supp, moved]), space_dst.p)[1]) == rank
+
+
+def dominates_by_matching(tau_prime, tau):
+    """``dominates`` by per-pair matching: each class of ``tau_prime`` is
+    matched against the classes of ``tau`` by isomorphism search (covers)
+    or Hom_G solve (modules), and its support transported into the
+    matching class's coordinates."""
+    from covercalc import cohomology as ch
+    from covercalc import invariants
+    from covercalc.groups import find_isomorphism_over
+
+    inv_p, inv = invariants(tau_prime), invariants(tau)
+    for cls in inv_p.na_classes:
+        match = next(
+            (c for c in inv.na_classes if find_isomorphism_over(cls.cover, c.cover)),
+            None,
+        )
+        if match is None or cls.mult > match.mult:
+            return False
+    base = tau.target
+    for cls in inv_p.ab_classes:
+        match = matching_class(cls.module, inv.ab_classes)
+        if match[0] is None:
+            if cls.mult > 0 or len(cls.supp):
+                return False
+        elif cls.mult > match[0].mult or not _support_within(
+            cls.supp,
+            ch.cohom_space(base, cls.module),
+            match,
+            ch.cohom_space(base, match[0].module),
+        ):
+            return False
+    return True
+
+
+def lifted_support(pi, cls):
+    """The inflated module of a class of a cover of ``pi.target`` and the
+    inflation of its support rows into H^2(pi.source, inflated module)."""
+    from covercalc import cohomology as ch
+
+    module_up = ch.inflate_module(pi, cls.module)
+    space_small = ch.cohom_space(pi.target, cls.module)
+    space_up = ch.cohom_space(pi.source, module_up)
+    lifted = [ch.inflate(pi, ch.CohomClass(space_small, r)).coords for r in cls.supp]
+    return module_up, np.array(lifted, dtype=np.int64).reshape(len(lifted), space_up.dim_p)
+
+
+def lift_by_matching(pi, tau, tau_prime):
+    """``exists_semicartesian_lift`` by per-pair matching, as in
+    ``dominates_by_matching``, after pulling the classes of ``tau_prime``
+    back along ``pi``."""
+    from covercalc import cohomology as ch
+    from covercalc import fiber_product, invariants
+    from covercalc.groups import find_isomorphism_over
+
+    inv, inv_p = invariants(tau), invariants(tau_prime)
+    big = pi.source
+    for cls in inv_p.na_classes:
+        pulled = fiber_product(pi.target, [pi, cls.cover]).projections[0]
+        match = next(
+            (c for c in inv.na_classes if find_isomorphism_over(pulled, c.cover)),
+            None,
+        )
+        if match is None or cls.mult > match.mult:
+            return False
+    for cls in inv_p.ab_classes:
+        module_up, lifted = lifted_support(pi, cls)
+        space_up = ch.cohom_space(big, module_up)
+        nullity = len(cls.supp) // cls.endo_field.k - space_up.f_rank(lifted)
+        match = matching_class(module_up, inv.ab_classes)
+        if match[0] is None:
+            if lifted.any() or nullity + cls.mult > 0:
+                return False
+        elif nullity + cls.mult > match[0].mult or not _support_within(
+            lifted, space_up, match, ch.cohom_space(big, match[0].module)
+        ):
             return False
     return True
 

@@ -322,6 +322,9 @@ def test_accept_decision_vs_search_order_243():
             decided, searched = decided + t1 - t0, searched + t2 - t1
             true_pairs += dom
     assert decided + searched < 60.0
+    # aim 1's answer at this order: the decisions beat the searches (a
+    # ratio inside one process, so host drift cancels)
+    assert decided < searched
     report(
         "decision-vs-search-243",
         f"domination and isomorphism decisions match backtracking searches "

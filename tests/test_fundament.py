@@ -11,6 +11,10 @@ extensions, and ten over the order-3 base from the order-9 extensions.
 
 from __future__ import annotations
 
+import importlib
+import random
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -20,16 +24,22 @@ from catalog import (
     alt5,
     cover_pool,
     f2_trivial,
+    f4_over_c3,
     generated_subgroup,
     nonsplit_cover_c2,
     nonsplit_cover_c3,
+    relabel_cover,
     sign_cover,
     split_cover_c2,
     split_cover_c3,
 )
 from covercalc import (
     CohomClass,
+    Cover,
+    FiniteGroup,
+    GModule,
     Subgroup,
+    build_group,
     cohom_space,
     compose,
     decompose_fundamental,
@@ -60,7 +70,10 @@ from covercalc.errors import (
     NotFundamental,
     NotFundamentalStage,
 )
-from covercalc.groups import normal_subgroups_inside
+from covercalc import gmodules as gm
+from covercalc.fundament import _cover_class, _module_class, _support_class
+from covercalc.cohomology import inflate_module
+from covercalc.groups import closure_of, normal_subgroups_inside
 
 ETA0 = split_cover_c2()
 ETA1 = nonsplit_cover_c2()
@@ -68,6 +81,7 @@ C2 = ETA0.target
 
 POOL_C2 = cover_pool(ETA0, ETA1, max_factors=3)
 POOL_C3 = cover_pool(split_cover_c3(), nonsplit_cover_c3(), max_factors=3)
+POOL_C2_4 = cover_pool(ETA0, ETA1, max_factors=4)
 
 
 def power_cover(eta, k):
@@ -244,6 +258,11 @@ def test_invariants_with_nonabelian_class():
     (ab,) = inv.ab_classes
     assert ab.mult == 1  # H^2 of the point vanishes, all mass is relations
     assert ab.supp.shape[0] == 0
+    # one registry entry per class: the A5 quotient and the F2 module
+    reps = pi.target._classes
+    assert len(reps) == 2
+    assert reps[_cover_class(pi.target, t_a5)] is inv.na_classes[0].cover
+    assert reps[_module_class(pi.target, ab.module)[0]] is ab.module
 
 
 def test_invariants_require_fundamental():
@@ -279,6 +298,8 @@ def test_nonabelian_multiplicity_counts_copies():
     assert len(inv.na_classes) == 1
     assert inv.na_classes[0].mult == 2
     assert not inv.ab_classes
+    # both A5 quotients are one class, matched once: one representative
+    assert pi.target._classes == [inv.na_classes[0].cover]
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +339,196 @@ def test_comparison_validates_inputs():
         dominates(ETA1, split_cover_c3())
     with pytest.raises(NotFundamental):
         dominates(terminal_cover(SMALL_GROUPS["C4"]()), terminal_cover(C2))
+
+
+# ---------------------------------------------------------------------------
+# the per-base class registry, against per-pair matching
+
+
+def _check_canonical(base, module, rows):
+    """The registry's canonical support of ``rows`` is the RREF of what
+    the oracle transports onto the class representative."""
+    index, canon = _support_class(base, module, rows)
+    rep = base._classes[index]
+    iso = oracles.module_iso(module, rep)
+    assert iso is not None
+    moved = oracles.transport_rows(
+        rows, cohom_space(base, module), iso, cohom_space(base, rep)
+    )
+    assert np.array_equal(canon, oracles.rref_mod_p(moved, module.p)[0])
+    assert not canon.flags.writeable
+
+
+@pytest.mark.parametrize("pool", [POOL_C2_4, POOL_C3], ids=["base-C2-4", "base-C3"])
+def test_canonical_supports_match_transport_oracle(pool):
+    base = pool[0].target
+    for pi in pool:
+        for cls in invariants(pi).ab_classes:
+            _check_canonical(base, cls.module, cls.supp)
+
+
+@pytest.mark.parametrize("pool", [POOL_C2_4, POOL_C3], ids=["base-C2-4", "base-C3"])
+def test_domination_agrees_with_per_pair_matching(pool):
+    for tau in pool:
+        for tau_prime in pool:
+            assert dominates(tau_prime, tau) == oracles.dominates_by_matching(
+                tau_prime, tau
+            ), (tau, tau_prime)
+
+
+@pytest.mark.parametrize("pool", [POOL_C2, POOL_C3], ids=["base-C2", "base-C3"])
+def test_equal_table_bases_take_the_same_path(pool):
+    base = FiniteGroup(pool[0].target.mul.copy(), name="copy")
+    copy = [Cover(c.source, base, c.image) for c in pool]
+    for i, j in product(range(len(pool)), repeat=2):
+        dom = dominates(pool[j], pool[i])
+        iso = isomorphic_fundamental(pool[i], pool[j])
+        assert dominates(copy[j], copy[i]) == dom
+        assert dominates(copy[j], pool[i]) == dominates(pool[j], copy[i]) == dom
+        assert isomorphic_fundamental(copy[i], copy[j]) == iso
+        assert isomorphic_fundamental(pool[i], copy[j]) == iso
+        assert (find_epimorphism_over(copy[i], copy[j]) is not None) == dom
+        assert (find_isomorphism_over(copy[i], copy[j]) is not None) == iso
+    assert len(base._classes) == 1
+
+
+def test_decisions_do_not_depend_on_session_order():
+    want = {
+        (k, i, j): (
+            dominates(pool[j], pool[i]),
+            isomorphic_fundamental(pool[i], pool[j]),
+        )
+        for k, pool in enumerate((POOL_C2, POOL_C3))
+        for i, j in product(range(10), repeat=2)
+    }
+    for seed in (1, 2):
+        # fresh pools, so fresh registries filled in a seeded order
+        rng = random.Random(seed)
+        pools = [
+            cover_pool(split_cover_c2(), nonsplit_cover_c2()),
+            cover_pool(split_cover_c3(), nonsplit_cover_c3()),
+        ]
+        pools = [[relabel_cover(c, rng) for c in pool] for pool in pools]
+        keys = list(want)
+        rng.shuffle(keys)
+        got = {
+            (k, i, j): (
+                dominates(pools[k][j], pools[k][i]),
+                isomorphic_fundamental(pools[k][i], pools[k][j]),
+            )
+            for k, i, j in keys
+        }
+        assert got == want
+
+
+def test_second_pass_makes_no_hom_solve(monkeypatch):
+    def one_pass():
+        for tau in POOL_C2:
+            for tau_prime in POOL_C2:
+                dominates(tau_prime, tau)
+                isomorphic_fundamental(tau, tau_prime)
+
+    one_pass()
+    solves = []
+    real = gm._hom_basis
+    monkeypatch.setattr(gm, "_hom_basis", lambda *a: solves.append(a) or real(*a))
+    one_pass()
+    assert solves == []
+
+
+def test_supports_are_carried_between_isomorphic_modules():
+    # the pools' modules are 1-dimensional, so every isomorphic pair has
+    # one key and nothing is moved; here H^2 is 2-dimensional over F4, so
+    # a support read in a module with another basis has other coordinates
+    g = build_group(
+        [(1, 2, 0, 3, 4, 5), (1, 0, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)], name="A4xC2"
+    )
+    involutions = [x for x in range(g.order) if g.element_order(x) <= 2]
+    _, to_c3 = quotient(g, Subgroup(g, closure_of(g, involutions)))
+    plane = inflate_module(to_c3, GModule(to_c3.target, 2, f4_over_c3().action))
+    t = np.array([[1, 1], [0, 1]])  # its own inverse over F2
+    other = GModule(g, 2, tuple(t @ m @ t % 2 for m in plane.action))
+    spaces = [cohom_space(g, plane), cohom_space(g, other)]
+    assert spaces[0].f_dim == 2
+    assert _module_class(g, plane) == (0, None)
+    assert _module_class(g, other)[0] == 0
+    covers = []
+    for module, space in zip((plane, other), spaces):
+        for coords in product(range(2), repeat=space.dim_p):
+            # the F4-line of coords: its F2-span with its scalar multiple
+            line = np.array([coords, space.scalar_matrix @ coords % 2])
+            _check_canonical(g, module, line)
+        # moving the lines of (1,0,0,1) and (0,1,1,0) between the two
+        # modules swaps them; the other lines keep their coordinates
+        for coords in ([0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 1, 1, 0]):
+            rep = CohomClass(space, np.array(coords)).representative()
+            covers.append(extension_from_cocycle(rep).cover)
+    for tau in covers:
+        for tau_prime in covers:
+            dom = dominates(tau_prime, tau)
+            assert dom == (find_epimorphism_over(tau, tau_prime) is not None)
+            assert dom == oracles.dominates_by_matching(tau_prime, tau)
+
+
+@pytest.mark.parametrize(
+    "split,nonsplit,factors",
+    [(split_cover_c2, nonsplit_cover_c2, 4), (split_cover_c3, nonsplit_cover_c3, 3)],
+    ids=["base-C2-4", "base-C3"],
+)
+def test_pool_base_holds_one_representative_per_class(split, nonsplit, factors):
+    # a fresh pool, so that its base registry holds only the pool's classes
+    pool = cover_pool(split(), nonsplit(), max_factors=factors)
+    base = pool[0].target
+    for pi in pool:
+        invariants(pi)
+    reps = base._classes
+    # pairwise non-isomorphic, and every class of the pool maps onto one
+    for a, b in product(range(len(reps)), repeat=2):
+        assert (oracles.module_iso(reps[a], reps[b]) is not None) == (a == b)
+    modules = [cls.module for pi in pool for cls in invariants(pi).ab_classes]
+    indices = [_module_class(base, m)[0] for m in modules]
+    assert sorted(set(indices)) == list(range(len(reps)))
+    for m, i in zip(modules, indices):
+        assert oracles.module_iso(m, reps[i]) is not None
+    assert len(reps) == 1  # the trivial module is the one class over C2, C3
+
+
+def test_nonabelian_classes_are_matched_once_per_base(monkeypatch):
+    one = trivial_group()
+    t_a5, t_c2 = terminal_cover(alt5()), terminal_cover(C2)
+    rng = random.Random(5)
+    # relabeled carriers, so that their A5 quotients come with other tables
+    covers = [
+        relabel_cover(fiber_product(one, factors).structure_map, rng)
+        for factors in ([t_a5], [t_a5, t_c2], [t_c2, t_a5], [t_c2])
+    ]
+
+    # the module, which ``from covercalc import fundament`` would not give
+    fu = importlib.import_module("covercalc.fundament")
+    searches = []
+    real = fu.find_isomorphism_over
+    monkeypatch.setattr(
+        fu, "find_isomorphism_over", lambda *a: searches.append(a) or real(*a)
+    )
+    for tau in covers:
+        for tau_prime in covers:
+            dom = dominates(tau_prime, tau)
+            iso = isomorphic_fundamental(tau, tau_prime)
+            assert dom == (find_epimorphism_over(tau, tau_prime) is not None)
+            assert iso == (find_isomorphism_over(tau, tau_prime) is not None)
+            assert dom == oracles.dominates_by_matching(tau_prime, tau)
+    # A5 x C2 and C2 x A5 are isomorphic over the point, so dominate each other
+    assert isomorphic_fundamental(covers[1], covers[2])
+    assert dominates(covers[0], covers[1]) and not dominates(covers[1], covers[0])
+    # three carriers give three A5 quotient tables: one search for each
+    # after the first, which became the representative, and none per pair
+    assert len(searches) == 2
+    assert len(one._classes) == 2
+    searches.clear()
+    for tau in covers:
+        for tau_prime in covers:
+            dominates(tau_prime, tau)
+    assert searches == []
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +645,21 @@ def test_lift_decision_agrees_with_search(make):
             decided = exists_semicartesian_lift(pi, tau, tau_prime)
             searched = lift_oracle(pi, tau, tau_prime)
             assert decided == searched, (tau, tau_prime)
+
+
+@pytest.mark.parametrize(
+    "make", [m for _, m in LIFT_SETTINGS], ids=[i for i, _ in LIFT_SETTINGS]
+)
+def test_lift_agrees_with_per_pair_matching(make):
+    pi, taus, tau_primes = make()
+    for tau in taus:
+        for tau_prime in tau_primes:
+            assert exists_semicartesian_lift(
+                pi, tau, tau_prime
+            ) == oracles.lift_by_matching(pi, tau, tau_prime), (tau, tau_prime)
+    for tau_prime in tau_primes:
+        for cls in invariants(tau_prime).ab_classes:
+            _check_canonical(pi.source, *oracles.lifted_support(pi, cls))
 
 
 def _nonfund_over_c2():

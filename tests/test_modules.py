@@ -239,6 +239,17 @@ def test_sums_are_not_simple():
     assert not is_simple_module(direct_sum_module(F4MOD, 2))
 
 
+def test_simplicity_is_memoized_on_the_module(monkeypatch):
+    fresh = GModule(F4MOD.group, F4MOD.p, F4MOD.action)
+    for module, want in ((fresh, True), (direct_sum_module(F4MOD, 2), False)):
+        assert module._simple is None
+        assert is_simple_module(module) is want
+        assert module._simple is want
+        # a second sweep over the vectors would call this and fail
+        monkeypatch.setattr(module, "index_to_vector", None)
+        assert is_simple_module(module) is want
+
+
 @pytest.mark.parametrize(
     "module,order", list(zip(SIMPLES, [2, 3, 4])), ids=SIMPLE_IDS
 )
