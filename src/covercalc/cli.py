@@ -100,7 +100,7 @@ class Workspace:
                 raise UsageError(f"bad cyclic group order in {name!r}")
             if n > self.limits.order_cap:
                 raise UsageError(f"{name} exceeds --max-order {self.limits.order_cap}")
-            g = cyclic_group(n, name=name)
+            g = cyclic_group(n, name=name, limits=self.limits)
         elif name in _BUILTIN_PERMS:
             g = build_group(_BUILTIN_PERMS[name], name=name, limits=self.limits)
         else:

@@ -81,7 +81,6 @@ class FiniteGroup:
         name: str = "G",
         generators: tuple[int, ...] = (),
         generator_labels: tuple[str, ...] = (),
-        element_perms: tuple[tuple[int, ...], ...] | None = None,
     ) -> None:
         mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int32))
         n = mul.shape[0]
@@ -99,7 +98,6 @@ class FiniteGroup:
         self.name = name
         self.generators = tuple(int(g) for g in generators)
         self.generator_labels = tuple(generator_labels)
-        self.element_perms = element_perms
         self._orders: np.ndarray | None = None
         self._normals: dict[int, tuple[Subgroup, ...]] = {}  # by bound mask
         self._spaces: dict[bytes, object] = {}  # cohom_space memo, by module key
@@ -542,7 +540,9 @@ def trivial_group() -> FiniteGroup:
     return FiniteGroup(np.zeros((1, 1), dtype=np.int32), name="1")
 
 
-def cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
+def cyclic_group(
+    n: int, name: str | None = None, limits: BuildLimits = DEFAULT_LIMITS
+) -> FiniteGroup:
     if n < 1:
         raise Incompatible("cyclic group needs n >= 1")
     if n == 1:
@@ -550,7 +550,7 @@ def cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
         g.name = name or "1"
         return g
     perm = tuple(list(range(1, n)) + [0])
-    return build_group([perm], labels=("g",), name=name or f"C{n}")
+    return build_group([perm], labels=("g",), name=name or f"C{n}", limits=limits)
 
 
 def terminal_cover(group: FiniteGroup) -> Cover:
@@ -662,21 +662,59 @@ def build_group(
                 index[nxt] = len(elems)
                 elems.append(nxt)
                 queue.append(nxt)
-    n = len(elems)
-    mul = np.empty((n, n), dtype=np.int32)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            mul[i, j] = index[_compose_perm(a, b)]
     if labels is None:
         labels = tuple(f"g{i}" for i in range(len(gens)))
     gen_idx = tuple(index[g] for g in gens)
+    stacked = np.array(elems, dtype=np.int32)
+    del elems, index  # free the tuples before the table is filled
     return FiniteGroup(
-        mul,
+        _table_through_base(stacked),
         name=name,
         generators=gen_idx,
         generator_labels=tuple(labels),
-        element_perms=tuple(elems),
     )
+
+
+def _table_through_base(perms: np.ndarray) -> np.ndarray:
+    """The multiplication table of the permutations ``perms`` (one per row).
+
+    Each element is keyed by its images of a base, i.e. points whose
+    pointwise stabilizer is trivial (Holt–Eick–O'Brien, *Handbook of
+    Computational Group Theory*, §4.4). Points are taken in order and kept
+    while they split the elements further. The tuples of base images are
+    numbered by prefix ranks: ``steps[j]`` maps (rank on the first j base
+    points, image of point j) to the rank on the first j + 1, so every key
+    stays below ``n * degree``. Row i is then one gather: the base images
+    of ``perms[i] * perms[b]`` for every b are ``perms[b, perms[i, base]]``.
+    """
+    n, degree = perms.shape
+    base: list[int] = []
+    steps: list[np.ndarray] = []
+    rank = np.zeros(n, dtype=np.intp)
+    count = 1
+    for point in range(degree):
+        if count == n:
+            break
+        key = rank * degree + perms[:, point]
+        seen = np.zeros(count * degree, dtype=bool)
+        seen[key] = True
+        grown = int(np.count_nonzero(seen))
+        if grown > count:
+            step = np.cumsum(seen) - 1
+            base.append(point)
+            steps.append(step)
+            rank, count = step[key], grown
+    element = np.empty(n, dtype=np.int32)  # rank on the whole base -> index
+    element[rank] = np.arange(n, dtype=np.int32)
+    base_images = perms[:, base]
+    mul = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        images = perms[:, base_images[i]]
+        rank = 0
+        for step, image in zip(steps, images.T):
+            rank = step[rank * degree + image]
+        mul[i] = element[rank]
+    return mul
 
 
 # ---------------------------------------------------------------------------

@@ -21,40 +21,49 @@ from covercalc import (
 from covercalc.groups import closure_of
 
 
+# permutation generators of the non-cyclic catalog groups
+GROUP_PERMS: dict[str, list[tuple[int, ...]]] = {
+    "V4": [(1, 0, 3, 2), (2, 3, 0, 1)],
+    "S3": [(1, 2, 0), (1, 0, 2)],
+    "S4": [(1, 2, 3, 0), (1, 0, 2, 3)],
+    "A4": [(1, 2, 0, 3), (1, 0, 3, 2)],
+    "A5": [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)],
+    "D4": [(1, 2, 3, 0), (1, 0, 3, 2)],
+    "Q8": [(2, 3, 1, 0, 7, 6, 4, 5), (4, 5, 6, 7, 1, 0, 3, 2)],
+    "C3xC3": [(1, 2, 0, 4, 5, 3, 7, 8, 6), (3, 4, 5, 6, 7, 8, 0, 1, 2)],
+}
+
+
 def klein_four():
-    return build_group([(1, 0, 3, 2), (2, 3, 0, 1)], name="V4")
+    return build_group(GROUP_PERMS["V4"], name="V4")
 
 
 def sym3():
-    return build_group([(1, 2, 0), (1, 0, 2)], name="S3")
+    return build_group(GROUP_PERMS["S3"], name="S3")
 
 
 def sym4():
-    return build_group([(1, 2, 3, 0), (1, 0, 2, 3)], name="S4")
+    return build_group(GROUP_PERMS["S4"], name="S4")
 
 
 def alt4():
-    return build_group([(1, 2, 0, 3), (1, 0, 3, 2)], name="A4")
+    return build_group(GROUP_PERMS["A4"], name="A4")
 
 
 def alt5():
-    return build_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], name="A5")
+    return build_group(GROUP_PERMS["A5"], name="A5")
 
 
 def dihedral4():
-    return build_group([(1, 2, 3, 0), (1, 0, 3, 2)], name="D4")
+    return build_group(GROUP_PERMS["D4"], name="D4")
 
 
 def quaternion8():
-    return build_group(
-        [(2, 3, 1, 0, 7, 6, 4, 5), (4, 5, 6, 7, 1, 0, 3, 2)], name="Q8"
-    )
+    return build_group(GROUP_PERMS["Q8"], name="Q8")
 
 
 def c3_squared():
-    return build_group(
-        [(1, 2, 0, 4, 5, 3, 7, 8, 6), (3, 4, 5, 6, 7, 8, 0, 1, 2)], name="C3xC3"
-    )
+    return build_group(GROUP_PERMS["C3xC3"], name="C3xC3")
 
 
 SMALL_GROUPS = {

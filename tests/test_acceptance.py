@@ -614,3 +614,14 @@ def test_accept_command_performance():
         f"all {len(invocations)} commands on inputs of order <= 64, worst "
         f"{worst:.2f}s < 10s",
     )
+
+
+def test_accept_series_c1024():
+    # a regular action of degree 1024: the table build must not be cubic
+    ws = Workspace()
+    t0 = time.perf_counter()
+    _, doc = run_command(ws, "series", ["C1024->1"])
+    elapsed = time.perf_counter() - t0
+    assert doc["sizes"] == [1024 >> k for k in range(11)]
+    assert elapsed < 10.0
+    report("series-c1024", f"series C1024->1 in {elapsed:.2f}s < 10s")

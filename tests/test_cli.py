@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covercalc import FiniteGroup, GroupHom, fiber_product, same_group
+from covercalc import BuildLimits, FiniteGroup, GroupHom, fiber_product, same_group
 from covercalc.cli import (
     Workspace,
     main,
@@ -428,6 +428,12 @@ def test_main_max_order_cap(capsys):
     rc2 = main(["-f", INTRO, "--max-order", "7", "fprod", "eta1", "eta1"])
     assert rc2 == 1  # carrier would have order 8
     assert "exceeds cap 7" in capsys.readouterr().err
+
+
+def test_max_order_reaches_cyclic_builtins():
+    # above the default cap of 5000, so only the workspace's own limits admit it
+    ws = Workspace(BuildLimits(order_cap=5001))
+    assert ws.group("C5001").order == 5001
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from catalog import (
+    GROUP_PERMS,
     SMALL_GROUPS,
     alt5,
     cover_pool,
@@ -40,6 +43,7 @@ from covercalc import (
     terminal_cover,
     trivial_group,
 )
+from covercalc.cli import _BUILTIN_PERMS
 from covercalc.errors import Incompatible, NotNormal, OrderCapExceeded
 from covercalc.groups import (
     closure_of,
@@ -87,6 +91,87 @@ def test_known_orders():
 def test_order_cap_enforced():
     with pytest.raises(OrderCapExceeded):
         build_group([(1, 2, 3, 0), (1, 0, 2, 3)], limits=BuildLimits(order_cap=10))
+
+
+def assert_table_matches_oracle(gens):
+    """``build_group(gens)`` has the oracle's BFS table and generator indices."""
+    group = build_group(gens)
+    degree = max((len(p) for p in gens), default=1)
+    padded = [tuple(p) + tuple(range(len(p), degree)) for p in gens]
+    table, elems = oracles.table_from_perms(padded or [(0,)])
+    assert raw_table(group) == table
+    assert group.generators == tuple(elems.index(p) for p in padded)
+
+
+def _cycle(n):
+    return tuple(range(1, n)) + (0,)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTIN_PERMS))
+def test_builtin_tables_match_oracle(name):
+    assert_table_matches_oracle(_BUILTIN_PERMS[name])
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_PERMS))
+def test_catalog_tables_match_oracle(name):
+    assert_table_matches_oracle(GROUP_PERMS[name])
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_cyclic_tables_match_oracle(n):
+    group = cyclic_group(n)
+    table, _ = oracles.table_from_perms([_cycle(n)])
+    assert raw_table(group) == table
+    assert group.generators == (() if n == 1 else (1,))  # C1 is trivial_group()
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        # intransitive, with fixed points 2 and 6: C2 x C3
+        [(1, 0, 2, 3, 4, 5, 6), (0, 1, 2, 4, 5, 3, 6)],
+        # fixed point 0 and one orbit of length 3 moved by S3
+        [(0, 2, 3, 1), (0, 2, 1, 3)],
+        # short generators padded with fixed points to degree 5
+        [(1, 0), (0, 1, 3, 4, 2)],
+        [(1, 2, 0), (1, 0, 2, 3)],
+        # repeated and identity generators
+        [(1, 2, 0, 3), (1, 2, 0, 3), (0, 1, 2, 3), (1, 0, 2, 3)],
+        [(0, 1, 2)],
+        [],
+    ],
+    ids=["intransitive", "fixed-point-0", "pad-2-5", "pad-3-4", "repeated", "identity", "empty"],
+)
+def test_edge_case_tables_match_oracle(gens):
+    assert_table_matches_oracle(gens)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_tables_match_oracle(seed):
+    # degree <= 6: degree 7 can reach S7, above the default order cap
+    rng = random.Random(seed)
+    degree = rng.randint(2, 6)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        perm = list(range(rng.randint(2, degree)))
+        rng.shuffle(perm)
+        gens.append(tuple(perm))
+    assert_table_matches_oracle(gens)
+
+
+@pytest.mark.parametrize(
+    "gens,n", [(GROUP_PERMS["S4"], 24), ([_cycle(64)], 64)], ids=["S4", "C64"]
+)
+def test_order_cap_boundary(gens, n):
+    with pytest.raises(OrderCapExceeded):
+        build_group(gens, limits=BuildLimits(order_cap=n - 1))
+    assert build_group(gens, limits=BuildLimits(order_cap=n)).order == n
+
+
+def test_cyclic_group_obeys_limits():
+    with pytest.raises(OrderCapExceeded):
+        cyclic_group(64, limits=BuildLimits(order_cap=63))
+    assert cyclic_group(64, limits=BuildLimits(order_cap=64)).order == 64
 
 
 def test_element_orders_match_oracle():
