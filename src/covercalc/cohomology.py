@@ -16,6 +16,7 @@ from .errors import (
     Incompatible,
     KernelNotAbelian,
     Mismatch,
+    NotAGenerated,
     NotCocycle,
     NotIsomorphism,
     NotSimple,
@@ -34,12 +35,14 @@ from .groups import (
 from .gmodules import (
     EndoField,
     GModule,
+    KernelCoords,
     ModuleHom,
+    _generates,
+    _module_and_coords,
     direct_sum_module,
     endo_field,
+    hom_space,
     is_simple_module,
-    kernel_coordinates,
-    module_from_cover,
 )
 from .linalg import (
     independent_rows,
@@ -355,11 +358,14 @@ def cover_cochain(pi: Cover) -> TwoCochain:
     """The cocycle of a cover with abelian kernel, via the least-index
     section; coefficients in the conjugation module on the kernel."""
     ker = pi.kernel()
-    src = pi.source
-    if not _commute(src, ker.elements, ker.elements):
+    if not _commute(pi.source, ker.elements, ker.elements):
         raise KernelNotAbelian("cover kernel is not abelian")
-    mod = module_from_cover(pi, ker)
-    coords = kernel_coordinates(ker)
+    return _cover_cochain(pi, *_module_and_coords(pi, ker))
+
+
+def _cover_cochain(pi: Cover, mod: GModule, coords: KernelCoords) -> TwoCochain:
+    """``cover_cochain`` in the kernel module and coordinates given."""
+    src = pi.source
     # f(s, t) is the kernel part of u_s u_t against u_st, u the least section
     section = _least_section(pi)
     h = src.mul[np.ix_(section, section)]
@@ -469,17 +475,14 @@ class DualPairS:
 
 
 def x2(pi: Cover, target: GModule) -> DualPairS:
-    """The dual pair of a cover whose kernel is target-generated."""
-    from .gmodules import hom_space, is_A_generated
-    from .errors import NotAGenerated
-
-    ker = pi.kernel()
-    kmod = module_from_cover(pi, ker)
-    if not is_A_generated(kmod, target):
-        raise NotAGenerated("cover kernel is not generated by the module")
+    """The dual pair of a cover whose kernel is target-generated. The
+    kernel module, its coordinates and Hom_G(K, A) are built once."""
+    kmod, coords = _module_and_coords(pi, pi.kernel())
     dual = hom_space(kmod, target)
+    if kmod.dim and not _generates(dual):
+        raise NotAGenerated("cover kernel is not generated by the module")
     space = cohom_space(pi.target, target)
-    raw = cover_cochain(pi)
+    raw = _cover_cochain(pi, kmod, coords)
     cols = []
     for phi in dual.fp_basis:
         pushed = push_cochain(raw, phi, target)

@@ -10,6 +10,13 @@ isomorphism over G by multiplicities of non-abelian kernel classes and,
 per simple-module class A, a multiplicity and a support subspace of
 H^2(G, A).
 
+The maximal H-normal subgroups N of a solvable kernel K are read off the
+F_p-modules M_p = K/[K,K]K^p, one per prime p dividing |K/[K,K]|: they
+are the preimages of the maximal submodules (``maximal_normal_in``), and
+each comes with the small action matrices of its top K/N, by which
+``invariants`` groups them into classes before building any quotient.
+Only a kernel that is not solvable lists its normal-subgroup lattice.
+
 Classes belong to the base, not to a pair of covers: each base group
 keeps a registry of them (``_class_index``), so a class is matched, and a
 support carried into its representative's H^2 coordinates, once per base.
@@ -35,16 +42,18 @@ from .groups import (
     GroupHom,
     Subgroup,
     _commute,
+    _maximal_tops,
     _product_set,
     compose,
     find_isomorphism_over,
+    generating_set,
     identity_cover,
     is_indecomposable,
     maximal_normal_in,
     quotient,
     same_group,
 )
-from .gmodules import _module_iso
+from .gmodules import _intertwiners, _module_iso
 from .linalg import row_echelon_mod_p, row_space_le
 
 __all__ = [
@@ -187,42 +196,55 @@ class CoverInvariants:
 def invariants(pi: Cover) -> CoverInvariants:
     """Classification invariants of a fundamental cover.
 
-    Enumerates the indecomposable quotient covers H/N ->> G for N ranging
-    over the maximal H-normal subgroups of Ker(pi), groups them by kernel
-    type, and per simple-module class computes (support, multiplicity)
+    The indecomposable quotient covers H/N ->> G, for N ranging over the
+    maximal H-normal subgroups of Ker(pi), are grouped by kernel type,
+    and per simple-module class (support, multiplicity) is computed
     through the dual pair of the joint quotient.
+
+    A solvable kernel K of a fundamental cover is abelian, and every K/N
+    comes with its action matrices from ``maximal_normal_in``'s module
+    route, so the N are grouped by comparing those small matrices. Only
+    the least N of each class, and the joint quotient by the
+    intersection of its class, are built as quotient groups; the least
+    N's module is the one registered for the class, as when every N was
+    built. A kernel that is not solvable builds H/N for each N, as its
+    N come from the normal-subgroup lattice with no module attached.
 
     Memoized on the cover (``pi._invariants``) once ``pi`` is known to be
     fundamental; the ``supp`` arrays are read-only, as is ``pi.image``.
     """
+    if pi._invariants is not None:
+        return pi._invariants
     from . import cohomology as ch
     from . import gmodules as gm
 
-    if pi._invariants is not None:
-        return pi._invariants
     if not is_fundamental(pi):
         raise NotFundamental("invariants need a fundamental cover")
     src = pi.source
-    ker = pi.kernel()
     na: dict[int, list] = {}  # class index -> [representative cover, count]
-    ab: dict[int, list] = {}  # class index -> [representative module, [N list]]
-    for sub in maximal_normal_in(src, ker):
-        _, q = quotient(src, sub)
-        cov = _cover_through(pi, q)
-        kq = cov.kernel()
-        if _commute(cov.source, kq.elements, kq.elements):
+    ab: list[list] = []  # [least N, its top (p, mats), mask of the class's N]
+    for sub, top in _maximal_tops(src, pi.kernel()):
+        if top is None:
+            cov = _cover_through(pi, quotient(src, sub)[1])
+            kq = cov.kernel()
+            if not _commute(cov.source, kq.elements, kq.elements):
+                na.setdefault(_cover_class(pi.target, cov), [cov, 0])[1] += 1
+                continue
             module = gm.module_from_cover(cov, kq)
-            index = _module_class(pi.target, module)[0]
-            ab.setdefault(index, [module, []])[1].append(sub)
+            top = (module.p, np.stack([module.action[pi.image[h]] for h in generating_set(src)]))
+        for cls in ab:
+            if _same_top(top, cls[1]):
+                cls[2] &= sub.mask
+                break
         else:
-            na.setdefault(_cover_class(pi.target, cov), [cov, 0])[1] += 1
+            ab.append([sub, top, sub.mask])
     ab_classes = []
-    for module, subs in ab.values():
-        common = set(range(src.order))
-        for sub in subs:
-            common &= set(sub.elements)
-        _, q = quotient(src, Subgroup(src, tuple(sorted(common))))
-        joint = _cover_through(pi, q)
+    for least, _, common in ab:
+        cov = _cover_through(pi, quotient(src, least)[1])
+        module = gm.module_from_cover(cov, cov.kernel())
+        _module_class(pi.target, module)
+        inside = tuple(x for x in pi.kernel().elements if common >> x & 1)
+        joint = _cover_through(pi, quotient(src, Subgroup(src, inside))[1])
         pair = ch.x2(joint, module)
         supp = pair.image_rows()
         supp.flags.writeable = False
@@ -240,6 +262,16 @@ def invariants(pi: Cover) -> CoverInvariants:
         ab_classes=tuple(ab_classes),
     )
     return pi._invariants
+
+
+def _same_top(a: tuple, b: tuple) -> bool:
+    """Whether two simple tops (p, matrices of the same generators) are
+    isomorphic modules: equal matrices, or by Schur any nonzero
+    intertwiner."""
+    (p, ma), (q, mb) = a, b
+    if p != q or ma.shape != mb.shape:
+        return False
+    return np.array_equal(ma, mb) or len(_intertwiners(ma, mb, p)) > 0
 
 
 def _class_index(base: FiniteGroup, key: bytes, item, match) -> tuple[int, object]:
@@ -278,10 +310,11 @@ def _module_class(base: FiniteGroup, module) -> tuple[int, object]:
     return _class_index(base, b"A" + module.structural_key(), module, _module_iso)
 
 
-def _support_class(base: FiniteGroup, module, rows: np.ndarray) -> tuple[int, np.ndarray]:
-    """The class index of ``module`` and the F-subspace spanned by
-    ``rows`` (coordinates in H^2(base, module)), carried into the
-    representative's H^2 coordinates and reduced to RREF, read-only.
+def _support_class(base: FiniteGroup, module, rows: np.ndarray) -> tuple[int, np.ndarray, int]:
+    """The class index of ``module``, the F-subspace spanned by ``rows``
+    (coordinates in H^2(base, module)) carried into the representative's
+    H^2 coordinates and reduced to RREF, read-only, and the id of that
+    canonical support, interned per base (equal ids, equal supports).
 
     Schur makes the isomorphisms onto the representative the nonzero
     F-multiples of one another, so the subspace does not depend on which
@@ -305,7 +338,9 @@ def _support_class(base: FiniteGroup, module, rows: np.ndarray) -> tuple[int, np
             rows = rows.reshape(len(moved), dst.dim_p)
         canonical, _ = row_echelon_mod_p(rows, module.p)
         canonical.flags.writeable = False
-        hit = base._supports[key] = (index, canonical)
+        ids = base._support_ids
+        sid = ids.setdefault((index, canonical.shape, canonical.tobytes()), len(ids))
+        hit = base._supports[key] = (index, canonical, sid)
     return hit
 
 
@@ -316,24 +351,38 @@ def _check_comparable(tau_prime: Cover, tau: Cover) -> None:
         raise NotFundamental("comparison needs fundamental covers")
 
 
-def _indexed(base: FiniteGroup, inv: CoverInvariants) -> tuple[dict, dict]:
-    """The classes of ``inv`` by their index in ``base``'s registry: the
-    multiplicity of each non-abelian class, and the multiplicity and
-    canonical support of each simple-module class."""
-    na = {_cover_class(base, c.cover): c.mult for c in inv.na_classes}
-    ab = {}
-    for c in inv.ab_classes:
-        index, supp = _support_class(base, c.module, c.supp)
-        ab[index] = (c.mult, supp)
-    return na, ab
+def _indexed(base: FiniteGroup, pi: Cover) -> tuple[dict, dict]:
+    """The classes of ``invariants(pi)`` by their index in ``base``'s
+    registry: the multiplicity of each non-abelian class, and the
+    multiplicity, canonical support and support id of each simple-module
+    class. Memoized on the cover for the base object last used
+    (``pi._indexed``): the registry only grows, so the indices hold."""
+    if pi._indexed is None or pi._indexed[0] is not base:
+        inv = invariants(pi)
+        na = {_cover_class(base, c.cover): c.mult for c in inv.na_classes}
+        ab = {}
+        for c in inv.ab_classes:
+            index, supp, sid = _support_class(base, c.module, c.supp)
+            ab[index] = (c.mult, supp, sid)
+        pi._indexed = (base, (na, ab))
+    return pi._indexed[1]
 
 
-def _bounded(base: FiniteGroup, index: int, mult: int, supp, ab: dict) -> bool:
+def _bounded(base: FiniteGroup, index: int, mult: int, supp, sid: int, ab: dict) -> bool:
     """Whether class ``index`` of ``ab`` has multiplicity at least
-    ``mult`` and a support containing ``supp`` (an absent class has
-    multiplicity 0 and support 0)."""
-    have, span = ab.get(index, (0, supp[:0]))
-    return mult <= have and row_space_le(supp, span, base._classes[index].p)
+    ``mult`` and a support containing ``supp`` (id ``sid``); an absent
+    class has multiplicity 0 and support 0. Containment is memoized on
+    the base by class index and support ids (``base._contained``)."""
+    if index not in ab:
+        return mult <= 0 and not len(supp)
+    have, span, span_id = ab[index]
+    if mult > have:
+        return False
+    key = (index, sid, span_id)
+    hit = base._contained.get(key)
+    if hit is None:
+        hit = base._contained[key] = row_space_le(supp, span, base._classes[index].p)
+    return hit
 
 
 def dominates(tau_prime: Cover, tau: Cover) -> bool:
@@ -349,10 +398,10 @@ def dominates(tau_prime: Cover, tau: Cover) -> bool:
     """
     _check_comparable(tau_prime, tau)
     base = tau.target
-    na, ab = _indexed(base, invariants(tau))
-    na_p, ab_p = _indexed(base, invariants(tau_prime))
+    na, ab = _indexed(base, tau)
+    na_p, ab_p = _indexed(base, tau_prime)
     return all(m <= na.get(i, 0) for i, m in na_p.items()) and all(
-        _bounded(base, i, m, supp, ab) for i, (m, supp) in ab_p.items()
+        _bounded(base, i, m, supp, sid, ab) for i, (m, supp, sid) in ab_p.items()
     )
 
 
@@ -428,7 +477,7 @@ def exists_semicartesian_lift(pi: Cover, tau: Cover, tau_prime: Cover) -> bool:
     if not is_fundamental(tau) or not is_fundamental(tau_prime):
         raise NotFundamental("lifting criterion needs fundamental covers")
     big = pi.source
-    na, ab = _indexed(big, invariants(tau))
+    na, ab = _indexed(big, tau)
     inv_p = invariants(tau_prime)
     for cls in inv_p.na_classes:
         pulled = fiber_product(pi.target, [pi, cls.cover]).projections[0]
@@ -451,8 +500,8 @@ def exists_semicartesian_lift(pi: Cover, tau: Cover, tau_prime: Cover) -> bool:
         k = cls.endo_field.k
         supp_f_dim = len(cls.supp) // k
         nullity = supp_f_dim - space_up.f_rank(lifted_rows)
-        index, supp = _support_class(big, module_up, lifted_rows)
-        if not _bounded(big, index, nullity + cls.mult, supp, ab):
+        index, supp, sid = _support_class(big, module_up, lifted_rows)
+        if not _bounded(big, index, nullity + cls.mult, supp, sid, ab):
             return False
     return True
 

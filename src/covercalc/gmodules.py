@@ -79,6 +79,7 @@ class GModule:
         self.dim = int(self.action[0].shape[0]) if self.action else 0
         self._endo = None  # endo_field memo
         self._simple: bool | None = None  # is_simple_module memo
+        self._key: bytes | None = None  # structural_key memo
         if len(self.action) != group.order:
             raise Incompatible("need one action matrix per group element")
         if check and self.dim:
@@ -111,12 +112,15 @@ class GModule:
         return out
 
     def structural_key(self) -> bytes:
-        """Exact key: the sizes first, then the table and every matrix."""
-        return (
-            np.array([self.group.order, self.p, self.dim], dtype=np.int64).tobytes()
-            + self.group.mul.tobytes()
-            + b"".join(m.astype(np.int64).tobytes() for m in self.action)
-        )
+        """Exact key: the sizes first, then the table and every matrix.
+        Memoized on the module (``module._key``)."""
+        if self._key is None:
+            self._key = (
+                np.array([self.group.order, self.p, self.dim], dtype=np.int64).tobytes()
+                + self.group.mul.tobytes()
+                + b"".join(m.astype(np.int64).tobytes() for m in self.action)
+            )
+        return self._key
 
     def __repr__(self) -> str:
         return f"GModule(F{self.p}^{self.dim} over {self.group.name})"
@@ -226,6 +230,11 @@ def module_from_cover(pi: Cover, sub: Subgroup) -> GModule:
     ``sub`` must be normal in the source, elementary abelian, and central
     in Ker(pi) (so that conjugation is independent of the preimage choice).
     """
+    return _module_and_coords(pi, sub)[0]
+
+
+def _module_and_coords(pi: Cover, sub: Subgroup) -> tuple[GModule, KernelCoords]:
+    """``module_from_cover`` with the coordinates it was read in."""
     src = pi.source
     if not same_group(sub.parent, src):
         raise Incompatible("subgroup lives in a different group")
@@ -243,7 +252,7 @@ def module_from_cover(pi: Cover, sub: Subgroup) -> GModule:
     basis = np.asarray(coords.basis_elements, dtype=np.intp)
     conj = src.mul[src.mul[section[:, None], basis], src.inv[section][:, None]]
     mats = coords.vector_table()[conj].transpose(0, 2, 1) % coords.p
-    return GModule(base, coords.p, tuple(mats), check=True)
+    return GModule(base, coords.p, tuple(mats), check=True), coords
 
 
 def trivial_module(group: FiniteGroup, p: int, dim: int = 1) -> GModule:
@@ -301,17 +310,25 @@ class EndoField:
 
 
 def _hom_basis(module: GModule, target: GModule) -> np.ndarray:
-    """F_p basis of Hom_G(K, A), one flattened (dA x dK, row-major) X per row.
-
-    The nullspace of X·a_K(g) = a_A(g)·X for g in the generating set (the
-    identity alone for a trivial group): row (g, i, j) holds the
-    coefficients of entry (i, j) of X·a_K(g) - a_A(g)·X, built for all
-    generators by one einsum over the stacked matrices.
-    """
-    p, dk, da = module.p, module.dim, target.dim
+    """F_p basis of Hom_G(K, A), one flattened (dA x dK, row-major) X per row,
+    from the matrices of the generating set (the identity alone for a
+    trivial group)."""
     gens = list(generating_set(module.group) or (0,))
     ak = np.stack([module.action[g] for g in gens])
     aa = np.stack([target.action[g] for g in gens])
+    return _intertwiners(ak, aa, module.p)
+
+
+def _intertwiners(ak: np.ndarray, aa: np.ndarray, p: int) -> np.ndarray:
+    """F_p basis of the X with X·ak[g] = aa[g]·X for every g, one
+    flattened (dA x dK, row-major) X per row, where ``ak`` and ``aa``
+    stack the matrices of the same generators on two modules.
+
+    The nullspace of the system whose row (g, i, j) holds the
+    coefficients of entry (i, j) of X·ak[g] - aa[g]·X, built for all
+    generators by one einsum over the stacked matrices.
+    """
+    dk, da = ak.shape[-1], aa.shape[-1]
     system = np.einsum("ab,gdc->gacbd", np.eye(da, dtype=np.int64), ak) - np.einsum(
         "gab,cd->gacbd", aa, np.eye(dk, dtype=np.int64)
     )
@@ -467,13 +484,14 @@ def homs_vanishing_on(dual: DualSpace, vectors: np.ndarray) -> list[np.ndarray]:
 
 def is_A_generated(module: GModule, target: GModule) -> bool:
     """True iff the elements of Hom_G(K, A) have zero common kernel."""
-    if module.dim == 0:
-        return True
-    dual = hom_space(module, target)
+    return module.dim == 0 or _generates(hom_space(module, target))
+
+
+def _generates(dual: DualSpace) -> bool:
+    """Whether the maps of ``dual`` have zero common kernel."""
     if not dual.fp_basis:
-        return False
-    stacked = np.vstack(dual.fp_basis)
-    return rank_mod_p(stacked, module.p) == module.dim
+        return dual.module.dim == 0
+    return rank_mod_p(np.vstack(dual.fp_basis), dual.module.p) == dual.module.dim
 
 
 def decompose_isotypic(module: GModule, target: GModule) -> ModuleHom:

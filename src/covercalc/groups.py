@@ -23,6 +23,7 @@ from .errors import (
     NotNormal,
     OrderCapExceeded,
 )
+from .linalg import minimal_stable_subspaces
 
 __all__ = [
     "BuildLimits",
@@ -100,6 +101,7 @@ class FiniteGroup:
         self.generator_labels = tuple(generator_labels)
         self._orders: np.ndarray | None = None
         self._normals: dict[int, tuple[Subgroup, ...]] = {}  # by bound mask
+        self._maximals: dict[int, tuple] = {}  # _maximal_tops, by bound mask
         self._spaces: dict[bytes, object] = {}  # cohom_space memo, by module key
         # the class registry (fundament._class_index): one representative
         # per class of simple modules and of covers with non-abelian kernel
@@ -107,8 +109,12 @@ class FiniteGroup:
         # exact key -> (class index, map onto the representative or None)
         self._class_of: dict[bytes, tuple[int, object]] = {}
         # (module key, shape, bytes) of a support -> (class index, the
-        # support in the representative's H^2 coordinates, RREF, read-only)
-        self._supports: dict[tuple, tuple[int, np.ndarray]] = {}
+        # support in the representative's H^2 coordinates, RREF, read-only,
+        # its id in _support_ids)
+        self._supports: dict[tuple, tuple[int, np.ndarray, int]] = {}
+        self._support_ids: dict[tuple, int] = {}  # (index, shape, bytes) -> id
+        # (class index, support id, span id) -> containment (fundament._bounded)
+        self._contained: dict[tuple[int, int, int], bool] = {}
         self._gen_cache: tuple[int, ...] | None = None
 
     # -- basic structure ----------------------------------------------------
@@ -223,15 +229,23 @@ def closure_of(group: FiniteGroup, seed: tuple[int, ...] | list[int]) -> tuple[i
     new generator the known elements are closed again, so the cost is
     O(|H|·|gens|) lookups.
     """
+    return tuple(sorted(_closure(group, seed)[0]))
+
+
+def _closure(group: FiniteGroup, seed) -> tuple[list[int], list[int]]:
+    """``closure_of``'s orbit in discovery order, with the seed elements
+    that became its generators."""
     mul = group.mul
     reached = bytearray(group.order)
     reached[0] = 1
     elems = [0]
+    gens: list[int] = []
     cols: list[list[int]] = []
     for s in seed:
         s = int(s)
         if reached[s]:
             continue
+        gens.append(s)
         cols.append(mul[:, s].tolist())
         old = len(elems)  # these are closed under the earlier columns already
         i = 0
@@ -243,7 +257,7 @@ def closure_of(group: FiniteGroup, seed: tuple[int, ...] | list[int]) -> tuple[i
                     reached[y] = 1
                     elems.append(y)
             i += 1
-    return tuple(sorted(elems))
+    return elems, gens
 
 
 def subgroup_from_elements(group: FiniteGroup, elements) -> Subgroup:
@@ -373,18 +387,139 @@ def normal_subgroups_inside(group: FiniteGroup, bound: Subgroup) -> tuple[Subgro
 def maximal_normal_in(group: FiniteGroup, bound: Subgroup) -> tuple[Subgroup, ...]:
     """Maximal elements of {N normal in group : N strictly inside bound}.
 
-    Empty exactly when ``bound`` is trivial.
+    Empty exactly when ``bound`` is trivial. Canonically sorted by
+    (order, element tuple) and memoized on the group per bound.
+
+    For a solvable bound K every K/N is a chief factor, elementary
+    abelian of some prime order p, so N contains Φ_p = [K,K]K^p and
+    N/Φ_p is a maximal submodule of M_p = K/Φ_p, on which the group acts
+    by conjugation (Holt–Eick–O'Brien, *Handbook of Computational Group
+    Theory*, ch. 7; Cannon–Holt, J. Symbolic Comput. 24, 1997). So the N
+    are read off one F_p-module per prime p dividing |K/[K,K]|, with no
+    subgroup lattice: see ``_maximal_tops``. Only a bound that is not
+    solvable goes through ``normal_subgroups_inside``.
     """
-    inside = [
-        s for s in normal_subgroups_inside(group, bound) if s.mask != bound.mask
-    ]
-    return tuple(
-        s
-        for s in inside
-        if not any(
-            s.mask != t.mask and s.mask & ~t.mask == 0 for t in inside
-        )
-    )
+    return tuple(sub for sub, _ in _maximal_tops(group, bound))
+
+
+def _maximal_tops(group: FiniteGroup, bound: Subgroup) -> tuple:
+    """The N of ``maximal_normal_in``, each paired with its top K/N as an
+    F_p-module: ``(p, mats)``, where ``mats[i]`` is the matrix of
+    ``generating_set(group)[i]`` acting by conjugation on K/N; the top
+    is None for a bound that is not solvable. Memoized on the group
+    (``group._maximals``, keyed by ``bound.mask``); a non-normal bound
+    is never stored."""
+    if not same_group(bound.parent, group):
+        raise Incompatible("subgroup belongs to a different group")
+    found = group._maximals.get(bound.mask)
+    if found is None:
+        if not bound.is_normal():
+            raise NotNormal("bound subgroup is not normal")
+        found = _tops_from_modules(group, bound)
+        if found is None:
+            inside = [
+                s for s in normal_subgroups_inside(group, bound) if s.mask != bound.mask
+            ]
+            found = tuple(
+                (s, None)
+                for s in inside
+                if not any(s.mask != t.mask and s.mask & ~t.mask == 0 for t in inside)
+            )
+        group._maximals[bound.mask] = found
+    return found
+
+
+def _tops_from_modules(group: FiniteGroup, bound: Subgroup) -> tuple | None:
+    """``_maximal_tops`` of a solvable bound K, or None when K is not
+    solvable.
+
+    Per prime p, M_p = K/Φ_p gets coordinates through one quotient, and
+    ``mats`` holds the conjugation matrices A_h of the group's
+    generators. A maximal submodule of M_p is the annihilator of a
+    simple submodule W of the dual, i.e. rows w with w·A_h in W, so
+    N_W = {k in K : W·v(k) = 0}, and K/N_W in the coordinates W·v is
+    acted on by the C_h with W·A_h = C_h·W.
+    """
+    from .gmodules import kernel_coordinates  # gmodules imports this module
+
+    derived = _derived_if_solvable(group, bound.elements)
+    if derived is None:
+        return None
+    k_gens, lower, lower_gens = derived
+    kel = np.asarray(bound.elements, dtype=np.intp)
+    h = np.asarray(generating_set(group), dtype=np.intp)
+    tops = []
+    for p in _prime_divisors(bound.order // len(lower)):
+        phi = closure_of(group, lower_gens + [_power(group, g, p) for g in k_gens])
+        if len(phi) == 1:
+            bar, rho = group, np.arange(group.order)
+        else:
+            bar, cov = quotient(group, Subgroup(group, phi))
+            rho = cov.image
+        coords = kernel_coordinates(Subgroup(bar, tuple(_distinct(rho[kel], bar.order).tolist())))
+        table = coords.vector_table()
+        vectors = table[rho[kel]]
+        # column j of A_h is the vector of h·b_j·h^-1
+        hb = rho[h][:, None]
+        basis = np.asarray(coords.basis_elements, dtype=np.intp)
+        mats = table[bar.mul[bar.mul[hb, basis], bar.inv[hb]]].transpose(0, 2, 1)
+        for w in minimal_stable_subspaces(mats, p):
+            inside = ~(vectors @ w.T % p).any(axis=1)
+            pivots = np.argmax(w != 0, axis=1)  # w is in RREF
+            action = (w @ mats % p)[:, :, pivots]
+            tops.append((Subgroup(group, tuple(kel[inside].tolist())), (p, action)))
+    tops.sort(key=lambda top: (top[0].order, top[0].elements))
+    return tuple(tops)
+
+
+def _derived_if_solvable(group: FiniteGroup, elements) -> tuple | None:
+    """(generators of K, elements of [K,K], generators of [K,K]) for the
+    subgroup K with these elements, or None when K is not solvable.
+
+    K is abelian when its generators commute; otherwise the derived
+    series is walked down to 1, or to a perfect subgroup. The
+    commutators [a, y] = a^-1·y^-1·a·y of the generators a with every y
+    generate the derived subgroup: they contain [a, b] for generators
+    a, b, and [a, y]^z = [a, z]^-1·[a, yz] keeps them closed under
+    conjugation.
+    """
+    mul, inv = group.mul, group.inv
+    elems, gens = _closure(group, elements)
+    k_gens, first = gens, None
+    while not _commute(group, gens, gens):
+        a = np.asarray(gens, dtype=np.intp)[:, None]
+        y = np.asarray(elems, dtype=np.intp)
+        comm = mul[mul[inv[a], inv[y]], mul[a, y]]
+        lower, lower_gens = _closure(group, _distinct(comm, group.order))
+        if len(lower) == len(elems):
+            return None
+        first = first or (lower, lower_gens)
+        elems, gens = lower, lower_gens
+    lower, lower_gens = first or ([0], [])
+    return k_gens, lower, lower_gens
+
+
+def _power(group: FiniteGroup, x: int, e: int) -> int:
+    """x^e, by repeated squaring."""
+    out = 0
+    while e:
+        if e & 1:
+            out = int(group.mul[out, x])
+        x = int(group.mul[x, x])
+        e >>= 1
+    return out
+
+
+def _prime_divisors(n: int) -> list[int]:
+    """The primes dividing n, ascending."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + [n] if n > 1 else out
 
 
 def is_minimal_normal(group: FiniteGroup, sub: Subgroup) -> bool:
@@ -509,6 +644,7 @@ class Cover(GroupHom):
         self._kernel = super().kernel()
         self._invariants = None  # fundament.invariants memo
         self._fundament = None  # fundament.fundament_kernel memo
+        self._indexed = None  # (base, fundament._indexed of it) memo
 
     def kernel(self) -> Subgroup:
         return self._kernel

@@ -10,6 +10,8 @@ rows are all read off its reduced row echelon form.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 __all__ = [
@@ -19,6 +21,7 @@ __all__ = [
     "nullspace_mod_p",
     "row_space_le",
     "independent_rows",
+    "minimal_stable_subspaces",
 ]
 
 
@@ -117,3 +120,49 @@ def independent_rows(mat: np.ndarray, p: int) -> list[int]:
     if M.ndim != 2:
         M = M.reshape(1, -1)
     return row_echelon_mod_p(M.T, p)[1]
+
+
+def _spin(vec: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
+    """RREF basis of the least subspace containing ``vec`` and stable
+    under right multiplication by every matrix of the stack ``mats``."""
+    reduced, pivots = row_echelon_mod_p(vec, p)
+    todo = reduced
+    while len(todo):
+        images = (todo @ mats).reshape(-1, reduced.shape[1]) % p
+        # what the span misses: an RREF row basis has its pivots at 1 and
+        # zeros in the other pivot columns
+        residue = (images - images[:, pivots] @ reduced) % p
+        todo = residue[residue.any(axis=1)]
+        if len(todo):
+            reduced, pivots = row_echelon_mod_p(np.vstack([reduced, todo]), p)
+            todo, _ = row_echelon_mod_p(todo, p)
+    return reduced
+
+
+def minimal_stable_subspaces(mats: np.ndarray, p: int) -> list[np.ndarray]:
+    """RREF bases of the minimal nonzero subspaces of the row space
+    F_p^d that are stable under right multiplication by every matrix of
+    the stack ``mats`` (shape (k, d, d)): the simple submodules.
+
+    Each one is the spin of any of its nonzero vectors, so they are the
+    minimal spins of the (p^d - 1)/(p - 1) projective points
+    (Holt–Eick–O'Brien, *Handbook of Computational Group Theory*, ch. 7,
+    the spinning algorithm of the MeatAxe). Spins are taken by rising
+    dimension, and one is kept unless it contains a smaller kept one.
+    Ordered by dimension, then by first projective point.
+    """
+    mats = np.asarray(mats, dtype=np.int64) % p
+    d = mats.shape[-1]
+    spins: dict[bytes, np.ndarray] = {}
+    for lead in range(d):
+        for tail in product(range(p), repeat=d - 1 - lead):
+            point = np.zeros(d, dtype=np.int64)
+            point[lead] = 1
+            point[lead + 1:] = tail
+            span = _spin(point, mats, p)
+            spins.setdefault(span.tobytes(), span)  # d is fixed: bytes fix the rows
+    kept: list[np.ndarray] = []
+    for span in sorted(spins.values(), key=len):
+        if not any(len(w) < len(span) and row_space_le(w, span, p) for w in kept):
+            kept.append(span)
+    return kept

@@ -228,20 +228,34 @@ def normal_closure(table, xs):
 
 
 def normal_subgroups_inside(table, m):
-    """All normal subgroups of the whole group contained in the set m."""
-    blocks = {normal_closure(table, [x]) for x in m if x != 0}
-    blocks = {b for b in blocks if b <= m}
-    found = {frozenset({0})} | set(blocks)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(found):
-            for b in list(blocks):
-                j = normal_closure(table, a | b)
+    """All normal subgroups of the whole group contained in the set m.
+
+    The blocks are the subgroups generated by one conjugacy class of an
+    element of m (its normal closure), closed under joins. Each subgroup
+    keeps the conjugates it was generated by: a join of normal subgroups
+    is the subgroup generated by their generators together.
+    """
+    n = len(table)
+    inv = [inverse_of(table, g) for g in range(n)]
+    blocks = {}
+    for x in m:
+        if x != 0:
+            gens = tuple(sorted({table[table[g][x]][inv[g]] for g in range(n)}))
+            blocks.setdefault(generated_set(table, gens), gens)
+    blocks = {b: gens for b, gens in blocks.items() if b <= m}
+    found = {frozenset({0}): (), **blocks}
+    frontier = dict(blocks)
+    while frontier:
+        new = {}
+        for a, gens in frontier.items():
+            for b, more in blocks.items():
+                if b <= a:
+                    continue
+                j = generated_set(table, gens + more)
                 if j <= m and j not in found:
-                    found.add(j)
-                    changed = True
-    return found
+                    found[j] = new[j] = gens + more
+        frontier = new
+    return set(found)
 
 
 def maximal_normal_inside(table, m):

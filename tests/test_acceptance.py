@@ -29,6 +29,7 @@ from catalog import (
     nonsplit_cover_c2,
     nonsplit_cover_c3,
     relabel,
+    relabel_cover,
     split_cover_c2,
     split_cover_c3,
 )
@@ -334,6 +335,33 @@ def test_accept_decision_vs_search_order_243():
     )
 
 
+def test_accept_decisions_order_729():
+    # the order-729 carriers of the C3 pool with up to 5 factors: their
+    # maximal normal subgroups come from one module per prime, where the
+    # normal-subgroup lattice of the kernel took seconds per cover
+    t0 = time.perf_counter()
+    pool = cover_pool(split_cover_c3(), nonsplit_cover_c3(), max_factors=5)
+    combos = [()] + [
+        c for size in range(1, 6) for c in itertools.combinations_with_replacement((0, 1), size)
+    ]
+    cover = dict(zip(combos, pool))
+    split4, split5, mixed = cover[(0,) * 4], cover[(0,) * 5], cover[(0, 0, 1, 1, 1)]
+    assert [c.source.order for c in (split4, split5, mixed)] == [243, 729, 729]
+    assert dominates(split4, split5)
+    assert not dominates(split5, split4)
+    assert not dominates(mixed, split5)
+    twin = relabel_cover(mixed, random.Random(729))
+    assert isomorphic_fundamental(mixed, twin)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 60.0
+    report(
+        "decisions-729",
+        f"split^4 is dominated by split^5 and not conversely, split^2.nonsplit^3 "
+        f"is not dominated by split^5, and a relabeled carrier is isomorphic, over "
+        f"C3 at order 729 ({elapsed:.2f}s < 60s)",
+    )
+
+
 def test_accept_search_from_order_243():
     # once a cost cliff: one such search took minutes when the extension
     # step multiplied every pair of mapped elements
@@ -625,3 +653,15 @@ def test_accept_series_c1024():
     assert doc["sizes"] == [1024 >> k for k in range(11)]
     assert elapsed < 10.0
     report("series-c1024", f"series C1024->1 in {elapsed:.2f}s < 10s")
+
+
+def test_accept_series_c2048():
+    # each stage's maximal normal subgroups come from K/K^2, not from the
+    # 2048 class closures of the lattice
+    ws = Workspace()
+    t0 = time.perf_counter()
+    _, doc = run_command(ws, "series", ["C2048->1"])
+    elapsed = time.perf_counter() - t0
+    assert doc["sizes"] == [2048 >> k for k in range(12)]
+    assert elapsed < 10.0
+    report("series-c2048", f"series C2048->1 in {elapsed:.2f}s < 10s")

@@ -556,6 +556,25 @@ def test_pair_requires_generated_kernel():
         x2(sign_cover(), trivial_module(C2, 3, 1))
 
 
+def test_pair_builds_the_kernel_module_once(monkeypatch):
+    import covercalc.cohomology as ch
+    import covercalc.gmodules as gm
+
+    eta0, eta1 = split_cover_c2(), nonsplit_cover_c2()
+    pi = fiber_product(eta0.target, [eta0, eta1, eta1]).structure_map
+    want = x2(pi, F2TRIV_C2)
+    calls = []
+    for module, name in ((ch, "_module_and_coords"), (gm, "_module_and_coords"),
+                         (gm, "kernel_coordinates"), (gm, "_hom_basis")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    pair = x2(pi, F2TRIV_C2)
+    assert sorted(calls) == ["_hom_basis", "_module_and_coords", "kernel_coordinates"]
+    assert np.array_equal(pair.s_matrix, want.s_matrix)
+
+
 def test_pair_image_rows_lie_in_h2():
     eta1 = nonsplit_cover_c2()
     pair = x2(eta1, F2TRIV_C2)

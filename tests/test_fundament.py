@@ -28,6 +28,7 @@ from catalog import (
     generated_subgroup,
     nonsplit_cover_c2,
     nonsplit_cover_c3,
+    relabel,
     relabel_cover,
     sign_cover,
     split_cover_c2,
@@ -71,9 +72,11 @@ from covercalc.errors import (
     NotFundamentalStage,
 )
 from covercalc import gmodules as gm
+from covercalc import groups as groups_module
+from covercalc.cli import Workspace, run_command
 from covercalc.fundament import _cover_class, _module_class, _support_class
 from covercalc.cohomology import inflate_module
-from covercalc.groups import closure_of, normal_subgroups_inside
+from covercalc.groups import closure_of, maximal_normal_in, normal_subgroups_inside
 
 ETA0 = split_cover_c2()
 ETA1 = nonsplit_cover_c2()
@@ -179,6 +182,73 @@ def test_kernel_lattices_of_the_pools_match_oracle():
         assert set(got) == {tuple(sorted(s)) for s in want}
         assert len(got) == len(want)
         assert got == sorted(got, key=lambda e: (len(e), e))
+
+
+def _lattice_route_is_off(monkeypatch):
+    """Make the normal-subgroup lattice raise, so that a test shows what
+    does not reach it."""
+
+    def refuse(*args):
+        raise AssertionError("the normal-subgroup lattice was built")
+
+    monkeypatch.setattr(groups_module, "_join_lattice", refuse)
+
+
+def _check_maximals(group, bound, table):
+    """``maximal_normal_in`` and the fundament kernel under ``bound``
+    against the oracles, in (order, elements) order."""
+    got = [s.elements for s in maximal_normal_in(group, bound)]
+    want = oracles.maximal_normal_inside(table, frozenset(bound.elements))
+    assert got == sorted((tuple(sorted(s)) for s in want), key=lambda e: (len(e), e))
+    pi = quotient(group, bound)[1]
+    assert set(fundament_kernel(pi).elements) == oracles.fundament_kernel_set(
+        table, frozenset(bound.elements)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS) + ["A5"])
+def test_maximal_normal_in_every_bound_matches_oracle(name):
+    group = alt5() if name == "A5" else SMALL_GROUPS[name]()
+    rng = random.Random(len(name))
+    for g in (group, relabel(group, rng)):
+        table = tuple(tuple(row) for row in g.mul.tolist())
+        for bound in normal_subgroups_inside(g, g.full_subgroup()):
+            _check_maximals(g, bound, table)
+
+
+def test_maximal_normal_in_pool_kernels_match_oracle(monkeypatch):
+    # every pool kernel is solvable: none of them reaches the lattice
+    _lattice_route_is_off(monkeypatch)
+    pools = cover_pool(ETA0, ETA1, max_factors=4) + cover_pool(
+        split_cover_c3(), nonsplit_cover_c3(), max_factors=4
+    )
+    assert max(pi.source.order for pi in pools) == 243
+    rng = random.Random(11)
+    for pi in pools:
+        for cov in (pi, relabel_cover(pi, rng)):
+            table = tuple(tuple(row) for row in cov.source.mul.tolist())
+            _check_maximals(cov.source, cov.kernel(), table)
+
+
+def test_decisions_and_series_do_not_build_the_lattice(monkeypatch):
+    _lattice_route_is_off(monkeypatch)
+    pools = [
+        cover_pool(split_cover_c2(), nonsplit_cover_c2()),
+        cover_pool(split_cover_c3(), nonsplit_cover_c3()),
+    ]
+    for pool in pools:
+        for tau, tau_prime in product(pool, repeat=2):
+            assert dominates(tau_prime, tau) == (
+                find_epimorphism_over(tau, tau_prime) is not None
+            )
+            assert isomorphic_fundamental(tau, tau_prime) == (
+                find_isomorphism_over(tau, tau_prime) is not None
+            )
+    _, doc = run_command(Workspace(), "series", ["C64->1"])
+    assert doc["sizes"] == [64, 32, 16, 8, 4, 2, 1]
+    # a kernel that is not solvable still takes the lattice
+    with pytest.raises(AssertionError, match="lattice"):
+        fundament_kernel(terminal_cover(alt5()))
 
 
 def test_fundament_splits_off():
@@ -348,7 +418,7 @@ def test_comparison_validates_inputs():
 def _check_canonical(base, module, rows):
     """The registry's canonical support of ``rows`` is the RREF of what
     the oracle transports onto the class representative."""
-    index, canon = _support_class(base, module, rows)
+    index, canon, _ = _support_class(base, module, rows)
     rep = base._classes[index]
     iso = oracles.module_iso(module, rep)
     assert iso is not None
@@ -434,6 +504,52 @@ def test_second_pass_makes_no_hom_solve(monkeypatch):
     monkeypatch.setattr(gm, "_hom_basis", lambda *a: solves.append(a) or real(*a))
     one_pass()
     assert solves == []
+
+
+def test_tops_of_one_prime_and_dimension_fall_into_their_classes():
+    # over S3, F3 with trivial and with sign action: two simple classes of
+    # the same prime and dimension, told apart by their action matrices
+    sc = sign_cover()
+    s3 = sc.source
+    sign = GModule(s3, 3, tuple(np.array([[2 if sc.image[g] else 1]]) for g in range(6)))
+    split = []
+    for module in (trivial_module(s3, 3), sign):
+        zero = CohomClass(cohom_space(s3, module), np.zeros(cohom_space(s3, module).dim_p))
+        split.append(extension_from_cocycle(zero.representative()).cover)
+    covers = split + [
+        fiber_product(s3, [split[a], split[b]]).structure_map
+        for a, b in ((0, 1), (0, 0), (1, 1), (1, 0))
+    ]
+    inv = invariants(covers[2])
+    assert sorted(c.mult for c in inv.ab_classes) == [1, 1]
+    assert [c.mult for c in invariants(covers[3]).ab_classes] == [2]
+    for tau, tau_prime in product(covers, repeat=2):
+        dom = dominates(tau_prime, tau)
+        assert dom == (find_epimorphism_over(tau, tau_prime) is not None)
+        assert isomorphic_fundamental(tau, tau_prime) == (
+            find_isomorphism_over(tau, tau_prime) is not None
+        )
+        assert dom == oracles.dominates_by_matching(tau_prime, tau)
+
+
+def test_second_pass_is_lookups(monkeypatch):
+    # a warm decision reads each cover's indexed classes and each
+    # containment from their memos
+    fu = importlib.import_module("covercalc.fundament")
+
+    def one_pass():
+        return [
+            (dominates(tau_prime, tau), isomorphic_fundamental(tau, tau_prime))
+            for tau, tau_prime in product(POOL_C3, repeat=2)
+        ]
+
+    want = one_pass()
+    calls = []
+    for name in ("invariants", "_support_class", "row_space_le"):
+        real = getattr(fu, name)
+        monkeypatch.setattr(fu, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    assert one_pass() == want
+    assert calls == []
 
 
 def test_supports_are_carried_between_isomorphic_modules():

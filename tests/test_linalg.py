@@ -8,6 +8,8 @@ per query.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from covercalc.errors import NotCocycle
 from covercalc.gmodules import f_independent_subset
 from covercalc.linalg import (
     independent_rows,
+    minimal_stable_subspaces,
     nullspace_mod_p,
     rank_mod_p,
     row_echelon_mod_p,
@@ -56,6 +59,64 @@ def random_matrices(p, seed):
         mixed = np.vstack([np.zeros((1, 7), dtype=np.int64), low[:3], low[:3], 2 * low[1:2] % p])
         mats.append(rng.permutation(mixed))
     return mats
+
+
+def stable_subspaces_by_spanning(mats, p):
+    """Every nonzero subspace of the row space F_p^d stable under right
+    multiplication by each matrix: all subspaces, grown one spanning
+    vector at a time from the lines, kept when stable (RREF bytes ->
+    RREF)."""
+    d = mats.shape[-1]
+    vectors = [np.array(v) for v in product(range(p), repeat=d) if any(v)]
+    level = {}
+    for v in vectors:
+        rows, _ = oracles.rref_mod_p(v[None], p)
+        level[rows.tobytes()] = rows
+    spaces = dict(level)
+    while level:
+        grown = {}
+        for rows in level.values():
+            for v in vectors:
+                more, _ = oracles.rref_mod_p(np.vstack([rows, v]), p)
+                if len(more) > len(rows):
+                    grown[more.tobytes()] = more
+        spaces.update(grown)
+        level = grown
+    return {
+        key: rows
+        for key, rows in spaces.items()
+        if all(
+            len(oracles.rref_mod_p(np.vstack([rows, rows @ m % p]), p)[0]) == len(rows)
+            for m in mats
+        )
+    }
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+def test_minimal_stable_subspaces_match_spanning(p, d):
+    rng = np.random.default_rng(p * 10 + d)
+    cycle = np.roll(np.eye(d, dtype=np.int64), 1, axis=1)
+    cases = [
+        np.eye(d, dtype=np.int64)[None],  # every line is stable
+        np.zeros((1, d, d), dtype=np.int64),
+        cycle[None],
+        np.stack([cycle, np.diag(rng.integers(1, p, size=d))]),
+    ] + [rng.integers(0, p, size=(k, d, d)) for k in (1, 2, 2, 3)]
+    for mats in cases:
+        stable = stable_subspaces_by_spanning(mats, p)
+        want = {
+            key: rows
+            for key, rows in stable.items()
+            if not any(
+                len(other) < len(rows)
+                and len(oracles.rref_mod_p(np.vstack([rows, other]), p)[0]) == len(rows)
+                for other in stable.values()
+            )
+        }
+        got = minimal_stable_subspaces(mats, p)
+        assert {w.tobytes() for w in got} == set(want)
+        assert len(got) == len(want)
+        assert [len(w) for w in got] == sorted(len(w) for w in got)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -250,6 +250,15 @@ def test_simplicity_is_memoized_on_the_module(monkeypatch):
         assert is_simple_module(module) is want
 
 
+def test_structural_key_is_memoized_on_the_module():
+    fresh = GModule(F4MOD.group, F4MOD.p, F4MOD.action)
+    assert fresh._key is None
+    key = fresh.structural_key()
+    assert fresh.structural_key() is key
+    assert key == GModule(F4MOD.group, F4MOD.p, F4MOD.action).structural_key()
+    assert key != direct_sum_module(F4MOD, 2).structural_key()
+
+
 @pytest.mark.parametrize(
     "module,order", list(zip(SIMPLES, [2, 3, 4])), ids=SIMPLE_IDS
 )
