@@ -370,7 +370,7 @@ def _cover_cochain(pi: Cover, mod: GModule, coords: KernelCoords) -> TwoCochain:
     section = _least_section(pi)
     h = src.mul[np.ix_(section, section)]
     k = src.mul[h, src.inv[section[pi.image[h]]]]
-    return TwoCochain(pi.target, mod, coords.vector_table()[k])
+    return TwoCochain(pi.target, mod, coords.vectors[k])
 
 
 def cocycle_from_extension(pi: Cover, ident: ModuleHom) -> CohomClass:
@@ -408,19 +408,13 @@ def are_congruent(c1: CohomClass, c2: CohomClass) -> bool:
 
 
 def are_isomorphic_extensions(c1: CohomClass, c2: CohomClass) -> bool:
-    """True iff the classes agree up to a nonzero scalar of F = End_G(A)."""
+    """True iff the classes agree up to a nonzero scalar of F = End_G(A):
+    both are zero, or both are nonzero and span one F-line."""
     if c1.space is not c2.space and c1.space.structural_key() != c2.space.structural_key():
         raise SpaceMismatch("classes live in different cohomology spaces")
-    space = c1.space
-    v = c1.coords % space.p
-    target = c2.coords % space.p
-    q = space.endo_field.order
-    cur = v.copy()
-    for _ in range(max(q - 1, 1)):
-        if np.array_equal(cur, target):
-            return True
-        cur = space.scalar_matrix @ cur % space.p if space.dim_p else cur
-    return bool(np.array_equal(v, target))
+    if c1.is_zero() or c2.is_zero():
+        return c1.is_zero() and c2.is_zero()
+    return c1.space.f_rank(np.vstack([c1.coords, c2.coords])) == 1
 
 
 def inflate_module(pi: Cover, module: GModule) -> GModule:

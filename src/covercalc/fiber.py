@@ -392,13 +392,9 @@ def align_normal_to_axes(
             continue
         sub_fp, proj = restrict(fp, indices)
         ext = sub_fp.structure_map  # cover with elementary abelian kernel
-        module = gm.module_from_cover(ext, ext.kernel())
-        coords = gm.kernel_coordinates(ext.kernel())
+        module, coords = gm._module_and_coords(ext, ext.kernel())
         hom_all = gm.hom_space(module, block.module)
-        comp_elems = [int(proj.image[x]) for x in block.component.elements]
-        l_vectors = np.array(
-            [coords.to_vector[e] for e in comp_elems], dtype=np.int64
-        )
+        l_vectors = coords.vectors[proj.image[list(block.component.elements)]]
         vanish_on_l = gm.homs_vanishing_on(hom_all, l_vectors)
         m_basis = gm.complement_in(module, block.module, l_vectors)
         vanish_on_m = gm.homs_vanishing_on(hom_all, m_basis)
@@ -459,6 +455,6 @@ def _pushout_image(fp, proj, ext, coords, psi, module_a) -> np.ndarray:
     # the kernel part of h relative to the least-index section of ext,
     # matching the cocycle convention
     k = ext.source.mul[h, ext.source.inv[_least_section(ext)[g]]]
-    img = coords.vector_table()[k] @ np.asarray(psi, dtype=np.int64).T % module_a.p
+    img = coords.vectors[k] @ np.asarray(psi, dtype=np.int64).T % module_a.p
     a_idx = img @ module_a.p ** np.arange(module_a.dim, dtype=np.int64)
     return (a_idx * fp.base.order + g).astype(np.int32)

@@ -5,11 +5,17 @@ matrix per group element. Simple modules carry an endomorphism field
 F = End_G(A); Hom-spaces are F-vector spaces presented by F_p bases
 together with the scalar action, so a single GF(p) elimination core
 serves both F_p and F_q linear algebra.
+
+F is kept as its F_p basis and one algebra generator J, a matrix with
+F_p[J] = F; its elements are never listed. Every reader of F uses it
+only through F-spans, and the F-span of v is the F_p-span of
+v, Jv, ..., J^(k-1)v for any such J, so the choice of J changes no
+answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +41,11 @@ from .groups import (
 from .linalg import (
     independent_rows,
     nullspace_mod_p,
+    projective_points,
     rank_mod_p,
     row_echelon_mod_p,
     row_space_le,
+    spin,
 )
 
 __all__ = [
@@ -98,12 +106,6 @@ class GModule:
     def size(self) -> int:
         return self.p ** self.dim
 
-    def vector_to_index(self, vec) -> int:
-        idx = 0
-        for j in range(self.dim - 1, -1, -1):
-            idx = idx * self.p + int(vec[j]) % self.p
-        return idx
-
     def index_to_vector(self, idx: int) -> np.ndarray:
         out = np.empty(self.dim, dtype=np.int64)
         for j in range(self.dim):
@@ -162,21 +164,21 @@ class ModuleHom:
 
 @dataclass(frozen=True)
 class KernelCoords:
-    """F_p-coordinates on an elementary abelian subgroup."""
+    """F_p-coordinates on an elementary abelian subgroup.
+
+    ``vectors`` is read-only, one row per element of the parent group:
+    row e is the coordinate vector of e, zero outside the subgroup.
+    Element b_j of ``basis_elements`` has the j-th unit vector, and
+    multiplying elements adds their vectors."""
 
     subgroup: Subgroup
     p: int
     dim: int
     basis_elements: tuple[int, ...]
-    to_vector: dict[int, tuple[int, ...]] = field(repr=False)
-    from_vector: dict[tuple[int, ...], int] = field(repr=False)
+    vectors: np.ndarray
 
-    def vector_table(self) -> np.ndarray:
-        """Row e is the vector of element e of the parent group (zero
-        outside the subgroup)."""
-        out = np.zeros((self.subgroup.parent.order, self.dim), dtype=np.int64)
-        out[list(self.to_vector)] = list(self.to_vector.values())
-        return out
+    def __post_init__(self) -> None:
+        self.vectors.flags.writeable = False
 
 
 def kernel_coordinates(sub: Subgroup) -> KernelCoords:
@@ -188,7 +190,7 @@ def kernel_coordinates(sub: Subgroup) -> KernelCoords:
     group = sub.parent
     elems = sub.elements
     if len(elems) == 1:
-        return KernelCoords(sub, 2, 0, (), {0: ()}, {(): 0})
+        return KernelCoords(sub, 2, 0, (), np.zeros((group.order, 0), dtype=np.int64))
     if not _commute(group, elems, elems):
         raise NotElementaryAbelian("subgroup is not abelian")
     orders = {group.element_order(x) for x in elems if x != 0}
@@ -219,9 +221,9 @@ def kernel_coordinates(sub: Subgroup) -> KernelCoords:
     dim = len(basis)
     if p ** dim != len(elems):
         raise NotElementaryAbelian("order is not a prime power of the rank")
-    to_vec = {e: tuple(v) for e, v in to_vector.items()}
-    from_vec = {v: e for e, v in to_vec.items()}
-    return KernelCoords(sub, p, dim, tuple(basis), to_vec, from_vec)
+    vectors = np.zeros((group.order, dim), dtype=np.int64)
+    vectors[list(to_vector)] = list(to_vector.values())
+    return KernelCoords(sub, p, dim, tuple(basis), vectors)
 
 
 def module_from_cover(pi: Cover, sub: Subgroup) -> GModule:
@@ -251,7 +253,7 @@ def _module_and_coords(pi: Cover, sub: Subgroup) -> tuple[GModule, KernelCoords]
     # column j of the matrix for g is the vector of s·b_j·s^-1, s = section[g]
     basis = np.asarray(coords.basis_elements, dtype=np.intp)
     conj = src.mul[src.mul[section[:, None], basis], src.inv[section][:, None]]
-    mats = coords.vector_table()[conj].transpose(0, 2, 1) % coords.p
+    mats = coords.vectors[conj].transpose(0, 2, 1) % coords.p
     return GModule(base, coords.p, tuple(mats), check=True), coords
 
 
@@ -268,29 +270,36 @@ def direct_sum_module(module: GModule, n: int) -> GModule:
 
 
 def is_simple_module(module: GModule) -> bool:
-    """True iff nonzero and every nonzero vector generates the module.
+    """True iff nonzero and every nonzero vector generates the module:
+    its orbit under the group has rank d. A vector and its nonzero
+    multiples generate the same submodule, so one vector per line
+    (``projective_points``) is tested.
 
     Memoized on the module (``module._simple``)."""
     if module._simple is None:
         d, p = module.dim, module.p
-        vectors = map(module.index_to_vector, range(1, p ** d)) if d > 1 else ()
+        acts = np.stack(module.action)
         module._simple = d > 0 and all(
-            rank_mod_p(np.array([m @ v % p for m in module.action]), p) == d
-            for v in vectors
+            rank_mod_p(acts @ v % p, p) == d for v in projective_points(d, p)
         )
     return module._simple
 
 
 @dataclass(frozen=True)
 class EndoField:
-    """The endomorphism field F = End_G(A) of a simple module."""
+    """The endomorphism field F = End_G(A) of a simple module, of order
+    p^k: its F_p basis (``basis_endos``) and one algebra generator J
+    (``generator_matrix``), a matrix with F_p[J] = F.
+
+    J is the first nonzero F_p-combination of the basis, in mixed-radix
+    order of its coefficients (that of ``basis_endos[0]`` varying
+    fastest), whose powers I, J, ..., J^(k-1) are independent. Readers
+    use J only through F-spans, the F_p-spans of v, Jv, ..., J^(k-1)v,
+    and these are the same for every J with F_p[J] = F."""
 
     module: GModule
     basis_endos: tuple[np.ndarray, ...]
-    elements: tuple[np.ndarray, ...]  # all q matrices, sorted by bytes
-    add_table: np.ndarray
-    mul_table: np.ndarray
-    generator_index: int
+    generator_matrix: np.ndarray
 
     @property
     def p(self) -> int:
@@ -303,10 +312,6 @@ class EndoField:
     @property
     def order(self) -> int:
         return self.p ** self.k
-
-    @property
-    def generator_matrix(self) -> np.ndarray:
-        return self.elements[self.generator_index]
 
 
 def _hom_basis(module: GModule, target: GModule) -> np.ndarray:
@@ -336,65 +341,30 @@ def _intertwiners(ak: np.ndarray, aa: np.ndarray, p: int) -> np.ndarray:
 
 
 def endo_field(module: GModule) -> EndoField:
-    """Compute End_G(A) for a simple module, with deterministic labeling.
-
-    Elements are sorted by matrix bytes; the multiplicative generator is
-    the least element generating the unit group (the identity when q = 2,
-    whose unit group is trivial). Memoized on the module
-    (``module._endo``); the tables are read-only.
+    """End_G(A) of a simple module: the F_p basis of the Kronecker
+    system's nullspace and the generator J of ``EndoField``. Any J with
+    F_p[J] = F gives the same F-spans, so the same answers. Memoized on
+    the module (``module._endo``); J is read-only.
     """
     if module._endo is not None:
         return module._endo
     if not is_simple_module(module):
         raise NotSimple("endomorphism field needs a simple module")
     p, d = module.p, module.dim
-    basis_flat = _hom_basis(module, module)
-    basis = tuple(b.reshape(d, d) for b in basis_flat)
+    basis = _hom_basis(module, module)
     k = len(basis)
-    # enumerate all q elements as F_p-combinations of the basis
-    combos = [np.zeros((d, d), dtype=np.int64)]
-    for b in basis:
-        combos = [
-            (c + coef * b) % p for c in combos for coef in range(p)
-        ]
-    elements = tuple(sorted(combos, key=lambda m: m.tobytes()))
-    q = len(elements)
-    assert q == p ** k
-    # an element's coefficients are its entries at columns where the basis
-    # is the identity; their mixed-radix code gives its place in ``elements``
-    cols = [int(np.flatnonzero((basis_flat.T == e).all(axis=1))[0]) for e in np.eye(k)]
-    radix = p ** np.arange(k, dtype=np.int64)
-    stack = np.array(elements)
-    coords = stack.reshape(q, d * d)[:, cols]
-    place = np.empty(q, dtype=np.int64)
-    place[coords @ radix] = np.arange(q)
-    add = place[(coords[:, None] + coords[None]) % p @ radix]
-    at_row, at_col = np.divmod(cols, d)  # the product's entries at those columns
-    mul = place[np.einsum("ikb,jbk->ijk", stack[:, at_row], stack[:, :, at_col]) % p @ radix]
-    ident_idx = int(place[np.eye(d, dtype=np.int64).reshape(-1)[cols] @ radix])
-    generator = ident_idx
-    if q > 2:
-        for i, m in enumerate(elements):
-            if i == place[0] or i == ident_idx:
-                continue
-            # multiplicative order of element i
-            order, cur = 1, i
-            while cur != ident_idx:
-                cur = int(mul[cur, i])
-                order += 1
-                if order > q:
-                    break
-            if order == q - 1:
-                generator = i
-                break
-    add.flags.writeable = mul.flags.writeable = False
+    for code in range(1, p ** k):
+        J = (code // p ** np.arange(k) % p @ basis % p).reshape(d, d)
+        powers = [np.eye(d, dtype=np.int64)]
+        for _ in range(k - 1):
+            powers.append(powers[-1] @ J % p)
+        if rank_mod_p(np.reshape(powers, (k, -1)), p) == k:
+            break
+    J.flags.writeable = False
     module._endo = EndoField(
         module=module,
-        basis_endos=basis,
-        elements=elements,
-        add_table=add,
-        mul_table=mul,
-        generator_index=generator,
+        basis_endos=tuple(b.reshape(d, d) for b in basis),
+        generator_matrix=J,
     )
     return module._endo
 
@@ -522,14 +492,12 @@ def _is_invariant_subspace(module: GModule, rows: np.ndarray) -> bool:
 
 
 def submodule_generated(module: GModule, vec: np.ndarray) -> np.ndarray:
-    """RREF row basis of the submodule generated by one vector."""
-    p = module.p
-    orbit = np.array(
-        [m @ np.asarray(vec, dtype=np.int64) % p for m in module.action],
-        dtype=np.int64,
-    )
-    reduced, _ = row_echelon_mod_p(orbit, p)
-    return reduced
+    """RREF row basis of the submodule generated by one vector: its spin
+    under the matrices of the generating set (rows act by the
+    transposes), which is stable under the whole group."""
+    gens = generating_set(module.group) or (0,)
+    mats = np.stack([module.action[g].T for g in gens])
+    return spin(vec, mats, module.p)
 
 
 def restrict_to_subspace(module: GModule, rows: np.ndarray) -> GModule:

@@ -457,12 +457,11 @@ def _tops_from_modules(group: FiniteGroup, bound: Subgroup) -> tuple | None:
             bar, cov = quotient(group, Subgroup(group, phi))
             rho = cov.image
         coords = kernel_coordinates(Subgroup(bar, tuple(_distinct(rho[kel], bar.order).tolist())))
-        table = coords.vector_table()
-        vectors = table[rho[kel]]
+        vectors = coords.vectors[rho[kel]]
         # column j of A_h is the vector of h·b_j·h^-1
         hb = rho[h][:, None]
         basis = np.asarray(coords.basis_elements, dtype=np.intp)
-        mats = table[bar.mul[bar.mul[hb, basis], bar.inv[hb]]].transpose(0, 2, 1)
+        mats = coords.vectors[bar.mul[bar.mul[hb, basis], bar.inv[hb]]].transpose(0, 2, 1)
         for w in minimal_stable_subspaces(mats, p):
             inside = ~(vectors @ w.T % p).any(axis=1)
             pivots = np.argmax(w != 0, axis=1)  # w is in RREF
@@ -645,6 +644,7 @@ class Cover(GroupHom):
         self._invariants = None  # fundament.invariants memo
         self._fundament = None  # fundament.fundament_kernel memo
         self._indexed = None  # (base, fundament._indexed of it) memo
+        self._pulled: dict[int, int] = {}  # fundament._pulled_class memo
 
     def kernel(self) -> Subgroup:
         return self._kernel

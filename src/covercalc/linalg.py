@@ -10,6 +10,7 @@ rows are all read off its reduced row echelon form.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import product
 
 import numpy as np
@@ -21,6 +22,8 @@ __all__ = [
     "nullspace_mod_p",
     "row_space_le",
     "independent_rows",
+    "projective_points",
+    "spin",
     "minimal_stable_subspaces",
 ]
 
@@ -122,9 +125,24 @@ def independent_rows(mat: np.ndarray, p: int) -> list[int]:
     return row_echelon_mod_p(M.T, p)[1]
 
 
-def _spin(vec: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
+def projective_points(d: int, p: int) -> Iterator[np.ndarray]:
+    """One vector per line of F_p^d, the one whose first nonzero entry
+    is 1: the (p^d - 1)/(p - 1) vectors, by the position of that entry
+    and then by the entries after it in lexicographic order. A
+    generator, so that a caller may stop at the first point it needs."""
+    for lead in range(d):
+        for tail in product(range(p), repeat=d - 1 - lead):
+            point = np.zeros(d, dtype=np.int64)
+            point[lead] = 1
+            point[lead + 1:] = tail
+            yield point
+
+
+def spin(vec: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
     """RREF basis of the least subspace containing ``vec`` and stable
-    under right multiplication by every matrix of the stack ``mats``."""
+    under right multiplication by every matrix of the stack ``mats``
+    (Holt–Eick–O'Brien, *Handbook of Computational Group Theory*, ch. 7,
+    the spinning algorithm of the MeatAxe)."""
     reduced, pivots = row_echelon_mod_p(vec, p)
     todo = reduced
     while len(todo):
@@ -145,22 +163,15 @@ def minimal_stable_subspaces(mats: np.ndarray, p: int) -> list[np.ndarray]:
     the stack ``mats`` (shape (k, d, d)): the simple submodules.
 
     Each one is the spin of any of its nonzero vectors, so they are the
-    minimal spins of the (p^d - 1)/(p - 1) projective points
-    (Holt–Eick–O'Brien, *Handbook of Computational Group Theory*, ch. 7,
-    the spinning algorithm of the MeatAxe). Spins are taken by rising
-    dimension, and one is kept unless it contains a smaller kept one.
-    Ordered by dimension, then by first projective point.
+    minimal spins of the ``projective_points``. Spins are taken by
+    rising dimension, and one is kept unless it contains a smaller kept
+    one. Ordered by dimension, then by first projective point.
     """
     mats = np.asarray(mats, dtype=np.int64) % p
-    d = mats.shape[-1]
     spins: dict[bytes, np.ndarray] = {}
-    for lead in range(d):
-        for tail in product(range(p), repeat=d - 1 - lead):
-            point = np.zeros(d, dtype=np.int64)
-            point[lead] = 1
-            point[lead + 1:] = tail
-            span = _spin(point, mats, p)
-            spins.setdefault(span.tobytes(), span)  # d is fixed: bytes fix the rows
+    for point in projective_points(mats.shape[-1], p):
+        span = spin(point, mats, p)
+        spins.setdefault(span.tobytes(), span)  # d is fixed: bytes fix the rows
     kept: list[np.ndarray] = []
     for span in sorted(spins.values(), key=len):
         if not any(len(w) < len(span) and row_space_le(w, span, p) for w in kept):

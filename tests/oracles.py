@@ -533,6 +533,19 @@ def field_tables(elements, p):
     return add, mul
 
 
+def is_simple_by_sweep(module):
+    """Whether a module is simple, by sweeping all p^d - 1 nonzero
+    vectors of F_p^d: nonzero, and the orbit of each vector under every
+    group element spans the module."""
+    p, d = module.p, module.dim
+    for idx in range(1, p ** d):
+        v = np.array([idx // p ** j % p for j in range(d)], dtype=np.int64)
+        orbit = np.array([m @ v % p for m in module.action], dtype=np.int64)
+        if len(rref_mod_p(orbit, p)[1]) != d:
+            return False
+    return d > 0
+
+
 def hom_system_nullspace(source_gens, target_gens, p):
     """Basis of {X : X·a(g) = b(g)·X for every listed g}, X a dB x dA
     matrix flattened row-major, from the per-generator Kronecker system

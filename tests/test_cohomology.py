@@ -10,6 +10,7 @@ realization map y2 both ways.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -451,6 +452,44 @@ def test_isomorphic_extensions_orbit_under_scalars():
     for cls in (one, two):
         real = extension_from_cocycle(cls.representative())
         assert find_isomorphism_over(real.cover, nonsplit_cover_c3()) is not None
+
+
+def _scalar_orbits(space):
+    """Coordinates of every class pushed through every nonzero element of
+    F, the elements enumerated as combinations of the field's basis."""
+    p, module = space.p, space.module
+    field = space.endo_field
+    scalars = [
+        sum(int(c) * b for c, b in zip(coefs, field.basis_endos)) % p
+        for coefs in itertools.product(range(p), repeat=field.k)
+        if any(coefs)
+    ]
+    orbits = {}
+    for coords in itertools.product(range(p), repeat=space.dim_p):
+        rep = CohomClass(space, np.array(coords)).representative()
+        orbits[coords] = {
+            tuple(space.class_of(push_cochain(rep, s, module)).coords) for s in scalars
+        }
+    return orbits
+
+
+@pytest.mark.parametrize(
+    "make,dims",
+    [(a4_f4, (2, 2)), (lambda: trivial_module(SMALL_GROUPS["C3xC3"](), 3, 1), (3, 1))],
+    ids=["A4-F4", "C3xC3-F3"],
+)
+def test_isomorphic_extensions_match_scalar_pushes(make, dims):
+    """Two classes are isomorphic extensions iff pushing the first
+    through some nonzero scalar of F gives the second."""
+    module = make()
+    space = cohom_space(module.group, module)
+    assert (space.dim_p, space.endo_field.k) == dims
+    orbits = _scalar_orbits(space)
+    for a, b in itertools.product(orbits, repeat=2):
+        got = are_isomorphic_extensions(
+            CohomClass(space, np.array(a)), CohomClass(space, np.array(b))
+        )
+        assert got == (b in orbits[a]), (a, b)
 
 
 # ---------------------------------------------------------------------------

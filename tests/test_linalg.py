@@ -30,6 +30,7 @@ from covercalc.linalg import (
     independent_rows,
     minimal_stable_subspaces,
     nullspace_mod_p,
+    projective_points,
     rank_mod_p,
     row_echelon_mod_p,
     row_space_le,
@@ -90,6 +91,17 @@ def stable_subspaces_by_spanning(mats, p):
             for m in mats
         )
     }
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 4), (3, 3), (5, 2)])
+def test_projective_points_meet_every_line_once(p, d):
+    points = [tuple(v) for v in projective_points(d, p)]
+    assert len(points) == (p ** d - 1) // (p - 1)
+    assert all(next(x for x in v if x) == 1 for v in points)
+    lines = {
+        tuple(c * x % p for x in v) for v in points for c in range(1, p)
+    }
+    assert lines == set(product(range(p), repeat=d)) - {(0,) * d}
 
 
 @pytest.mark.parametrize("p,d", [(2, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])

@@ -69,7 +69,14 @@ from covercalc.gmodules import (
     submodule_generated,
 )
 from covercalc.groups import generating_set
-from oracles import commutant_dimension, field_tables, hom_system_nullspace
+from oracles import (
+    commutant_dimension,
+    field_tables,
+    hom_system_nullspace,
+    is_simple_by_sweep,
+    rref_mod_p,
+    solve_mod_p,
+)
 
 C2 = SMALL_GROUPS["C2"]()
 C3 = SMALL_GROUPS["C3"]()
@@ -135,7 +142,7 @@ def test_act_and_indexing():
     m = F4MOD
     for idx in range(m.size):
         v = m.index_to_vector(idx)
-        assert m.vector_to_index(v) == idx
+        assert sum(int(x) * m.p ** j for j, x in enumerate(v)) == idx
     for g in range(m.group.order):
         v = np.array([1, 0])
         assert np.array_equal(m.act(g, v), m.action[g] @ v % m.p)
@@ -172,14 +179,15 @@ def test_kernel_coordinates_on_klein_four():
     ker = fp.structure_map.kernel()
     coords = kernel_coordinates(ker)
     assert coords.p == 2 and coords.dim == 2
-    for e in ker.elements:
-        assert coords.from_vector[coords.to_vector[e]] == e
+    vecs = coords.vectors
+    assert vecs.shape == (fp.carrier.order, 2) and not vecs.flags.writeable
+    assert len({tuple(vecs[e]) for e in ker.elements}) == 4
+    assert not vecs[[e for e in range(fp.carrier.order) if e not in ker.elements]].any()
+    assert np.array_equal(vecs[list(coords.basis_elements)], np.eye(2, dtype=np.int64))
     # coordinates are additive: multiplying elements adds vectors
     for a in ker.elements:
         for b in ker.elements:
-            va = np.array(coords.to_vector[a])
-            vb = np.array(coords.to_vector[b])
-            assert tuple((va + vb) % 2) == coords.to_vector[int(fp.carrier.mul[a, b])]
+            assert np.array_equal((vecs[a] + vecs[b]) % 2, vecs[fp.carrier.mul[a, b]])
 
 
 def test_kernel_coordinates_rejects_non_elementary():
@@ -241,13 +249,53 @@ def test_sums_are_not_simple():
 
 def test_simplicity_is_memoized_on_the_module(monkeypatch):
     fresh = GModule(F4MOD.group, F4MOD.p, F4MOD.action)
-    for module, want in ((fresh, True), (direct_sum_module(F4MOD, 2), False)):
+    cases = ((fresh, True), (direct_sum_module(F4MOD, 2), False))
+    for module, want in cases:
         assert module._simple is None
         assert is_simple_module(module) is want
         assert module._simple is want
-        # a second sweep over the vectors would call this and fail
-        monkeypatch.setattr(module, "index_to_vector", None)
+    # a second sweep over the lines would call this and fail
+    monkeypatch.setattr("covercalc.gmodules.projective_points", None)
+    for module, want in cases:
         assert is_simple_module(module) is want
+
+
+def _random_cyclic_modules(p, d, count, rng):
+    """``count`` modules over F_p^d, each a random invertible matrix
+    acting as a generator of the cyclic group of its order."""
+    out = []
+    while len(out) < count:
+        m = rng.integers(0, p, size=(d, d))
+        if len(rref_mod_p(m, p)[1]) < d:
+            continue
+        powers = [np.eye(d, dtype=np.int64)]
+        while not np.array_equal(nxt := powers[-1] @ m % p, powers[0]):
+            powers.append(nxt)
+        out.append(GModule(cyclic_group(len(powers)), p, tuple(powers)))
+    return out
+
+
+def test_simplicity_matches_sweep():
+    """One vector per line gives the answer of the all-vectors sweep."""
+    cases = SIMPLES + [_f9_over_c8(), _a4_over_c3()]
+    cases += [direct_sum_module(m, n) for m in SIMPLES for n in (2, 3)]
+    cases += [conjugated_sum(m, 2, seed) for m in SIMPLES for seed in (1, 2)]
+    for split, nonsplit in (
+        (split_cover_c2(), nonsplit_cover_c2()),
+        (split_cover_c3(), nonsplit_cover_c3()),
+    ):
+        cases += [_kernel_module(cov) for cov in cover_pool(split, nonsplit, max_factors=3)[1:]]
+    rng = np.random.default_rng(2024)
+    randoms = [
+        m
+        for p, top in ((2, 4), (3, 3))
+        for d in range(1, top + 1)
+        for m in _random_cyclic_modules(p, d, 6, rng)
+    ]
+    answers = [is_simple_by_sweep(m) for m in randoms]
+    assert any(answers) and not all(answers)
+    for module in cases + randoms:
+        assert is_simple_module(module) == is_simple_by_sweep(module), module
 
 
 def test_structural_key_is_memoized_on_the_module():
@@ -270,33 +318,36 @@ def test_endo_field_orders(module, order):
     assert field.k == commutant_dimension(module.p, gens)
 
 
+def _field_elements(field):
+    """All F_p-combinations of the field's basis, in mixed-radix order of
+    their coefficients (that of the first basis matrix varying fastest)."""
+    p, k = field.p, field.k
+    coefs = np.arange(p ** k)[:, None] // p ** np.arange(k) % p
+    return list(np.einsum("ck,kab->cab", coefs, np.array(field.basis_endos)) % p)
+
+
 @pytest.mark.parametrize("module", SIMPLES, ids=SIMPLE_IDS)
 def test_endo_field_axioms(module):
+    """The combinations of the basis, enumerated here, form a field: the
+    pairwise oracle's tables close on them, 0 and 1 are among them, every
+    nonzero element has an inverse, and the ring laws hold."""
     field = endo_field(module)
-    q = field.order
-    zero = next(
-        i for i, m in enumerate(field.elements) if not m.any()
-    )
-    one = next(
-        i
-        for i, m in enumerate(field.elements)
-        if np.array_equal(m, np.eye(module.dim, dtype=np.int64) % module.p)
-    )
-    # the generator has multiplicative order q - 1
-    g = field.generator_index
-    seen, cur = {g}, g
-    while True:
-        cur = int(field.mul_table[cur, g])
-        if cur == g:
-            break
-        seen.add(cur)
-    assert len(seen) == q - 1
-    assert zero not in seen and one in seen
-    # distributivity on all triples (q <= 4 keeps this cheap)
+    elements = _field_elements(field)
+    q = len(elements)
+    assert q == field.order
+    add, mul = field_tables(elements, field.p)  # a KeyError if not closed
+    ident = np.eye(module.dim, dtype=np.int64) % module.p
+    zero = next(i for i, m in enumerate(elements) if not m.any())
+    one = next(i for i, m in enumerate(elements) if np.array_equal(m, ident))
+    assert np.array_equal(add[zero], np.arange(q))
+    assert np.array_equal(mul[one], np.arange(q))
+    assert all(one in mul[a] for a in range(q) if a != zero)
+    assert np.array_equal(add, add.T) and np.array_equal(mul, mul.T)
+    # associativity and distributivity on all triples (q <= 4 keeps this cheap)
     for a, b, c in itertools.product(range(q), repeat=3):
-        left = field.mul_table[a, field.add_table[b, c]]
-        right = field.add_table[field.mul_table[a, b], field.mul_table[a, c]]
-        assert left == right
+        assert mul[a, mul[b, c]] == mul[mul[a, b], c]
+        assert add[a, add[b, c]] == add[add[a, b], c]
+        assert mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
 
 
 def _kernel_module(cov):
@@ -318,23 +369,105 @@ def _a4_over_c3():
     return _kernel_module(quotient(a4, v4)[1])
 
 
-@pytest.mark.parametrize(
-    "make",
+def _f16_over_c5():
+    # C5 acting on F2^4 by the companion matrix of x^4 + x^3 + x^2 + x + 1:
+    # the endomorphisms are F16
+    m = np.zeros((4, 4), dtype=np.int64)
+    m[1:, :3] = np.eye(3, dtype=np.int64)
+    m[:, 3] = 1
+    powers = [np.eye(4, dtype=np.int64)]
+    for _ in range(4):
+        powers.append(powers[-1] @ m % 2)
+    return GModule(cyclic_group(5), 2, tuple(powers))
+
+
+FIELD_CASES = (
     [lambda p=p: trivial_module(C2, p, 1) for p in (2, 3, 5, 7, 11, 509)]
     + [f3_sign, f4_over_c3, _f9_over_c8, _a4_over_c3]
     + [
         lambda cov=cov: _kernel_module(cov())
         for cov in (split_cover_c2, nonsplit_cover_c2, split_cover_c3, nonsplit_cover_c3, sign_cover)
-    ],
-    ids=[f"F{p}" for p in (2, 3, 5, 7, 11, 509)]
-    + ["f3-sign", "f4-plane", "f9-plane", "a4-kernel", "eta0", "eta1", "split3", "nonsplit3", "sign"],
+    ]
+    # in the scrambled coordinates the first basis matrix lies in F4 < F16
+    + [_f16_over_c5, lambda: conjugated_sum(_f16_over_c5(), 1, 3)]
 )
-def test_endo_field_tables_match_pairwise_oracle(make):
+FIELD_IDS = [f"F{p}" for p in (2, 3, 5, 7, 11, 509)] + [
+    "f3-sign", "f4-plane", "f9-plane", "a4-kernel", "eta0", "eta1", "split3", "nonsplit3", "sign",
+    "f16", "f16-scrambled",
+]
+
+
+def _generator_powers(field, count):
+    """I, J, ..., J^(count - 1), flattened row-major, one per row."""
+    d, p = field.module.dim, field.p
+    powers = [np.eye(d, dtype=np.int64)]
+    for _ in range(count - 1):
+        powers.append(powers[-1] @ field.generator_matrix % p)
+    return np.array([m.reshape(-1) for m in powers], dtype=np.int64)
+
+
+@pytest.mark.parametrize("make", FIELD_CASES, ids=FIELD_IDS)
+def test_endo_field_generator_commutes_with_the_action(make):
+    module = make()
+    field = endo_field(module)
+    j, p = field.generator_matrix, module.p
+    assert j.shape == (module.dim, module.dim) and not j.flags.writeable
+    for g in generating_set(module.group) or (0,):
+        assert np.array_equal(j @ module.action[g] % p, module.action[g] @ j % p)
+
+
+@pytest.mark.parametrize("make", FIELD_CASES, ids=FIELD_IDS)
+def test_endo_field_generator_powers_span_the_basis(make):
     field = endo_field(make())
-    add, mul = field_tables(field.elements, field.p)
-    assert field.add_table.dtype == add.dtype and field.mul_table.dtype == mul.dtype
-    assert np.array_equal(field.add_table, add)
-    assert np.array_equal(field.mul_table, mul)
+    p, k = field.p, field.k
+    powers = _generator_powers(field, k)
+    basis = np.array([b.reshape(-1) for b in field.basis_endos], dtype=np.int64)
+    assert len(rref_mod_p(powers, p)[1]) == k  # I, ..., J^(k-1) independent
+    assert len(rref_mod_p(np.vstack([powers, basis]), p)[1]) == k  # same span
+
+
+@pytest.mark.parametrize("make", FIELD_CASES, ids=FIELD_IDS)
+def test_endo_field_generator_is_the_first_with_independent_powers(make):
+    """J is the first nonzero combination of the basis, in mixed-radix
+    order of its coefficients, whose first k powers are independent."""
+    field = endo_field(make())
+    p, k, d = field.p, field.k, field.module.dim
+    for m in _field_elements(field)[1:]:
+        powers = [np.eye(d, dtype=np.int64)]
+        for _ in range(k - 1):
+            powers.append(powers[-1] @ m % p)
+        if len(rref_mod_p(np.reshape(powers, (k, -1)), p)[1]) == k:
+            break
+    assert np.array_equal(field.generator_matrix, m)
+
+
+@pytest.mark.parametrize("make", FIELD_CASES, ids=FIELD_IDS)
+def test_endo_field_tables_match_pairwise_oracle(make):
+    """The tables F has through its generator J match the pairwise
+    oracle. Element c is the polynomial sum c_i x^i of degree < k, coded
+    in mixed radix; sums add coefficients and products multiply
+    polynomials modulo the minimal polynomial of J. The oracle adds and
+    multiplies the matrices sum c_i J^i."""
+    field = endo_field(make())
+    p, k = field.p, field.k
+    powers = _generator_powers(field, k + 1)
+    # x^k = sum r_i x^i, the one relation among I, ..., J^k
+    r = solve_mod_p(powers[:k].T, powers[k], p)
+    assert r is not None
+    reduce = list(np.eye(k, dtype=np.int64))  # x^i modulo the relation
+    for _ in range(k - 1):
+        last = reduce[-1]
+        reduce.append((np.concatenate([[0], last[:-1]]) + last[-1] * r) % p)
+    shifts = np.array(reduce)[np.add.outer(np.arange(k), np.arange(k))]
+    coefs = np.arange(p ** k)[:, None] // p ** np.arange(k) % p
+    radix = p ** np.arange(k)
+    add = (coefs[:, None] + coefs[None]) % p @ radix
+    mul = np.einsum("ai,bj,ijm->abm", coefs, coefs, shifts) % p @ radix
+    d = field.module.dim
+    elements = list((coefs @ powers[:k] % p).reshape(-1, d, d))
+    want_add, want_mul = field_tables(elements, p)
+    assert np.array_equal(add, want_add)
+    assert np.array_equal(mul, want_mul)
 
 
 def test_endo_field_is_memoized_on_the_module():
@@ -342,7 +475,7 @@ def test_endo_field_is_memoized_on_the_module():
     field = endo_field(module)
     assert endo_field(module) is field
     with pytest.raises(ValueError):
-        field.mul_table[0, 0] = 1
+        field.generator_matrix[0, 0] = 1
 
 
 def test_endo_field_requires_simple():
@@ -378,18 +511,10 @@ def assert_bytes_equal(got, want):
 )
 def test_endo_field_equals_kron_system(make):
     module = make()
-    p, d = module.p, module.dim
+    d = module.dim
     field = endo_field(module)
     basis = _kron_nullspace(module, module)
     assert_bytes_equal(_flat(field.basis_endos, d * d), basis)
-    combos = [np.zeros(d * d, dtype=np.int64)]
-    for b in basis:
-        combos = [(c + coef * b) % p for c in combos for coef in range(p)]
-    elements = sorted((c.reshape(d, d) for c in combos), key=lambda m: m.tobytes())
-    assert_bytes_equal(np.array(field.elements), np.array(elements))
-    add, mul = field_tables(elements, p)
-    assert_bytes_equal(field.add_table, add)
-    assert_bytes_equal(field.mul_table, mul)
 
 
 def _hom_system_cases():
@@ -620,6 +745,21 @@ def test_complement_extremes():
 def test_complement_rejects_non_invariant():
     with pytest.raises(NotSubmodule):
         complement(direct_sum_module(F4MOD, 2), np.array([[1, 0, 0, 0]]))
+
+
+def test_submodule_generated_is_the_orbit_span():
+    """Spinning under the generators gives the RREF of the orbit under
+    every group element, row for row."""
+    rng = np.random.default_rng(31)
+    modules = [direct_sum_module(F4MOD, 2), conjugated_sum(F3SIGN, 3, 4), _a4_over_c3()]
+    modules += [_kernel_module(cov) for cov in cover_pool(split_cover_c3(), nonsplit_cover_c3())[1:]]
+    modules += _random_cyclic_modules(2, 4, 4, rng) + _random_cyclic_modules(3, 3, 4, rng)
+    for module in modules:
+        p = module.p
+        for _ in range(4):
+            v = rng.integers(0, p, size=module.dim)
+            orbit = np.array([m @ v % p for m in module.action], dtype=np.int64)
+            assert_bytes_equal(submodule_generated(module, v), rref_mod_p(orbit, p)[0])
 
 
 def test_submodule_generated_and_summand():

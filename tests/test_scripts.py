@@ -1,0 +1,45 @@
+"""Smoke runs of the scripts in ``scripts/``, each in a child process:
+it must exit 0 and print its header line first."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+
+SCRIPTS = [
+    (
+        ["h2_table.py", "--primes", "2"],
+        f"{'group':>6} {'p':>2} {'dim_p':>5} {'dim_F':>5} {'classes':>8}",
+    ),
+    (
+        ["survey_series.py", "--max-order", "8"],
+        f"{'group':>6} {'order':>5}  series sizes        stages",
+    ),
+    (
+        ["pool_agreement.py", "--max-factors", "1"],
+        "pool: 3 covers, carriers up to order 4",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,header", SCRIPTS, ids=[a[0] for a, _ in SCRIPTS])
+def test_script_runs(args, header):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / args[0]), *args[1:]],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == header
