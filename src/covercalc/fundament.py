@@ -468,6 +468,7 @@ def exists_semicartesian_lift(pi: Cover, tau: Cover, tau_prime: Cover) -> bool:
     the inflation restricted to the support.
     """
     from . import cohomology as ch
+    from .fiber import fiber_product
 
     if not same_group(tau.target, pi.source):
         raise BaseMismatch("tau must cover the source of the base map")
@@ -479,7 +480,8 @@ def exists_semicartesian_lift(pi: Cover, tau: Cover, tau_prime: Cover) -> bool:
     na, ab = _indexed(big, tau)
     inv_p = invariants(tau_prime)
     for cls in inv_p.na_classes:
-        if cls.mult > na.get(_pulled_class(pi, cls.cover), 0):
+        pulled = fiber_product(pi.target, [pi, cls.cover]).projections[0]
+        if cls.mult > na.get(_cover_class(big, pulled), 0):
             return False
 
     for cls in inv_p.ab_classes:
@@ -502,22 +504,6 @@ def exists_semicartesian_lift(pi: Cover, tau: Cover, tau_prime: Cover) -> bool:
         if not _bounded(big, index, nullity + cls.mult, supp, sid, ab):
             return False
     return True
-
-
-def _pulled_class(pi: Cover, cov: Cover) -> int:
-    """Registry index over ``pi.source`` of the pullback of ``cov`` (a
-    cover of ``pi.target`` with non-abelian kernel) along ``pi``: the
-    first projection of their fiber product. Isomorphic covers pull back
-    to isomorphic ones, so this is memoized on ``pi`` by the class index
-    of ``cov`` in ``pi.target``'s registry (``pi._pulled``)."""
-    from .fiber import fiber_product
-
-    index = _cover_class(pi.target, cov)
-    hit = pi._pulled.get(index)
-    if hit is None:
-        pulled = fiber_product(pi.target, [pi, cov]).projections[0]
-        hit = pi._pulled[index] = _cover_class(pi.source, pulled)
-    return hit
 
 
 # ---------------------------------------------------------------------------

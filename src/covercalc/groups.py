@@ -644,7 +644,6 @@ class Cover(GroupHom):
         self._invariants = None  # fundament.invariants memo
         self._fundament = None  # fundament.fundament_kernel memo
         self._indexed = None  # (base, fundament._indexed of it) memo
-        self._pulled: dict[int, int] = {}  # fundament._pulled_class memo
 
     def kernel(self) -> Subgroup:
         return self._kernel

@@ -778,22 +778,6 @@ def test_lift_agrees_with_per_pair_matching(make):
             _check_canonical(pi.source, *oracles.lifted_support(pi, cls))
 
 
-def test_lift_pullback_classes_are_memoized_on_the_base_map(monkeypatch):
-    """After one pass, deciding lifts again builds no fiber product: the
-    class of each pulled-back non-abelian cover is memoized on pi."""
-    pi, taus, tau_primes = terminal_cover(C2), c2_pool_small(), point_covers()
-    pairs = [(tau, tau_prime) for tau in taus for tau_prime in tau_primes]
-    want = [oracles.lift_by_matching(pi, tau, tau_prime) for tau, tau_prime in pairs]
-    assert [exists_semicartesian_lift(pi, *pair) for pair in pairs] == want
-    assert pi._pulled  # A5 ->> 1 has a non-abelian kernel
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("fiber_product rebuilt")
-
-    monkeypatch.setattr("covercalc.fiber.fiber_product", refuse)
-    assert [exists_semicartesian_lift(pi, *pair) for pair in pairs] == want
-
-
 def _nonfund_over_c2():
     """An order-8 cyclic tower over C2: the kernel is cyclic of order 4,
     whose unique maximal normal subgroup is not trivial, so the cover is

