@@ -10,12 +10,13 @@ isomorphism over G by multiplicities of non-abelian kernel classes and,
 per simple-module class A, a multiplicity and a support subspace of
 H^2(G, A).
 
-The maximal H-normal subgroups N of a solvable kernel K are read off the
-F_p-modules M_p = K/[K,K]K^p, one per prime p dividing |K/[K,K]|: they
-are the preimages of the maximal submodules (``maximal_normal_in``), and
-each comes with the small action matrices of its top K/N, by which
+The maximal H-normal subgroups N of a kernel K with K/N abelian are read
+off the F_p-modules M_p = K/[K,K]K^p, one per prime p dividing |K/[K,K]|:
+they are the preimages of the maximal submodules (``maximal_normal_in``),
+and each comes with the small action matrices of its top K/N, by which
 ``invariants`` groups them into classes before building any quotient.
-Only a kernel that is not solvable lists its normal-subgroup lattice.
+Those with K/N non-abelian are centralizers of chief factors inside the
+perfect residual of K; no kernel lists its normal-subgroup lattice.
 
 Classes belong to the base, not to a pair of covers: each base group
 keeps a registry of them (``_class_index``), so a class is matched, and a
@@ -41,12 +42,10 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    _commute,
     _maximal_tops,
     _product_set,
     compose,
     find_isomorphism_over,
-    generating_set,
     identity_cover,
     is_indecomposable,
     maximal_normal_in,
@@ -201,14 +200,13 @@ def invariants(pi: Cover) -> CoverInvariants:
     and per simple-module class (support, multiplicity) is computed
     through the dual pair of the joint quotient.
 
-    A solvable kernel K of a fundamental cover is abelian, and every K/N
-    comes with its action matrices from ``maximal_normal_in``'s module
-    route, so the N are grouped by comparing those small matrices. Only
-    the least N of each class, and the joint quotient by the
-    intersection of its class, are built as quotient groups; the least
-    N's module is the one registered for the class, as when every N was
-    built. A kernel that is not solvable builds H/N for each N, as its
-    N come from the normal-subgroup lattice with no module attached.
+    Every abelian K/N comes with its action matrices from
+    ``maximal_normal_in``'s module route, so those N are grouped by
+    comparing the small matrices. Only the least N of each class, and
+    the joint quotient by the intersection of its class, are built as
+    quotient groups; the least N's module is the one registered for the
+    class, as when every N was built. A non-abelian K/N has no module:
+    H/N is built and matched against the base's non-abelian classes.
 
     Memoized on the cover (``pi._invariants``) once ``pi`` is known to be
     fundamental; the ``supp`` arrays are read-only, as is ``pi.image``.
@@ -226,12 +224,8 @@ def invariants(pi: Cover) -> CoverInvariants:
     for sub, top in _maximal_tops(src, pi.kernel()):
         if top is None:
             cov = _cover_through(pi, quotient(src, sub)[1])
-            kq = cov.kernel()
-            if not _commute(cov.source, kq.elements, kq.elements):
-                na.setdefault(_cover_class(pi.target, cov), [cov, 0])[1] += 1
-                continue
-            module = gm.module_from_cover(cov, kq)
-            top = (module.p, np.stack([module.action[pi.image[h]] for h in generating_set(src)]))
+            na.setdefault(_cover_class(pi.target, cov), [cov, 0])[1] += 1
+            continue
         for cls in ab:
             if _same_top(top, cls[1]):
                 cls[2] &= sub.mask

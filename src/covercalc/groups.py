@@ -42,8 +42,6 @@ __all__ = [
     "quotient",
     "subgroup_from_elements",
     "closure_of",
-    "normal_subgroups",
-    "normal_subgroups_inside",
     "maximal_normal_in",
     "is_minimal_normal",
     "is_indecomposable",
@@ -100,7 +98,6 @@ class FiniteGroup:
         self.generators = tuple(int(g) for g in generators)
         self.generator_labels = tuple(generator_labels)
         self._orders: np.ndarray | None = None
-        self._normals: dict[int, tuple[Subgroup, ...]] = {}  # by bound mask
         self._maximals: dict[int, tuple] = {}  # _maximal_tops, by bound mask
         self._spaces: dict[bytes, object] = {}  # cohom_space memo, by module key
         # the class registry (fundament._class_index): one representative
@@ -326,62 +323,7 @@ def _class_closures(group: FiniteGroup, elements) -> set[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# subgroup enumeration
-
-
-def _join_lattice(group: FiniteGroup, blocks) -> tuple[Subgroup, ...]:
-    """Close ``blocks`` (element tuples of normal subgroups) and the trivial
-    subgroup under joins, canonically sorted by (order, element tuple).
-
-    The join of two normal subgroups N, M is their product set N·M, read
-    off the table with no closure.
-    """
-    found: set[tuple[int, ...]] = {(0,)} | blocks
-    block_sets = [(c, frozenset(c)) for c in blocks]
-    frontier = {s: frozenset(s) for s in blocks}
-    while frontier:
-        new: dict[tuple[int, ...], frozenset[int]] = {}
-        for s, s_set in frontier.items():
-            for c, c_set in block_sets:
-                if c_set <= s_set:
-                    continue
-                j = tuple(_product_set(group, (s, c)).tolist())
-                if j not in found:
-                    found.add(j)
-                    new[j] = frozenset(j)
-        frontier = new
-    return tuple(
-        Subgroup(group, elems)
-        for elems in sorted(found, key=lambda e: (len(e), e))
-    )
-
-
-def normal_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
-    """All normal subgroups: the whole-group entry of
-    ``normal_subgroups_inside``, canonically sorted by (order, element
-    tuple)."""
-    return normal_subgroups_inside(group, group.full_subgroup())
-
-
-def normal_subgroups_inside(group: FiniteGroup, bound: Subgroup) -> tuple[Subgroup, ...]:
-    """Normal subgroups of ``group`` contained in the normal subgroup ``bound``.
-
-    Each one is a join of normal closures of elements of ``bound``, so the
-    lattice is built from the class closures of ``bound``'s own elements,
-    never from the whole group's (Holt–Eick–O'Brien). Canonically
-    sorted by (order, element tuple) and memoized on the group
-    (``group._normals``, keyed by ``bound.mask``); a non-normal bound is
-    never stored.
-    """
-    if not same_group(bound.parent, group):
-        raise Incompatible("subgroup belongs to a different group")
-    found = group._normals.get(bound.mask)
-    if found is None:
-        if not bound.is_normal():
-            raise NotNormal("bound subgroup is not normal")
-        found = _join_lattice(group, _class_closures(group, bound.elements))
-        group._normals[bound.mask] = found
-    return found
+# maximal normal subgroups
 
 
 def maximal_normal_in(group: FiniteGroup, bound: Subgroup) -> tuple[Subgroup, ...]:
@@ -390,23 +332,24 @@ def maximal_normal_in(group: FiniteGroup, bound: Subgroup) -> tuple[Subgroup, ..
     Empty exactly when ``bound`` is trivial. Canonically sorted by
     (order, element tuple) and memoized on the group per bound.
 
-    For a solvable bound K every K/N is a chief factor, elementary
-    abelian of some prime order p, so N contains Φ_p = [K,K]K^p and
-    N/Φ_p is a maximal submodule of M_p = K/Φ_p, on which the group acts
-    by conjugation (Holt–Eick–O'Brien, *Handbook of Computational Group
-    Theory*, ch. 7; Cannon–Holt, J. Symbolic Comput. 24, 1997). So the N
-    are read off one F_p-module per prime p dividing |K/[K,K]|, with no
-    subgroup lattice: see ``_maximal_tops``. Only a bound that is not
-    solvable goes through ``normal_subgroups_inside``.
+    Each K/N, for the bound K, is a chief factor of the group
+    (Holt–Eick–O'Brien, *Handbook of Computational Group Theory*, ch. 7;
+    Cannon–Holt, J. Symbolic Comput. 24, 1997). An abelian one is
+    elementary abelian of some prime order p, so N contains
+    Φ_p = [K,K]K^p and N/Φ_p is a maximal submodule of M_p = K/Φ_p, on
+    which the group acts by conjugation. A non-abelian one is perfect,
+    so K = N·R for the perfect residual R of K, and N is the centralizer
+    of a chief factor of a chief series through R. Both kinds are found
+    with no subgroup lattice: see ``_maximal_tops``.
     """
     return tuple(sub for sub, _ in _maximal_tops(group, bound))
 
 
 def _maximal_tops(group: FiniteGroup, bound: Subgroup) -> tuple:
-    """The N of ``maximal_normal_in``, each paired with its top K/N as an
-    F_p-module: ``(p, mats)``, where ``mats[i]`` is the matrix of
-    ``generating_set(group)[i]`` acting by conjugation on K/N; the top
-    is None for a bound that is not solvable. Memoized on the group
+    """The N of ``maximal_normal_in``, each paired with its top K/N: for
+    an abelian top the F_p-module ``(p, mats)``, where ``mats[i]`` is the
+    matrix of ``generating_set(group)[i]`` acting by conjugation on K/N,
+    and None for a non-abelian top. Memoized on the group
     (``group._maximals``, keyed by ``bound.mask``); a non-normal bound
     is never stored."""
     if not same_group(bound.parent, group):
@@ -415,23 +358,17 @@ def _maximal_tops(group: FiniteGroup, bound: Subgroup) -> tuple:
     if found is None:
         if not bound.is_normal():
             raise NotNormal("bound subgroup is not normal")
-        found = _tops_from_modules(group, bound)
-        if found is None:
-            inside = [
-                s for s in normal_subgroups_inside(group, bound) if s.mask != bound.mask
-            ]
-            found = tuple(
-                (s, None)
-                for s in inside
-                if not any(s.mask != t.mask and s.mask & ~t.mask == 0 for t in inside)
-            )
-        group._maximals[bound.mask] = found
+        k_gens, lower, lower_gens, residual = _derived_series(group, bound.elements)
+        tops = _tops_from_modules(group, bound, k_gens, lower, lower_gens)
+        tops += _tops_from_chief_series(group, bound, residual)
+        tops.sort(key=lambda top: (top[0].order, top[0].elements))
+        found = group._maximals[bound.mask] = tuple(tops)
     return found
 
 
-def _tops_from_modules(group: FiniteGroup, bound: Subgroup) -> tuple | None:
-    """``_maximal_tops`` of a solvable bound K, or None when K is not
-    solvable.
+def _tops_from_modules(group: FiniteGroup, bound: Subgroup, k_gens, lower, lower_gens) -> list:
+    """The abelian tops of ``_maximal_tops``, from K's generators and
+    [K,K] (its elements and generators).
 
     Per prime p, M_p = K/Φ_p gets coordinates through one quotient, and
     ``mats`` holds the conjugation matrices A_h of the group's
@@ -442,10 +379,6 @@ def _tops_from_modules(group: FiniteGroup, bound: Subgroup) -> tuple | None:
     """
     from .gmodules import kernel_coordinates  # gmodules imports this module
 
-    derived = _derived_if_solvable(group, bound.elements)
-    if derived is None:
-        return None
-    k_gens, lower, lower_gens = derived
     kel = np.asarray(bound.elements, dtype=np.intp)
     h = np.asarray(generating_set(group), dtype=np.intp)
     tops = []
@@ -467,20 +400,61 @@ def _tops_from_modules(group: FiniteGroup, bound: Subgroup) -> tuple | None:
             pivots = np.argmax(w != 0, axis=1)  # w is in RREF
             action = (w @ mats % p)[:, :, pivots]
             tops.append((Subgroup(group, tuple(kel[inside].tolist())), (p, action)))
-    tops.sort(key=lambda top: (top[0].order, top[0].elements))
-    return tuple(tops)
+    return tops
 
 
-def _derived_if_solvable(group: FiniteGroup, elements) -> tuple | None:
-    """(generators of K, elements of [K,K], generators of [K,K]) for the
-    subgroup K with these elements, or None when K is not solvable.
+def _tops_from_chief_series(group: FiniteGroup, bound: Subgroup, residual) -> list:
+    """The non-abelian tops of ``_maximal_tops``, from the elements of the
+    perfect residual R of K.
 
-    K is abelian when its generators commute; otherwise the derived
-    series is walked down to 1, or to a perfect subgroup. The
-    commutators [a, y] = a^-1·y^-1·a·y of the generators a with every y
-    generate the derived subgroup: they contain [a, b] for generators
-    a, b, and [a, y]^z = [a, z]^-1·[a, yz] keeps them closed under
-    conjugation.
+    A chief series 1 = L_0 < … < L_m = R of the group is built inside R,
+    each L_i the least L_(i-1)·C, by (order, elements), over the normal
+    closures C of the classes of R. For a non-abelian top N, take the
+    least i with L_i not in N: then N ∩ L_i = L_(i-1) and N·L_i = K, so
+    N = C_K(L_i/L_(i-1)) = {k : [k, g] in L_(i-1) for the generators g
+    of L_i}. Conversely that centralizer is such an N exactly when
+    |N|·|L_i| = |K|·|L_(i-1)|. An abelian factor of order p^a never
+    passes: it centralizes itself, so K/N would be a p-group of order
+    p^a acting faithfully on it, yet K acts semisimply (Clifford), and a
+    p-group acts trivially on a semisimple F_p-module.
+    """
+    if len(residual) == 1:
+        return []
+    mul, inv = group.mul, group.inv
+    kel = np.asarray(bound.elements, dtype=np.intp)[:, None]
+    closures = _class_closures(group, residual)
+    low = (0,)  # L_(i-1)
+    member = np.zeros(group.order, dtype=bool)
+    member[0] = True
+    tops = []
+    while len(low) < len(residual):
+        step = min(
+            (
+                tuple(_product_set(group, (low, c)).tolist())
+                for c in closures
+                if not member[list(c)].all()
+            ),
+            key=lambda e: (len(e), e),
+        )
+        g = np.asarray(_closure(group, step)[1], dtype=np.intp)
+        central = member[mul[mul[inv[kel], inv[g]], mul[kel, g]]].all(axis=1)
+        if int(central.sum()) * len(step) == bound.order * len(low):
+            tops.append((Subgroup(group, tuple(kel[central, 0].tolist())), None))
+        low = step
+        member[list(step)] = True
+    return tops
+
+
+def _derived_series(group: FiniteGroup, elements) -> tuple:
+    """(generators of K, elements of [K,K], generators of [K,K], elements
+    of the perfect residual K^(∞)) for the subgroup K with these
+    elements; [K,K] is K itself when K is perfect.
+
+    The derived series is walked down until a term is abelian (then
+    K^(∞) = 1) or perfect. The commutators [a, y] = a^-1·y^-1·a·y of
+    the generators a with every y generate the derived subgroup: they
+    contain [a, b] for generators a, b, and [a, y]^z = [a, z]^-1·[a, yz]
+    keeps them closed under conjugation.
     """
     mul, inv = group.mul, group.inv
     elems, gens = _closure(group, elements)
@@ -490,12 +464,14 @@ def _derived_if_solvable(group: FiniteGroup, elements) -> tuple | None:
         y = np.asarray(elems, dtype=np.intp)
         comm = mul[mul[inv[a], inv[y]], mul[a, y]]
         lower, lower_gens = _closure(group, _distinct(comm, group.order))
-        if len(lower) == len(elems):
-            return None
         first = first or (lower, lower_gens)
+        if len(lower) == len(elems):
+            break
         elems, gens = lower, lower_gens
+    else:
+        elems = [0]
     lower, lower_gens = first or ([0], [])
-    return k_gens, lower, lower_gens
+    return k_gens, lower, lower_gens, elems
 
 
 def _power(group: FiniteGroup, x: int, e: int) -> int:

@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+import oracles
 from covercalc import (
     Cover,
     FiniteGroup,
@@ -28,6 +29,7 @@ GROUP_PERMS: dict[str, list[tuple[int, ...]]] = {
     "S4": [(1, 2, 3, 0), (1, 0, 2, 3)],
     "A4": [(1, 2, 0, 3), (1, 0, 3, 2)],
     "A5": [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)],
+    "S5": [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)],
     "D4": [(1, 2, 3, 0), (1, 0, 3, 2)],
     "Q8": [(2, 3, 1, 0, 7, 6, 4, 5), (4, 5, 6, 7, 1, 0, 3, 2)],
     "C3xC3": [(1, 2, 0, 4, 5, 3, 7, 8, 6), (3, 4, 5, 6, 7, 8, 0, 1, 2)],
@@ -52,6 +54,25 @@ def alt4():
 
 def alt5():
     return build_group(GROUP_PERMS["A5"], name="A5")
+
+
+def sym5():
+    return build_group(GROUP_PERMS["S5"], name="S5")
+
+
+def sl2_5():
+    """SL(2,5) on the 24 nonzero vectors of F5^2: perfect, with centre
+    C2 and SL(2,5)/C2 = A5."""
+    vectors = [(a, b) for a in range(5) for b in range(5) if (a, b) != (0, 0)]
+    index = {v: i for i, v in enumerate(vectors)}
+
+    def perm(m):
+        return tuple(
+            index[((m[0][0] * a + m[0][1] * b) % 5, (m[1][0] * a + m[1][1] * b) % 5)]
+            for a, b in vectors
+        )
+
+    return build_group([perm(((1, 1), (0, 1))), perm(((0, 4), (1, 0)))], name="SL(2,5)")
 
 
 def dihedral4():
@@ -108,6 +129,15 @@ def relabel_cover(cover, rng) -> Cover:
 
 def generated_subgroup(group, seeds) -> Subgroup:
     return Subgroup(group, closure_of(group, list(seeds)))
+
+
+def normal_subgroups(group, bound=None) -> tuple[Subgroup, ...]:
+    """The normal subgroups of ``group`` inside ``bound`` (all of them by
+    default), from the brute-force oracle, sorted by (order, elements)."""
+    table = tuple(tuple(row) for row in group.mul.tolist())
+    inside = frozenset(range(group.order) if bound is None else bound.elements)
+    subs = (tuple(sorted(s)) for s in oracles.normal_subgroups_inside(table, inside))
+    return tuple(Subgroup(group, s) for s in sorted(subs, key=lambda e: (len(e), e)))
 
 
 # ---------------------------------------------------------------------------

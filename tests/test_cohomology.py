@@ -24,6 +24,7 @@ from catalog import (
     generated_subgroup,
     nonsplit_cover_c2,
     nonsplit_cover_c3,
+    normal_subgroups,
     relabel,
     sign_cover,
     split_cover_c2,
@@ -65,7 +66,6 @@ from covercalc.errors import (
     NotSimple,
     SpaceMismatch,
 )
-from covercalc.groups import normal_subgroups
 import oracles
 from oracles import h2_dim_by_enumeration
 

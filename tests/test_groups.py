@@ -18,7 +18,9 @@ from catalog import (
     klein_four,
     nonsplit_cover_c2,
     nonsplit_cover_c3,
+    normal_subgroups,
     quaternion8,
+    relabel,
     split_cover_c2,
     split_cover_c3,
     sym3,
@@ -26,7 +28,6 @@ from catalog import (
 from covercalc import (
     BuildLimits,
     Cover,
-    FiniteGroup,
     GroupHom,
     Subgroup,
     build_group,
@@ -46,11 +47,10 @@ from covercalc import (
 from covercalc.cli import _BUILTIN_PERMS
 from covercalc.errors import Incompatible, NotNormal, OrderCapExceeded
 from covercalc.groups import (
+    _maximal_tops,
     closure_of,
     generating_set,
     is_minimal_normal,
-    normal_subgroups,
-    normal_subgroups_inside,
     subgroup_from_elements,
 )
 
@@ -188,7 +188,10 @@ def test_quaternion_matches_symbolic_table():
     assert sorted(oracles.element_orders(table)) == sorted(
         int(x) for x in q8.element_orders()
     )
-    assert len(oracles.normal_subgroup_sets(table)) == len(normal_subgroups(q8))
+    want = oracles.maximal_normal_inside(table, frozenset(range(len(table))))
+    assert sorted(len(s) for s in want) == [
+        s.order for s in maximal_normal_in(q8, q8.full_subgroup())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +206,46 @@ def test_subgroup_lattice_matches_oracle(name):
     assert set(oracles.subgroup_sets_by_joins(table)) == set(oracles.all_subgroup_sets(table))
 
 
+def _by_order(subsets):
+    return sorted((tuple(sorted(s)) for s in subsets), key=lambda e: (len(e), e))
+
+
 @pytest.mark.parametrize("name", ["C4", "V4", "S3", "D4", "Q8", "A4", "C3xC3"])
 def test_normal_subgroups_match_oracle(name):
+    # the normal-subgroup fixture, which the square, fiber and acceptance
+    # tests sweep, against subset enumeration, in (order, elements) order
     g = GROUPS[name]
-    got = {sub.elements for sub in normal_subgroups(g)}
-    want = {tuple(sorted(s)) for s in oracles.normal_subgroup_sets(raw_table(g))}
-    assert got == want
+    want = _by_order(oracles.normal_subgroup_sets(raw_table(g)))
+    assert [s.elements for s in normal_subgroups(g)] == want
+
+
+@pytest.mark.parametrize("name", ["V4", "S3", "D4", "Q8", "A4", "C3xC3"])
+def test_normal_subgroups_inside_every_bound_matches_oracle(name):
+    # the fixture under each bound is subset enumeration cut down to the
+    # bound, also on a relabeled twin
+    g = GROUPS[name]
+    whole = _by_order(oracles.normal_subgroup_sets(raw_table(g)))
+    sigma = np.array([0] + random.Random(len(name)).sample(range(1, g.order), g.order - 1))
+    twin = relabel(g, None, sigma=sigma)
+    for bound in normal_subgroups(g):
+        got = [s.elements for s in normal_subgroups(g, bound)]
+        assert got == [s for s in whole if set(s) <= set(bound.elements)]
+        moved = Subgroup(twin, tuple(sorted(int(sigma[x]) for x in bound.elements)))
+        assert [s.elements for s in normal_subgroups(twin, moved)] == _by_order(
+            [int(sigma[x]) for x in s] for s in got
+        )
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_normal_subgroups_inside_is_the_filtered_whole_lattice(name):
+    # the fixture under a bound closes only the bound's own classes, yet
+    # it is the whole list cut down, in the same order, on every catalog
+    # group (subset enumeration reaches only the small ones)
+    g = GROUPS[name]
+    whole = normal_subgroups(g)
+    for bound in whole:
+        got = normal_subgroups(g, bound)
+        assert got == tuple(s for s in whole if s.mask & ~bound.mask == 0)
 
 
 @pytest.mark.parametrize("name", ["V4", "S3", "D4", "Q8", "A4"])
@@ -234,54 +271,14 @@ def test_maximal_normal_in_proper_bound():
     assert maximal_normal_in(d4, Subgroup(d4, (0,))) == ()
 
 
-def relabeled(group, seed):
-    """The same group with its non-identity elements renumbered by a
-    seeded permutation ``sigma`` (old index -> new index)."""
-    rng = np.random.default_rng(seed)
-    sigma = np.concatenate([[0], 1 + rng.permutation(group.order - 1)])
-    mul = np.empty_like(group.mul)
-    mul[np.ix_(sigma, sigma)] = sigma[group.mul]
-    return FiniteGroup(mul, name=group.name), sigma
-
-
-@pytest.mark.parametrize("name", ["V4", "S3", "D4", "Q8", "A4", "C3xC3"])
-def test_normal_subgroups_inside_every_bound_matches_oracle(name):
-    g = GROUPS[name]
-    table = raw_table(g)
-    twin, sigma = relabeled(g, seed=len(name))
-    for bound in normal_subgroups(g):
-        got = normal_subgroups_inside(g, bound)
-        want = oracles.normal_subgroups_inside(table, frozenset(bound.elements))
-        assert {s.elements for s in got} == {tuple(sorted(s)) for s in want}
-        keys = [(s.order, s.elements) for s in got]
-        assert keys == sorted(keys)
-        moved = Subgroup(twin, tuple(int(sigma[x]) for x in bound.elements))
-        assert [s.order for s in normal_subgroups_inside(twin, moved)] == [
-            s.order for s in got
-        ]
-
-
-@pytest.mark.parametrize("name", sorted(GROUPS))
-def test_normal_subgroups_inside_is_the_filtered_whole_lattice(name):
-    # the per-bound lattice is built from the bound's own classes, yet it
-    # is tuple-equal, in the same order, to the whole lattice cut down
-    g = GROUPS[name]
-    whole = normal_subgroups(g)
-    for bound in whole:
-        got = normal_subgroups_inside(g, bound)
-        want = tuple(s for s in whole if s.mask & ~bound.mask == 0)
-        assert got == want
-        assert all(s.parent is g for s in got)
-
-
-def test_normal_subgroups_inside_is_memoized_per_bound():
+def test_maximal_normal_in_is_memoized_per_bound():
     d4 = GROUPS["D4"]
     center = next(s for s in normal_subgroups(d4) if s.order == 2)
-    assert normal_subgroups_inside(d4, center) is normal_subgroups_inside(d4, center)
+    tops = _maximal_tops(d4, center)
+    assert _maximal_tops(d4, center) is tops
     # an equal bound built afresh hits the same entry
-    again = Subgroup(d4, center.elements)
-    assert normal_subgroups_inside(d4, again) is normal_subgroups_inside(d4, center)
-    assert normal_subgroups(d4) is normal_subgroups_inside(d4, d4.full_subgroup())
+    assert _maximal_tops(d4, Subgroup(d4, center.elements)) is tops
+    assert maximal_normal_in(d4, center) == tuple(sub for sub, _ in tops)
 
 
 def test_non_normal_bound_raises_on_every_call():
@@ -291,9 +288,9 @@ def test_non_normal_bound_raises_on_every_call():
     )
     for _ in range(2):
         with pytest.raises(NotNormal):
-            normal_subgroups_inside(s3, transposition)
+            maximal_normal_in(s3, transposition)
     with pytest.raises(Incompatible):
-        normal_subgroups_inside(GROUPS["C6"], transposition)
+        maximal_normal_in(GROUPS["C6"], transposition)
 
 
 def _set_closure(rows, seed):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from catalog import SMALL_GROUPS
+from catalog import SMALL_GROUPS, normal_subgroups
 from covercalc import (
     Cover,
     GroupHom,
@@ -34,7 +34,7 @@ from covercalc import (
     quotient,
 )
 from covercalc.errors import Mismatch, NotCartesian, NotCommutative, SourceTargetMismatch
-from covercalc.groups import closure_of, normal_subgroups, normal_subgroups_inside
+from covercalc.groups import closure_of
 
 SQUARE_GROUPS = ["V4", "C4", "C6", "S3", "D4", "Q8", "A4", "C3xC3"]
 GROUPS = {name: SMALL_GROUPS[name]() for name in SQUARE_GROUPS}
@@ -196,9 +196,9 @@ def test_lattice_transport_in_cartesian_squares(name):
         sq = tower_square(h, n, l, m)
         if not is_cartesian(sq):
             continue
-        upstairs = normal_subgroups_inside(h, sq.top.kernel())
+        upstairs = normal_subgroups(h, sq.top.kernel())
         downstairs = set(
-            normal_subgroups_inside(sq.left.target, sq.bottom.kernel())
+            normal_subgroups(sq.left.target, sq.bottom.kernel())
         )
         carried = {sq.left.apply_subgroup(s) for s in upstairs}
         assert carried == downstairs
