@@ -36,7 +36,7 @@ from .errors import (
     UnknownReference,
     UsageError,
 )
-from .fiber import FiberProduct, fiber_product, is_compact_fiber_product
+from .fiber import fiber_product, is_compact_fiber_product
 from .fundament import (
     decompose_fundamental,
     dominates,
@@ -83,7 +83,6 @@ class Workspace:
         self.groups: dict[str, FiniteGroup] = {}
         self.homs: dict[str, GroupHom] = {}
         self.limits = limits
-        self._fprods: dict[str, FiberProduct] = {}
 
     def object_count(self) -> int:
         return len(self.groups) + len(self.homs)

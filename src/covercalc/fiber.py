@@ -1,15 +1,17 @@
 """Fiber products of finitely many covers over a common base.
 
 The carrier is the subgroup of the direct product of the factor sources
-consisting of tuples whose factor images agree in the base. Carrier
-elements are enumerated lexicographically over factor coordinates, so
-all downstream searches are reproducible.
+whose coordinates (h0, h1, ..., hm) agree in the base. The row of
+(h0, h1, ..., hm) is h0·Π|K_i| plus the mixed radix of the places of
+h1, ..., hm in their fibers, the last factor fastest (K_i the kernel of
+factor i, each fiber in ascending order), so the numbering depends only
+on the factors and all downstream searches are reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _commute,
+    _fibers,
     _has_proper_supplement,
     _least_section,
     _product_set,
@@ -52,7 +55,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FiberProduct:
-    """A fiber product presentation over a common base."""
+    """A fiber product presentation over a common base.
+
+    Row x of the carrier has coordinates ``projections[i].image[x]``; the
+    row of (h0, ..., hm) is h0·Π|K_i| plus the mixed radix of the fiber
+    places of h1, ..., hm, the last factor fastest (``_row_weights``).
+    """
 
     base: FiniteGroup
     factors: tuple[Cover, ...]
@@ -60,11 +68,27 @@ class FiberProduct:
     projections: tuple[Cover, ...]
     structure_map: Cover
     axis_kernels: tuple[Subgroup, ...]
-    tuples: tuple[tuple[int, ...], ...] | None
 
     @property
     def arity(self) -> int:
         return len(self.factors)
+
+
+def _row_weights(factors) -> list[np.ndarray]:
+    """The carrier numbering of the fiber product of ``factors``: one array
+    w_i over the source of each factor, with (h0, ..., hm) at row
+    w_0[h0] + ... + w_m[hm]. w_0[h] = h·Π|K_i|, and for i >= 1 w_i[h] is
+    the place of h in its fiber times Π_(j>i)|K_j|; the identity weighs 0."""
+    weights = []
+    stride = 1
+    for cov in factors[:0:-1]:
+        fibers = _fibers(cov)
+        weight = np.empty(cov.source.order, dtype=np.int32)
+        weight[fibers] = np.arange(fibers.shape[1], dtype=np.int32) * stride
+        weights.append(weight)
+        stride *= fibers.shape[1]
+    weights.append(np.arange(factors[0].source.order, dtype=np.int32) * stride)
+    return weights[::-1]
 
 
 def fiber_product(
@@ -90,54 +114,23 @@ def fiber_product(
             projections=(),
             structure_map=identity_cover(base),
             axis_kernels=(),
-            tuples=None,
         )
-    sizes = [c.source.order for c in factors]
-    expected = 1
-    for s in sizes:
-        expected *= s
-    for _ in range(len(factors) - 1):
-        expected //= base.order
-    if expected > limits.order_cap:
-        raise OrderCapExceeded(
-            f"carrier order {expected} exceeds cap {limits.order_cap}"
-        )
-
-    # group elements of every factor by their base image, preserving order;
-    # every fiber of factor i has |K_i| elements, pos[i][h] is h's place in it
-    fibers: list[list[list[int]]] = []
-    pos: list[np.ndarray] = []
-    for cov in factors:
-        by_base: list[list[int]] = [[] for _ in range(base.order)]
-        for h, g in enumerate(cov.image.tolist()):
-            by_base[g].append(h)
-        fibers.append(by_base)
-        place = np.empty(cov.source.order, dtype=np.int32)
-        for fiber in by_base:
-            place[fiber] = np.arange(len(fiber), dtype=np.int32)
-        pos.append(place)
-
     first = factors[0]
-    tuples: list[tuple[int, ...]] = []
-    for h0 in range(first.source.order):
-        g = int(first.image[h0])
-        rest = [fibers[i][g] for i in range(1, len(factors))]
-        for tail in iter_product(*rest):
-            tuples.append((h0, *tail))
-    n = len(tuples)
-    assert n == expected
+    shape = (first.source.order, *(c.source.order // base.order for c in factors[1:]))
+    n = math.prod(shape)
+    if n > limits.order_cap:
+        raise OrderCapExceeded(f"carrier order {n} exceeds cap {limits.order_cap}")
 
-    # the row of (h0, h1, ...) is h0·Π|K_i| plus the mixed radix of the
-    # fiber places of h1, ..., so each factor table maps straight to a
-    # partial row number, and products are sums of those (row blocks bound
-    # the transient memory)
-    stride = 1
-    ranked = []
-    for cov, place in zip(factors[:0:-1], pos[:0:-1]):
-        ranked.append(place[cov.source.mul] * stride)
-        stride *= len(place) // base.order
-    ranked.append(first.source.mul * stride)
-    coords = np.asarray(tuples, dtype=np.intp).T[::-1]
+    # row x is h0 = x // Π|K_i| and, for i >= 1, the element of factor i's
+    # fiber over h0's base image at the i-th mixed-radix digit of x
+    h0, *places = np.unravel_index(np.arange(n), shape)
+    over = first.image[h0]
+    coords = [h0] + [_fibers(c)[over, p] for c, p in zip(factors[1:], places)]
+
+    # each factor table maps straight to a partial row number, and products
+    # are sums of those (row blocks bound the transient memory)
+    weights = _row_weights(factors)
+    ranked = [w[c.source.mul] for w, c in zip(weights, factors)]
     mul = np.zeros((n, n), dtype=np.int32)
     for start in range(0, n, 1024):
         block = slice(start, start + 1024)
@@ -147,33 +140,13 @@ def fiber_product(
     carrier = FiniteGroup(mul, name=name)
 
     projections = tuple(
-        Cover(
-            carrier,
-            cov.source,
-            np.fromiter((t[i] for t in tuples), dtype=np.int32, count=n),
-            check=False,
-        )
-        for i, cov in enumerate(factors)
+        Cover(carrier, c.source, col, check=False) for c, col in zip(factors, coords)
     )
-    structure = Cover(
-        carrier,
-        base,
-        np.fromiter((int(factors[0].image[t[0]]) for t in tuples), dtype=np.int32, count=n),
-        check=False,
-    )
-    # elements trivial in every coordinate but j and lying over the base
-    # identity; for two or more factors the second condition is implied
+    structure = Cover(carrier, base, over, check=False)
+    # axis j: K_j at coordinate j, every other coordinate the identity
     axis_kernels = tuple(
-        Subgroup(
-            carrier,
-            tuple(
-                i
-                for i, t in enumerate(tuples)
-                if all(x == 0 for k, x in enumerate(t) if k != j)
-                and int(factors[0].image[t[0]]) == 0
-            ),
-        )
-        for j in range(len(factors))
+        Subgroup(carrier, tuple(w[list(c.kernel().elements)].tolist()))
+        for w, c in zip(weights, factors)
     )
     return FiberProduct(
         base=base,
@@ -182,7 +155,6 @@ def fiber_product(
         projections=projections,
         structure_map=structure,
         axis_kernels=axis_kernels,
-        tuples=tuple(tuples),
     )
 
 
@@ -207,14 +179,8 @@ def restrict(fp: FiberProduct, subset) -> tuple[FiberProduct, Cover]:
     sub = fiber_product(fp.base, [fp.factors[i] for i in idx])
     if not idx:
         return sub, fp.structure_map
-    if fp.tuples is None:  # pragma: no cover - arity 0 handled above
-        raise BadIndex("no coordinates to restrict")
-    sub_index = {t: i for i, t in enumerate(sub.tuples)}
-    image = np.fromiter(
-        (sub_index[tuple(t[i] for i in idx)] for t in fp.tuples),
-        dtype=np.int32,
-        count=fp.carrier.order,
-    )
+    weights = _row_weights(sub.factors)
+    image = sum(w[fp.projections[i].image] for w, i in zip(weights, idx))
     proj = Cover(fp.carrier, sub.carrier, image, check=False)
     return sub, proj
 
@@ -234,20 +200,21 @@ def is_fiber_presentation(p_list, pi: Cover) -> bool:
     if len(p_list) < 2:
         raise Incompatible("need at least two covers")
     src = pi.source
+    ker_pi = pi.kernel()
     for p in p_list:
         if not same_group(p.source, src):
             raise Incompatible("covers do not share a source")
-        ker_pi = pi.kernel()
-        if any(not ker_pi.contains(x) for x in p.kernel().elements):
+        if p.kernel().mask & ~ker_pi.mask:
             raise Incompatible("cover kernel not inside the base kernel")
-    l_full = pi.kernel().elements
+    l_full = ker_pi.elements
+    masks = [p.kernel().mask for p in p_list]
     parts: list[tuple[int, ...]] = []
     for j in range(len(p_list)):
-        cur = set(range(src.order))
-        for i, p in enumerate(p_list):
+        cur = ker_pi.mask
+        for i, mask in enumerate(masks):
             if i != j:
-                cur &= set(p.kernel().elements)
-        parts.append(tuple(sorted(cur)))
+                cur &= mask
+        parts.append(tuple(x for x in l_full if cur >> x & 1))
     size = 1
     for part in parts:
         size *= len(part)
@@ -379,7 +346,6 @@ def align_normal_to_axes(
 
     decomp = kernel_normal_decomposition(fp, sub)
     new_factors: list[Cover] = list(fp.factors)
-    # per-coordinate maps: position -> (callable carrier-elt-tuple -> index)
     axes: list[int] = list(decomp.swallowed_nonabelian)
     # mapping data for abelian blocks that need re-coordinatization
     block_maps: dict[int, np.ndarray] = {}  # position -> image array over carrier
@@ -422,13 +388,8 @@ def align_normal_to_axes(
         )
         return new_fp, omega, tuple(sorted(axes))
 
-    new_index = {t: i for i, t in enumerate(new_fp.tuples)}
-    image = np.empty(fp.carrier.order, dtype=np.int32)
-    for x, t in enumerate(fp.tuples):
-        coords_new = list(t)
-        for pos, arr in block_maps.items():
-            coords_new[pos] = int(arr[x])
-        image[x] = new_index[tuple(coords_new)]
+    columns = [block_maps.get(i, p.image) for i, p in enumerate(fp.projections)]
+    image = sum(w[c] for w, c in zip(_row_weights(new_fp.factors), columns))
     omega = GroupHom(fp.carrier, new_fp.carrier, image, check=True)
     return new_fp, omega, tuple(sorted(axes))
 

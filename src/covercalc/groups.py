@@ -509,26 +509,18 @@ def is_minimal_normal(group: FiniteGroup, sub: Subgroup) -> bool:
 
 
 def generating_set(group: FiniteGroup) -> tuple[int, ...]:
-    """A small deterministic generating set (greedy over ascending indices)."""
+    """A small deterministic generating set: the stored generators if they
+    generate, else greedy over the elements by descending order, then
+    index, each one not yet generated joining the set."""
     if group._gen_cache is not None:
         return group._gen_cache
     if group.generators:
         if len(closure_of(group, group.generators)) == group.order:
             group._gen_cache = group.generators
             return group.generators
-    gens: list[int] = []
-    current: tuple[int, ...] = (0,)
     orders = group.element_orders()
     ranked = sorted(range(group.order), key=lambda x: (-int(orders[x]), x))
-    cur_set = {0}
-    for x in ranked:
-        if x in cur_set:
-            continue
-        gens.append(x)
-        current = closure_of(group, gens)
-        cur_set = set(current)
-        if len(current) == group.order:
-            break
+    gens = _closure(group, ranked)[1]
     group._gen_cache = tuple(gens)
     return group._gen_cache
 
@@ -628,10 +620,15 @@ class Cover(GroupHom):
         return f"Cover({self.source.name} ->> {self.target.name})"
 
 
+def _fibers(cover: Cover) -> np.ndarray:
+    """The (|target|, |kernel|) array whose row g is the fiber of ``cover``
+    over g in ascending order."""
+    return np.argsort(cover.image, kind="stable").reshape(cover.target.order, -1)
+
+
 def _least_section(cover: Cover) -> np.ndarray:
-    """The least element of each fiber of ``cover``, indexed by the target
-    (every fiber has |kernel| elements)."""
-    return np.argsort(cover.image, kind="stable")[:: cover.kernel().order]
+    """The least element of each fiber of ``cover``, indexed by the target."""
+    return _fibers(cover)[:, 0]
 
 
 def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:

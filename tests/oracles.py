@@ -153,6 +153,24 @@ def generated_set(table, gens):
     return frozenset(elems)
 
 
+def greedy_generating_set(table, stored=()):
+    """``stored`` if it generates the group; otherwise the elements by
+    descending order, then index, each one joining the generators when the
+    set generated so far misses it."""
+    n = len(table)
+    if stored and len(generated_set(table, stored)) == n:
+        return tuple(stored)
+    ranked = sorted(range(n), key=lambda x: (-element_order(table, x), x))
+    gens, reached = [], {0}
+    for x in ranked:
+        if len(reached) == n:
+            break
+        if x not in reached:
+            gens.append(x)
+            reached = generated_set(table, gens)
+    return tuple(gens)
+
+
 @lru_cache(maxsize=None)
 def subgroup_sets_by_joins(table):
     """Every subgroup: the cyclic subgroups, closed under joins.

@@ -10,6 +10,7 @@ backtracking searches, and all time bounds are asserted inside the tests.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import time
@@ -64,7 +65,7 @@ from covercalc import (
     x2,
     y2,
 )
-from covercalc.cli import Workspace, parse_workspace, run_command
+from covercalc.cli import Workspace, main, parse_workspace, run_command
 from covercalc.groups import (
     Cover,
     _product_set,
@@ -641,6 +642,49 @@ def test_accept_command_performance():
         f"all {len(invocations)} commands on inputs of order <= 64, worst "
         f"{worst:.2f}s < 10s",
     )
+
+
+SIGN_FILE = """group S3
+gen r = (1 2 3)
+gen s = (1 2)
+
+hom sgn : S3 -> C2
+r -> 1
+s -> t
+"""
+
+# SHA-256 of the --json stdout; the carrier numbering shows in every table
+# and map of these documents
+PINNED_JSON = [
+    (
+        ["fprod", "sgn", "eta1", "eta0"],
+        "27c5495a1f0e0ef240b94ce1762a41e3eedffef692050e33748cc04f586bf3e2",
+    ),
+    (
+        ["decompose", "fprod(sgn,eta1,eta0)"],
+        "d79d295bc78acd1b0bc1d3cd7738207d2fa4ee595d83267ba8ffa371db2e0f2a",
+    ),
+    (
+        ["invariants", "fprod(sgn,eta1,eta1)"],
+        "3c3b3ec950d9e977d253ddfc22f7d6f7139682ebda44dd36bf214467bfff6eb6",
+    ),
+    (
+        ["series", "fprod(sgn,eta0)"],
+        "8eb1cd331f1d38be708a21e1e573f188ec767b2ad9433c427b06bb4b689ff92a",
+    ),
+]
+
+
+def test_accept_pinned_json_over_unequal_kernels(tmp_path, capsys):
+    # fiber products whose kernels differ in order (C3 beside C2) print
+    # the same documents, byte for byte, as when they were pinned
+    sign = tmp_path / "sign.grp"
+    sign.write_text(SIGN_FILE)
+    for args, digest in PINNED_JSON:
+        assert main(["-f", INTRO, "-f", str(sign), "--json", *args]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+    report("pinned-json", f"{len(PINNED_JSON)} --json documents match their digests")
 
 
 def test_accept_series_c1024():

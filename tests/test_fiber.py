@@ -64,6 +64,22 @@ def make_fprod(factors):
     return fiber_product(factors[0].target, factors)
 
 
+def carrier_coords(fp):
+    """The coordinate tuple of every carrier row, read off the projections."""
+    return list(zip(*(p.image.tolist() for p in fp.projections)))
+
+
+def lex_index(factors):
+    """Row of each coordinate tuple agreeing over the base, numbering them
+    lexicographically."""
+    tuples = (
+        t
+        for t in itertools.product(*(range(c.source.order) for c in factors))
+        if len({int(c.image[h]) for c, h in zip(factors, t)}) == 1
+    )
+    return {t: i for i, t in enumerate(tuples)}
+
+
 ALL_COMBOS = [
     list(combo)
     for r in (1, 2, 3)
@@ -84,27 +100,81 @@ def test_carrier_and_projections(combo):
     expected //= C2.order ** (len(combo) - 1)
     assert fp.carrier.order == expected
     assert fp.arity == len(combo)
-    assert len(fp.tuples) == fp.carrier.order
-    assert len(set(fp.tuples)) == fp.carrier.order
+    coords = carrier_coords(fp)
+    assert len(set(coords)) == fp.carrier.order
     for i, cov in enumerate(combo):
         proj = fp.projections[i]
         assert proj.is_surjective()
         assert same_group(proj.target, cov.source)
         # factor o projection recovers the structure map
         assert compose(cov, proj).same_map(fp.structure_map)
-        # tuples really are coordinates
-        for x, t in enumerate(fp.tuples):
-            assert int(proj.image[x]) == t[i]
-    # every tuple is coherent over the base
-    for t in fp.tuples:
+    # every row's coordinates are coherent over the base
+    for t in coords:
         images = {int(combo[i].image[t[i]]) for i in range(len(combo))}
         assert len(images) == 1
     # the carrier table and numbering match the tuple-by-tuple pullback
     table, carrier = oracles.fiber_table(
         [c.source.mul.tolist() for c in combo], [c.image.tolist() for c in combo]
     )
-    assert list(fp.tuples) == carrier
+    assert coords == carrier
     assert fp.carrier.mul.tolist() == [list(row) for row in table]
+
+
+SIGN = sign_cover()
+NAMED = {
+    "eta0": ETA0,
+    "eta1": ETA1,
+    "sgn": SIGN,
+    "split3": split_cover_c3(),
+    "nonsplit3": nonsplit_cover_c3(),
+}
+NUMBERED = [
+    list(names)
+    for pool in (("eta0", "eta1", "sgn"), ("split3", "nonsplit3"))
+    for r in (1, 2, 3)
+    for names in itertools.combinations_with_replacement(pool, r)
+]
+RELABELED = [
+    ["sgn", "eta1", "eta0"],
+    ["eta1", "sgn"],
+    ["sgn", "sgn"],
+    ["nonsplit3", "split3", "nonsplit3"],
+]
+
+
+def relabeled(names, seed):
+    rng = random.Random(seed)
+    return [relabel_cover(NAMED[n], rng) for n in names]
+
+
+@pytest.mark.parametrize(
+    "combo",
+    [[NAMED[n] for n in names] for names in NUMBERED]
+    + [relabeled(names, seed) for seed, names in enumerate(RELABELED)],
+    ids=[",".join(names) for names in NUMBERED]
+    + ["relabeled:" + ",".join(names) for names in RELABELED],
+)
+def test_numbering_matches_oracle(combo):
+    # kernels of different orders (S3 -> C2 beside the C4 and V4 covers),
+    # the order-3 pool and relabeled sources, up to three factors
+    fp = make_fprod(combo)
+    expected = combo[0].source.order
+    for c in combo[1:]:
+        expected *= c.kernel().order
+    assert fp.carrier.order == expected
+    table, carrier = oracles.fiber_table(
+        [c.source.mul.tolist() for c in combo], [c.image.tolist() for c in combo]
+    )
+    coords = carrier_coords(fp)
+    assert coords == carrier
+    assert fp.carrier.mul.tolist() == [list(row) for row in table]
+    assert fp.structure_map.image.tolist() == [int(combo[0].image[t[0]]) for t in coords]
+    for r in range(1, len(combo) + 1):
+        for subset in itertools.combinations(range(len(combo)), r):
+            _, proj = restrict(fp, subset)
+            index = lex_index([combo[i] for i in subset])
+            want = [index[tuple(t[i] for i in subset)] for t in coords]
+            assert proj.image.tolist() == want
 
 
 @pytest.mark.parametrize("combo", ALL_COMBOS)
@@ -173,8 +243,9 @@ def test_restrict_three_factors():
         assert proj.is_surjective()
         # restriction commutes with the structure maps
         assert compose(sub.structure_map, proj).same_map(fp.structure_map)
-        for x, t in enumerate(fp.tuples):
-            assert sub.tuples[int(proj.image[x])] == tuple(t[i] for i in subset)
+        index = lex_index([fp.factors[i] for i in subset])
+        for x, t in enumerate(carrier_coords(fp)):
+            assert int(proj.image[x]) == index[tuple(t[i] for i in subset)]
 
 
 def test_restrict_empty_subset_gives_structure_map():
@@ -430,6 +501,14 @@ def check_alignment(fp, sub):
         new_fp.carrier, [new_fp.axis_kernels[i].elements for i in axes]
     )
     assert moved.elements == tuple(expected.tolist())
+    # omega keeps the coordinates of untouched factors, and lands on the
+    # row that the lexicographic numbering gives its new coordinates
+    index = lex_index(new_fp.factors)
+    old_coords, new_coords = carrier_coords(fp), carrier_coords(new_fp)
+    kept = [i for i in range(fp.arity) if new_fp.factors[i] is fp.factors[i]]
+    for x, y in enumerate(omega.image.tolist()):
+        assert index[new_coords[y]] == y
+        assert all(new_coords[y][i] == old_coords[x][i] for i in kept)
     # the new family is still a presentation over the same base
     if new_fp.arity >= 2:
         assert is_fiber_presentation(new_fp.projections, new_fp.structure_map)

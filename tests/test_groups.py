@@ -21,9 +21,11 @@ from catalog import (
     normal_subgroups,
     quaternion8,
     relabel,
+    sl2_5,
     split_cover_c2,
     split_cover_c3,
     sym3,
+    sym5,
 )
 from covercalc import (
     BuildLimits,
@@ -327,6 +329,23 @@ def test_closure_on_large_group_matches_set_closure():
             assert got == _set_closure(rows, seed)
             sizes.add(len(got))
     assert {1, 60, 780} <= sizes
+
+
+def test_generating_set_matches_greedy_oracle():
+    # stored generators, relabelings without them, and fiber-product
+    # carriers (which carry none) all follow the oracle's greedy rule
+    groups = [*(fn() for fn in SMALL_GROUPS.values()), alt5(), sym5(), sl2_5()]
+    rng = random.Random(14)
+    groups += [relabel(g, rng, keep_generators=False) for g in list(groups)]
+    for split, nonsplit in [
+        (split_cover_c2(), nonsplit_cover_c2()),
+        (split_cover_c3(), nonsplit_cover_c3()),
+    ]:
+        groups += [pi.source for pi in cover_pool(split, nonsplit, max_factors=4)]
+    assert sum(not g.generators for g in groups) >= 40
+    for g in groups:
+        want = oracles.greedy_generating_set(g.mul.tolist(), g.generators)
+        assert generating_set(g) == want, g.name
 
 
 def test_quotient_labels_follow_their_generators():

@@ -1,8 +1,10 @@
 """Smoke runs of the scripts in ``scripts/``, each in a child process:
-it must exit 0 and print its header line first."""
+it must exit 0 and print its header line first. Also the public names
+that tooling (the benchmark's tracer) reads from every module."""
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
@@ -43,3 +45,16 @@ def test_script_runs(args, header):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == header
+
+
+# the nine layers whose public functions the benchmark's tracer wraps
+LAYERS = [
+    "textio", "cli", "groups", "fiber", "squares", "gmodules", "cohomology", "linalg", "fundament",
+]
+
+
+@pytest.mark.parametrize("name", ["covercalc"] + [f"covercalc.{m}" for m in LAYERS])
+def test_public_names_resolve(name):
+    # a stale __all__ entry would stop every traced benchmark run
+    module = importlib.import_module(name)
+    assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []

@@ -95,7 +95,8 @@ def universal_map(sq):
     """The canonical map from the corner into the fiber product of the
     bottom and right edges; (left, top) in coordinates."""
     fp = fiber_product(sq.corner_base, [sq.bottom, sq.right])
-    index = {t: i for i, t in enumerate(fp.tuples)}
+    coords = zip(*(p.image.tolist() for p in fp.projections))
+    index = {t: i for i, t in enumerate(coords)}
     h = sq.corner_source
     img = np.array(
         [
