@@ -97,8 +97,13 @@ class TwoCochain:
 
     def is_cocycle(self) -> bool:
         """The identity x.f(y,z) + f(x,yz) = f(xy,z) + f(x,y), checked for x
-        in ``generating_set(group)`` and all (y, z): that suffices for a
-        normalized cochain (see ``CohomSpace._cocycle_basis``)."""
+        in S = ``generating_set(group)`` and all (y, z).
+
+        That suffices for a normalized cochain: h = df satisfies the
+        3-cocycle identity, which at (s, y, z, w) with h zero on S x G x G
+        reads h(sy, z, w) = s.h(y, z, w). S generates G and
+        h(1, z, w) = f(z, w) - f(z, w) + f(1, zw) - f(1, z) = 0, so h
+        vanishes everywhere."""
         g, t = self.group, self.table
         for x in generating_set(g):
             lhs = t @ self.module.action[x].T + t[x][g.mul]
@@ -156,39 +161,56 @@ class CohomSpace:
     # -- construction ---------------------------------------------------
 
     def _cocycle_basis(self) -> np.ndarray:
-        """Nullspace of the cocycle identity, imposed for x in a generating
-        set S only.
+        """RREF-derived basis of Z^2, solved for the values f(x, s) on the
+        non-identity x and the distinct non-identity s of S =
+        ``generating_set(group)``: (n-1)·|S|·d unknowns (Holt–Eick–O'Brien,
+        *Handbook of Computational Group Theory*, ch. 7).
 
-        For h = df, the 3-cocycle identity at (s, y, z, w) gives
-        h(sy, z, w) = s.h(y, z, w); with h(1, ., .) = 0 for a normalized f,
-        h vanishing on S x G x G vanishes everywhere. So the nullspace, and
-        with it the RREF-derived basis, equals the one over all x in G.
-        Rows are indexed (y, z, r) per x, columns (s, t, j); y, z run over
-        the non-identity elements, where the identity is not automatic.
+        The breadth-first tree of the Cayley graph from 1 over S extends
+        the unknowns to all of G x G: on a tree edge y -> ys,
+        f(w, ys) = f(w, y) + f(wy, s) - w.f(y, s), the cocycle identity at
+        (w, y, s). On every other edge that identity gives n·d rows. A
+        cocycle satisfies them all and is fixed by its values on G x S.
+        Conversely the tree extension f of a solution is normalized and
+        h = df vanishes on G x G x S; the 3-cocycle identity of h at
+        (w, x, y, s) then reads h(w, x, ys) = h(w, x, y), and S generates
+        G, so h(w, x, z) = h(w, x, 1) = 0 for every z. The nullspace N is
+        Z^2.
+
+        The rows of N, expanded into flat cochain coordinates, span Z^2,
+        and its basis is the one with a 1 at one free column of the full
+        system's RREF and 0 at the others. Those free columns are the
+        pivots of the RREF of the column-reversed span, so that RREF,
+        reversed back in rows and columns, is the same basis.
         """
         g, mod = self.group, self.module
         n, d, p, u = g.order, mod.dim, mod.p, self._u
         if u == 0:
             return np.zeros((0, 0), dtype=np.int64)
-        k = n - 1
-        y, z = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
-        yz = g.mul[y, z]
-        eye = np.eye(d, dtype=np.int64)
-        blocks = []
-        for x in generating_set(g):
-            if x == 0:
-                continue
-            xy = g.mul[x, y]
-            c = np.zeros((k, k, d, k, k, d), dtype=np.int64)
-            # x.f(y,z) + f(x,yz) - f(xy,z) - f(x,y) = 0; f(1, .) = f(., 1) = 0
-            c[y - 1, z - 1, :, y - 1, z - 1, :] += mod.action[x]
-            m = yz != 0
-            c[y[m] - 1, z[m] - 1, :, x - 1, yz[m] - 1, :] += eye
-            m = xy != 0
-            c[y[m] - 1, z[m] - 1, :, xy[m] - 1, z[m] - 1, :] -= eye
-            c[y - 1, z - 1, :, x - 1, y - 1, :] -= eye
-            blocks.append(c.reshape(k * k * d, u))
-        return nullspace_mod_p(np.vstack(blocks) % p, p)
+        gens = list(dict.fromkeys(s for s in generating_set(g) if s))
+        m = (n - 1) * len(gens) * d
+        # unknown[x, i] selects f(x, gens[i]) among the unknowns, 0 at x = 1
+        unknown = np.zeros((n, len(gens), d, m), dtype=np.int64)
+        unknown[1:] = np.eye(m, dtype=np.int64).reshape(n - 1, len(gens), d, m)
+        acts = np.stack(mod.action)
+        # tree[z][w] = f(w, z) as a linear map of the unknowns
+        tree = {0: np.zeros((n, d, m), dtype=np.int64)}
+        queue, rows = [0], []
+        for y in queue:
+            for i, s in enumerate(gens):
+                ys = int(g.mul[y, s])
+                f = (tree[y] + unknown[g.mul[:, y], i] - acts @ unknown[y, i]) % p
+                if ys in tree:
+                    rows.append((tree[ys] - f).reshape(n * d, m))
+                else:
+                    tree[ys] = f
+                    queue.append(ys)
+        null = nullspace_mod_p(np.vstack(rows) % p, p)
+        # the cochain table[w, z, r] = f(w, z)_r, over the non-identity pairs
+        expand = np.stack([tree[z] for z in range(n)], axis=1)[1:, 1:]
+        span = null @ expand.reshape(u, m).T % p
+        reduced, _ = row_echelon_mod_p(span[:, ::-1], p)
+        return np.ascontiguousarray(reduced[::-1, ::-1])
 
     def _coboundary_basis(self) -> np.ndarray:
         """RREF of the boundaries of the cochains e_j at w, rows (w, j)."""
@@ -318,7 +340,8 @@ def extension_from_cocycle(cochain: TwoCochain) -> ExtensionRealization:
 
     Elements are pairs (a, g) numbered a * |G| + g, multiplied by
     (a1, g1)(a2, g2) = (a1 + g1.a2 + f(g1, g2), g1 g2); the identity is
-    (0, 1) = index 0. Raises NotCocycle for non-cocycles.
+    (0, 1) = index 0. The cover keeps the cochain's module as its kernel
+    module (``Cover._kernel_module``). Raises NotCocycle for non-cocycles.
     """
     if not cochain.is_cocycle():
         raise NotCocycle("table fails the degree-2 identity")
@@ -351,21 +374,25 @@ def extension_from_cocycle(cochain: TwoCochain) -> ExtensionRealization:
     )
     cover = Cover(ext, g, np.arange(size) % n, check=False)
     embed = np.arange(q, dtype=np.int64) * n
+    if d and same_group(mod.group, g):
+        # the kernel's module and coordinates, as _module_and_coords reads
+        # them: kernel element a·n has vector a, the greedy basis is p^j·n,
+        # and conjugation by the least section element (0, x) acts as x
+        vectors = np.zeros((size, d), dtype=np.int64)
+        vectors[embed] = vecs
+        basis = tuple(int(b) for b in embed[weights])
+        cover._kernel_module = (mod, KernelCoords(cover.kernel(), p, d, basis, vectors))
     return ExtensionRealization(cover=cover, module=mod, embed=embed, cochain=cochain)
 
 
 def cover_cochain(pi: Cover) -> TwoCochain:
     """The cocycle of a cover with abelian kernel, via the least-index
     section; coefficients in the conjugation module on the kernel."""
-    ker = pi.kernel()
-    if not _commute(pi.source, ker.elements, ker.elements):
+    src, ker = pi.source, pi.kernel()
+    # a memoized kernel module was read off an abelian kernel
+    if pi._kernel_module is None and not _commute(src, ker.elements, ker.elements):
         raise KernelNotAbelian("cover kernel is not abelian")
-    return _cover_cochain(pi, *_module_and_coords(pi, ker))
-
-
-def _cover_cochain(pi: Cover, mod: GModule, coords: KernelCoords) -> TwoCochain:
-    """``cover_cochain`` in the kernel module and coordinates given."""
-    src = pi.source
+    mod, coords = _module_and_coords(pi, ker)
     # f(s, t) is the kernel part of u_s u_t against u_st, u the least section
     section = _least_section(pi)
     h = src.mul[np.ix_(section, section)]
@@ -470,13 +497,13 @@ class DualPairS:
 
 def x2(pi: Cover, target: GModule) -> DualPairS:
     """The dual pair of a cover whose kernel is target-generated. The
-    kernel module, its coordinates and Hom_G(K, A) are built once."""
-    kmod, coords = _module_and_coords(pi, pi.kernel())
+    kernel module (memoized on the cover) and Hom_G(K, A) are built once."""
+    kmod = _module_and_coords(pi, pi.kernel())[0]
     dual = hom_space(kmod, target)
     if kmod.dim and not _generates(dual):
         raise NotAGenerated("cover kernel is not generated by the module")
     space = cohom_space(pi.target, target)
-    raw = _cover_cochain(pi, kmod, coords)
+    raw = cover_cochain(pi)
     cols = []
     for phi in dual.fp_basis:
         pushed = push_cochain(raw, phi, target)

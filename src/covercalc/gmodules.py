@@ -236,13 +236,17 @@ def module_from_cover(pi: Cover, sub: Subgroup) -> GModule:
 
 
 def _module_and_coords(pi: Cover, sub: Subgroup) -> tuple[GModule, KernelCoords]:
-    """``module_from_cover`` with the coordinates it was read in."""
+    """``module_from_cover`` with the coordinates it was read in; for the
+    kernel itself, memoized on the cover (``pi._kernel_module``)."""
     src = pi.source
     if not same_group(sub.parent, src):
         raise Incompatible("subgroup lives in a different group")
+    ker = pi.kernel()
+    is_kernel = sub.mask == ker.mask
+    if is_kernel and pi._kernel_module is not None:
+        return pi._kernel_module
     if not sub.is_normal():
         raise NotNormal("subgroup is not normal in the cover source")
-    ker = pi.kernel()
     if sub.mask & ~ker.mask:
         raise NotCentralInKernel("subgroup is not inside the kernel")
     if not _commute(src, ker.elements, sub.elements):
@@ -254,7 +258,10 @@ def _module_and_coords(pi: Cover, sub: Subgroup) -> tuple[GModule, KernelCoords]
     basis = np.asarray(coords.basis_elements, dtype=np.intp)
     conj = src.mul[src.mul[section[:, None], basis], src.inv[section][:, None]]
     mats = coords.vectors[conj].transpose(0, 2, 1) % coords.p
-    return GModule(base, coords.p, tuple(mats), check=True), coords
+    out = GModule(base, coords.p, tuple(mats), check=True), coords
+    if is_kernel:
+        pi._kernel_module = out
+    return out
 
 
 def trivial_module(group: FiniteGroup, p: int, dim: int = 1) -> GModule:

@@ -601,8 +601,11 @@ class GroupHom:
 
 
 class Cover(GroupHom):
-    """A surjective homomorphism; caches its kernel, fundament kernel and
-    invariants."""
+    """A surjective homomorphism; caches its kernel, fundament kernel,
+    invariants, and the conjugation module on an elementary abelian
+    kernel with the coordinates it is read in (``_kernel_module``, filled
+    by ``gmodules._module_and_coords`` or, for the extension it builds, by
+    ``cohomology.extension_from_cocycle``)."""
 
     def __init__(self, source, target, image, check: bool = True) -> None:
         super().__init__(source, target, image, check=check)
@@ -612,6 +615,7 @@ class Cover(GroupHom):
         self._invariants = None  # fundament.invariants memo
         self._fundament = None  # fundament.fundament_kernel memo
         self._indexed = None  # (base, fundament._indexed of it) memo
+        self._kernel_module = None  # (GModule, KernelCoords) of the kernel
 
     def kernel(self) -> Subgroup:
         return self._kernel

@@ -32,12 +32,17 @@ from catalog import (
 )
 from covercalc import (
     CohomClass,
+    CohomSpace,
+    Cover,
+    FiniteGroup,
+    GModule,
     TwoCochain,
     are_congruent,
     are_isomorphic_extensions,
     cocycle_from_extension,
     cohom_space,
     cover_cochain,
+    endo_field,
     extension_from_cocycle,
     fiber_cocycle,
     fiber_product,
@@ -56,6 +61,7 @@ from covercalc import (
     y2,
 )
 from covercalc.cli import Workspace
+from covercalc.groups import generating_set
 from covercalc.errors import (
     Incompatible,
     KernelNotAbelian,
@@ -235,6 +241,49 @@ def test_is_cocycle_matches_every_x_oracle(make):
         assert not _oracle_is_cocycle(broken)
 
 
+def _with_generators(group, gens):
+    return FiniteGroup(group.mul, name=group.name, generators=gens)
+
+
+def test_h2_bases_with_identity_and_repeated_generators():
+    d4 = builtin("D4")
+    a, b = d4.generators
+    group = _with_generators(d4, (0, a, a, b))
+    assert generating_set(group) == (0, a, a, b)
+    for p in (2, 3, 5):
+        assert_space_matches_full_system(group, trivial_module(group, p, 1))
+    c3 = F4MOD.group
+    g = generating_set(c3)[0]
+    group = _with_generators(c3, (g, 0, g, int(c3.mul[g, g])))
+    assert_space_matches_full_system(group, GModule(group, 2, F4MOD.action))
+
+
+@pytest.mark.parametrize(
+    "make,columns",
+    [
+        (lambda: trivial_module(builtin("A4"), 2, 1), 22),
+        (lambda: trivial_module(builtin("A4"), 3, 1), 22),
+        (lambda: trivial_module(builtin("S4"), 2, 1), 46),
+        (lambda: trivial_module(builtin("S4"), 3, 1), 46),
+        (a4_f4, 44),
+    ],
+    ids=["A4-F2", "A4-F3", "S4-F2", "S4-F3", "A4-F4"],
+)
+def test_cocycle_system_has_one_column_per_generator_value(make, columns, monkeypatch):
+    import covercalc.cohomology as ch
+
+    module = make()
+    group, d = module.group, module.dim
+    n, s = group.order, len(set(generating_set(group)) - {0})
+    assert (n - 1) * s * d == columns
+    shapes = []
+    real = ch.nullspace_mod_p
+    monkeypatch.setattr(ch, "nullspace_mod_p", lambda mat, p: shapes.append(mat.shape) or real(mat, p))
+    CohomSpace(group, module, endo_field(module))
+    # n·d rows for each of the n·|S| - (n - 1) edges off the spanning tree
+    assert shapes == [((n * s - (n - 1)) * n * d, columns)]
+
+
 def test_space_requires_simple_module():
     from covercalc import direct_sum_module
 
@@ -344,6 +393,35 @@ def test_embed_realizes_the_module():
     assert sorted(int(e) for e in real.embed) == sorted(ker.elements)
     kmod = module_from_cover(real.cover, ker)
     assert kmod.p == 2 and kmod.dim == 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda name=name, p=p: trivial_module(builtin(name), p, 1)
+        for name in H2_GROUP_NAMES
+        for p in (2, 3)
+    ]
+    + [f4_over_c3, a4_f4],
+    ids=[f"{name}-F{p}" for name in H2_GROUP_NAMES for p in (2, 3)] + ["C3-F4", "A4-F4"],
+)
+def test_extension_stores_the_kernel_module_read_from_scratch(make):
+    import covercalc.gmodules as gm
+
+    module = make()
+    space = cohom_space(module.group, module)
+    for coords in itertools.product(range(space.p), repeat=space.dim_p):
+        cov = extension_from_cocycle(space.representative(np.array(coords, dtype=np.int64))).cover
+        kmod, kc = cov._kernel_module
+        assert kmod is space.module
+        fresh = Cover(cov.source, cov.target, cov.image, check=False)
+        want_mod, want = gm._module_and_coords(fresh, fresh.kernel())
+        assert kmod.structural_key() == want_mod.structural_key()
+        assert_bytes_equal(kc.vectors, want.vectors)
+        assert kc.basis_elements == want.basis_elements
+        assert (kc.p, kc.dim) == (want.p, want.dim)
+        assert kc.subgroup == want.subgroup
+        assert module_from_cover(cov, cov.kernel()) is kmod
 
 
 def test_extension_rejects_non_cocycle():
@@ -596,22 +674,28 @@ def test_pair_requires_generated_kernel():
 
 
 def test_pair_builds_the_kernel_module_once(monkeypatch):
-    import covercalc.cohomology as ch
     import covercalc.gmodules as gm
 
-    eta0, eta1 = split_cover_c2(), nonsplit_cover_c2()
-    pi = fiber_product(eta0.target, [eta0, eta1, eta1]).structure_map
-    want = x2(pi, F2TRIV_C2)
+    def make():
+        eta0, eta1 = split_cover_c2(), nonsplit_cover_c2()
+        return fiber_product(eta0.target, [eta0, eta1, eta1]).structure_map
+
+    want = x2(make(), F2TRIV_C2)  # an equal cover, with a memo of its own
+    pi = make()
     calls = []
-    for module, name in ((ch, "_module_and_coords"), (gm, "_module_and_coords"),
-                         (gm, "kernel_coordinates"), (gm, "_hom_basis")):
-        real = getattr(module, name)
+    for name in ("kernel_coordinates", "_hom_basis"):
+        real = getattr(gm, name)
         monkeypatch.setattr(
-            module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            gm, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
         )
     pair = x2(pi, F2TRIV_C2)
-    assert sorted(calls) == ["_hom_basis", "_module_and_coords", "kernel_coordinates"]
+    assert sorted(calls) == ["_hom_basis", "kernel_coordinates"]
     assert np.array_equal(pair.s_matrix, want.s_matrix)
+    # a repeat call reads the kernel module off the cover's memo
+    calls.clear()
+    again = x2(pi, F2TRIV_C2)
+    assert calls == ["_hom_basis"]
+    assert np.array_equal(again.s_matrix, want.s_matrix)
 
 
 def test_pair_image_rows_lie_in_h2():
