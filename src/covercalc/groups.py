@@ -11,7 +11,6 @@ points: ``(p * q)(x) = q(p(x))``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 
@@ -142,16 +141,10 @@ class FiniteGroup:
             self._orders = out
         return self._orders
 
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
-
     def exponent(self) -> int:
         return int(reduce(np.lcm, self.element_orders()))
 
     # -- subgroup helpers ----------------------------------------------------
-
-    def trivial_subgroup(self) -> Subgroup:
-        return Subgroup(self, (0,))
 
     def full_subgroup(self) -> Subgroup:
         return Subgroup(self, tuple(range(self.order)))
@@ -564,20 +557,12 @@ class GroupHom:
     def is_surjective(self) -> bool:
         return len(_distinct(self.image, self.target.order)) == self.target.order
 
-    def is_injective(self) -> bool:
-        return len(_distinct(self.image, self.target.order)) == self.source.order
-
     def is_isomorphism(self) -> bool:
         return self.source.order == self.target.order and self.is_surjective()
 
     def kernel(self) -> Subgroup:
         elems = tuple(int(x) for x in np.nonzero(self.image == 0)[0])
         return Subgroup(self.source, elems)
-
-    def image_subgroup(self) -> Subgroup:
-        return Subgroup(
-            self.target, tuple(int(x) for x in _distinct(self.image, self.target.order))
-        )
 
     def apply_subgroup(self, sub: Subgroup) -> Subgroup:
         elems = tuple(sorted({int(self.image[x]) for x in sub.elements}))
@@ -727,10 +712,6 @@ def _normalize_perm(perm, degree: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def _compose_perm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(q[x] for x in p)
-
-
 def build_group(
     perm_generators,
     labels: tuple[str, ...] | None = None,
@@ -748,6 +729,15 @@ def build_group(
 
     Elements are numbered in BFS discovery order from the identity, so the
     numbering is deterministic. Raises MalformedPermutation for bad input.
+
+    One BFS does all the permutation work: the orbit of the identity under
+    right multiplication by the generators, with its Schreier tree
+    (Holt–Eick–O'Brien, *Handbook of Computational Group Theory*, §4.1).
+    It records ``right[j, x]``, the index of x·g_j, for every element x,
+    and for each new element y the tree edge y = x·g_j with x < y. The
+    table is then read off column by column in discovery order: column y
+    is ``right[j][mul[:, x]]``, because z·y = (z·x)·g_j for every z and
+    column x is already filled.
     """
     perms = list(perm_generators)
     if not perms:
@@ -757,76 +747,41 @@ def build_group(
             degree = max(len(tuple(p)) for p in perms)
         except TypeError as exc:
             raise MalformedPermutation(str(exc)) from None
-    gens = [_normalize_perm(p, degree) for p in perms]
-    ident = tuple(range(degree))
-    elems: list[tuple[int, ...]] = [ident]
-    index = {ident: 0}
-    queue = deque([ident])
-    while queue:
-        cur = queue.popleft()
-        for g in gens:
-            nxt = _compose_perm(cur, g)
-            if nxt not in index:
-                if len(elems) + 1 > limits.order_cap:
+    # each element is the bytes of its image array; cur * g is g[cur]. The
+    # keys are most of the BFS's memory, hence the narrowest point type.
+    point = np.min_scalar_type(degree - 1)
+    gens = [np.array(_normalize_perm(p, degree), dtype=point) for p in perms]
+    elems = [np.arange(degree, dtype=point).tobytes()]
+    index = {elems[0]: 0}
+    right = [[] for _ in gens]
+    parent, via = [0], [0]
+    for x, key in enumerate(elems):  # the loop sees elements appended to it
+        cur = np.frombuffer(key, dtype=point)
+        for j, g in enumerate(gens):
+            nxt = g[cur].tobytes()
+            y = index.get(nxt)
+            if y is None:
+                y = len(elems)
+                if y + 1 > limits.order_cap:
                     raise OrderCapExceeded(
                         f"closure exceeded order cap {limits.order_cap}"
                     )
-                index[nxt] = len(elems)
+                index[nxt] = y
                 elems.append(nxt)
-                queue.append(nxt)
+                parent.append(x)
+                via.append(j)
+            right[j].append(y)
+    gen_idx = tuple(index[g.tobytes()] for g in gens)
+    n = len(elems)
+    del elems, index  # free the permutations before the table is filled
+    right = np.array(right, dtype=np.int32).reshape(len(gens), n)
+    mul = np.empty((n, n), dtype=np.int32)
+    mul[:, 0] = np.arange(n, dtype=np.int32)
+    for y in range(1, n):
+        mul[:, y] = right[via[y]][mul[:, parent[y]]]
     if labels is None:
         labels = tuple(f"g{i}" for i in range(len(gens)))
-    gen_idx = tuple(index[g] for g in gens)
-    stacked = np.array(elems, dtype=np.int32)
-    del elems, index  # free the tuples before the table is filled
-    return FiniteGroup(
-        _table_through_base(stacked),
-        name=name,
-        generators=gen_idx,
-        generator_labels=tuple(labels),
-    )
-
-
-def _table_through_base(perms: np.ndarray) -> np.ndarray:
-    """The multiplication table of the permutations ``perms`` (one per row).
-
-    Each element is keyed by its images of a base, i.e. points whose
-    pointwise stabilizer is trivial (Holt–Eick–O'Brien, *Handbook of
-    Computational Group Theory*, §4.4). Points are taken in order and kept
-    while they split the elements further. The tuples of base images are
-    numbered by prefix ranks: ``steps[j]`` maps (rank on the first j base
-    points, image of point j) to the rank on the first j + 1, so every key
-    stays below ``n * degree``. Row i is then one gather: the base images
-    of ``perms[i] * perms[b]`` for every b are ``perms[b, perms[i, base]]``.
-    """
-    n, degree = perms.shape
-    base: list[int] = []
-    steps: list[np.ndarray] = []
-    rank = np.zeros(n, dtype=np.intp)
-    count = 1
-    for point in range(degree):
-        if count == n:
-            break
-        key = rank * degree + perms[:, point]
-        seen = np.zeros(count * degree, dtype=bool)
-        seen[key] = True
-        grown = int(np.count_nonzero(seen))
-        if grown > count:
-            step = np.cumsum(seen) - 1
-            base.append(point)
-            steps.append(step)
-            rank, count = step[key], grown
-    element = np.empty(n, dtype=np.int32)  # rank on the whole base -> index
-    element[rank] = np.arange(n, dtype=np.int32)
-    base_images = perms[:, base]
-    mul = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        images = perms[:, base_images[i]]
-        rank = 0
-        for step, image in zip(steps, images.T):
-            rank = step[rank * degree + image]
-        mul[i] = element[rank]
-    return mul
+    return FiniteGroup(mul, name=name, generators=gen_idx, generator_labels=tuple(labels))
 
 
 # ---------------------------------------------------------------------------

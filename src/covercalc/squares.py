@@ -73,12 +73,12 @@ def make_square(top: Cover, left: Cover, bottom: Cover, right: Cover) -> CommSqu
 
 
 def is_cartesian(sq: CommSquare) -> bool:
-    """True iff the left map restricts to a bijection Ker(top) -> Ker(bottom)."""
-    top_ker = sq.top.kernel().elements
-    images = {int(sq.left.image[x]) for x in top_ker}
-    if len(images) != len(top_ker):
-        return False
-    return images == set(sq.bottom.kernel().elements)
+    """True iff the left map restricts to a bijection Ker(top) -> Ker(bottom).
+
+    That is: semi-cartesian, with kernels of equal order, since a
+    surjection between finite sets of the same size is a bijection.
+    """
+    return is_semi_cartesian(sq) and sq.top.kernel().order == sq.bottom.kernel().order
 
 
 def is_semi_cartesian(sq: CommSquare) -> bool:

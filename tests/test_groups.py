@@ -127,6 +127,15 @@ def test_cyclic_tables_match_oracle(n):
     assert group.generators == (() if n == 1 else (1,))  # C1 is trivial_group()
 
 
+@pytest.mark.parametrize("n", [257, 1000])
+def test_large_cyclic_tables_are_addition_mod_n(n):
+    # BFS from the identity numbers g^k as element k
+    group = cyclic_group(n)
+    k = np.arange(n)
+    assert np.array_equal(group.mul, (k[:, None] + k[None, :]) % n)
+    assert group.generators == (1,)
+
+
 @pytest.mark.parametrize(
     "gens",
     [
@@ -141,8 +150,13 @@ def test_cyclic_tables_match_oracle(n):
         [(1, 2, 0, 3), (1, 2, 0, 3), (0, 1, 2, 3), (1, 0, 2, 3)],
         [(0, 1, 2)],
         [],
+        # S6, order 720: far past the orders above
+        [_cycle(6), (1, 0, 2, 3, 4, 5)],
     ],
-    ids=["intransitive", "fixed-point-0", "pad-2-5", "pad-3-4", "repeated", "identity", "empty"],
+    ids=[
+        "intransitive", "fixed-point-0", "pad-2-5", "pad-3-4", "repeated", "identity", "empty",
+        "S6",
+    ],
 )
 def test_edge_case_tables_match_oracle(gens):
     assert_table_matches_oracle(gens)
@@ -162,7 +176,9 @@ def test_random_tables_match_oracle(seed):
 
 
 @pytest.mark.parametrize(
-    "gens,n", [(GROUP_PERMS["S4"], 24), ([_cycle(64)], 64)], ids=["S4", "C64"]
+    "gens,n",
+    [(GROUP_PERMS["S4"], 24), ([_cycle(64)], 64), ([_cycle(1000)], 1000)],
+    ids=["S4", "C64", "C1000"],
 )
 def test_order_cap_boundary(gens, n):
     with pytest.raises(OrderCapExceeded):
