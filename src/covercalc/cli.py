@@ -14,15 +14,23 @@ resolve to file-defined groups first, then to built-ins ``1``, ``C<n>``,
 ``V4``, ``S3``, ``S4``, ``A4``, ``A5``, ``D4``, ``Q8``. Module
 expressions (for ``h2``): ``F<p>triv`` or ``ker(<cover>)``.
 
+Flags: ``-f FILE``, ``--file FILE`` or ``--file=FILE`` loads a definition
+file (repeatable, in order); ``--json``; ``--max-order N`` or
+``--max-order=N`` with N a positive integer; ``-h`` / ``--help`` prints the
+usage on stdout and exits 0. Flags may stand before or after the command
+and its arguments; every token after ``--`` is positional. A missing
+command, a flag without its value, a bad N and any other token starting
+with ``-`` (abbreviations such as ``--js`` included) are usage errors.
+
 Decision commands (``dominates``, ``isomorphic``, ``lift``) print exactly
 ``true`` or ``false`` on the last line. With ``--json`` every command
 emits one JSON document with a top-level ``"schema": 1`` field. Exit
-status is 0 exactly when no error occurred.
+status is 0 exactly when no error occurred; every error, usage errors
+included, prints ``error: ...`` on stderr and exits 1.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
@@ -543,35 +551,76 @@ def run_command(ws: Workspace, command: str, args: list[str]) -> tuple[list[str]
     return lines, doc
 
 
+_USAGE = f"""\
+usage: covercalc [-h] [-f FILE] [--json] [--max-order N] command [args ...]
+
+Calculus of covers of finite groups.
+
+commands: {', '.join(sorted(_COMMANDS))}
+
+options:
+  -h, --help            show this help message and exit
+  -f FILE, --file FILE  group/hom definition file (repeatable)
+  --json                emit a JSON document
+  --max-order N         override the group order cap (a positive integer)
+  --                    every later token is positional"""
+
+
+def _parse_argv(
+    argv: list[str],
+) -> tuple[list[str], bool, int | None, list[str]] | None:
+    """(files, json flag, order cap, [command, *args]) from the command
+    line, or None for ``-h``/``--help``. Flags may stand anywhere before a
+    ``--``; every token after it is positional. Raises ``UsageError``."""
+    files: list[str] = []
+    as_json, max_order, positional = False, None, []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--":
+            positional.extend(tokens)
+        elif not tok.startswith("-"):
+            positional.append(tok)
+        elif tok in ("-h", "--help"):
+            return None
+        elif tok == "--json":
+            as_json = True
+        else:
+            name, eq, value = tok.partition("=")
+            if name not in ("-f", "--file", "--max-order") or (eq and name == "-f"):
+                raise UsageError(f"unrecognized argument {tok!r}")
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise UsageError(f"{name} needs a value")
+            if name != "--max-order":
+                files.append(value)
+            elif value.isdecimal() and int(value) > 0:
+                max_order = int(value)
+            else:
+                raise UsageError(f"--max-order needs a positive integer, got {value!r}")
+    if not positional:
+        raise UsageError(f"missing command; choose from {sorted(_COMMANDS)}")
+    return files, as_json, max_order, positional
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="covercalc",
-        description="Calculus of covers of finite groups.",
-    )
-    parser.add_argument(
-        "-f",
-        "--file",
-        action="append",
-        default=[],
-        help="group/hom definition file (repeatable)",
-    )
-    parser.add_argument("--json", action="store_true", help="emit a JSON document")
-    parser.add_argument(
-        "--max-order", type=int, default=None, help="override the group order cap"
-    )
-    parser.add_argument("command", help=f"one of {', '.join(sorted(_COMMANDS))}")
-    parser.add_argument("args", nargs="*", help="command arguments")
-    ns = parser.parse_args(argv)
-    limits = (
-        BuildLimits(order_cap=ns.max_order) if ns.max_order is not None else DEFAULT_LIMITS
-    )
+    """Run one command line (default ``sys.argv[1:]``); returns the exit
+    status."""
     try:
-        ws = parse_workspace(ns.file, limits=limits)
-        lines, doc = run_command(ws, ns.command, ns.args)
+        parsed = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            print(_USAGE)
+            return 0
+        files, as_json, max_order, (command, *args) = parsed
+        limits = (
+            DEFAULT_LIMITS if max_order is None else BuildLimits(order_cap=max_order)
+        )
+        ws = parse_workspace(files, limits=limits)
+        lines, doc = run_command(ws, command, args)
     except (CovercalcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if ns.json:
+    if as_json:
         print(json.dumps(doc, sort_keys=True, default=np.ndarray.tolist))
     else:
         for line in lines:

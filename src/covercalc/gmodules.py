@@ -35,6 +35,7 @@ from .groups import (
     Subgroup,
     _commute,
     _least_section,
+    _prime_divisors,
     generating_set,
     same_group,
 )
@@ -81,6 +82,9 @@ class GModule:
         action: tuple[np.ndarray, ...],
         check: bool = True,
     ) -> None:
+        # F_p arithmetic is a field only for prime p
+        if _prime_divisors(p) != [p]:
+            raise Incompatible(f"module coefficients need a prime p, got {p}")
         self.group = group
         self.p = p
         self.action = tuple(np.asarray(m, dtype=np.int64) % p for m in action)

@@ -430,6 +430,104 @@ def test_main_max_order_cap(capsys):
     assert "exceeds cap 7" in capsys.readouterr().err
 
 
+# ---------------------------------------------------------------------------
+# the command-line grammar
+
+CANONICAL = ["-f", INTRO, "--json", "--max-order", "100", "fprod", "eta1", "eta1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--file", INTRO, "--json", "--max-order", "100", "fprod", "eta1", "eta1"],
+        [f"--file={INTRO}", "--json", "--max-order=100", "fprod", "eta1", "eta1"],
+        ["fprod", "eta1", "eta1", "-f", INTRO, "--max-order", "100", "--json"],
+        ["fprod", "--json", "eta1", "--max-order=100", "eta1", "-f", INTRO],
+        ["-f", INTRO, "--json", "--max-order", "100", "--", "fprod", "eta1", "eta1"],
+        ["--max-order", "5", "-f", INTRO, "--json", "--max-order", "100", "fprod",
+         "eta1", "eta1"],
+    ],
+    ids=["long", "equals", "flags-last", "interleaved", "double-dash", "last-cap-wins"],
+)
+def test_accepted_forms_match_the_canonical_form(argv, capsys):
+    assert main(CANONICAL) == 0
+    want = capsys.readouterr().out
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.out == want
+    assert out.err == ""
+
+
+def test_files_load_in_command_line_order(tmp_path, capsys):
+    extra = tmp_path / "extra.grp"
+    extra.write_text("hom eta2 : V4 -> C2\na -> 1\nb -> t\n")
+    assert main(["-f", INTRO, "--file", str(extra), "isomorphic", "eta0", "eta2"]) == 0
+    assert capsys.readouterr().out == "true\n"
+    # eta2 names V4, which only intro.grp defines
+    assert main(["-f", str(extra), "--file", INTRO, "isomorphic", "eta0", "eta2"]) == 1
+    assert "unknown group 'V4'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_usage(flag, capsys):
+    assert main(["series", flag]) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: covercalc")
+    assert "--max-order N" in out.out
+    assert out.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--json", "-f", INTRO],
+        ["--js", "series", "C4->1"],
+        ["series", "C4->1", "-f"],
+        ["--max-order", "abc", "series", "C4->1"],
+        ["--max-order", "0", "series", "C4->1"],
+        ["--max-order=-3", "series", "C4->1"],
+        ["-f=" + INTRO, "series", "C4->1"],
+        ["--json=1", "series", "C4->1"],
+        ["-x", "series", "C4->1"],
+    ],
+    ids=["empty", "no-command", "abbrev", "bare-f", "cap-abc", "cap-zero",
+         "cap-negative", "short-equals", "json-value", "unknown-short"],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:")
+    assert out.err.count("\n") == 1
+
+
+def test_after_double_dash_flags_are_arguments(capsys):
+    assert main(["series", "--", "--json"]) == 1
+    assert "bad expression syntax near '--json'" in capsys.readouterr().err
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["covercalc", "series", "--json", "C4->1"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["sizes"] == [4, 2, 1]
+
+
+def test_h2_rejects_composite_fields():
+    # a fresh interpreter, so a numpy warning or a traceback shows on stderr
+    proc = run_python(
+        "-c",
+        "from covercalc.cli import main\n"
+        "print([main(['h2', g, m]) for g, m in\n"
+        "       (('C2', 'F4triv'), ('C3', 'F9triv'), ('C2', 'F1triv'), ('C2', 'F0triv'))])\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[1, 1, 1, 1]\n"
+    errors = proc.stderr.splitlines()
+    assert len(errors) == 4, proc.stderr
+    assert all(line.startswith("error:") and "prime" in line for line in errors)
+
+
 def test_max_order_reaches_cyclic_builtins():
     # above the default cap of 5000, so only the workspace's own limits admit it
     ws = Workspace(BuildLimits(order_cap=5001))
@@ -478,3 +576,21 @@ def test_cold_commands_do_not_import_numpy_ma():
     lines = proc.stdout.splitlines()
     assert lines[0] == "False", "import covercalc imports numpy.ma"
     assert lines[-1] == "False", "a cold command imports numpy.ma"
+
+
+def test_cold_commands_do_not_import_argparse_gettext_or_locale():
+    # argparse's translated help strings import locale through gettext, which
+    # costs more than parsing the command line needs
+    proc = run_python(
+        "-c",
+        "import sys\n"
+        "import covercalc\n"
+        "from covercalc.cli import main\n"
+        "for argv in (['series', 'C4->1'], ['--json', 'h2', 'D4', 'F2triv'],\n"
+        "             ['-f', sys.argv[1], 'isomorphic', 'fprod(eta1,eta1)', 'fprod(eta0,eta1)']):\n"
+        "    assert main(argv) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n",
+        INTRO,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -137,6 +137,15 @@ def test_action_validation():
         GModule(C2, 2, (np.eye(1),))
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 25, 221, -3])
+def test_coefficients_must_be_prime(p):
+    # arithmetic mod a composite is no field: h2 over "F4" read dim 0
+    with pytest.raises(Incompatible, match="prime"):
+        GModule(C2, p, (np.eye(1), np.eye(1)), check=False)
+    with pytest.raises(Incompatible, match="prime"):
+        trivial_module(C3, p)
+
+
 def test_act_and_indexing():
     m = F4MOD
     for idx in range(m.size):
