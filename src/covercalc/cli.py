@@ -26,12 +26,14 @@ Decision commands (``dominates``, ``isomorphic``, ``lift``) print exactly
 ``true`` or ``false`` on the last line. With ``--json`` every command
 emits one JSON document with a top-level ``"schema": 1`` field. Exit
 status is 0 exactly when no error occurred; every error, usage errors
-included, prints ``error: ...`` on stderr and exits 1.
+included, prints ``error: ...`` on stderr and exits 1. A reader that closes
+stdout early also gives exit 1, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 
@@ -603,14 +605,26 @@ def _parse_argv(
     return files, as_json, max_order, positional
 
 
+def _write(lines: list[str]) -> int:
+    """Print the lines on stdout: 0, or 1 if the reader has closed it."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: what is left to flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command line (default ``sys.argv[1:]``); returns the exit
     status."""
     try:
         parsed = _parse_argv(sys.argv[1:] if argv is None else argv)
         if parsed is None:
-            print(_USAGE)
-            return 0
+            return _write([_USAGE])
         files, as_json, max_order, (command, *args) = parsed
         limits = (
             DEFAULT_LIMITS if max_order is None else BuildLimits(order_cap=max_order)
@@ -621,11 +635,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if as_json:
-        print(json.dumps(doc, sort_keys=True, default=np.ndarray.tolist))
-    else:
-        for line in lines:
-            print(line)
-    return 0
+        lines = [json.dumps(doc, sort_keys=True, default=np.ndarray.tolist)]
+    return _write(lines)
 
 
 if __name__ == "__main__":

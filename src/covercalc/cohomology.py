@@ -45,7 +45,6 @@ from .gmodules import (
     is_simple_module,
 )
 from .linalg import (
-    independent_rows,
     nullspace_mod_p,
     rank_mod_p,
     row_echelon_mod_p,
@@ -83,7 +82,7 @@ class TwoCochain:
     table: np.ndarray  # (n, n, d) over F_p
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.table, dtype=np.int64) % max(self.module.p, 2)
+        t = np.asarray(self.table, dtype=np.int64) % self.module.p
         n, d = self.group.order, self.module.dim
         if t.shape != (n, n, d):
             raise Incompatible("cochain table has wrong shape")
@@ -117,11 +116,21 @@ def _cochain_from_flat(group: FiniteGroup, module: GModule, vec: np.ndarray) -> 
     n, d = group.order, module.dim
     table = np.zeros((n, n, d), dtype=np.int64)
     table[1:, 1:, :] = np.asarray(vec, dtype=np.int64).reshape(n - 1, n - 1, d)
-    return TwoCochain(group, module, table % max(module.p, 2))
+    return TwoCochain(group, module, table % module.p)
 
 
 class CohomSpace:
-    """H^2(G, A) presented over F_p with its F = End_G(A) structure."""
+    """H^2(G, A) presented over F_p with its F = End_G(A) structure.
+
+    A cochain's flat coordinates are its u = (n-1)^2·d values f(x, y)_c
+    over the non-identity pairs, row-major. ``z_basis`` (r x u) has the
+    identity at its pivot columns P, so a cocycle v is v[P]·``z_basis``
+    and v -> v[P] is an isomorphism Z^2 -> F_p^r. All later algebra is
+    in these r coordinates: B^2 is read only at P; ``h_reps`` are the
+    rows of ``z_basis`` whose unit vectors a greedy scan keeps after B^2;
+    and the H^2-coordinates of v are the coefficients of v[P] on those
+    unit vectors once its B^2 part is taken off.
+    """
 
     def __init__(self, group: FiniteGroup, module: GModule, field: EndoField) -> None:
         self.group = group
@@ -135,36 +144,38 @@ class CohomSpace:
             raise OrderCapExceeded(
                 f"{u} cochain coordinates exceed cap {COCHAIN_COORDS_CAP}"
             )
-        self.z_basis = self._cocycle_basis()
-        self.b_basis = self._coboundary_basis()
-        # the cocycles a greedy scan keeps after the coboundaries, which
-        # are in RREF and so all kept
-        nb = len(self.b_basis)
-        kept = independent_rows(np.vstack([self.b_basis, self.z_basis]), p)
-        self.h_reps = self.z_basis[[i - nb for i in kept[nb:]]]
-        self.dim_p = len(self.h_reps)
+        self.z_basis, self._pivots = self._cocycle_basis()
+        r = len(self._pivots)
+        # B^2 in the RREF of its reversed columns: row i ends in a 1 at
+        # column ends[i] and is 0 at the other ends. e_i is in
+        # B^2 + <e_0, ..., e_(i-1)> iff some coboundary ends at i, so a
+        # greedy scan of the unit vectors after B^2 keeps the others.
+        reduced, rev = row_echelon_mod_p(self._coboundaries_at_pivots()[:, ::-1], p)
+        ends = [r - 1 - c for c in rev]
+        kept = np.delete(np.arange(r), ends)
+        self.h_reps = self.z_basis[kept]
+        self.dim_p = len(kept)
         if self.dim_p % field.k:
             raise Incompatible("H^2 dimension not divisible by field degree")
         self.f_dim = self.dim_p // field.k
-        # basis = [h_reps; b_basis] has independent rows, so the RREF of
-        # [basis | I] is [R | T] with T·basis = R; a cocycle v = c·basis
-        # has c = v[P]·T at the pivot columns P of R
-        self._basis = np.vstack([self.h_reps, self.b_basis])
-        r = len(self._basis)
-        reduced, pivots = row_echelon_mod_p(
-            np.hstack([self._basis, np.eye(r, dtype=np.int64)]), p
-        )
-        self._pivots = np.asarray(pivots, dtype=np.intp)
-        self._transform = reduced[:, u:]
-        self.scalar_matrix = self._scalar_action()
+        # w = c·I[kept] + b with b in B^2 has b = w[ends]·reduced[:, ::-1],
+        # as the unit vectors vanish at the ends, so c = w·T
+        transform = np.eye(r, dtype=np.int64)[:, kept]
+        transform[ends] -= reduced[:, ::-1][:, kept]
+        self._transform = transform % p
+        # column i: the coordinates of J applied to every value of h_reps[i]
+        J = field.generator_matrix
+        images = (self.h_reps.reshape(-1, d) @ J.T).reshape(self.dim_p, u)
+        self.scalar_matrix = self._transform.T @ images[:, self._pivots].T % p
 
     # -- construction ---------------------------------------------------
 
-    def _cocycle_basis(self) -> np.ndarray:
-        """RREF-derived basis of Z^2, solved for the values f(x, s) on the
-        non-identity x and the distinct non-identity s of S =
-        ``generating_set(group)``: (n-1)·|S|·d unknowns (Holt–Eick–O'Brien,
-        *Handbook of Computational Group Theory*, ch. 7).
+    def _cocycle_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """RREF-derived basis of Z^2 and its pivot columns P, solved for
+        the values f(x, s) on the non-identity x and the distinct
+        non-identity s of S = ``generating_set(group)``: (n-1)·|S|·d
+        unknowns (Holt–Eick–O'Brien, *Handbook of Computational Group
+        Theory*, ch. 7).
 
         The breadth-first tree of the Cayley graph from 1 over S extends
         the unknowns to all of G x G: on a tree edge y -> ys,
@@ -181,12 +192,13 @@ class CohomSpace:
         and its basis is the one with a 1 at one free column of the full
         system's RREF and 0 at the others. Those free columns are the
         pivots of the RREF of the column-reversed span, so that RREF,
-        reversed back in rows and columns, is the same basis.
+        reversed back in rows and columns, is the same basis, and its
+        pivots, reversed back, are P.
         """
         g, mod = self.group, self.module
         n, d, p, u = g.order, mod.dim, mod.p, self._u
         if u == 0:
-            return np.zeros((0, 0), dtype=np.int64)
+            return np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.intp)
         gens = list(dict.fromkeys(s for s in generating_set(g) if s))
         m = (n - 1) * len(gens) * d
         # unknown[x, i] selects f(x, gens[i]) among the unknowns, 0 at x = 1
@@ -209,40 +221,26 @@ class CohomSpace:
         # the cochain table[w, z, r] = f(w, z)_r, over the non-identity pairs
         expand = np.stack([tree[z] for z in range(n)], axis=1)[1:, 1:]
         span = null @ expand.reshape(u, m).T % p
-        reduced, _ = row_echelon_mod_p(span[:, ::-1], p)
-        return np.ascontiguousarray(reduced[::-1, ::-1])
+        reduced, pivots = row_echelon_mod_p(span[:, ::-1], p)
+        return (
+            np.ascontiguousarray(reduced[::-1, ::-1]),
+            u - 1 - np.array(pivots[::-1], dtype=np.intp),
+        )
 
-    def _coboundary_basis(self) -> np.ndarray:
-        """RREF of the boundaries of the cochains e_j at w, rows (w, j)."""
+    def _coboundaries_at_pivots(self) -> np.ndarray:
+        """The boundaries (x, y) -> x.c(y) - c(xy) + c(x) of the cochains
+        c = e_j at w, row (w, j), read at the pivot columns P: column
+        (x, y, c) holds A_x[c, j]·[w = y] - [w = xy]·[j = c] + [w = x]·[j = c]."""
         g, mod = self.group, self.module
-        n, d, p, u = g.order, mod.dim, mod.p, self._u
-        if u == 0:
-            return np.zeros((0, u), dtype=np.int64)
-        k = n - 1
-        x, y = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
-        xy = g.mul[x, y]
-        j = np.arange(d)
-        b = np.zeros((k, d, k, k, d), dtype=np.int64)
-        # the boundary (x, y) -> x.c(y) - c(xy) + c(x) of c = e_j at w:
-        # x.c(y) where w = y, -c(xy) where w = xy, c(x) where w = x
-        b[y - 1, :, x - 1, y - 1, :] += np.asarray(mod.action)[x].transpose(0, 1, 3, 2)
-        m = xy != 0
-        b[xy[m, None] - 1, j, x[m, None] - 1, y[m, None] - 1, j] -= 1
-        b[x[..., None] - 1, j, x[..., None] - 1, y[..., None] - 1, j] += 1
-        reduced, _ = row_echelon_mod_p(b.reshape(k * d, u) % p, p)
-        return reduced
-
-    def _scalar_action(self) -> np.ndarray:
-        m = self.dim_p
-        if m == 0:
-            return np.zeros((0, 0), dtype=np.int64)
-        d = self.module.dim
-        J = self.endo_field.generator_matrix
-        cols = []
-        for rep in self.h_reps:
-            vis = rep.reshape(-1, d) @ J.T % self.p
-            cols.append(self.coordinates_of_flat(vis.reshape(-1)))
-        return np.array(cols, dtype=np.int64).T % self.p
+        n, d, cols = g.order, mod.dim, self._pivots
+        x, y, c = np.unravel_index(cols, (n - 1, n - 1, d))
+        x, y, k = x + 1, y + 1, np.arange(len(cols))
+        # rows (w, j) for every w; w = 1 takes the -c(xy) terms with xy = 1
+        b = np.zeros((n, d, len(cols)), dtype=np.int64)
+        b[y, :, k] += np.stack(mod.action)[x, c]
+        b[g.mul[x, y], c, k] -= 1
+        b[x, c, k] += 1
+        return b[1:].reshape((n - 1) * d, len(cols)) % mod.p
 
     # -- queries ----------------------------------------------------------
 
@@ -251,13 +249,11 @@ class CohomSpace:
 
     def coordinates_of_flat(self, vec: np.ndarray) -> np.ndarray:
         """H^2-coordinates of a cocycle given by its flat table."""
-        if self.dim_p == 0:
-            return np.zeros(0, dtype=np.int64)
         v = np.asarray(vec, dtype=np.int64) % self.p
-        coords = v[self._pivots] @ self._transform % self.p
-        if ((coords @ self._basis - v) % self.p).any():
+        w = v[self._pivots]
+        if ((w @ self.z_basis - v) % self.p).any():
             raise NotCocycle("vector is not in the cocycle span")
-        return coords[: self.dim_p]
+        return w @ self._transform % self.p
 
     def class_of(self, cochain: TwoCochain) -> CohomClass:
         if not cochain.is_cocycle():
@@ -265,11 +261,7 @@ class CohomSpace:
         return CohomClass(self, self.coordinates_of_flat(cochain.flat()))
 
     def representative(self, coords: np.ndarray) -> TwoCochain:
-        vec = (
-            np.asarray(coords, dtype=np.int64) @ self.h_reps % self.p
-            if self.dim_p
-            else np.zeros(self._u, dtype=np.int64)
-        )
+        vec = np.asarray(coords, dtype=np.int64) @ self.h_reps % self.p
         return _cochain_from_flat(self.group, self.module, vec)
 
     def f_rank(self, vectors: np.ndarray) -> int:
@@ -423,7 +415,7 @@ def push_cochain(cochain: TwoCochain, matrix: np.ndarray, target: GModule) -> Tw
     n = cochain.group.order
     dk = cochain.module.dim
     flatvals = cochain.table.reshape(-1, dk)
-    out = flatvals @ matrix.T % max(target.p, 2)
+    out = flatvals @ matrix.T % target.p
     return TwoCochain(cochain.group, target, out.reshape(n, n, target.dim))
 
 

@@ -534,14 +534,19 @@ def test_max_order_reaches_cyclic_builtins():
     assert ws.group("C5001").order == 5001
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports covercalc from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
+        [sys.executable, *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+        env=env,
     )
 
 
@@ -557,6 +562,19 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "true"
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_closed_stdout_exits_1_without_traceback(flags):
+    # a reader that stops early, such as head, leaves the pipe closed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_python("-m", "covercalc", *flags, "series", "C4->1", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_cold_commands_do_not_import_numpy_ma():

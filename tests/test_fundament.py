@@ -91,6 +91,8 @@ C2 = ETA0.target
 POOL_C2 = cover_pool(ETA0, ETA1, max_factors=3)
 POOL_C3 = cover_pool(split_cover_c3(), nonsplit_cover_c3(), max_factors=3)
 POOL_C2_4 = cover_pool(ETA0, ETA1, max_factors=4)
+# 28 covers, carriers up to order 128
+POOL_C2_6 = cover_pool(ETA0, ETA1, max_factors=6)
 
 
 def power_cover(eta, k):
@@ -483,7 +485,9 @@ def _check_canonical(base, module, rows):
     assert not canon.flags.writeable
 
 
-@pytest.mark.parametrize("pool", [POOL_C2_4, POOL_C3], ids=["base-C2-4", "base-C3"])
+@pytest.mark.parametrize(
+    "pool", [POOL_C2_4, POOL_C2_6, POOL_C3], ids=["base-C2-4", "base-C2-6", "base-C3"]
+)
 def test_canonical_supports_match_transport_oracle(pool):
     base = pool[0].target
     for pi in pool:
@@ -491,7 +495,9 @@ def test_canonical_supports_match_transport_oracle(pool):
             _check_canonical(base, cls.module, cls.supp)
 
 
-@pytest.mark.parametrize("pool", [POOL_C2_4, POOL_C3], ids=["base-C2-4", "base-C3"])
+@pytest.mark.parametrize(
+    "pool", [POOL_C2_4, POOL_C2_6, POOL_C3], ids=["base-C2-4", "base-C2-6", "base-C3"]
+)
 def test_domination_agrees_with_per_pair_matching(pool):
     for tau in pool:
         for tau_prime in pool:

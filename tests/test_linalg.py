@@ -35,7 +35,13 @@ from covercalc.linalg import (
     row_echelon_mod_p,
     row_space_le,
 )
-from test_cohomology import H2_GROUP_NAMES, a4_f4, builtin
+from test_cohomology import (
+    H2_GROUP_NAMES,
+    a4_f4,
+    builtin,
+    module_action_tuples,
+    table_rows,
+)
 from test_modules import _f9_over_c8, conjugated_sum
 
 PRIMES = (2, 3, 5, 509)
@@ -176,7 +182,10 @@ def a4_f4_space():
 
 def assert_coordinates_match_oracle_solve(space, rng):
     p = space.p
-    basis = np.vstack([space.h_reps, space.b_basis])
+    b = oracles.coboundary_rref(
+        table_rows(space.group), p, module_action_tuples(space.module)
+    )
+    basis = np.vstack([space.h_reps, b])
     for _ in range(4):
         c = rng.integers(0, p, size=len(basis))
         vec = c @ basis % p
