@@ -103,7 +103,7 @@ class Workspace:
             return self.groups[name]
         if name == "1":
             g = trivial_group()
-        elif re.fullmatch(r"C(\d+)", name):
+        elif _CYCLIC.fullmatch(name):
             n = int(name[1:])
             if n < 1:
                 raise UsageError(f"bad cyclic group order in {name!r}")
@@ -148,6 +148,8 @@ def parse_workspace(
 
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|->|[(),])")
+_CYCLIC = re.compile(r"C(\d+)")
+_TRIVIAL_MODULE = re.compile(r"F(\d+)triv")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -215,7 +217,7 @@ class _ExprParser:
 
     def module(self, group: FiniteGroup):
         tok = self.next()
-        m = re.fullmatch(r"F(\d+)triv", tok)
+        m = _TRIVIAL_MODULE.fullmatch(tok)
         if m:
             p = int(m.group(1))
             return trivial_module(group, p)

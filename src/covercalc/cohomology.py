@@ -248,9 +248,10 @@ class CohomSpace:
         return self.module.structural_key()
 
     def coordinates_of_flat(self, vec: np.ndarray) -> np.ndarray:
-        """H^2-coordinates of a cocycle given by its flat table."""
+        """H^2-coordinates of a cocycle given by its flat table; for a
+        2-D array, of each row, every row checked against Z^2."""
         v = np.asarray(vec, dtype=np.int64) % self.p
-        w = v[self._pivots]
+        w = v[..., self._pivots]
         if ((w @ self.z_basis - v) % self.p).any():
             raise NotCocycle("vector is not in the cocycle span")
         return w @ self._transform % self.p
@@ -489,22 +490,27 @@ class DualPairS:
 
 def x2(pi: Cover, target: GModule) -> DualPairS:
     """The dual pair of a cover whose kernel is target-generated. The
-    kernel module (memoized on the cover) and Hom_G(K, A) are built once."""
+    kernel module (memoized on the cover) and Hom_G(K, A) are built once.
+
+    A G-map carries cocycles to cocycles, so the cocycle identity is
+    checked once, on the K-valued cochain of the cover; it is pushed
+    through every F_p basis map of Hom_G(K, A) at once, and every pushed
+    table is still checked to lie in the span of Z^2."""
     kmod = _module_and_coords(pi, pi.kernel())[0]
     dual = hom_space(kmod, target)
     if kmod.dim and not _generates(dual):
         raise NotAGenerated("cover kernel is not generated by the module")
     space = cohom_space(pi.target, target)
+    if not dual.fp_basis:
+        s_matrix = np.zeros((space.dim_p, 0), dtype=np.int64)
+        return DualPairS(dual=dual, space=space, s_matrix=s_matrix)
     raw = cover_cochain(pi)
-    cols = []
-    for phi in dual.fp_basis:
-        pushed = push_cochain(raw, phi, target)
-        cols.append(space.class_of(pushed).coords)
-    s_matrix = (
-        np.array(cols, dtype=np.int64).T
-        if cols
-        else np.zeros((space.dim_p, 0), dtype=np.int64)
-    )
+    if not raw.is_cocycle():
+        raise NotCocycle("cochain fails the degree-2 identity")
+    # pushed[m, x, y] = phi_m(f(x, y)), over the non-identity pairs
+    pushed = np.einsum("xyk,mak->mxya", raw.table[1:, 1:], np.stack(dual.fp_basis))
+    flat = pushed.reshape(len(dual.fp_basis), -1)
+    s_matrix = space.coordinates_of_flat(flat).T
     return DualPairS(dual=dual, space=space, s_matrix=s_matrix)
 
 

@@ -202,11 +202,15 @@ def invariants(pi: Cover) -> CoverInvariants:
 
     Every abelian K/N comes with its action matrices from
     ``maximal_normal_in``'s module route, so those N are grouped by
-    comparing the small matrices. Only the least N of each class, and
-    the joint quotient by the intersection of its class, are built as
-    quotient groups; the least N's module is the one registered for the
-    class, as when every N was built. A non-abelian K/N has no module:
-    H/N is built and matched against the base's non-abelian classes.
+    comparing the small matrices. Only the least N of each class is
+    built as a quotient group; its module is the one registered for the
+    class, as when every N was built, and an equal registered module is
+    used in its place. The dual pair is read off the joint quotient by
+    the intersection M of the class's N: when M = 1, as for every
+    fundamental cover with one abelian class, that is ``pi`` itself,
+    whose memoized kernel module serves it, and otherwise H/M is built.
+    A non-abelian K/N has no module: H/N is built and matched against
+    the base's non-abelian classes.
 
     Memoized on the cover (``pi._invariants``) once ``pi`` is known to be
     fundamental; the ``supp`` arrays are read-only, as is ``pi.image``.
@@ -236,9 +240,14 @@ def invariants(pi: Cover) -> CoverInvariants:
     for least, _, common in ab:
         cov = _cover_through(pi, quotient(src, least)[1])
         module = gm.module_from_cover(cov, cov.kernel())
-        _module_class(pi.target, module)
-        inside = tuple(x for x in pi.kernel().elements if common >> x & 1)
-        joint = _cover_through(pi, quotient(src, Subgroup(src, inside))[1])
+        index, iso = _module_class(pi.target, module)
+        if iso is None:  # equal key: the registered object, its memos filled
+            module = pi.target._classes[index]
+        if common == 1:  # the class meets in 1: the joint quotient is pi
+            joint = pi
+        else:
+            inside = tuple(x for x in pi.kernel().elements if common >> x & 1)
+            joint = _cover_through(pi, quotient(src, Subgroup(src, inside))[1])
         pair = ch.x2(joint, module)
         supp = pair.image_rows()
         supp.flags.writeable = False

@@ -163,14 +163,26 @@ def minimal_stable_subspaces(mats: np.ndarray, p: int) -> list[np.ndarray]:
     the stack ``mats`` (shape (k, d, d)): the simple submodules.
 
     Each one is the spin of any of its nonzero vectors, so they are the
-    minimal spins of the ``projective_points``. Spins are taken by
-    rising dimension, and one is kept unless it contains a smaller kept
-    one. Ordered by dimension, then by first projective point.
+    minimal spins of the ``projective_points``. A stable-line pass comes
+    first: a point v spans a stable line iff v·A_h is, for every h, the
+    multiple of v by its entry at v's leading 1, so one product of all
+    points with ``mats`` finds those points, and the spin of each is v
+    itself as one row. Only the other points are spun. Spans are kept
+    by rising dimension, unless one contains a smaller kept one; they
+    are ordered by dimension, then by first projective point.
     """
     mats = np.asarray(mats, dtype=np.int64) % p
+    d = mats.shape[-1]
+    if not d:
+        return []
+    points = np.array(list(projective_points(d, p)), dtype=np.int64)
+    images = points @ mats % p  # (k, points, d)
+    lead = np.argmax(points != 0, axis=1)
+    scale = images[:, np.arange(len(points)), lead]
+    on_line = ~((images - scale[..., None] * points) % p).any(axis=(0, 2))
     spins: dict[bytes, np.ndarray] = {}
-    for point in projective_points(mats.shape[-1], p):
-        span = spin(point, mats, p)
+    for point, line in zip(points, on_line):
+        span = point[None, :] if line else spin(point, mats, p)
         spins.setdefault(span.tobytes(), span)  # d is fixed: bytes fix the rows
     kept: list[np.ndarray] = []
     for span in sorted(spins.values(), key=len):

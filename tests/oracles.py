@@ -5,11 +5,12 @@ multiplication tables (tuples of tuples, identity at index 0), subset
 enumeration, exhaustive cochain enumeration, and the degree-2 linear
 systems over every group element, solved by plain dense elimination. It
 never imports the package under test, so agreement between the two is
-meaningful. Two exceptions say why: ``compact_by_independence`` states
-the paper's compactness criterion in the package's own terms, and the
+meaningful. Three exceptions say why: ``compact_by_independence`` states
+the paper's compactness criterion in the package's own terms, the
 per-pair class matching (``dominates_by_matching``,
 ``lift_by_matching``) is the route the package took before its per-base
-class registry.
+class registry, and ``invariants_by_quotients`` is the route its
+``invariants`` took before it read the dual pair off the cover itself.
 """
 
 from __future__ import annotations
@@ -533,6 +534,51 @@ def lift_by_matching(pi, tau, tau_prime):
     return True
 
 
+def invariants_by_quotients(pi):
+    """The simple-module classes of ``invariants(pi)`` for a fundamental
+    cover, as (module structural key, multiplicity, support rows): per
+    class the quotient by its least N gives the module, the quotient by
+    the intersection M of its N (built even when M = 1) gives the cover
+    whose cochain is pushed through each F_p basis map of Hom_G(K/M, A)
+    and read by ``class_of``, one map at a time; the support is the RREF
+    of those images, the multiplicity the F-dimension of the maps that
+    go to 0."""
+    from covercalc import cohomology as ch
+    from covercalc import gmodules as gm
+    from covercalc.fundament import _cover_through, _same_top
+    from covercalc.groups import Subgroup, _maximal_tops, quotient
+
+    src, ker = pi.source, pi.kernel()
+    classes = []  # [least N, its top, mask of the class's N]
+    for sub, top in _maximal_tops(src, ker):
+        if top is None:
+            continue
+        for cls in classes:
+            if _same_top(top, cls[1]):
+                cls[2] &= sub.mask
+                break
+        else:
+            classes.append([sub, top, sub.mask])
+    out = []
+    for least, _, common in classes:
+        cov = _cover_through(pi, quotient(src, least)[1])
+        module = gm.module_from_cover(cov, cov.kernel())
+        inside = tuple(x for x in ker.elements if common >> x & 1)
+        joint = _cover_through(pi, quotient(src, Subgroup(src, inside))[1])
+        dual = gm.hom_space(gm.module_from_cover(joint, joint.kernel()), module)
+        space = ch.cohom_space(pi.target, module)
+        raw = ch.cover_cochain(joint)
+        images = [
+            space.class_of(ch.push_cochain(raw, phi, module)).coords
+            for phi in dual.fp_basis
+        ]
+        images = np.array(images, dtype=np.int64).reshape(len(images), space.dim_p)
+        supp, _ = rref_mod_p(images, module.p)
+        mult = (len(images) - len(supp)) // gm.endo_field(module).k
+        out.append((module.structural_key(), mult, supp))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # endomorphism fields
 
@@ -730,6 +776,35 @@ def rref_mod_p(mat, p):
         m[hit] = (m[hit] - np.outer(factor[hit], m[r])) % p
         pivots.append(c)
     return m[: len(pivots)], pivots
+
+
+def minimal_stable_subspaces_by_spins(mats, p):
+    """The minimal nonzero subspaces of the row space F_p^d stable under
+    right multiplication by every matrix of ``mats``, as RREF bases: the
+    span of every projective point (first nonzero entry 1, points by the
+    position of that entry, then by the entries after it), grown by the
+    images of its rows until it stops growing; spans by rising dimension,
+    then by first point, kept unless they contain a smaller kept one."""
+    mats = np.asarray(mats, dtype=np.int64) % p
+    d = mats.shape[-1]
+    spans = {}
+    for lead in range(d):
+        for tail in product(range(p), repeat=d - 1 - lead):
+            rows, _ = rref_mod_p([(0,) * lead + (1,) + tail], p)
+            while True:
+                grown, _ = rref_mod_p(np.vstack([rows] + [rows @ m for m in mats]), p)
+                if len(grown) == len(rows):
+                    break
+                rows = grown
+            spans.setdefault(rows.tobytes(), rows)
+    kept = []
+    for rows in sorted(spans.values(), key=len):
+        if not any(
+            len(w) < len(rows) and len(rref_mod_p(np.vstack([rows, w]), p)[1]) == len(rows)
+            for w in kept
+        ):
+            kept.append(rows)
+    return kept
 
 
 def cochain_column(n, d, s, t, j):

@@ -566,9 +566,10 @@ def test_second_pass_makes_no_hom_solve(monkeypatch):
     assert solves == []
 
 
-def test_tops_of_one_prime_and_dimension_fall_into_their_classes():
-    # over S3, F3 with trivial and with sign action: two simple classes of
-    # the same prime and dimension, told apart by their action matrices
+def s3_trivial_and_sign_covers():
+    """Over S3, the split extensions by F3 with trivial and with sign
+    action, then their fiber products (trivial, sign), (trivial,
+    trivial), (sign, sign) and (sign, trivial)."""
     sc = sign_cover()
     s3 = sc.source
     sign = GModule(s3, 3, tuple(np.array([[2 if sc.image[g] else 1]]) for g in range(6)))
@@ -576,10 +577,16 @@ def test_tops_of_one_prime_and_dimension_fall_into_their_classes():
     for module in (trivial_module(s3, 3), sign):
         zero = CohomClass(cohom_space(s3, module), np.zeros(cohom_space(s3, module).dim_p))
         split.append(extension_from_cocycle(zero.representative()).cover)
-    covers = split + [
+    return split + [
         fiber_product(s3, [split[a], split[b]]).structure_map
         for a, b in ((0, 1), (0, 0), (1, 1), (1, 0))
     ]
+
+
+def test_tops_of_one_prime_and_dimension_fall_into_their_classes():
+    # over S3, F3 with trivial and with sign action: two simple classes of
+    # the same prime and dimension, told apart by their action matrices
+    covers = s3_trivial_and_sign_covers()
     inv = invariants(covers[2])
     assert sorted(c.mult for c in inv.ab_classes) == [1, 1]
     assert [c.mult for c in invariants(covers[3]).ab_classes] == [2]
@@ -590,6 +597,42 @@ def test_tops_of_one_prime_and_dimension_fall_into_their_classes():
             find_isomorphism_over(tau, tau_prime) is not None
         )
         assert dom == oracles.dominates_by_matching(tau_prime, tau)
+
+
+def test_invariants_match_the_joint_quotient_route():
+    # a class meeting in 1 reads its dual pair off the cover itself; two
+    # classes (the S3 covers) still build the joint quotient
+    a5_c2 = fiber_product(trivial_group(), [terminal_cover(alt5()), terminal_cover(C2)])
+    covers = POOL_C2 + POOL_C3 + POOL_C2_6 + s3_trivial_and_sign_covers()
+    for pi in covers + [a5_c2.structure_map]:
+        got = [
+            (c.module.structural_key(), c.mult, c.supp.shape, c.supp.tobytes())
+            for c in invariants(pi).ab_classes
+        ]
+        want = [
+            (key, mult, supp.shape, supp.tobytes())
+            for key, mult, supp in oracles.invariants_by_quotients(pi)
+        ]
+        assert got == want
+
+
+def test_invariants_build_one_quotient_per_cover_of_the_c2_pool(monkeypatch):
+    # the least N of the one class: no joint quotient, no quotient inside
+    # the maximal tops
+    fu = importlib.import_module("covercalc.fundament")
+    calls = []
+    for owner in (fu, groups_module):
+        real = owner.quotient
+        monkeypatch.setattr(
+            owner, "quotient", lambda *args, real=real: calls.append(args) or real(*args)
+        )
+    pool = cover_pool(ETA0, ETA1, max_factors=3)  # fresh covers: no memos
+    for pi in pool[1:]:
+        before = len(calls)
+        (cls,) = invariants(pi).ab_classes
+        assert len(calls) - before == 1
+        assert cls.module is C2._classes[_module_class(C2, cls.module)[0]]  # registered
+    assert not invariants(pool[0]).ab_classes  # the identity cover
 
 
 def test_second_pass_is_lookups(monkeypatch):

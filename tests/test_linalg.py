@@ -110,8 +110,10 @@ def test_projective_points_meet_every_line_once(p, d):
     assert lines == set(product(range(p), repeat=d)) - {(0,) * d}
 
 
-@pytest.mark.parametrize("p,d", [(2, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
-def test_minimal_stable_subspaces_match_spanning(p, d):
+def stable_subspace_cases(p, d):
+    """Seeded actions on F_p^d: identity and zero, a cycle, random ones,
+    and upper-unitriangular ones (a p-group, where some points span
+    stable lines and others do not)."""
     rng = np.random.default_rng(p * 10 + d)
     cycle = np.roll(np.eye(d, dtype=np.int64), 1, axis=1)
     cases = [
@@ -120,7 +122,16 @@ def test_minimal_stable_subspaces_match_spanning(p, d):
         cycle[None],
         np.stack([cycle, np.diag(rng.integers(1, p, size=d))]),
     ] + [rng.integers(0, p, size=(k, d, d)) for k in (1, 2, 2, 3)]
-    for mats in cases:
+
+    def unitriangular():
+        return np.triu(rng.integers(0, p, size=(d, d)), 1) + np.eye(d, dtype=np.int64)
+
+    return cases + [unitriangular()[None], np.stack([unitriangular(), unitriangular()])]
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+def test_minimal_stable_subspaces_match_spanning(p, d):
+    for mats in stable_subspace_cases(p, d):
         stable = stable_subspaces_by_spanning(mats, p)
         want = {
             key: rows
@@ -135,6 +146,27 @@ def test_minimal_stable_subspaces_match_spanning(p, d):
         assert {w.tobytes() for w in got} == set(want)
         assert len(got) == len(want)
         assert [len(w) for w in got] == sorted(len(w) for w in got)
+
+
+def trivial_plus_f4_plane():
+    """C3 on F_2^3: trivial on the first coordinate, and on the other two
+    the order-3 matrix of ``f4_over_c3``."""
+    mats = np.zeros((1, 3, 3), dtype=np.int64)
+    mats[0, 0, 0] = 1
+    mats[0, 1:, 1:] = f4_over_c3().action[1]
+    return mats
+
+
+@pytest.mark.parametrize("p,d", list(product((2, 3, 5), (1, 2, 3, 4))))
+def test_minimal_stable_subspaces_match_spins_exactly(p, d):
+    # the same list as spinning every point: order, shapes and bytes
+    cases = stable_subspace_cases(p, d)
+    if (p, d) == (2, 3):
+        cases.append(trivial_plus_f4_plane())
+    for mats in cases:
+        got = minimal_stable_subspaces(mats, p)
+        want = oracles.minimal_stable_subspaces_by_spins(mats, p)
+        assert [(w.shape, w.tobytes()) for w in got] == [(w.shape, w.tobytes()) for w in want]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -186,6 +218,7 @@ def assert_coordinates_match_oracle_solve(space, rng):
         table_rows(space.group), p, module_action_tuples(space.module)
     )
     basis = np.vstack([space.h_reps, b])
+    vecs, rows = [], []
     for _ in range(4):
         c = rng.integers(0, p, size=len(basis))
         vec = c @ basis % p
@@ -193,6 +226,10 @@ def assert_coordinates_match_oracle_solve(space, rng):
         assert coords.tolist() == c[: space.dim_p].tolist()
         if space.dim_p:
             assert coords.tolist() == oracles.solve_mod_p(basis.T, vec, p)[: space.dim_p].tolist()
+        vecs.append(vec)
+        rows.append(coords)
+    # a 2-D array: the coordinates of each row
+    assert space.coordinates_of_flat(np.array(vecs)).tolist() == np.array(rows).tolist()
 
 
 @pytest.mark.parametrize("name,p", COORD_CASES, ids=[f"{n}-F{p}" for n, p in COORD_CASES])
@@ -223,10 +260,15 @@ def test_vector_outside_the_cocycles_is_not_a_cocycle(make):
         if oracles.solve_mod_p(space.z_basis.T, e, 2) is None
     ]
     assert outside
+    inside = rng.integers(0, 2, size=len(space.z_basis)) @ space.z_basis % 2
+    space.coordinates_of_flat(np.stack([inside, inside]))
     for e in outside[:5]:
         vec = (rng.integers(0, 2, size=len(space.z_basis)) @ space.z_basis + e) % 2
         with pytest.raises(NotCocycle):
             space.coordinates_of_flat(vec)
+        # every row of a 2-D array is checked, not only the first
+        with pytest.raises(NotCocycle):
+            space.coordinates_of_flat(np.stack([inside, vec]))
 
 
 # ---------------------------------------------------------------------------
