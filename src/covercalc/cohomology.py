@@ -60,7 +60,6 @@ __all__ = [
     "extension_from_cocycle",
     "cover_cochain",
     "cocycle_from_extension",
-    "are_congruent",
     "are_isomorphic_extensions",
     "inflate",
     "inflate_module",
@@ -249,7 +248,12 @@ class CohomSpace:
 
     def coordinates_of_flat(self, vec: np.ndarray) -> np.ndarray:
         """H^2-coordinates of a cocycle given by its flat table; for a
-        2-D array, of each row, every row checked against Z^2."""
+        2-D array, of each row, every row checked against Z^2.
+
+        This is the cocycle test: a normalized cochain is fixed by its
+        flat table, and v lies in Z^2 = span(``z_basis``) iff
+        v = v[P]·``z_basis``, as ``z_basis`` is the identity at P.
+        Raises NotCocycle otherwise."""
         v = np.asarray(vec, dtype=np.int64) % self.p
         w = v[..., self._pivots]
         if ((w @ self.z_basis - v) % self.p).any():
@@ -257,8 +261,8 @@ class CohomSpace:
         return w @ self._transform % self.p
 
     def class_of(self, cochain: TwoCochain) -> CohomClass:
-        if not cochain.is_cocycle():
-            raise NotCocycle("cochain fails the degree-2 identity")
+        """The class of a normalized cocycle; NotCocycle, from
+        ``coordinates_of_flat``, for any other cochain."""
         return CohomClass(self, self.coordinates_of_flat(cochain.flat()))
 
     def representative(self, coords: np.ndarray) -> TwoCochain:
@@ -420,13 +424,6 @@ def push_cochain(cochain: TwoCochain, matrix: np.ndarray, target: GModule) -> Tw
     return TwoCochain(cochain.group, target, out.reshape(n, n, target.dim))
 
 
-def are_congruent(c1: CohomClass, c2: CohomClass) -> bool:
-    """Equal classes in the same cohomology space."""
-    if c1.space is not c2.space and c1.space.structural_key() != c2.space.structural_key():
-        raise SpaceMismatch("classes live in different cohomology spaces")
-    return bool(np.array_equal(c1.coords, c2.coords))
-
-
 def are_isomorphic_extensions(c1: CohomClass, c2: CohomClass) -> bool:
     """True iff the classes agree up to a nonzero scalar of F = End_G(A):
     both are zero, or both are nonzero and span one F-line."""
@@ -492,10 +489,12 @@ def x2(pi: Cover, target: GModule) -> DualPairS:
     """The dual pair of a cover whose kernel is target-generated. The
     kernel module (memoized on the cover) and Hom_G(K, A) are built once.
 
-    A G-map carries cocycles to cocycles, so the cocycle identity is
-    checked once, on the K-valued cochain of the cover; it is pushed
-    through every F_p basis map of Hom_G(K, A) at once, and every pushed
-    table is still checked to lie in the span of Z^2."""
+    The K-valued cochain f of the cover is pushed through every F_p
+    basis map phi of Hom_G(K, A) at once, and ``coordinates_of_flat``
+    checks every pushed table against Z^2. That is the only cocycle
+    test f needs: a G-map commutes with the coboundary, so
+    phi(df) = d(phi f) = 0 for every phi, and as K is A-generated the
+    phi have zero common kernel, so df = 0."""
     kmod = _module_and_coords(pi, pi.kernel())[0]
     dual = hom_space(kmod, target)
     if kmod.dim and not _generates(dual):
@@ -505,8 +504,6 @@ def x2(pi: Cover, target: GModule) -> DualPairS:
         s_matrix = np.zeros((space.dim_p, 0), dtype=np.int64)
         return DualPairS(dual=dual, space=space, s_matrix=s_matrix)
     raw = cover_cochain(pi)
-    if not raw.is_cocycle():
-        raise NotCocycle("cochain fails the degree-2 identity")
     # pushed[m, x, y] = phi_m(f(x, y)), over the non-identity pairs
     pushed = np.einsum("xyk,mak->mxya", raw.table[1:, 1:], np.stack(dual.fp_basis))
     flat = pushed.reshape(len(dual.fp_basis), -1)
@@ -518,15 +515,21 @@ def y2(group: FiniteGroup, module: GModule, values) -> Cover:
     """The fiber product of the extensions realizing the given classes."""
     from .fiber import fiber_product
 
-    values = list(values)
-    if not values:
+    covers = _extension_covers(group, module, values)
+    if not covers:
         return identity_cover(group)
+    return fiber_product(group, covers).structure_map
+
+
+def _extension_covers(group: FiniteGroup, module: GModule, values) -> list[Cover]:
+    """The extension cover realizing each class of H^2(group, module), in
+    order, each built from the class's representative cocycle."""
     covers = []
     for cls in values:
         if cls.space.structural_key() != cohom_space(group, module).structural_key():
             raise SpaceMismatch("class does not live in H^2(group, module)")
         covers.append(extension_from_cocycle(cls.representative()).cover)
-    return fiber_product(group, covers).structure_map
+    return covers
 
 
 def fiber_cocycle(cochains) -> TwoCochain:

@@ -47,7 +47,6 @@ __all__ = [
     "AbelianBlock",
     "fiber_product",
     "restrict",
-    "is_fiber_presentation",
     "is_compact_fiber_product",
     "kernel_normal_decomposition",
     "align_normal_to_axes",
@@ -183,44 +182,6 @@ def restrict(fp: FiberProduct, subset) -> tuple[FiberProduct, Cover]:
     image = sum(w[fp.projections[i].image] for w, i in zip(weights, idx))
     proj = Cover(fp.carrier, sub.carrier, image, check=False)
     return sub, proj
-
-
-def is_fiber_presentation(p_list, pi: Cover) -> bool:
-    """Decide whether covers ``p_list`` present their common source as the
-    fiber product of the induced factor covers over ``pi.target``.
-
-    ``pi`` is the common composite onto the base; every ``p`` must satisfy
-    Ker p <= Ker pi (so that pi factors through it), otherwise the family
-    is rejected as Incompatible. The decision uses the kernel-product
-    criterion: with L = Ker pi and L_j the intersection of the kernels of
-    all other maps, the family presents a fiber product iff L is the
-    internal direct product of the L_j.
-    """
-    p_list = tuple(p_list)
-    if len(p_list) < 2:
-        raise Incompatible("need at least two covers")
-    src = pi.source
-    ker_pi = pi.kernel()
-    for p in p_list:
-        if not same_group(p.source, src):
-            raise Incompatible("covers do not share a source")
-        if p.kernel().mask & ~ker_pi.mask:
-            raise Incompatible("cover kernel not inside the base kernel")
-    l_full = ker_pi.elements
-    masks = [p.kernel().mask for p in p_list]
-    parts: list[tuple[int, ...]] = []
-    for j in range(len(p_list)):
-        cur = ker_pi.mask
-        for i, mask in enumerate(masks):
-            if i != j:
-                cur &= mask
-        parts.append(tuple(x for x in l_full if cur >> x & 1))
-    size = 1
-    for part in parts:
-        size *= len(part)
-    if size != len(l_full):
-        return False
-    return tuple(_product_set(src, parts).tolist()) == l_full
 
 
 def is_compact_fiber_product(fp: FiberProduct) -> bool:

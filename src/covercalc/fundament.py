@@ -35,7 +35,6 @@ from .errors import (
     BaseMismatch,
     Incompatible,
     NotFundamental,
-    NotFundamentalStage,
 )
 from .groups import (
     Cover,
@@ -43,10 +42,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _maximal_tops,
-    _product_set,
-    compose,
     find_isomorphism_over,
-    identity_cover,
     is_indecomposable,
     maximal_normal_in,
     quotient,
@@ -69,8 +65,6 @@ __all__ = [
     "isomorphic_fundamental",
     "decompose_fundamental",
     "exists_semicartesian_lift",
-    "is_fundament_of",
-    "is_fundament_series",
 ]
 
 
@@ -443,12 +437,9 @@ def decompose_fundamental(pi: Cover) -> tuple[list[Cover], GroupHom]:
         factors.extend([cls.cover] * cls.mult)
     for cls in inv.ab_classes:
         space = ch.cohom_space(base, cls.module)
-        for row in cls.supp:
-            rep = ch.CohomClass(space, row).representative()
-            factors.append(ch.extension_from_cocycle(rep).cover)
         zero = ch.CohomClass(space, np.zeros(space.dim_p, dtype=np.int64))
-        for _ in range(cls.mult):
-            factors.append(ch.extension_from_cocycle(zero.representative()).cover)
+        values = [ch.CohomClass(space, row) for row in cls.supp] + [zero] * cls.mult
+        factors.extend(ch._extension_covers(base, cls.module, values))
     fp = fiber_product(base, factors)
     iso = find_isomorphism_over(pi, fp.structure_map)
     if iso is None:
@@ -507,78 +498,3 @@ def exists_semicartesian_lift(pi: Cover, tau: Cover, tau_prime: Cover) -> bool:
         if not _bounded(big, index, nullity + cls.mult, supp, sid, ab):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# recognizing fundaments and fundament series
-
-
-def _has_diagonal_square(rho: Cover, pi_bar: Cover) -> bool:
-    """Whether some quotient of rho.source by a maximal normal subgroup of
-    the composite kernel yields a semi-cartesian square under ``rho``
-    (the obstruction to ``pi_bar`` being the fundament of the composite)."""
-    comp = compose(pi_bar, rho)
-    ker_comp = comp.kernel()
-    ker_rho = rho.kernel().elements
-    for sub in maximal_normal_in(rho.source, ker_comp):
-        product = _product_set(rho.source, (sub.elements, ker_rho))
-        if tuple(product.tolist()) == ker_comp.elements:
-            return True
-    return False
-
-
-def is_fundament_of(rho: Cover, pi_bar: Cover) -> bool:
-    """Whether ``pi_bar`` is the fundament of ``pi_bar o rho`` by ``rho``.
-
-    Decided by comparing Ker(rho) with the fundament kernel of the
-    composite; the equivalent semi-cartesian-square obstruction search is
-    run as well and the two answers are required to agree.
-    """
-    if not is_fundamental(pi_bar):
-        raise NotFundamental("the quotient cover must be fundamental")
-    comp = compose(pi_bar, rho)
-    by_kernel = fundament_kernel(comp) == rho.kernel()
-    by_square = not _has_diagonal_square(rho, pi_bar)
-    assert by_kernel == by_square, "fundament routes disagree"
-    return by_kernel
-
-
-def is_fundament_series(chain) -> bool:
-    """Whether a chain of fundamental covers is the fundament series of
-    its composite.
-
-    ``chain[k]`` maps the (k+1)-st group onto the k-th one, the base
-    being ``chain[0].target``. Decided by the stagewise semi-cartesian
-    obstruction search; the kernel chain of the composite is compared as
-    an independent route and both must agree. Trailing isomorphism stages
-    (next to the full source) are accepted; padding at the base end is
-    not, since it shifts every kernel out of place.
-    """
-    chain = list(chain)
-    if not chain:
-        raise Incompatible("empty chain")
-    for first, second in zip(chain, chain[1:]):
-        if not same_group(second.target, first.source):
-            raise Incompatible("chain covers do not compose")
-    for cov in chain:
-        if not is_fundamental(cov):
-            raise NotFundamentalStage(f"stage {cov!r} is not fundamental")
-
-    by_square = all(
-        not _has_diagonal_square(chain[k], chain[k - 1])
-        for k in range(1, len(chain))
-    )
-
-    # independent route: the cumulative kernels from the full source must
-    # reproduce the fundament kernels of the composite covers
-    src = chain[-1].source
-    rhos = [identity_cover(src)]
-    for cov in reversed(chain):
-        rhos.append(compose(cov, rhos[-1]))
-    rhos.reverse()  # rhos[k]: full source ->> k-th group
-    by_kernels = all(
-        rhos[k].kernel() == fundament_kernel(rhos[k - 1])
-        for k in range(1, len(rhos))
-    )
-    assert by_square == by_kernels, "fundament series routes disagree"
-    return by_square

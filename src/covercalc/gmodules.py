@@ -66,7 +66,6 @@ __all__ = [
     "is_A_generated",
     "decompose_isotypic",
     "complement",
-    "modules_isomorphic",
     "first_module_iso",
     "f_independent_subset",
 ]
@@ -190,7 +189,18 @@ def kernel_coordinates(sub: Subgroup) -> KernelCoords:
 
     Basis elements are chosen greedily by ascending element index.
     Raises NotElementaryAbelian if the subgroup is not elementary abelian.
+    Memoized on the group (``group._coords``, keyed by ``sub.mask``): a
+    cover's first ``invariants`` reads its kernel both for the maximal
+    tops and for its kernel module.
     """
+    coords = sub.parent._coords.get(sub.mask)
+    if coords is None:
+        coords = sub.parent._coords[sub.mask] = _read_coordinates(sub)
+    return coords
+
+
+def _read_coordinates(sub: Subgroup) -> KernelCoords:
+    """The coordinates of ``kernel_coordinates``, computed."""
     group = sub.parent
     elems = sub.elements
     if len(elems) == 1:
@@ -592,11 +602,6 @@ def _iso_basis(a: GModule, b: GModule) -> np.ndarray:
     if a.p != b.p or a.dim != b.dim or not same_group(a.group, b.group):
         return np.zeros((0, b.dim * a.dim), dtype=np.int64)
     return _hom_basis(a, b)
-
-
-def modules_isomorphic(a: GModule, b: GModule) -> bool:
-    """G-isomorphism test for simple modules (Schur: any nonzero hom)."""
-    return len(_iso_basis(a, b)) > 0
 
 
 def _module_iso(a: GModule, b: GModule) -> ModuleHom | None:

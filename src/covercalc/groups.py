@@ -39,7 +39,6 @@ __all__ = [
     "identity_cover",
     "terminal_cover",
     "quotient",
-    "subgroup_from_elements",
     "closure_of",
     "maximal_normal_in",
     "is_minimal_normal",
@@ -98,6 +97,7 @@ class FiniteGroup:
         self.generator_labels = tuple(generator_labels)
         self._orders: np.ndarray | None = None
         self._maximals: dict[int, tuple] = {}  # _maximal_tops, by bound mask
+        self._coords: dict[int, object] = {}  # kernel_coordinates, by subgroup mask
         self._spaces: dict[bytes, object] = {}  # cohom_space memo, by module key
         # the class registry (fundament._class_index): one representative
         # per class of simple modules and of covers with non-abelian kernel
@@ -248,18 +248,6 @@ def _closure(group: FiniteGroup, seed) -> tuple[list[int], list[int]]:
                     elems.append(y)
             i += 1
     return elems, gens
-
-
-def subgroup_from_elements(group: FiniteGroup, elements) -> Subgroup:
-    """Wrap ``elements`` as a Subgroup, verifying closure."""
-    elems = tuple(sorted(set(int(e) for e in elements)))
-    if not elems or elems[0] != 0:
-        raise Incompatible("a subgroup must contain the identity (index 0)")
-    member = np.zeros(group.order, dtype=bool)
-    member[list(elems)] = True
-    if not member[group.mul[np.ix_(elems, elems)]].all():
-        raise Incompatible("element set is not closed under products")
-    return Subgroup(group, elems)
 
 
 def _distinct(indices, n: int) -> np.ndarray:

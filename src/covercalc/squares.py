@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Mismatch, NotCartesian, NotCommutative, SourceTargetMismatch
-from .groups import Cover, _has_proper_supplement, compose, same_group
+from .errors import NotCartesian, NotCommutative, SourceTargetMismatch
+from .groups import Cover, _has_proper_supplement, same_group
 
 __all__ = [
     "CommSquare",
@@ -29,7 +29,6 @@ __all__ = [
     "is_cartesian",
     "is_semi_cartesian",
     "is_compact_cartesian",
-    "compose_horizontal",
 ]
 
 
@@ -101,19 +100,3 @@ def is_compact_cartesian(sq: CommSquare) -> bool:
     if not is_cartesian(sq):
         raise NotCartesian("compactness is defined for cartesian squares only")
     return not _has_proper_supplement(sq.corner_source, (sq.top, sq.left))
-
-
-def compose_horizontal(first: CommSquare, second: CommSquare) -> CommSquare:
-    """Glue two squares along the shared vertical edge.
-
-    ``first.right`` must equal ``second.left`` (same element table); the
-    result has composed top and bottom rows. Raises Mismatch otherwise.
-    """
-    if not first.right.same_map(second.left):
-        raise Mismatch("shared vertical edge differs between the two squares")
-    return make_square(
-        top=compose(second.top, first.top),
-        left=first.left,
-        bottom=compose(second.bottom, first.bottom),
-        right=second.right,
-    )

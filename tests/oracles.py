@@ -5,12 +5,17 @@ multiplication tables (tuples of tuples, identity at index 0), subset
 enumeration, exhaustive cochain enumeration, and the degree-2 linear
 systems over every group element, solved by plain dense elimination. It
 never imports the package under test, so agreement between the two is
-meaningful. Three exceptions say why: ``compact_by_independence`` states
+meaningful. Four exceptions say why: ``compact_by_independence`` states
 the paper's compactness criterion in the package's own terms, the
 per-pair class matching (``dominates_by_matching``,
 ``lift_by_matching``) is the route the package took before its per-base
-class registry, and ``invariants_by_quotients`` is the route its
-``invariants`` took before it read the dual pair off the cover itself.
+class registry, ``invariants_by_quotients`` is the route its
+``invariants`` took before it read the dual pair off the cover itself,
+and the lemma checkers (``is_fundament_of``, ``is_fundament_series``,
+``is_fiber_presentation``, ``are_congruent``, ``modules_isomorphic``,
+``subgroup_from_elements``, ``compose_horizontal``) state a lemma about
+the package's objects, which the tests check; the package itself
+computes none of them.
 """
 
 from __future__ import annotations
@@ -390,7 +395,7 @@ def compact_by_independence(fp):
             continue
         module = gm.module_from_cover(cov, cov.kernel())
         for block in blocks:
-            if gm.modules_isomorphic(block[0], module):
+            if modules_isomorphic(block[0], module):
                 block[1].append(cov)
                 break
         else:
@@ -577,6 +582,155 @@ def invariants_by_quotients(pi):
         mult = (len(images) - len(supp)) // gm.endo_field(module).k
         out.append((module.structural_key(), mult, supp))
     return out
+
+
+# ---------------------------------------------------------------------------
+# lemma checkers over the package's objects
+
+
+def _has_diagonal_square(rho, pi_bar):
+    """Whether some quotient of rho.source by a maximal normal subgroup of
+    the composite kernel yields a semi-cartesian square under ``rho``
+    (the obstruction to ``pi_bar`` being the fundament of the composite)."""
+    from covercalc import compose
+    from covercalc.groups import _product_set, maximal_normal_in
+
+    ker_comp = compose(pi_bar, rho).kernel()
+    ker_rho = rho.kernel().elements
+    for sub in maximal_normal_in(rho.source, ker_comp):
+        product = _product_set(rho.source, (sub.elements, ker_rho))
+        if tuple(product.tolist()) == ker_comp.elements:
+            return True
+    return False
+
+
+def is_fundament_of(rho, pi_bar):
+    """Whether ``pi_bar`` is the fundament of ``pi_bar o rho`` by ``rho``:
+    no semi-cartesian-square obstruction (``_has_diagonal_square``)."""
+    from covercalc import is_fundamental
+    from covercalc.errors import NotFundamental
+
+    if not is_fundamental(pi_bar):
+        raise NotFundamental("the quotient cover must be fundamental")
+    return not _has_diagonal_square(rho, pi_bar)
+
+
+def is_fundament_series(chain):
+    """Whether a chain of fundamental covers is the fundament series of
+    its composite, by the stagewise semi-cartesian obstruction search.
+
+    ``chain[k]`` maps the (k+1)-st group onto the k-th one, the base
+    being ``chain[0].target``. Trailing isomorphism stages (next to the
+    full source) are accepted; padding at the base end is not, since it
+    shifts every kernel out of place.
+    """
+    from covercalc import is_fundamental, same_group
+    from covercalc.errors import Incompatible, NotFundamentalStage
+
+    chain = list(chain)
+    if not chain:
+        raise Incompatible("empty chain")
+    for first, second in zip(chain, chain[1:]):
+        if not same_group(second.target, first.source):
+            raise Incompatible("chain covers do not compose")
+    for cov in chain:
+        if not is_fundamental(cov):
+            raise NotFundamentalStage(f"stage {cov!r} is not fundamental")
+    return all(
+        not _has_diagonal_square(chain[k], chain[k - 1]) for k in range(1, len(chain))
+    )
+
+
+def is_fiber_presentation(p_list, pi):
+    """Whether covers ``p_list`` present their common source as the fiber
+    product of the induced factor covers over ``pi.target``.
+
+    ``pi`` is the common composite onto the base; every ``p`` must satisfy
+    Ker p <= Ker pi, otherwise the family is rejected as Incompatible.
+    The kernel-product criterion: with L = Ker pi and L_j the
+    intersection of the kernels of all other maps, the family presents a
+    fiber product iff L is the internal direct product of the L_j.
+    """
+    from covercalc import same_group
+    from covercalc.errors import Incompatible
+    from covercalc.groups import _product_set
+
+    p_list = tuple(p_list)
+    if len(p_list) < 2:
+        raise Incompatible("need at least two covers")
+    src = pi.source
+    ker_pi = pi.kernel()
+    for p in p_list:
+        if not same_group(p.source, src):
+            raise Incompatible("covers do not share a source")
+        if p.kernel().mask & ~ker_pi.mask:
+            raise Incompatible("cover kernel not inside the base kernel")
+    l_full = ker_pi.elements
+    masks = [p.kernel().mask for p in p_list]
+    parts = []
+    for j in range(len(p_list)):
+        cur = ker_pi.mask
+        for i, mask in enumerate(masks):
+            if i != j:
+                cur &= mask
+        parts.append(tuple(x for x in l_full if cur >> x & 1))
+    size = 1
+    for part in parts:
+        size *= len(part)
+    if size != len(l_full):
+        return False
+    return tuple(_product_set(src, parts).tolist()) == l_full
+
+
+def are_congruent(c1, c2):
+    """Equal classes in the same cohomology space."""
+    from covercalc.errors import SpaceMismatch
+
+    if c1.space is not c2.space and c1.space.structural_key() != c2.space.structural_key():
+        raise SpaceMismatch("classes live in different cohomology spaces")
+    return bool(np.array_equal(c1.coords, c2.coords))
+
+
+def modules_isomorphic(a, b):
+    """G-isomorphism test for simple modules (Schur: any nonzero hom);
+    NotSimple for any other module."""
+    from covercalc.gmodules import _module_iso
+
+    return _module_iso(a, b) is not None
+
+
+def subgroup_from_elements(group, elements):
+    """Wrap ``elements`` as a Subgroup, verifying closure."""
+    from covercalc import Subgroup
+    from covercalc.errors import Incompatible
+
+    elems = tuple(sorted(set(int(e) for e in elements)))
+    if not elems or elems[0] != 0:
+        raise Incompatible("a subgroup must contain the identity (index 0)")
+    member = np.zeros(group.order, dtype=bool)
+    member[list(elems)] = True
+    if not member[group.mul[np.ix_(elems, elems)]].all():
+        raise Incompatible("element set is not closed under products")
+    return Subgroup(group, elems)
+
+
+def compose_horizontal(first, second):
+    """Glue two squares along the shared vertical edge.
+
+    ``first.right`` must equal ``second.left`` (same element table); the
+    result has composed top and bottom rows. Raises Mismatch otherwise.
+    """
+    from covercalc import compose, make_square
+    from covercalc.errors import Mismatch
+
+    if not first.right.same_map(second.left):
+        raise Mismatch("shared vertical edge differs between the two squares")
+    return make_square(
+        top=compose(second.top, first.top),
+        left=first.left,
+        bottom=compose(second.bottom, first.bottom),
+        right=second.right,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import compose_horizontal
 from catalog import (
     SMALL_GROUPS,
     alt5,
@@ -41,7 +42,6 @@ from covercalc import (
     GroupHom,
     Subgroup,
     cohom_space,
-    compose_horizontal,
     decompose_isotypic,
     direct_sum_module,
     dominates,

@@ -37,7 +37,6 @@ from covercalc import (
     FiniteGroup,
     GModule,
     TwoCochain,
-    are_congruent,
     are_isomorphic_extensions,
     cocycle_from_extension,
     cohom_space,
@@ -73,7 +72,7 @@ from covercalc.errors import (
     SpaceMismatch,
 )
 import oracles
-from oracles import h2_dim_by_enumeration
+from oracles import are_congruent, h2_dim_by_enumeration
 
 C2 = SMALL_GROUPS["C2"]()
 C3 = SMALL_GROUPS["C3"]()
@@ -329,6 +328,33 @@ def test_cocycle_identity_detection():
     assert not TwoCochain(C3, rep3.module, broken).is_cocycle()
     with pytest.raises(NotCocycle):
         c3space.class_of(TwoCochain(C3, rep3.module, broken))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [f4_over_c3, a4_f4, lambda: trivial_module(SMALL_GROUPS["S3"](), 3, 1)],
+    ids=["C3-F4", "A4-F4", "S3-F3"],
+)
+def test_class_of_rejects_exactly_the_non_cocycles(make):
+    # class_of's one cocycle test is the Z^2 span check of
+    # coordinates_of_flat: every normalized cochain one value away from a
+    # cocycle is rejected exactly when the degree-2 identity fails
+    module = make()
+    group, p = module.group, module.p
+    space = cohom_space(group, module)
+    table = space.representative(np.ones(space.dim_p, dtype=np.int64)).table
+    rejected = 0
+    for x, y, c in itertools.product(range(1, group.order), range(1, group.order), range(module.dim)):
+        moved = table.copy()
+        moved[x, y, c] = (moved[x, y, c] + 1) % p
+        cochain = TwoCochain(group, module, moved)
+        if cochain.is_cocycle():
+            space.class_of(cochain)
+        else:
+            rejected += 1
+            with pytest.raises(NotCocycle):
+                space.class_of(cochain)
+    assert rejected
 
 
 def test_class_round_trip_through_representative():

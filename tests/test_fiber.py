@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import is_fiber_presentation
 from catalog import (
     alt5,
     dihedral4,
@@ -33,7 +34,6 @@ from covercalc import (
     fiber_product,
     identity_cover,
     is_compact_fiber_product,
-    is_fiber_presentation,
     is_indecomposable,
     kernel_normal_decomposition,
     restrict,

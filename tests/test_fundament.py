@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import is_fundament_of, is_fundament_series
 from catalog import (
     SMALL_GROUPS,
     alt5,
@@ -61,8 +62,6 @@ from covercalc import (
     fundament_series,
     identity_cover,
     invariants,
-    is_fundament_of,
-    is_fundament_series,
     is_fundamental,
     is_indecomposable,
     quotient,
@@ -80,7 +79,7 @@ from covercalc.errors import (
 from covercalc import gmodules as gm
 from covercalc import groups as groups_module
 from covercalc.cli import Workspace, run_command
-from covercalc.fundament import _cover_class, _module_class, _support_class
+from covercalc.fundament import _cover_class, _cover_through, _module_class, _support_class
 from covercalc.cohomology import inflate_module
 from covercalc.groups import closure_of, maximal_normal_in
 
@@ -635,6 +634,28 @@ def test_invariants_build_one_quotient_per_cover_of_the_c2_pool(monkeypatch):
     assert not invariants(pool[0]).ab_classes  # the identity cover
 
 
+def test_first_invariants_read_each_kernel_once(monkeypatch):
+    # the maximal tops and the kernel module of a cover read Ker(pi) in
+    # one set of coordinates, kept on the source; the least N's quotient
+    # reads its own kernel
+    computed = []
+    real = gm._read_coordinates
+    monkeypatch.setattr(
+        gm, "_read_coordinates", lambda sub: computed.append(sub) or real(sub)
+    )
+    pools = [  # fresh covers: no memos
+        cover_pool(split_cover_c2(), nonsplit_cover_c2()),
+        cover_pool(split_cover_c3(), nonsplit_cover_c3()),
+    ]
+    for pi in pools[0][1:] + pools[1][1:]:
+        before = len(computed)
+        assert len(invariants(pi).ab_classes) == 1
+        assert [sub.parent is pi.source for sub in computed[before:]] == [True, False]
+        assert computed[before].mask == pi.kernel().mask
+    keys = [(id(sub.parent), sub.mask) for sub in computed]
+    assert len(keys) == len(set(keys)) == 2 * 18
+
+
 def test_second_pass_is_lookups(monkeypatch):
     # a warm decision reads each cover's indexed classes and each
     # containment from their memos
@@ -968,3 +989,54 @@ def test_series_recognition_validates_chain():
     with pytest.raises(Incompatible):
         # third stage targets C2, but the chain has reached C4
         is_fundament_series([terminal_cover(C2), ETA1, ETA1])
+
+
+def _series_by_kernels(chain):
+    """The library's answer for a chain of fundamental covers: the
+    cumulative kernels from the full source are the fundament kernels of
+    the composite covers."""
+    rhos = [identity_cover(chain[-1].source)]
+    for cov in reversed(chain):
+        rhos.append(compose(cov, rhos[-1]))
+    rhos.reverse()  # rhos[k]: full source ->> k-th group
+    return all(
+        rhos[k].kernel() == fundament_kernel(rhos[k - 1]) for k in range(1, len(rhos))
+    )
+
+
+def _assert_fundament_routes_agree(pi):
+    # every split pi = pi_bar o rho through a quotient by a normal M inside
+    # Ker(pi), with pi_bar fundamental, and the series with one stage too
+    # many at either end
+    src = pi.source
+    stages = list(fundament_series(pi).stage_covers)
+    chains = [[identity_cover(pi.target)] + stages, stages + [identity_cover(src)]]
+    if stages:
+        assert is_fundament_series(stages)
+        chains.append(stages)
+    for m in normal_subgroups(src, pi.kernel()):
+        rho = quotient(src, m)[1]
+        pi_bar = _cover_through(pi, rho)
+        if not is_fundamental(pi_bar):
+            continue
+        assert is_fundament_of(rho, pi_bar) == (fundament_kernel(pi) == m)
+        if is_fundamental(rho):
+            chains.append([pi_bar, rho])
+    for chain in chains:
+        assert is_fundament_series(chain) == _series_by_kernels(chain)
+
+
+CATALOG_COVERS = [terminal_cover(SMALL_GROUPS[name]()) for name in sorted(SMALL_GROUPS)] + [
+    sign_cover(),
+    ETA0,
+    ETA1,
+]
+
+
+@pytest.mark.parametrize("relabeled", [False, True], ids=["stored", "relabeled"])
+def test_square_route_matches_fundament_kernels(relabeled):
+    # the semi-cartesian-square obstruction of the oracles against the
+    # library's fundament_kernel and fundament_series
+    rng = random.Random(23)
+    for pi in CATALOG_COVERS + POOL_C2 + POOL_C3:
+        _assert_fundament_routes_agree(relabel_cover(pi, rng) if relabeled else pi)

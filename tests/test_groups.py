@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import subgroup_from_elements
 from catalog import (
     GROUP_PERMS,
     SMALL_GROUPS,
@@ -53,7 +54,6 @@ from covercalc.groups import (
     closure_of,
     generating_set,
     is_minimal_normal,
-    subgroup_from_elements,
 )
 
 GROUPS = {name: fn() for name, fn in SMALL_GROUPS.items()}

@@ -45,7 +45,6 @@ from covercalc import (
     hom_space,
     is_A_generated,
     is_simple_module,
-    modules_isomorphic,
     module_from_cover,
     quotient,
     terminal_cover,
@@ -74,6 +73,7 @@ from oracles import (
     field_tables,
     hom_system_nullspace,
     is_simple_by_sweep,
+    modules_isomorphic,
     rref_mod_p,
 )
 

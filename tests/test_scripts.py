@@ -1,11 +1,13 @@
 """Smoke runs of the scripts in ``scripts/``, each in a child process:
 it must exit 0 and print its header line first. Also the public names
-that tooling (the benchmark's tracer) reads from every module."""
+that tooling (the benchmark's tracer) reads from every module, and the
+names that README's "Modules of note" lists."""
 
 from __future__ import annotations
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -58,3 +60,25 @@ def test_public_names_resolve(name):
     # a stale __all__ entry would stop every traced benchmark run
     module = importlib.import_module(name)
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+def readme_modules_of_note() -> list[tuple[str, list[str]]]:
+    """``(module, backticked names)`` per entry of README's "Modules of
+    note" list, each entry a bullet that opens with its module."""
+    text = (REPO / "README.md").read_text()
+    section = text.split("Modules of note", 1)[1].split("\n\n")[1]
+    entries = re.findall(r"^- `(covercalc\.\w+)`(.*?)(?=^- |\Z)", section, re.M | re.S)
+    return [(module, re.findall(r"`(\w+)`", rest)) for module, rest in entries]
+
+
+def test_readme_modules_of_note_resolve():
+    # a README entry must not outlive its function
+    entries = readme_modules_of_note()
+    assert len(entries) == 8 and sum(len(names) for _, names in entries) > 30
+    missing = [
+        f"{module}.{name}"
+        for module, names in entries
+        for name in names
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

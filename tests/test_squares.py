@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import compose_horizontal
 from catalog import SMALL_GROUPS, normal_subgroups
 from covercalc import (
     Cover,
@@ -30,7 +31,6 @@ from covercalc import (
     is_indecomposable,
     is_semi_cartesian,
     make_square,
-    compose_horizontal,
     quotient,
 )
 from covercalc.errors import Mismatch, NotCartesian, NotCommutative, SourceTargetMismatch
