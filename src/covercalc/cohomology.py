@@ -103,12 +103,11 @@ class TwoCochain:
         h(1, z, w) = f(z, w) - f(z, w) + f(1, zw) - f(1, z) = 0, so h
         vanishes everywhere."""
         g, t = self.group, self.table
-        for x in generating_set(g):
-            lhs = t @ self.module.action[x].T + t[x][g.mul]
-            rhs = t[g.mul[x]] + t[x][:, None, :]
-            if ((lhs - rhs) % self.module.p).any():
-                return False
-        return True
+        xs = np.array(generating_set(g), dtype=np.intp)
+        # axes (x, y, z, value) with x in S
+        acted = np.einsum("xac,yzc->xyza", self.module.action[xs], t)
+        diff = acted + t[xs[:, None, None], g.mul] - t[g.mul[xs]] - t[xs, :, None]
+        return not (diff % self.module.p).any()
 
 
 def _cochain_from_flat(group: FiniteGroup, module: GModule, vec: np.ndarray) -> TwoCochain:
@@ -203,14 +202,13 @@ class CohomSpace:
         # unknown[x, i] selects f(x, gens[i]) among the unknowns, 0 at x = 1
         unknown = np.zeros((n, len(gens), d, m), dtype=np.int64)
         unknown[1:] = np.eye(m, dtype=np.int64).reshape(n - 1, len(gens), d, m)
-        acts = np.stack(mod.action)
         # tree[z][w] = f(w, z) as a linear map of the unknowns
         tree = {0: np.zeros((n, d, m), dtype=np.int64)}
         queue, rows = [0], []
         for y in queue:
             for i, s in enumerate(gens):
                 ys = int(g.mul[y, s])
-                f = (tree[y] + unknown[g.mul[:, y], i] - acts @ unknown[y, i]) % p
+                f = (tree[y] + unknown[g.mul[:, y], i] - mod.action @ unknown[y, i]) % p
                 if ys in tree:
                     rows.append((tree[ys] - f).reshape(n * d, m))
                 else:
@@ -236,7 +234,7 @@ class CohomSpace:
         x, y, k = x + 1, y + 1, np.arange(len(cols))
         # rows (w, j) for every w; w = 1 takes the -c(xy) terms with xy = 1
         b = np.zeros((n, d, len(cols)), dtype=np.int64)
-        b[y, :, k] += np.stack(mod.action)[x, c]
+        b[y, :, k] += mod.action[x, c]
         b[g.mul[x, y], c, k] -= 1
         b[x, c, k] += 1
         return b[1:].reshape((n - 1) * d, len(cols)) % mod.p
@@ -350,7 +348,7 @@ def extension_from_cocycle(cochain: TwoCochain) -> ExtensionRealization:
     vecs = np.array([mod.index_to_vector(a) for a in range(q)], dtype=np.int64).reshape(q, d)
     weights = p ** np.arange(d, dtype=np.int64)
     add_idx = ((vecs[:, None, :] + vecs[None, :, :]) % p @ weights).astype(np.int32)
-    act_idx = np.stack([vecs @ m.T % p @ weights for m in mod.action])  # [x, a]: x.a
+    act_idx = vecs @ mod.action.transpose(0, 2, 1) % p @ weights  # [x, a]: x.a
     f_idx = cochain.table % p @ weights
     # (a1, g1)(a2, g2) over axes (a1, g1, a2, g2)
     shifted = add_idx[np.arange(q)[:, None, None], act_idx[None, :, :]]
@@ -438,8 +436,7 @@ def inflate_module(pi: Cover, module: GModule) -> GModule:
     """Pull a module over the target back along a cover of groups."""
     if not same_group(module.group, pi.target):
         raise Incompatible("module is not over the cover target")
-    mats = tuple(module.action[int(pi.image[g])] for g in range(pi.source.order))
-    return GModule(pi.source, module.p, mats, check=False)
+    return GModule(pi.source, module.p, module.action[pi.image], check=False)
 
 
 def inflate(pi: Cover, cls: CohomClass) -> CohomClass:
@@ -500,12 +497,12 @@ def x2(pi: Cover, target: GModule) -> DualPairS:
     if kmod.dim and not _generates(dual):
         raise NotAGenerated("cover kernel is not generated by the module")
     space = cohom_space(pi.target, target)
-    if not dual.fp_basis:
+    if not len(dual.fp_basis):
         s_matrix = np.zeros((space.dim_p, 0), dtype=np.int64)
         return DualPairS(dual=dual, space=space, s_matrix=s_matrix)
     raw = cover_cochain(pi)
     # pushed[m, x, y] = phi_m(f(x, y)), over the non-identity pairs
-    pushed = np.einsum("xyk,mak->mxya", raw.table[1:, 1:], np.stack(dual.fp_basis))
+    pushed = np.einsum("xyk,mak->mxya", raw.table[1:, 1:], dual.fp_basis)
     flat = pushed.reshape(len(dual.fp_basis), -1)
     s_matrix = space.coordinates_of_flat(flat).T
     return DualPairS(dual=dual, space=space, s_matrix=s_matrix)

@@ -1,8 +1,9 @@
 """Finite group modules over prime fields, and the Hom(-, A) duality.
 
-A module is a matrix action of a finite group on F_p^d, one invertible
-matrix per group element. Simple modules carry an endomorphism field
-F = End_G(A); Hom-spaces are F-vector spaces presented by F_p bases
+A module is a matrix action of a finite group on F_p^d: one read-only
+(order, d, d) int64 array, the invertible matrix of element g at index
+g. Simple modules carry an endomorphism field F = End_G(A); Hom-spaces
+are F-vector spaces presented by F_p bases, one (m, dA, dK) array,
 together with the scalar action, so a single GF(p) elimination core
 serves both F_p and F_q linear algebra.
 
@@ -72,35 +73,43 @@ __all__ = [
 
 
 class GModule:
-    """A finite G-module: F_p^d with one action matrix per group element."""
+    """A finite G-module: F_p^d with one action matrix per group element.
+
+    ``action`` may be any array-like of ``group.order`` square d x d
+    matrices; anything else raises Incompatible, with or without
+    ``check``. It is stored reduced mod p as one read-only
+    (order, d, d) int64 array, ``action[g]`` the matrix of g."""
 
     def __init__(
         self,
         group: FiniteGroup,
         p: int,
-        action: tuple[np.ndarray, ...],
+        action,
         check: bool = True,
     ) -> None:
         # F_p arithmetic is a field only for prime p
         if _prime_divisors(p) != [p]:
             raise Incompatible(f"module coefficients need a prime p, got {p}")
+        try:
+            acts = np.ascontiguousarray(action, dtype=np.int64) % p
+        except ValueError:  # ragged: matrices of different shapes
+            acts = np.zeros(0)
+        if acts.ndim != 3 or acts.shape[0] != group.order or acts.shape[1] != acts.shape[2]:
+            raise Incompatible("need one square action matrix per group element")
+        acts.flags.writeable = False
         self.group = group
         self.p = p
-        self.action = tuple(np.asarray(m, dtype=np.int64) % p for m in action)
-        self.dim = int(self.action[0].shape[0]) if self.action else 0
+        self.action = acts
+        self.dim = int(acts.shape[1])
         self._endo = None  # endo_field memo
         self._simple: bool | None = None  # is_simple_module memo
         self._key: bytes | None = None  # structural_key memo
-        if len(self.action) != group.order:
-            raise Incompatible("need one action matrix per group element")
         if check and self.dim:
-            ident = np.eye(self.dim, dtype=np.int64)
-            if not np.array_equal(self.action[0], ident):
+            if not np.array_equal(acts[0], np.eye(self.dim, dtype=np.int64)):
                 raise Incompatible("identity must act trivially")
-            acts = np.stack(self.action)
-            for g in generating_set(group):
-                if not np.array_equal(acts[group.mul[g]], self.action[g] @ acts % p):
-                    raise Incompatible("action is not a homomorphism")
+            gens = list(generating_set(group))
+            if not np.array_equal(acts[group.mul[gens]], acts[gens, None] @ acts % p):
+                raise Incompatible("action is not a homomorphism")
 
     def act(self, g: int, vec: np.ndarray) -> np.ndarray:
         return self.action[g] @ np.asarray(vec, dtype=np.int64) % self.p
@@ -123,7 +132,7 @@ class GModule:
             self._key = (
                 np.array([self.group.order, self.p, self.dim], dtype=np.int64).tobytes()
                 + self.group.mul.tobytes()
-                + b"".join(m.astype(np.int64).tobytes() for m in self.action)
+                + self.action.tobytes()
             )
         return self._key
 
@@ -149,13 +158,10 @@ class ModuleHom:
         return self.matrix @ np.asarray(vec, dtype=np.int64) % self.source.p
 
     def is_equivariant(self) -> bool:
-        p = self.source.p
-        return all(
-            np.array_equal(
-                self.matrix @ self.source.action[g] % p,
-                self.target.action[g] @ self.matrix % p,
-            )
-            for g in generating_set(self.source.group)
+        p, gens = self.source.p, list(generating_set(self.source.group))
+        return np.array_equal(
+            self.matrix @ self.source.action[gens] % p,
+            self.target.action[gens] @ self.matrix % p,
         )
 
     def is_isomorphism(self) -> bool:
@@ -207,7 +213,7 @@ def _read_coordinates(sub: Subgroup) -> KernelCoords:
         return KernelCoords(sub, 2, 0, (), np.zeros((group.order, 0), dtype=np.int64))
     if not _commute(group, elems, elems):
         raise NotElementaryAbelian("subgroup is not abelian")
-    orders = {group.element_order(x) for x in elems if x != 0}
+    orders = set(group.element_orders()[list(elems)].tolist()) - {1}
     if len(orders) != 1:
         raise NotElementaryAbelian("mixed element orders")
     p = orders.pop()
@@ -272,7 +278,7 @@ def _module_and_coords(pi: Cover, sub: Subgroup) -> tuple[GModule, KernelCoords]
     basis = np.asarray(coords.basis_elements, dtype=np.intp)
     conj = src.mul[src.mul[section[:, None], basis], src.inv[section][:, None]]
     mats = coords.vectors[conj].transpose(0, 2, 1) % coords.p
-    out = GModule(base, coords.p, tuple(mats), check=True), coords
+    out = GModule(base, coords.p, mats, check=True), coords
     if is_kernel:
         pi._kernel_module = out
     return out
@@ -280,13 +286,12 @@ def _module_and_coords(pi: Cover, sub: Subgroup) -> tuple[GModule, KernelCoords]
 
 def trivial_module(group: FiniteGroup, p: int, dim: int = 1) -> GModule:
     ident = np.eye(dim, dtype=np.int64)
-    return GModule(group, p, tuple(ident for _ in range(group.order)), check=False)
+    return GModule(group, p, np.broadcast_to(ident, (group.order, dim, dim)), check=False)
 
 
 def direct_sum_module(module: GModule, n: int) -> GModule:
     """The direct sum of ``n`` copies (block-diagonal action)."""
-    ident = np.eye(n, dtype=np.int64)
-    mats = tuple(np.kron(ident, a) for a in module.action)
+    mats = np.kron(np.eye(n, dtype=np.int64), module.action)
     return GModule(module.group, module.p, mats, check=False)
 
 
@@ -299,9 +304,8 @@ def is_simple_module(module: GModule) -> bool:
     Memoized on the module (``module._simple``)."""
     if module._simple is None:
         d, p = module.dim, module.p
-        acts = np.stack(module.action)
         module._simple = d > 0 and all(
-            rank_mod_p(acts @ v % p, p) == d for v in projective_points(d, p)
+            rank_mod_p(module.action @ v % p, p) == d for v in projective_points(d, p)
         )
     return module._simple
 
@@ -309,8 +313,9 @@ def is_simple_module(module: GModule) -> bool:
 @dataclass(frozen=True)
 class EndoField:
     """The endomorphism field F = End_G(A) of a simple module, of order
-    p^k: its F_p basis (``basis_endos``) and one algebra generator J
-    (``generator_matrix``), a matrix with F_p[J] = F.
+    p^k: its F_p basis (``basis_endos``, a read-only (k, d, d) array)
+    and one algebra generator J (``generator_matrix``, d x d), a matrix
+    with F_p[J] = F.
 
     J is the first nonzero F_p-combination of the basis, in mixed-radix
     order of its coefficients (that of ``basis_endos[0]`` varying
@@ -319,7 +324,7 @@ class EndoField:
     and these are the same for every J with F_p[J] = F."""
 
     module: GModule
-    basis_endos: tuple[np.ndarray, ...]
+    basis_endos: np.ndarray
     generator_matrix: np.ndarray
 
     @property
@@ -340,9 +345,7 @@ def _hom_basis(module: GModule, target: GModule) -> np.ndarray:
     from the matrices of the generating set (the identity alone for a
     trivial group)."""
     gens = list(generating_set(module.group) or (0,))
-    ak = np.stack([module.action[g] for g in gens])
-    aa = np.stack([target.action[g] for g in gens])
-    return _intertwiners(ak, aa, module.p)
+    return _intertwiners(module.action[gens], target.action[gens], module.p)
 
 
 def _intertwiners(ak: np.ndarray, aa: np.ndarray, p: int) -> np.ndarray:
@@ -365,7 +368,7 @@ def endo_field(module: GModule) -> EndoField:
     """End_G(A) of a simple module: the F_p basis of the Kronecker
     system's nullspace and the generator J of ``EndoField``. Any J with
     F_p[J] = F gives the same F-spans, so the same answers. Memoized on
-    the module (``module._endo``); J is read-only.
+    the module (``module._endo``); J and the basis are read-only.
     """
     if module._endo is not None:
         return module._endo
@@ -381,23 +384,21 @@ def endo_field(module: GModule) -> EndoField:
             powers.append(powers[-1] @ J % p)
         if rank_mod_p(np.reshape(powers, (k, -1)), p) == k:
             break
-    J.flags.writeable = False
-    module._endo = EndoField(
-        module=module,
-        basis_endos=tuple(b.reshape(d, d) for b in basis),
-        generator_matrix=J,
-    )
+    basis = basis.reshape(k, d, d)
+    J.flags.writeable = basis.flags.writeable = False
+    module._endo = EndoField(module=module, basis_endos=basis, generator_matrix=J)
     return module._endo
 
 
 @dataclass(frozen=True)
 class DualSpace:
-    """Hom_G(K, A) as an F = End_G(A) vector space."""
+    """Hom_G(K, A) as an F = End_G(A) vector space: an F_p basis, one
+    (m, dA, dK) array, and an F-basis of maps."""
 
     module: GModule  # K
     target: GModule  # A
     endo_field: EndoField
-    fp_basis: tuple[np.ndarray, ...]  # F_p-basis matrices (dA x dK)
+    fp_basis: np.ndarray  # (m, dA, dK): F_p-basis matrices
     basis: tuple[ModuleHom, ...]  # F-basis
 
     @property
@@ -439,8 +440,8 @@ def hom_space(module: GModule, target: GModule) -> DualSpace:
     p = module.p
     dk, da = module.dim, target.dim
     if dk == 0 or da == 0:
-        return DualSpace(module, target, endo, (), ())
-    fp_basis = tuple(v.reshape(da, dk) for v in _hom_basis(module, target))
+        return DualSpace(module, target, endo, np.zeros((0, da, dk), dtype=np.int64), ())
+    fp_basis = _hom_basis(module, target).reshape(-1, da, dk)
     J = endo.generator_matrix
     picked, _ = f_independent_subset(
         fp_basis, lambda m: J @ m % p, p, endo.k
@@ -449,28 +450,16 @@ def hom_space(module: GModule, target: GModule) -> DualSpace:
     return DualSpace(module, target, endo, fp_basis, f_basis)
 
 
-def homs_vanishing_on(dual: DualSpace, vectors: np.ndarray) -> list[np.ndarray]:
-    """F_p-basis of the maps in the dual space vanishing on given vectors."""
+def homs_vanishing_on(dual: DualSpace, vectors: np.ndarray) -> np.ndarray:
+    """F_p-basis of the maps in the dual space vanishing on given vectors
+    (rows), an (m', dA, dK) array."""
     vectors = np.asarray(vectors, dtype=np.int64)
-    if not dual.fp_basis:
-        return []
-    if vectors.size == 0:
-        return list(dual.fp_basis)
-    p = dual.module.p
-    rows = []
-    for v in vectors:
-        # coefficients x: sum_i x_i (M_i @ v) = 0, one row per A-coordinate
-        cols = np.array([m @ v % p for m in dual.fp_basis], dtype=np.int64)
-        rows.append(cols.T)
-    system = np.vstack(rows) % p
-    combos = nullspace_mod_p(system, p)
-    out = []
-    for c in combos:
-        mat = np.zeros_like(dual.fp_basis[0])
-        for coef, m in zip(c, dual.fp_basis):
-            mat = (mat + int(coef) * m) % p
-        out.append(mat)
-    return out
+    basis, p = dual.fp_basis, dual.module.p
+    if not len(basis) or vectors.size == 0:
+        return basis
+    # coefficients x: sum_i x_i (M_i @ v) = 0, one row per (v, A-coordinate)
+    system = (basis @ vectors.T).transpose(2, 1, 0).reshape(-1, len(basis)) % p
+    return np.tensordot(nullspace_mod_p(system, p), basis, 1) % p
 
 
 def is_A_generated(module: GModule, target: GModule) -> bool:
@@ -480,9 +469,10 @@ def is_A_generated(module: GModule, target: GModule) -> bool:
 
 def _generates(dual: DualSpace) -> bool:
     """Whether the maps of ``dual`` have zero common kernel."""
-    if not dual.fp_basis:
-        return dual.module.dim == 0
-    return rank_mod_p(np.vstack(dual.fp_basis), dual.module.p) == dual.module.dim
+    d = dual.module.dim
+    if not len(dual.fp_basis):
+        return d == 0
+    return rank_mod_p(dual.fp_basis.reshape(-1, d), dual.module.p) == d
 
 
 def decompose_isotypic(module: GModule, target: GModule) -> ModuleHom:
@@ -506,19 +496,17 @@ def _is_invariant_subspace(module: GModule, rows: np.ndarray) -> bool:
     if rows.size == 0:
         return True
     reduced, _ = row_echelon_mod_p(rows, module.p)
-    return all(
-        row_space_le(reduced @ module.action[g].T % module.p, reduced, module.p)
-        for g in generating_set(module.group) or (0,)
-    )
+    gens = list(generating_set(module.group) or (0,))
+    images = reduced @ module.action[gens].transpose(0, 2, 1) % module.p
+    return row_space_le(images.reshape(-1, module.dim), reduced, module.p)
 
 
 def submodule_generated(module: GModule, vec: np.ndarray) -> np.ndarray:
     """RREF row basis of the submodule generated by one vector: its spin
     under the matrices of the generating set (rows act by the
     transposes), which is stable under the whole group."""
-    gens = generating_set(module.group) or (0,)
-    mats = np.stack([module.action[g].T for g in gens])
-    return spin(vec, mats, module.p)
+    gens = list(generating_set(module.group) or (0,))
+    return spin(vec, module.action[gens].transpose(0, 2, 1), module.p)
 
 
 def restrict_to_subspace(module: GModule, rows: np.ndarray) -> GModule:
@@ -528,13 +516,9 @@ def restrict_to_subspace(module: GModule, rows: np.ndarray) -> GModule:
     if not _is_invariant_subspace(module, rows):
         raise NotSubmodule("subspace is not stable under the group action")
     reduced, pivots = row_echelon_mod_p(rows, p)
-    mats = []
-    for g in range(module.group.order):
-        img = reduced @ module.action[g].T % p
-        # coordinates of each image row in the RREF basis: read pivots
-        coords = img[:, pivots] % p
-        mats.append(coords.T)
-    return GModule(module.group, p, tuple(mats), check=False)
+    # coordinates of each image row g·r in the RREF basis: read pivots
+    mats = (module.action @ reduced.T)[:, pivots] % p
+    return GModule(module.group, p, mats, check=False)
 
 
 def infer_simple_summand(module: GModule) -> GModule:
@@ -579,16 +563,15 @@ def complement_in(
     ann = homs_vanishing_on(dual, sub_rows)
     J = dual.endo_field.generator_matrix
     scalar = lambda m: J @ m % p
-    items = list(ann) + list(dual.fp_basis)
-    picked, indices = f_independent_subset(items, scalar, p, dual.endo_field.k)
+    items = np.concatenate([ann, dual.fp_basis])
+    _, indices = f_independent_subset(items, scalar, p, dual.endo_field.k)
     # the completion part: picked items that came from the full basis
-    completion = [m for m, i in zip(picked, indices) if i >= len(ann)]
+    completion = [i for i in indices if i >= len(ann)]
     if not completion:
         ident = np.eye(module.dim, dtype=np.int64)
         reduced, _ = row_echelon_mod_p(ident, p)
         return reduced
-    stacked = np.vstack(completion) % p
-    basis = nullspace_mod_p(stacked, p)
+    basis = nullspace_mod_p(items[completion].reshape(-1, module.dim), p)
     reduced, _ = row_echelon_mod_p(basis, p) if basis.size else (basis, [])
     return reduced
 

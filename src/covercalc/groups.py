@@ -500,8 +500,8 @@ def generating_set(group: FiniteGroup) -> tuple[int, ...]:
             group._gen_cache = group.generators
             return group.generators
     orders = group.element_orders()
-    ranked = sorted(range(group.order), key=lambda x: (-int(orders[x]), x))
-    gens = _closure(group, ranked)[1]
+    ranked = np.lexsort((np.arange(group.order), -orders))
+    gens = _closure(group, ranked.tolist())[1]
     group._gen_cache = tuple(gens)
     return group._gen_cache
 

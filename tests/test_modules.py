@@ -43,6 +43,7 @@ from covercalc import (
     fiber_product,
     first_module_iso,
     hom_space,
+    inflate_module,
     is_A_generated,
     is_simple_module,
     module_from_cover,
@@ -135,6 +136,20 @@ def test_action_validation():
         GModule(C3, 5, (np.eye(1), np.array([[2]]), np.array([[4]])))
     with pytest.raises(Incompatible):  # one matrix per element
         GModule(C2, 2, (np.eye(1),))
+    # anything but order square d x d matrices is rejected before any check
+    eye = np.eye(2, dtype=np.int64)
+    malformed = {
+        "ragged": (eye, np.eye(3)),
+        "non-square": (np.ones((2, 3)), np.ones((2, 3))),
+        "1-D": (1, 1),
+        "one matrix": eye,
+        "wrong count": (eye, eye, eye),
+        "empty": (),
+    }
+    for check in (True, False):
+        for action in malformed.values():
+            with pytest.raises(Incompatible, match="square"):
+                GModule(C2, 2, action, check=check)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 9, 25, 221, -3])
@@ -315,6 +330,34 @@ def test_structural_key_is_memoized_on_the_module():
     assert key != direct_sum_module(F4MOD, 2).structural_key()
 
 
+KEY_CASES = {
+    "trivial": lambda: trivial_module(C3, 2, 2),
+    "from-cover": lambda: module_from_cover(sign_cover(), sign_cover().kernel()),
+    "inflated": lambda: inflate_module(split_cover_c3(), F4MOD),
+    "direct-sum": lambda: direct_sum_module(F4MOD, 3),
+    "restricted": lambda: restrict_to_subspace(
+        direct_sum_module(F4MOD, 2), np.array([[0, 0, 1, 0], [0, 0, 0, 1]])
+    ),
+    "strided-input": lambda: GModule(C3, 2, F4MOD.action.transpose(0, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("make", list(KEY_CASES.values()), ids=list(KEY_CASES))
+def test_structural_key_format(make):
+    """The class registry and the H^2 memo key on these bytes, and a
+    read-only action keeps a memoized key valid."""
+    module = make()
+    order, d = module.group.order, module.dim
+    assert module.action.shape == (order, d, d) and module.action.dtype == np.int64
+    assert not module.action.flags.writeable
+    want = (
+        np.array([order, module.p, d], dtype=np.int64).tobytes()
+        + module.group.mul.tobytes()
+        + b"".join(module.action[g].tobytes() for g in range(order))
+    )
+    assert module.structural_key() == want
+
+
 @pytest.mark.parametrize(
     "module,order", list(zip(SIMPLES, [2, 3, 4])), ids=SIMPLE_IDS
 )
@@ -420,6 +463,8 @@ def test_endo_field_generator_commutes_with_the_action(make):
     field = endo_field(module)
     j, p = field.generator_matrix, module.p
     assert j.shape == (module.dim, module.dim) and not j.flags.writeable
+    basis = field.basis_endos
+    assert basis.shape == (field.k, module.dim, module.dim) and not basis.flags.writeable
     for g in generating_set(module.group) or (0,):
         assert np.array_equal(j @ module.action[g] % p, module.action[g] @ j % p)
 
