@@ -28,6 +28,7 @@ from .groups import (
     FiniteGroup,
     _commute,
     _least_section,
+    _walk,
     generating_set,
     identity_cover,
     same_group,
@@ -175,8 +176,8 @@ class CohomSpace:
         unknowns (Holt–Eick–O'Brien, *Handbook of Computational Group
         Theory*, ch. 7).
 
-        The breadth-first tree of the Cayley graph from 1 over S extends
-        the unknowns to all of G x G: on a tree edge y -> ys,
+        The tree of ``groups._walk(group, S)`` extends the unknowns to
+        all of G x G: on a tree edge y -> ys,
         f(w, ys) = f(w, y) + f(wy, s) - w.f(y, s), the cocycle identity at
         (w, y, s). On every other edge that identity gives n·d rows. A
         cocycle satisfies them all and is fixed by its values on G x S.
@@ -186,12 +187,12 @@ class CohomSpace:
         G, so h(w, x, z) = h(w, x, 1) = 0 for every z. The nullspace N is
         Z^2.
 
-        The rows of N, expanded into flat cochain coordinates, span Z^2,
-        and its basis is the one with a 1 at one free column of the full
-        system's RREF and 0 at the others. Those free columns are the
-        pivots of the RREF of the column-reversed span, so that RREF,
-        reversed back in rows and columns, is the same basis, and its
-        pivots, reversed back, are P.
+        The rows of N, expanded into flat cochain coordinates, span Z^2
+        whatever the tree and the order of the rows, and its basis is the
+        one with a 1 at one free column of the full system's RREF and 0
+        at the others. Those free columns are the pivots of the RREF of
+        the column-reversed span, so that RREF, reversed back in rows and
+        columns, is the same basis, and its pivots, reversed back, are P.
         """
         g, mod = self.group, self.module
         n, d, p, u = g.order, mod.dim, mod.p, self._u
@@ -202,21 +203,19 @@ class CohomSpace:
         # unknown[x, i] selects f(x, gens[i]) among the unknowns, 0 at x = 1
         unknown = np.zeros((n, len(gens), d, m), dtype=np.int64)
         unknown[1:] = np.eye(m, dtype=np.int64).reshape(n - 1, len(gens), d, m)
-        # tree[z][w] = f(w, z) as a linear map of the unknowns
-        tree = {0: np.zeros((n, d, m), dtype=np.int64)}
-        queue, rows = [0], []
-        for y in queue:
-            for i, s in enumerate(gens):
-                ys = int(g.mul[y, s])
-                f = (tree[y] + unknown[g.mul[:, y], i] - mod.action @ unknown[y, i]) % p
-                if ys in tree:
-                    rows.append((tree[ys] - f).reshape(n * d, m))
-                else:
-                    tree[ys] = f
-                    queue.append(ys)
+        tree = np.zeros((n, n, d, m), dtype=np.int64)  # tree[z][w] = f(w, z)
+
+        def across(x, i):  # f(w, x·s) for s = gens[i], from f(w, x)
+            return (tree[x] + unknown[g.mul[:, x], i] - mod.action @ unknown[x, i]) % p
+
+        rows = []
+        for edges, relations in _walk(g, gens):
+            for y, x, i in edges:
+                tree[y] = across(x, i)
+            rows += [(tree[y] - across(x, i)).reshape(n * d, m) for x, i, y in relations]
         null = nullspace_mod_p(np.vstack(rows) % p, p)
         # the cochain table[w, z, r] = f(w, z)_r, over the non-identity pairs
-        expand = np.stack([tree[z] for z in range(n)], axis=1)[1:, 1:]
+        expand = tree.transpose(1, 0, 2, 3)[1:, 1:]
         span = null @ expand.reshape(u, m).T % p
         reduced, pivots = row_echelon_mod_p(span[:, ::-1], p)
         return (

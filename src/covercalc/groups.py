@@ -112,6 +112,7 @@ class FiniteGroup:
         # (class index, support id, span id) -> containment (fundament._bounded)
         self._contained: dict[tuple[int, int, int], bool] = {}
         self._gen_cache: tuple[int, ...] | None = None
+        self._gen_walk: list | None = None  # _walk of _gen_cache, by _search_hom
 
     # -- basic structure ----------------------------------------------------
 
@@ -248,6 +249,36 @@ def _closure(group: FiniteGroup, seed) -> tuple[list[int], list[int]]:
                     elems.append(y)
             i += 1
     return elems, gens
+
+
+def _walk(group: FiniteGroup, gens) -> list[tuple[list, list]]:
+    """The closure of {1} under right multiplication by ``gens``, step i
+    closing <gens[:i+1]> as ``_closure`` does. Step i lists its tree edges
+    (y, x, j), y = x·gens[j] reached for the first time, and its other
+    edges (x, j, y), the Schreier relations (Holt–Eick–O'Brien, §4.1).
+    Each pair (x, j) appears once, so a map set along the tree edges by
+    f(x·gens[j]) = f(x)·f(gens[j]) is a homomorphism on <gens[:i+1]> iff
+    it satisfies the other edges of steps 0..i.
+    """
+    reached = bytearray(group.order)
+    reached[0] = 1
+    elems, steps = [0], []
+    cols: list[list[int]] = []
+    for i, s in enumerate(gens):
+        cols.append(group.mul[:, int(s)].tolist())
+        old = len(elems)  # these are closed under the earlier columns already
+        tree, other = [], []
+        for k, x in enumerate(elems):  # the loop sees elements appended to it
+            for j in (i,) if k < old else range(i + 1):
+                y = cols[j][x]
+                if reached[y]:
+                    other.append((x, j, y))
+                else:
+                    reached[y] = 1
+                    elems.append(y)
+                    tree.append((y, x, j))
+        steps.append((tree, other))
+    return steps
 
 
 def _distinct(indices, n: int) -> np.ndarray:
@@ -530,9 +561,10 @@ class GroupHom:
         if check:
             if image[0] != 0:
                 raise Incompatible("map does not send identity to identity")
-            expected = image[source.mul]
-            got = target.mul[np.ix_(image, image)]
-            if not np.array_equal(expected, got):
+            # f(x·s) = f(x)·f(s) for all x and generators s: f is multiplicative
+            gens = list(generating_set(source))
+            got = target.mul[image[:, None], image[gens]]
+            if not np.array_equal(image[source.mul[:, gens]], got):
                 raise Incompatible("map is not a homomorphism")
         self.source = source
         self.target = target
@@ -787,7 +819,11 @@ def _search_hom(
     dst_base[f(x)] == src_base[x] for all x. Returns the image array or None.
 
     ``want_iso`` additionally demands bijectivity (and prunes with exact
-    element orders).
+    element orders, which make the kernel trivial).
+
+    f(gens[i]) is chosen at step i of ``_walk(src, generating_set(src))``,
+    memoized on ``src``: f is set along the step's tree edges and checked
+    on its other edges, the Schreier relations.
     """
     if want_iso and src.order != dst.order:
         return None
@@ -814,60 +850,32 @@ def _search_hom(
     if len(closure_of(dst, [k for cand in candidates for k in cand])) != dst.order:
         return None
 
-    n = src.order
+    walk = src._gen_walk = src._gen_walk or _walk(src, gens)
     src_fiber, dst_fiber = src_base.tolist(), dst_base.tolist()
     src_ord, dst_ord = src_orders.tolist(), dst_orders.tolist()
-    src_cols = [src.mul[:, g].tolist() for g in gens]
     dst_cols: dict[int, list[int]] = {}
+    cols: list = [None] * len(gens)  # cols[j]: the column of f(gens[j])
+    img = [0] * src.order  # f on the steps taken so far
 
-    def extend(img: list[int], dom: list[int], pairs: list, i: int, k: int):
-        """Close the map img ∪ {gens[i] -> k} under right multiplication by
-        the generator pairs, as pairs (x, f(x)); None on conflict.
+    def passes(i: int, k: int) -> bool:
+        """Whether f(gens[i]) = k passes step i, as steps 0..i-1 did. Every
+        k writes the same elements, so a rejected one leaves nothing to undo."""
+        cols[i] = dst_cols.get(k) or dst_cols.setdefault(k, dst.mul[:, k].tolist())
+        tree, other = walk[i]
+        for y, x, j in tree:
+            fy = cols[j][img[x]]
+            bad_order = (src_ord[y] != dst_ord[fy]) if want_iso else (src_ord[y] % dst_ord[fy])
+            if bad_order or src_fiber[y] != dst_fiber[fy]:
+                return False
+            img[y] = fy
+        return all(img[y] == cols[j][img[x]] for x, j, y in other)
 
-        The map is the orbit of (1, 1) in src × dst, so it is a
-        homomorphism exactly when no element gets two images. With exact
-        orders (``want_iso``) the kernel is trivial, so the map is injective.
-        """
-        g = gens[i]
-        if img[g] >= 0:
-            return (img, dom, pairs) if img[g] == k else None
-        col = dst_cols.get(k)
-        if col is None:
-            col = dst_cols[k] = dst.mul[:, k].tolist()
-        img, dom, pairs = img.copy(), dom.copy(), pairs + [(src_cols[i], col)]
-        old = len(dom)  # these are closed under the old pairs already
-        j = 0
-        while j < len(dom):
-            x = dom[j]
-            fx = img[x]
-            for sc, dc in pairs[-1:] if j < old else pairs:
-                y, fy = sc[x], dc[fx]
-                known = img[y]
-                if known < 0:
-                    if src_fiber[y] != dst_fiber[fy]:
-                        return None
-                    if (src_ord[y] != dst_ord[fy]) if want_iso else (src_ord[y] % dst_ord[fy]):
-                        return None
-                    img[y] = fy
-                    dom.append(y)
-                elif known != fy:
-                    return None
-            j += 1
-        return img, dom, pairs
-
-    def backtrack(i: int, img: list[int], dom: list[int], pairs: list):
+    def backtrack(i: int) -> bool:
         if i == len(gens):
-            return img if len(dom) == n and len(set(img)) == dst.order else None
-        for k in candidates[i]:
-            nxt = extend(img, dom, pairs, i, k)
-            if nxt is not None:
-                res = backtrack(i + 1, *nxt)
-                if res is not None:
-                    return res
-        return None
+            return len(set(img)) == dst.order
+        return any(passes(i, k) and backtrack(i + 1) for k in candidates[i])
 
-    found = backtrack(0, [0] + [-1] * (n - 1), [0], [])
-    return None if found is None else np.array(found, dtype=np.int32)
+    return np.array(img, dtype=np.int32) if backtrack(0) else None
 
 
 def _has_proper_supplement(group: FiniteGroup, covers) -> bool:

@@ -28,6 +28,7 @@ from .groups import (
     DEFAULT_LIMITS,
     FiniteGroup,
     GroupHom,
+    _walk,
     build_group,
 )
 
@@ -190,33 +191,23 @@ def hom_from_generator_images(
 ) -> GroupHom:
     """The homomorphism determined by images of the source generators.
 
-    Propagates by closure from the identity; conflicting or non-multiplic-
-    ative assignments raise ParseError pointing to the defining block.
-
-    The closure is the orbit of (1, 1) in source x target under right
-    multiplication by the pairs (g, image of g), i.e. the subgroup they
-    generate. With no element given two images and every element
-    reached it is the graph of a map, so that map is a homomorphism and
-    is built unchecked.
+    f is set along the tree edges of ``groups._walk`` over the generators
+    and checked on its other edges, f(x·g) = f(x)·f(g), so with every
+    element reached it is a homomorphism and is built unchecked. A failing
+    edge, and after the walk an unreached element, raise ParseError
+    pointing to the defining block.
     """
-    image = np.full(source.order, -1, dtype=np.int32)
-    image[0] = 0
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g, gi in gen_images.items():
-            y = int(source.mul[x, g])
-            yi = int(target.mul[image[x], gi])
-            if image[y] < 0:
-                image[y] = yi
-                frontier.append(y)
-            elif image[y] != yi:
-                raise ParseError("images do not define a homomorphism", line, 1)
-    if (image < 0).any():
-        raise ParseError(
-            "generator images given for a non-generating set", line, 1
-        )
-    return GroupHom(source, target, image, check=False)
+    cols = [target.mul[:, k].tolist() for k in gen_images.values()]
+    image = [0] * source.order
+    steps = _walk(source, list(gen_images))
+    for tree, other in steps:
+        for y, x, j in tree:
+            image[y] = cols[j][image[x]]
+        if any(image[y] != cols[j][image[x]] for x, j, y in other):
+            raise ParseError("images do not define a homomorphism", line, 1)
+    if 1 + sum(len(tree) for tree, _ in steps) < source.order:
+        raise ParseError("generator images given for a non-generating set", line, 1)
+    return GroupHom(source, target, np.array(image, dtype=np.int32), check=False)
 
 
 def realize_declarations(
@@ -256,7 +247,9 @@ def realize_declarations(
                 raise ParseError(
                     f"{label!r} is not a generator of {decl.source!r}", lineno, 1
                 )
-            gen_images[by_label[label]] = evaluate_word(dst, word, lineno)
+            img = evaluate_word(dst, word, lineno)
+            if gen_images.setdefault(by_label[label], img) != img:  # one element, two images
+                raise ParseError("images do not define a homomorphism", lineno, 1)
         missing = [
             lab for lab in src.generator_labels if by_label[lab] not in gen_images
         ]

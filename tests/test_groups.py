@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ from covercalc.cli import _BUILTIN_PERMS
 from covercalc.errors import Incompatible, NotNormal, OrderCapExceeded
 from covercalc.groups import (
     _maximal_tops,
+    _walk,
     closure_of,
     generating_set,
     is_minimal_normal,
@@ -364,6 +366,32 @@ def test_generating_set_matches_greedy_oracle():
         assert generating_set(g) == want, g.name
 
 
+def test_walk_lists_every_edge_once():
+    groups = [*GROUPS.values(), alt5()]
+    rng = random.Random(23)
+    groups += [relabel(g, rng) for g in list(groups)]
+    for g in groups:
+        gens = generating_set(g)
+        for seq in (gens, gens + gens[:1]):  # a repeated generator reaches nothing
+            steps = _walk(g, seq)
+            assert len(steps) == len(seq)
+            reached, pairs = [0], []
+            for i, (tree, other) in enumerate(steps):
+                inside = set(closure_of(g, seq[: i + 1]))
+                for y, x, j in tree:
+                    assert j <= i and x in reached and y == g.mul[x, seq[j]]
+                    reached.append(y)
+                    pairs.append((x, j))
+                for x, j, y in other:
+                    assert j <= i and y in reached and y == g.mul[x, seq[j]]
+                    pairs.append((x, j))
+                assert set(reached) == inside
+            assert sorted(reached) == list(range(g.order))
+            assert sorted(pairs) == [(x, j) for x in range(g.order) for j in range(len(seq))]
+            if seq != gens:
+                assert steps[-1][0] == []
+
+
 def test_quotient_labels_follow_their_generators():
     # C2^3 = <a, b, c> mod <ab>: a and b fall into one coset
     c2_cubed = build_group(
@@ -452,6 +480,46 @@ def test_hom_rejects_non_homomorphism():
     c2 = GROUPS["C2"]
     with pytest.raises(Incompatible):
         GroupHom(c4, c2, np.array([0, 1, 1, 0]))
+
+
+def test_hom_check_agrees_with_the_full_table_one_entry_off():
+    # the check reads only the generator columns; it must still agree
+    # with the full-table test on every map one entry away from a hom
+    homs = []
+    for g in GROUPS.values():
+        homs.append(identity_cover(g))
+        homs += [quotient(g, n)[1] for n in maximal_normal_in(g, g.full_subgroup())]
+    rejected = 0
+    for hom in homs:
+        src, dst = hom.source, hom.target
+        for x in range(src.order):
+            for v in range(dst.order):
+                if v == hom.image[x]:
+                    continue
+                image = hom.image.copy()
+                image[x] = v
+                full = image[0] == 0 and np.array_equal(
+                    image[src.mul], dst.mul[np.ix_(image, image)]
+                )
+                if full:
+                    assert GroupHom(src, dst, image).same_map(GroupHom(src, dst, image, False))
+                else:
+                    with pytest.raises(Incompatible):
+                        GroupHom(src, dst, image)
+                    rejected += 1
+    assert rejected > 1000
+
+
+def test_hom_check_allocates_no_order_squared_table():
+    c = cyclic_group(4096)
+    image = np.arange(c.order) % 2  # elements are numbered g^k
+    tracemalloc.start()
+    try:
+        Cover(c, cyclic_group(2), image)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # the full-table test took over 100 MB here
 
 
 def test_cover_requires_surjectivity():

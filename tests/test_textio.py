@@ -167,8 +167,39 @@ def test_hom_from_generator_images_direct():
     hom = hom_from_generator_images(v4, c2, {g0: t, g1: t})
     assert hom.is_surjective()
     assert len(hom.kernel().elements) == 2
-    with pytest.raises(ParseError):
-        hom_from_generator_images(v4, c2, {g0: t})  # not a generating set
+    with pytest.raises(ParseError, match="non-generating set"):
+        hom_from_generator_images(v4, c2, {g0: t})
+    # a of C4 has order 4, so no hom sends an involution to it
+    a = groups["C4"].generators[0]
+    with pytest.raises(ParseError, match="do not define a homomorphism"):
+        hom_from_generator_images(v4, groups["C4"], {g0: a, g1: 0})
+    # conflicting and non-generating at once: the conflict is reported
+    with pytest.raises(ParseError, match="do not define a homomorphism") as err:
+        hom_from_generator_images(v4, groups["C4"], {g0: a}, line=7)
+    assert err.value.line == 7
+
+
+# two labels of one element
+TWIN_LABELS = INTRO + """
+group D
+gen a = (1 2)
+gen b = (1 2)
+
+hom f : D -> C2
+a -> t
+b -> {b}
+"""
+
+
+def test_two_images_of_one_element_rejected_at_the_image_line():
+    with pytest.raises(ParseError, match="do not define a homomorphism") as err:
+        load(TWIN_LABELS.format(b="1"))
+    assert err.value.line == TWIN_LABELS.splitlines().index("b -> {b}") + 1
+
+
+def test_equal_images_of_one_element_accepted():
+    _, homs = load(TWIN_LABELS.format(b="t"))
+    assert homs["f"].is_surjective()
 
 
 def test_same_table_groups_interoperate():
