@@ -27,7 +27,6 @@ from .groups import (
     Cover,
     FiniteGroup,
     _commute,
-    _least_section,
     _walk,
     generating_set,
     identity_cover,
@@ -301,7 +300,7 @@ class CohomClass:
         return not self.coords.any()
 
 
-def cohom_space(group: FiniteGroup, module: GModule, field: EndoField | None = None) -> CohomSpace:
+def cohom_space(group: FiniteGroup, module: GModule) -> CohomSpace:
     """H^2(group, module) for a simple module; memoized on the group
     (``group._spaces``, keyed by the module's structural key)."""
     if not is_simple_module(module):
@@ -311,7 +310,7 @@ def cohom_space(group: FiniteGroup, module: GModule, field: EndoField | None = N
     key = module.structural_key()
     space = group._spaces.get(key)
     if space is None:
-        space = group._spaces[key] = CohomSpace(group, module, field or endo_field(module))
+        space = group._spaces[key] = CohomSpace(group, module, endo_field(module))
     return space
 
 
@@ -380,15 +379,16 @@ def extension_from_cocycle(cochain: TwoCochain) -> ExtensionRealization:
 
 
 def cover_cochain(pi: Cover) -> TwoCochain:
-    """The cocycle of a cover with abelian kernel, via the least-index
-    section; coefficients in the conjugation module on the kernel."""
+    """The cocycle of a cover with abelian kernel, read through the one
+    section of the cover, ``fibers[:, 0]`` (the least element of each
+    fiber); coefficients in the conjugation module on the kernel."""
     src, ker = pi.source, pi.kernel()
     # a memoized kernel module was read off an abelian kernel
     if pi._kernel_module is None and not _commute(src, ker.elements, ker.elements):
         raise KernelNotAbelian("cover kernel is not abelian")
     mod, coords = _module_and_coords(pi, ker)
-    # f(s, t) is the kernel part of u_s u_t against u_st, u the least section
-    section = _least_section(pi)
+    # f(s, t) is the kernel part of u_s u_t against u_st, u the section
+    section = pi.fibers[:, 0]
     h = src.mul[np.ix_(section, section)]
     k = src.mul[h, src.inv[section[pi.image[h]]]]
     return TwoCochain(pi.target, mod, coords.vectors[k])

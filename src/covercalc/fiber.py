@@ -32,9 +32,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _commute,
-    _fibers,
     _has_proper_supplement,
-    _least_section,
     _product_set,
     identity_cover,
     is_indecomposable,
@@ -77,11 +75,12 @@ def _row_weights(factors) -> list[np.ndarray]:
     """The carrier numbering of the fiber product of ``factors``: one array
     w_i over the source of each factor, with (h0, ..., hm) at row
     w_0[h0] + ... + w_m[hm]. w_0[h] = h·Π|K_i|, and for i >= 1 w_i[h] is
-    the place of h in its fiber times Π_(j>i)|K_j|; the identity weighs 0."""
+    the place of h in its row of ``fibers`` (column 0 the section
+    ``fibers[:, 0]``) times Π_(j>i)|K_j|; the identity weighs 0."""
     weights = []
     stride = 1
     for cov in factors[:0:-1]:
-        fibers = _fibers(cov)
+        fibers = cov.fibers
         weight = np.empty(cov.source.order, dtype=np.int32)
         weight[fibers] = np.arange(fibers.shape[1], dtype=np.int32) * stride
         weights.append(weight)
@@ -124,7 +123,7 @@ def fiber_product(
     # fiber over h0's base image at the i-th mixed-radix digit of x
     h0, *places = np.unravel_index(np.arange(n), shape)
     over = first.image[h0]
-    coords = [h0] + [_fibers(c)[over, p] for c, p in zip(factors[1:], places)]
+    coords = [h0] + [c.fibers[over, p] for c, p in zip(factors[1:], places)]
 
     # each factor table maps straight to a partial row number, and products
     # are sums of those (row blocks bound the transient memory)
@@ -371,12 +370,12 @@ def _try_aligned_axes(fp: FiberProduct, block: AbelianBlock):
 
 def _pushout_image(fp, proj, ext, coords, psi, module_a) -> np.ndarray:
     """Image array of carrier -> pushout extension source: push the block
-    coordinate along the dual vector ``psi``."""
+    coordinate along the dual vector ``psi``. The block coordinate is the
+    kernel part of h against the one section of ext, ``fibers[:, 0]``,
+    as in ``cohomology.cover_cochain``."""
     h = proj.image
     g = ext.image[h]
-    # the kernel part of h relative to the least-index section of ext,
-    # matching the cocycle convention
-    k = ext.source.mul[h, ext.source.inv[_least_section(ext)[g]]]
+    k = ext.source.mul[h, ext.source.inv[ext.fibers[g, 0]]]
     img = coords.vectors[k] @ np.asarray(psi, dtype=np.int64).T % module_a.p
     a_idx = img @ module_a.p ** np.arange(module_a.dim, dtype=np.int64)
     return (a_idx * fp.base.order + g).astype(np.int32)

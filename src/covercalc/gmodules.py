@@ -35,7 +35,6 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _commute,
-    _least_section,
     _prime_divisors,
     generating_set,
     same_group,
@@ -257,7 +256,9 @@ def module_from_cover(pi: Cover, sub: Subgroup) -> GModule:
 
 def _module_and_coords(pi: Cover, sub: Subgroup) -> tuple[GModule, KernelCoords]:
     """``module_from_cover`` with the coordinates it was read in; for the
-    kernel itself, memoized on the cover (``pi._kernel_module``)."""
+    kernel itself, memoized on the cover (``pi._kernel_module``). A base
+    element g acts by conjugation with the one section of ``pi``,
+    ``fibers[:, 0]``."""
     src = pi.source
     if not same_group(sub.parent, src):
         raise Incompatible("subgroup lives in a different group")
@@ -273,7 +274,7 @@ def _module_and_coords(pi: Cover, sub: Subgroup) -> tuple[GModule, KernelCoords]
         raise NotCentralInKernel("subgroup is not centralized by the kernel")
     coords = kernel_coordinates(sub)
     base = pi.target
-    section = _least_section(pi)
+    section = pi.fibers[:, 0]
     # column j of the matrix for g is the vector of s·b_j·s^-1, s = section[g]
     basis = np.asarray(coords.basis_elements, dtype=np.intp)
     conj = src.mul[src.mul[section[:, None], basis], src.inv[section][:, None]]

@@ -511,13 +511,9 @@ def _prime_divisors(n: int) -> list[int]:
 
 def is_minimal_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     """True iff ``sub`` is nontrivial, normal, with no proper nontrivial
-    normal subgroup of ``group`` inside it."""
-    if not same_group(sub.parent, group):
-        raise Incompatible("subgroup belongs to a different group")
-    if not sub.is_normal():
-        raise NotNormal("subgroup is not normal")
-    # every class in it closes to all of it (none at all when trivial)
-    return _class_closures(group, sub.elements) == {sub.elements}
+    normal subgroup of ``group`` inside it: the only maximal normal
+    subgroup strictly inside it (``maximal_normal_in``) is 1."""
+    return [s.order for s in maximal_normal_in(group, sub)] == [1]
 
 
 def generating_set(group: FiniteGroup) -> tuple[int, ...]:
@@ -570,6 +566,7 @@ class GroupHom:
         self.target = target
         self.image = image
         image.flags.writeable = False
+        self._fibers: np.ndarray | None = None
 
     def __call__(self, x: int) -> int:
         return int(self.image[x])
@@ -583,6 +580,19 @@ class GroupHom:
     def kernel(self) -> Subgroup:
         elems = tuple(int(x) for x in np.nonzero(self.image == 0)[0])
         return Subgroup(self.source, elems)
+
+    @property
+    def fibers(self) -> np.ndarray:
+        """The (|target|, |kernel|) table whose row g is the fiber over g in
+        ascending order, so column 0 is the least section: one stable argsort
+        of ``image``, memoized and read-only, for an onto map only."""
+        if self._fibers is None:
+            if not self.is_surjective():
+                raise Incompatible("only a surjective map has a fiber table")
+            table = np.argsort(self.image, kind="stable").reshape(self.target.order, -1)
+            table.flags.writeable = False
+            self._fibers = table
+        return self._fibers
 
     def apply_subgroup(self, sub: Subgroup) -> Subgroup:
         elems = tuple(sorted({int(self.image[x]) for x in sub.elements}))
@@ -606,38 +616,29 @@ class GroupHom:
 
 
 class Cover(GroupHom):
-    """A surjective homomorphism; caches its kernel, fundament kernel,
-    invariants, and the conjugation module on an elementary abelian
-    kernel with the coordinates it is read in (``_kernel_module``, filled
-    by ``gmodules._module_and_coords`` or, for the extension it builds, by
-    ``cohomology.extension_from_cocycle``)."""
+    """A surjective homomorphism; caches its kernel (from the first
+    ``kernel()``), fundament kernel, invariants, and the conjugation
+    module on an elementary abelian kernel with the coordinates it is read
+    in (``_kernel_module``, filled by ``gmodules._module_and_coords`` or,
+    for the extension it builds, by ``cohomology.extension_from_cocycle``)."""
 
     def __init__(self, source, target, image, check: bool = True) -> None:
         super().__init__(source, target, image, check=check)
-        if len(_distinct(self.image, target.order)) != target.order:
+        if not self.is_surjective():
             raise Incompatible("cover must be surjective")
-        self._kernel = super().kernel()
+        self._kernel: Subgroup | None = None
         self._invariants = None  # fundament.invariants memo
         self._fundament = None  # fundament.fundament_kernel memo
         self._indexed = None  # (base, fundament._indexed of it) memo
         self._kernel_module = None  # (GModule, KernelCoords) of the kernel
 
     def kernel(self) -> Subgroup:
+        if self._kernel is None:
+            self._kernel = super().kernel()
         return self._kernel
 
     def __repr__(self) -> str:
         return f"Cover({self.source.name} ->> {self.target.name})"
-
-
-def _fibers(cover: Cover) -> np.ndarray:
-    """The (|target|, |kernel|) array whose row g is the fiber of ``cover``
-    over g in ascending order."""
-    return np.argsort(cover.image, kind="stable").reshape(cover.target.order, -1)
-
-
-def _least_section(cover: Cover) -> np.ndarray:
-    """The least element of each fiber of ``cover``, indexed by the target."""
-    return _fibers(cover)[:, 0]
 
 
 def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
@@ -808,23 +809,20 @@ def build_group(
 # hom search over a common base
 
 
-def _search_hom(
-    src: FiniteGroup,
-    dst: FiniteGroup,
-    src_base: np.ndarray,
-    dst_base: np.ndarray,
-    want_iso: bool,
-) -> np.ndarray | None:
-    """Backtracking search for a surjective hom f: src -> dst with
-    dst_base[f(x)] == src_base[x] for all x. Returns the image array or None.
+def _search_hom(tau: Cover, tau_prime: Cover, want_iso: bool) -> np.ndarray | None:
+    """Backtracking search for a surjective hom f of the sources with
+    tau_prime(f(x)) == tau(x) for all x; the image array or None.
 
     ``want_iso`` additionally demands bijectivity (and prunes with exact
     element orders, which make the kernel trivial).
 
-    f(gens[i]) is chosen at step i of ``_walk(src, generating_set(src))``,
-    memoized on ``src``: f is set along the step's tree edges and checked
-    on its other edges, the Schreier relations.
+    The candidates for f(g) are the elements of ``tau_prime.fibers`` over
+    tau(g) whose order fits, in ascending order. f(gens[i]) is chosen at
+    step i of ``_walk(src, generating_set(src))``, memoized on ``src``: f
+    is set along the step's tree edges and checked on its other edges,
+    the Schreier relations.
     """
+    src, dst = tau.source, tau_prime.source
     if want_iso and src.order != dst.order:
         return None
     if src.order % dst.order:
@@ -834,41 +832,45 @@ def _search_hom(
     gens = generating_set(src)
     if not gens:  # trivial source: only the zero map, surjective iff dst trivial
         return np.zeros(src.order, dtype=np.int32) if dst.order == 1 else None
-    src_orders = src.element_orders()
-    dst_orders = dst.element_orders()
+    src_ord, dst_ord = src.element_orders().tolist(), dst.element_orders().tolist()
     candidates: list[list[int]] = []
     for g in gens:
-        og = src_orders[g]
-        fits = og == dst_orders if want_iso else og % dst_orders == 0
-        cand = np.flatnonzero((dst_base == src_base[g]) & fits).tolist()
+        og = src_ord[g]
+        fiber = tau_prime.fibers[tau.image[g]].tolist()
+        cand = [k for k in fiber if (og == dst_ord[k] if want_iso else og % dst_ord[k] == 0)]
         if not cand:
             return None
         candidates.append(cand)
 
     # the image lies inside the subgroup generated by all candidate values,
-    # so a surjection needs that subgroup to be everything
-    if len(closure_of(dst, [k for cand in candidates for k in cand])) != dst.order:
+    # so a surjection needs that subgroup to be everything. It is when one
+    # list is a whole fiber: then it holds Ker(tau_prime), and it lies over
+    # tau(gens), which generate the base
+    whole = max(map(len, candidates)) == tau_prime.fibers.shape[1]
+    if not whole and len(_closure(dst, [k for cand in candidates for k in cand])[0]) != dst.order:
         return None
 
     walk = src._gen_walk = src._gen_walk or _walk(src, gens)
-    src_fiber, dst_fiber = src_base.tolist(), dst_base.tolist()
-    src_ord, dst_ord = src_orders.tolist(), dst_orders.tolist()
     dst_cols: dict[int, list[int]] = {}
     cols: list = [None] * len(gens)  # cols[j]: the column of f(gens[j])
     img = [0] * src.order  # f on the steps taken so far
 
     def passes(i: int, k: int) -> bool:
         """Whether f(gens[i]) = k passes step i, as steps 0..i-1 did. Every
-        k writes the same elements, so a rejected one leaves nothing to undo."""
+        k writes the same elements, so a rejected one leaves nothing to undo.
+        f(y) = f(x)·f(gens[j]) lies over tau(x)·tau(gens[j]) = tau(y), as
+        every candidate lies over its generator's image."""
         cols[i] = dst_cols.get(k) or dst_cols.setdefault(k, dst.mul[:, k].tolist())
         tree, other = walk[i]
         for y, x, j in tree:
             fy = cols[j][img[x]]
-            bad_order = (src_ord[y] != dst_ord[fy]) if want_iso else (src_ord[y] % dst_ord[fy])
-            if bad_order or src_fiber[y] != dst_fiber[fy]:
+            if (src_ord[y] != dst_ord[fy]) if want_iso else (src_ord[y] % dst_ord[fy]):
                 return False
             img[y] = fy
-        return all(img[y] == cols[j][img[x]] for x, j, y in other)
+        for x, j, y in other:
+            if img[y] != cols[j][img[x]]:
+                return False
+        return True
 
     def backtrack(i: int) -> bool:
         if i == len(gens):
@@ -883,7 +885,7 @@ def _has_proper_supplement(group: FiniteGroup, covers) -> bool:
     every cover in ``covers`` (each with source ``group``).
 
     A minimal such subgroup L is generated by one element of each fiber
-    ``cov.image == s``, over every cover and every s in
+    ``cov.fibers[s]``, over every cover and every s in
     ``generating_set(cov.target)``: one element of L from each fiber
     generates a subgroup of L that still maps onto every target. So the
     search backtracks over the fibers with ``closure_of``, choosing an
@@ -895,11 +897,7 @@ def _has_proper_supplement(group: FiniteGroup, covers) -> bool:
     trivial group has no proper subgroup, so it gives False.
     """
     n = group.order
-    fibers = [
-        np.flatnonzero(cov.image == s).tolist()
-        for cov in covers
-        for s in generating_set(cov.target)
-    ]
+    fibers = [cov.fibers[s].tolist() for cov in covers for s in generating_set(cov.target)]
     seen: set[tuple[int, tuple[int, ...]]] = set()
 
     def search(i: int, gens: list[int], elems: tuple[int, ...]) -> bool:
@@ -930,7 +928,7 @@ def find_isomorphism_over(pi: Cover, pi_prime: Cover) -> GroupHom | None:
     """
     if not same_group(pi.target, pi_prime.target):
         raise Incompatible("covers do not share a base group")
-    img = _search_hom(pi.source, pi_prime.source, pi.image, pi_prime.image, True)
+    img = _search_hom(pi, pi_prime, True)
     if img is None:
         return None
     return GroupHom(pi.source, pi_prime.source, img, check=False)
@@ -940,7 +938,7 @@ def find_epimorphism_over(tau: Cover, tau_prime: Cover) -> Cover | None:
     """A surjection f of sources with tau_prime o f = tau, or None."""
     if not same_group(tau.target, tau_prime.target):
         raise Incompatible("covers do not share a base group")
-    img = _search_hom(tau.source, tau_prime.source, tau.image, tau_prime.image, False)
+    img = _search_hom(tau, tau_prime, False)
     if img is None:
         return None
     return Cover(tau.source, tau_prime.source, img, check=False)

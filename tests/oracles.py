@@ -797,35 +797,71 @@ def first_hom_over(src, dst, src_base, dst_base, gens, bijective=False):
     src_base[x], or None.
 
     Tries the images of ``gens`` in lexicographic order, each over its
-    generator's base fiber, and returns the image tuple of the first
-    assignment that extends to such a map (bijective if asked).
+    generator's base fiber and of an order dividing the generator's, and
+    returns the image tuple of the first assignment that extends to such
+    a map (bijective if asked). There is none when the candidates
+    generate less than dst. An assignment is dropped as soon as the
+    images of its first i generators fail: the map they close on
+    <gens[:i]> is not well defined, leaves the base, or sends more than
+    |src| / |dst| elements to 0 (more than the kernel of a surjection
+    holds). A map extending those images agrees with that closure, so
+    the first map is the same as without the pruning.
     """
     n, m = len(src), len(dst)
     if bijective and n != m:
         return None
-    fibers = [[k for k in range(m) if dst_base[k] == src_base[g]] for g in gens]
-    for images in product(*fibers):
+    fibers = [
+        [
+            k
+            for k in range(m)
+            if dst_base[k] == src_base[g]
+            and element_order(src, g) % element_order(dst, k) == 0
+        ]
+        for g in gens
+    ]
+    if len(generated_set(dst, [k for fiber in fibers for k in fiber])) != m:
+        return None
+
+    def close(pairs):
+        """f on the subgroup generated by the pairs' g, set by
+        f(x·g) = f(x)·k from f(0) = 0; None when that is not well
+        defined, some f(x) lies over the wrong base element, or too many
+        f(x) are 0."""
         f = {0: 0}
         todo = [0]
-        ok = True
-        while todo and ok:
+        while todo:
             x = todo.pop()
-            for g, k in zip(gens, images):
+            for g, k in pairs:
                 y, fy = src[x][g], dst[f[x]][k]
                 if y not in f:
+                    if dst_base[fy] != src_base[y]:
+                        return None
                     f[y] = fy
                     todo.append(y)
                 elif f[y] != fy:
-                    ok = False
-        if not ok or len(f) != n:
-            continue
+                    return None
+        return f if list(f.values()).count(0) <= n // m else None
+
+    def search(pairs):
+        f = close(pairs)
+        if f is None:
+            return None
+        i = len(pairs)
+        if i < len(gens):
+            for k in fibers[i]:
+                found = search(pairs + [(gens[i], k)])
+                if found is not None:
+                    return found
+            return None
+        if len(f) != n or len(set(f.values())) != m:  # onto; with n == m also bijective
+            return None
         if any(f[src[a][b]] != dst[f[a]][f[b]] for a in range(n) for b in range(n)):
-            continue
+            return None
         if any(dst_base[f[x]] != src_base[x] for x in range(n)):
-            continue
-        if len(set(f.values())) == m:  # onto; with n == m also bijective
-            return tuple(f[x] for x in range(n))
-    return None
+            return None
+        return tuple(f[x] for x in range(n))
+
+    return search([])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import math
 import random
 import time
 from itertools import product
@@ -80,7 +81,8 @@ from covercalc import gmodules as gm
 from covercalc import groups as groups_module
 from covercalc.cli import Workspace, run_command
 from covercalc.fundament import _cover_class, _cover_through, _module_class, _support_class
-from covercalc.cohomology import inflate_module
+from covercalc.cohomology import cover_cochain, inflate_module
+from covercalc.gmodules import is_simple_module
 from covercalc.groups import closure_of, maximal_normal_in
 
 ETA0 = split_cover_c2()
@@ -786,6 +788,50 @@ def test_decomposition_reassembles_over_c2(pi):
     fp = fiber_product(pi.target, factors)
     assert iso.is_isomorphism()
     assert np.array_equal(fp.structure_map.image[iso.image], pi.image)
+
+
+def test_decompositions_close_no_class(monkeypatch):
+    # is_indecomposable reads the maximal normal subgroups is_fundamental
+    # memoized; it closes no conjugacy class
+    _lattice_route_is_off(monkeypatch)
+    for pi in POOL_C2 + POOL_C3:
+        factors, _ = decompose_fundamental(pi)
+        assert math.prod(f.kernel().order for f in factors) == pi.kernel().order
+
+
+def _relabeling_view(pi):
+    """What must not depend on the element labels of ``pi``: the series
+    kernel sizes, the class data of its fundamental part, the split flag
+    of its cocycle (on a simple kernel module) and the number of
+    decomposition factors."""
+    sizes = [k.order for k in fundament_series(pi).kernels]
+    bar = pi if is_fundamental(pi) else fundament(pi)[0]
+    inv = invariants(bar)
+    classes = sorted(
+        (c.module.dim, c.module.p, c.endo_field.order, len(c.supp), c.mult)
+        for c in inv.ab_classes
+    )
+    split = None
+    k = np.asarray(pi.kernel().elements)
+    if (pi.source.mul[k[:, None], k] == pi.source.mul[k, k[:, None]]).all():
+        raw = cover_cochain(pi)
+        if is_simple_module(raw.module):
+            split = cohom_space(pi.target, raw.module).class_of(raw).is_zero()
+    return sizes, classes, split, len(decompose_fundamental(bar)[0])
+
+
+RELABELED = POOL_C2 + POOL_C3 + [
+    terminal_cover(SMALL_GROUPS["S4"]()),
+    fiber_product(trivial_group(), [terminal_cover(alt5()), terminal_cover(C2)]).structure_map,
+]
+
+
+@pytest.mark.parametrize("pi", RELABELED)
+def test_answers_do_not_follow_the_labels(pi):
+    # the least section fibers[:, 0] follows the labels, and so does every
+    # cocycle and kernel module read through it; the answers must not
+    rng = random.Random(pi.source.order)
+    assert _relabeling_view(relabel_cover(pi, rng)) == _relabeling_view(pi)
 
 
 def test_decomposition_factor_count_matches_kernel():

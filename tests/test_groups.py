@@ -23,6 +23,7 @@ from catalog import (
     normal_subgroups,
     quaternion8,
     relabel,
+    relabel_cover,
     sl2_5,
     split_cover_c2,
     split_cover_c3,
@@ -549,6 +550,36 @@ def test_kernel_and_preimage():
     assert back.elements == ker.elements
 
 
+def test_fiber_table_is_one_read_only_table_on_the_map():
+    rng = random.Random(5)
+    c3_pool = cover_pool(split_cover_c3(), nonsplit_cover_c3(), 3)
+    covers = c3_pool + [relabel_cover(c, rng) for c in c3_pool]
+    s4 = GROUPS["S4"]
+    covers.append(quotient(s4, next(s for s in normal_subgroups(s4) if s.order == 4))[1])
+    for cov in covers:
+        table = cov.fibers
+        assert table.shape == (cov.target.order, cov.source.order // cov.target.order)
+        for g in range(cov.target.order):
+            assert np.array_equal(table[g], np.flatnonzero(cov.image == g))
+        assert not table.flags.writeable and cov.fibers is table
+        assert cov.kernel() is cov.kernel()
+        assert cov.kernel() == GroupHom(cov.source, cov.target, cov.image).kernel()
+    # a surjective GroupHom has the same table; a map that is not onto has none
+    eta = nonsplit_cover_c2()
+    hom = GroupHom(eta.source, eta.target, eta.image)
+    assert np.array_equal(hom.fibers, eta.fibers)
+    with pytest.raises(Incompatible):
+        GroupHom(trivial_group(), eta.source, np.array([0])).fibers
+
+
+def test_found_maps_build_their_kernel_on_first_use():
+    tau = cover_pool(split_cover_c2(), nonsplit_cover_c2(), 3)[-1]
+    found = find_epimorphism_over(tau, nonsplit_cover_c2())
+    assert found._kernel is None
+    assert found.kernel() is found.kernel()
+    assert found.kernel() == GroupHom(found.source, found.target, found.image).kernel()
+
+
 # ---------------------------------------------------------------------------
 # isomorphism / epimorphism search
 
@@ -580,7 +611,7 @@ def test_find_epimorphism_over_impossible():
 
 
 def _search_pairs():
-    c2_pool = cover_pool(split_cover_c2(), nonsplit_cover_c2(), 3)
+    c2_pool = cover_pool(split_cover_c2(), nonsplit_cover_c2(), 4)
     c3_pool = [
         c for c in cover_pool(split_cover_c3(), nonsplit_cover_c3(), 3) if c.source.order <= 27
     ]
@@ -588,6 +619,20 @@ def _search_pairs():
         for tau in pool:
             for tau_p in pool:
                 yield tau, tau_p
+
+
+def test_a_whole_fiber_over_the_generators_generates_the_source():
+    # _search_hom skips its closure of the candidates when one list is a
+    # whole fiber of tau_prime: they meet the fiber over every tau(g)
+    checked = 0
+    for tau, tau_p in _search_pairs():
+        gens = generating_set(tau.source)
+        over = [tau_p.fibers[tau.image[g], -1] for g in gens]
+        for g in gens:
+            seeds = tau_p.fibers[tau.image[g]].tolist() + over
+            assert len(closure_of(tau_p.source, seeds)) == tau_p.source.order
+            checked += 1
+    assert checked > 500
 
 
 def test_searches_return_the_first_map_of_the_oracle():
