@@ -15,7 +15,6 @@ import numpy as np
 from .errors import (
     Incompatible,
     KernelNotAbelian,
-    Mismatch,
     NotAGenerated,
     NotCocycle,
     NotIsomorphism,
@@ -29,7 +28,6 @@ from .groups import (
     _commute,
     _walk,
     generating_set,
-    identity_cover,
     same_group,
 )
 from .gmodules import (
@@ -39,7 +37,6 @@ from .gmodules import (
     ModuleHom,
     _generates,
     _module_and_coords,
-    direct_sum_module,
     endo_field,
     hom_space,
     is_simple_module,
@@ -60,12 +57,9 @@ __all__ = [
     "extension_from_cocycle",
     "cover_cochain",
     "cocycle_from_extension",
-    "are_isomorphic_extensions",
     "inflate",
     "inflate_module",
     "x2",
-    "y2",
-    "fiber_cocycle",
     "push_cochain",
 ]
 
@@ -421,16 +415,6 @@ def push_cochain(cochain: TwoCochain, matrix: np.ndarray, target: GModule) -> Tw
     return TwoCochain(cochain.group, target, out.reshape(n, n, target.dim))
 
 
-def are_isomorphic_extensions(c1: CohomClass, c2: CohomClass) -> bool:
-    """True iff the classes agree up to a nonzero scalar of F = End_G(A):
-    both are zero, or both are nonzero and span one F-line."""
-    if c1.space is not c2.space and c1.space.structural_key() != c2.space.structural_key():
-        raise SpaceMismatch("classes live in different cohomology spaces")
-    if c1.is_zero() or c2.is_zero():
-        return c1.is_zero() and c2.is_zero()
-    return c1.space.f_rank(np.vstack([c1.coords, c2.coords])) == 1
-
-
 def inflate_module(pi: Cover, module: GModule) -> GModule:
     """Pull a module over the target back along a cover of groups."""
     if not same_group(module.group, pi.target):
@@ -507,16 +491,6 @@ def x2(pi: Cover, target: GModule) -> DualPairS:
     return DualPairS(dual=dual, space=space, s_matrix=s_matrix)
 
 
-def y2(group: FiniteGroup, module: GModule, values) -> Cover:
-    """The fiber product of the extensions realizing the given classes."""
-    from .fiber import fiber_product
-
-    covers = _extension_covers(group, module, values)
-    if not covers:
-        return identity_cover(group)
-    return fiber_product(group, covers).structure_map
-
-
 def _extension_covers(group: FiniteGroup, module: GModule, values) -> list[Cover]:
     """The extension cover realizing each class of H^2(group, module), in
     order, each built from the class's representative cocycle."""
@@ -526,20 +500,3 @@ def _extension_covers(group: FiniteGroup, module: GModule, values) -> list[Cover
             raise SpaceMismatch("class does not live in H^2(group, module)")
         covers.append(extension_from_cocycle(cls.representative()).cover)
     return covers
-
-
-def fiber_cocycle(cochains) -> TwoCochain:
-    """Componentwise cochain of a fiber product of extensions: values in
-    the direct sum of the coefficient modules."""
-    cochains = list(cochains)
-    if not cochains:
-        raise Mismatch("need at least one cochain")
-    first = cochains[0]
-    for c in cochains[1:]:
-        if not same_group(c.group, first.group):
-            raise Mismatch("cochains over different groups")
-        if c.module.structural_key() != first.module.structural_key():
-            raise Mismatch("cochains with different coefficient modules")
-    big = direct_sum_module(first.module, len(cochains))
-    table = np.concatenate([c.table for c in cochains], axis=2)
-    return TwoCochain(first.group, big, table)

@@ -39,26 +39,14 @@ class NotCartesian(CovercalcError):
     """A square required to be cartesian is not."""
 
 
-class Mismatch(CovercalcError):
-    """Two diagrams cannot be glued: the shared edge differs."""
-
-
 # -- fiber products -----------------------------------------------------------
 
 class TargetMismatch(CovercalcError):
     """Factors of a fiber product do not all map onto the same base."""
 
 
-class BadIndex(CovercalcError):
-    """A factor index is out of range (or repeated)."""
-
-
 class EmptyFactorList(CovercalcError):
     """The operation needs at least one factor."""
-
-
-class NotInsideKernel(CovercalcError):
-    """A normal subgroup is not contained in the kernel it must sit inside."""
 
 
 class Incompatible(CovercalcError):
@@ -87,10 +75,6 @@ class NotAGenerated(CovercalcError):
     """A module is not generated by copies of the given simple module."""
 
 
-class NotSubmodule(CovercalcError):
-    """A subspace is not stable under the group action."""
-
-
 # -- cohomology -----------------------------------------------------------------
 
 class NotCocycle(CovercalcError):
@@ -117,10 +101,6 @@ class NotFundamental(CovercalcError):
 
 class BaseMismatch(CovercalcError):
     """Two covers that must share a base group do not."""
-
-
-class NotFundamentalStage(CovercalcError):
-    """A stage of a claimed fundament series is not fundamental."""
 
 
 # -- CLI / parsing ----------------------------------------------------------------

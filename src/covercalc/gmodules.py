@@ -23,12 +23,10 @@ import numpy as np
 from .errors import (
     CharacteristicMismatch,
     Incompatible,
-    NotAGenerated,
     NotCentralInKernel,
     NotElementaryAbelian,
     NotNormal,
     NotSimple,
-    NotSubmodule,
 )
 from .groups import (
     Cover,
@@ -44,9 +42,6 @@ from .linalg import (
     nullspace_mod_p,
     projective_points,
     rank_mod_p,
-    row_echelon_mod_p,
-    row_space_le,
-    spin,
 )
 
 __all__ = [
@@ -62,10 +57,6 @@ __all__ = [
     "is_simple_module",
     "endo_field",
     "hom_space",
-    "homs_vanishing_on",
-    "is_A_generated",
-    "decompose_isotypic",
-    "complement",
     "first_module_iso",
     "f_independent_subset",
 ]
@@ -451,130 +442,12 @@ def hom_space(module: GModule, target: GModule) -> DualSpace:
     return DualSpace(module, target, endo, fp_basis, f_basis)
 
 
-def homs_vanishing_on(dual: DualSpace, vectors: np.ndarray) -> np.ndarray:
-    """F_p-basis of the maps in the dual space vanishing on given vectors
-    (rows), an (m', dA, dK) array."""
-    vectors = np.asarray(vectors, dtype=np.int64)
-    basis, p = dual.fp_basis, dual.module.p
-    if not len(basis) or vectors.size == 0:
-        return basis
-    # coefficients x: sum_i x_i (M_i @ v) = 0, one row per (v, A-coordinate)
-    system = (basis @ vectors.T).transpose(2, 1, 0).reshape(-1, len(basis)) % p
-    return np.tensordot(nullspace_mod_p(system, p), basis, 1) % p
-
-
-def is_A_generated(module: GModule, target: GModule) -> bool:
-    """True iff the elements of Hom_G(K, A) have zero common kernel."""
-    return module.dim == 0 or _generates(hom_space(module, target))
-
-
 def _generates(dual: DualSpace) -> bool:
     """Whether the maps of ``dual`` have zero common kernel."""
     d = dual.module.dim
     if not len(dual.fp_basis):
         return d == 0
     return rank_mod_p(dual.fp_basis.reshape(-1, d), dual.module.p) == d
-
-
-def decompose_isotypic(module: GModule, target: GModule) -> ModuleHom:
-    """The isomorphism K -> A^n assembled from an F-basis of Hom_G(K, A)."""
-    if not is_A_generated(module, target):
-        raise NotAGenerated("module is not generated by the simple module")
-    dual = hom_space(module, target)
-    n = dual.f_dim
-    ambient = direct_sum_module(target, n)
-    if n == 0:
-        return ModuleHom(module, ambient, np.zeros((0, module.dim)))
-    stacked = np.vstack([h.matrix for h in dual.basis]) % module.p
-    hom = ModuleHom(module, ambient, stacked)
-    if not hom.is_isomorphism():
-        raise NotAGenerated("dual basis did not induce an isomorphism")
-    return hom
-
-
-def _is_invariant_subspace(module: GModule, rows: np.ndarray) -> bool:
-    rows = np.asarray(rows, dtype=np.int64) % module.p
-    if rows.size == 0:
-        return True
-    reduced, _ = row_echelon_mod_p(rows, module.p)
-    gens = list(generating_set(module.group) or (0,))
-    images = reduced @ module.action[gens].transpose(0, 2, 1) % module.p
-    return row_space_le(images.reshape(-1, module.dim), reduced, module.p)
-
-
-def submodule_generated(module: GModule, vec: np.ndarray) -> np.ndarray:
-    """RREF row basis of the submodule generated by one vector: its spin
-    under the matrices of the generating set (rows act by the
-    transposes), which is stable under the whole group."""
-    gens = list(generating_set(module.group) or (0,))
-    return spin(vec, module.action[gens].transpose(0, 2, 1), module.p)
-
-
-def restrict_to_subspace(module: GModule, rows: np.ndarray) -> GModule:
-    """The action of the group on an invariant subspace, in its row basis."""
-    p = module.p
-    rows = np.asarray(rows, dtype=np.int64) % p
-    if not _is_invariant_subspace(module, rows):
-        raise NotSubmodule("subspace is not stable under the group action")
-    reduced, pivots = row_echelon_mod_p(rows, p)
-    # coordinates of each image row g·r in the RREF basis: read pivots
-    mats = (module.action @ reduced.T)[:, pivots] % p
-    return GModule(module.group, p, mats, check=False)
-
-
-def infer_simple_summand(module: GModule) -> GModule:
-    """A simple submodule of an isotypic module, deterministically chosen."""
-    if module.dim == 0:
-        raise NotAGenerated("zero module has no simple summand")
-    for idx in range(1, module.size):
-        rows = submodule_generated(module, module.index_to_vector(idx))
-        cand = restrict_to_subspace(module, rows)
-        if is_simple_module(cand):
-            return cand
-    raise NotAGenerated("no cyclic submodule is simple")
-
-
-def complement(module: GModule, sub_rows: np.ndarray) -> np.ndarray:
-    """A complement submodule M with K = L (+) M, via dual-space splitting.
-
-    The module must be A-generated; A is inferred from a simple cyclic
-    submodule. Returns a canonical (RREF) row basis. Raises NotSubmodule
-    when L is not invariant.
-    """
-    if module.dim == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    return complement_in(module, infer_simple_summand(module), sub_rows)
-
-
-def complement_in(
-    module: GModule, target: GModule, sub_rows: np.ndarray
-) -> np.ndarray:
-    """Complement of an invariant subspace inside an A-generated module.
-
-    Returns a canonical (RREF) row basis of an invariant M with
-    L ∩ M = 0 and L + M = K. Raises NotSubmodule if L is not invariant.
-    """
-    p = module.p
-    sub_rows = np.asarray(sub_rows, dtype=np.int64) % p
-    if sub_rows.size == 0:
-        sub_rows = sub_rows.reshape(0, module.dim)
-    if not _is_invariant_subspace(module, sub_rows):
-        raise NotSubmodule("subspace is not stable under the group action")
-    dual = hom_space(module, target)
-    ann = homs_vanishing_on(dual, sub_rows)
-    J = dual.endo_field.generator_matrix
-    scalar = lambda m: J @ m % p
-    items = np.concatenate([ann, dual.fp_basis])
-    _, indices = f_independent_subset(items, scalar, p, dual.endo_field.k)
-    # the completion part: picked items that came from the full basis
-    completion = [i for i in indices if i >= len(ann)]
-    if not completion:
-        ident = np.eye(module.dim, dtype=np.int64)
-        reduced, _ = row_echelon_mod_p(ident, p)
-        return reduced
-    basis = nullspace_mod_p(items[completion].reshape(-1, module.dim), p)
-    reduced, _ = row_echelon_mod_p(basis, p) if basis.size else (basis, [])
-    return reduced
 
 
 def _iso_basis(a: GModule, b: GModule) -> np.ndarray:

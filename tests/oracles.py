@@ -12,14 +12,20 @@ per-pair class matching (``dominates_by_matching``,
 class registry, ``invariants_by_quotients`` is the route its
 ``invariants`` took before it read the dual pair off the cover itself,
 and the lemma checkers (``is_fundament_of``, ``is_fundament_series``,
-``is_fiber_presentation``, ``are_congruent``, ``modules_isomorphic``,
-``subgroup_from_elements``, ``compose_horizontal``) state a lemma about
-the package's objects, which the tests check; the package itself
-computes none of them.
+``is_fiber_presentation``, ``are_congruent``,
+``are_isomorphic_extensions``, ``modules_isomorphic``,
+``subgroup_from_elements``, ``compose_horizontal``, ``axis_kernels``,
+``kernel_normal_decomposition``, ``is_A_generated``,
+``decompose_isotypic``, ``y2``) state a lemma about the package's
+objects, which the tests check; the package itself computes none of
+them, and only they raise ``Mismatch``, ``NotFundamentalStage`` and
+``NotInsideKernel``.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -378,31 +384,16 @@ def compact_by_independence(fp):
     """
     from covercalc import cohomology as ch
     from covercalc import gmodules as gm
-    from covercalc.groups import _commute, find_isomorphism_over
+    from covercalc.groups import find_isomorphism_over
 
-    def abelian_kernel(cov):
-        ker = cov.kernel().elements
-        return _commute(cov.source, ker, ker)
-
-    nonabelian = [c for c in fp.factors if not abelian_kernel(c)]
+    nonabelian = [c for c in fp.factors if not _kernel_is_abelian(c)]
     for a in range(len(nonabelian)):
         for b in range(a + 1, len(nonabelian)):
             if find_isomorphism_over(nonabelian[a], nonabelian[b]) is not None:
                 return False
-    blocks = []  # [representative module, factors with that kernel module]
-    for cov in fp.factors:
-        if not abelian_kernel(cov):
-            continue
-        module = gm.module_from_cover(cov, cov.kernel())
-        for block in blocks:
-            if modules_isomorphic(block[0], module):
-                block[1].append(cov)
-                break
-        else:
-            blocks.append([module, [cov]])
-    for module, covs in blocks:
+    for module, indices in _abelian_blocks(fp.factors):
         classes = []
-        for cov in covs:
+        for cov in (fp.factors[i] for i in indices):
             ident = gm.first_module_iso(gm.module_from_cover(cov, cov.kernel()), module)
             classes.append(ch.cocycle_from_extension(cov, ident).coords)
         nonzero = [c for c in classes if c.any()]
@@ -412,6 +403,33 @@ def compact_by_independence(fp):
         if nonzero and space.f_rank(np.array(nonzero, dtype=np.int64)) != len(nonzero):
             return False
     return True
+
+
+def _kernel_is_abelian(cov):
+    from covercalc.groups import _commute
+
+    ker = cov.kernel().elements
+    return _commute(cov.source, ker, ker)
+
+
+def _abelian_blocks(factors):
+    """``[(module, indices)]``: the positions of the factors with abelian
+    kernels, grouped by the class of their kernel modules, in order of
+    first occurrence; each block's module is that of its first factor."""
+    from covercalc.gmodules import module_from_cover
+
+    blocks = []
+    for i, cov in enumerate(factors):
+        if not _kernel_is_abelian(cov):
+            continue
+        module = module_from_cover(cov, cov.kernel())
+        for rep, indices in blocks:
+            if modules_isomorphic(rep, module):
+                indices.append(i)
+                break
+        else:
+            blocks.append((module, [i]))
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +606,18 @@ def invariants_by_quotients(pi):
 # lemma checkers over the package's objects
 
 
+class Mismatch(Exception):
+    """Two diagrams cannot be glued: the shared edge differs."""
+
+
+class NotFundamentalStage(Exception):
+    """A stage of a claimed fundament series is not fundamental."""
+
+
+class NotInsideKernel(Exception):
+    """A normal subgroup is not inside the kernel it must sit inside."""
+
+
 def _has_diagonal_square(rho, pi_bar):
     """Whether some quotient of rho.source by a maximal normal subgroup of
     the composite kernel yields a semi-cartesian square under ``rho``
@@ -625,7 +655,7 @@ def is_fundament_series(chain):
     shifts every kernel out of place.
     """
     from covercalc import is_fundamental, same_group
-    from covercalc.errors import Incompatible, NotFundamentalStage
+    from covercalc.errors import Incompatible
 
     chain = list(chain)
     if not chain:
@@ -691,6 +721,28 @@ def are_congruent(c1, c2):
     return bool(np.array_equal(c1.coords, c2.coords))
 
 
+def are_isomorphic_extensions(c1, c2):
+    """Two classes on one F-line give isomorphic extensions: true iff the
+    classes agree up to a nonzero scalar of F = End_G(A), that is both
+    are zero, or both are nonzero and span one F-line."""
+    from covercalc.errors import SpaceMismatch
+
+    if c1.space is not c2.space and c1.space.structural_key() != c2.space.structural_key():
+        raise SpaceMismatch("classes live in different cohomology spaces")
+    if c1.is_zero() or c2.is_zero():
+        return c1.is_zero() and c2.is_zero()
+    return c1.space.f_rank(np.vstack([c1.coords, c2.coords])) == 1
+
+
+def y2(group, module, values):
+    """The fiber product of the extensions realizing the given classes
+    (the base itself for no classes)."""
+    from covercalc import fiber_product
+    from covercalc.cohomology import _extension_covers
+
+    return fiber_product(group, _extension_covers(group, module, values)).structure_map
+
+
 def modules_isomorphic(a, b):
     """G-isomorphism test for simple modules (Schur: any nonzero hom);
     NotSimple for any other module."""
@@ -721,7 +773,6 @@ def compose_horizontal(first, second):
     result has composed top and bottom rows. Raises Mismatch otherwise.
     """
     from covercalc import compose, make_square
-    from covercalc.errors import Mismatch
 
     if not first.right.same_map(second.left):
         raise Mismatch("shared vertical edge differs between the two squares")
@@ -730,6 +781,118 @@ def compose_horizontal(first, second):
         left=first.left,
         bottom=compose(second.bottom, first.bottom),
         right=second.right,
+    )
+
+
+def is_A_generated(module, target):
+    """True iff the elements of Hom_G(K, A) have zero common kernel."""
+    from covercalc.gmodules import _generates, hom_space
+
+    return module.dim == 0 or _generates(hom_space(module, target))
+
+
+def decompose_isotypic(module, target):
+    """An A-generated module K is A^n: the isomorphism K -> A^n assembled
+    from an F-basis of Hom_G(K, A)."""
+    from covercalc import ModuleHom, direct_sum_module, hom_space
+    from covercalc.errors import NotAGenerated
+
+    if not is_A_generated(module, target):
+        raise NotAGenerated("module is not generated by the simple module")
+    dual = hom_space(module, target)
+    n = dual.f_dim
+    ambient = direct_sum_module(target, n)
+    if n == 0:
+        return ModuleHom(module, ambient, np.zeros((0, module.dim)))
+    stacked = np.vstack([h.matrix for h in dual.basis]) % module.p
+    hom = ModuleHom(module, ambient, stacked)
+    if not hom.is_isomorphism():
+        raise NotAGenerated("dual basis did not induce an isomorphism")
+    return hom
+
+
+def axis_kernels(fp):
+    """Axis j of a fiber product: the rows over the identity of the base
+    whose every coordinate but the j-th is the identity, i.e. K_j placed
+    at coordinate j; one Subgroup per factor, read off the projections."""
+    from covercalc import Subgroup
+
+    at_one = np.array([p.image for p in fp.projections]) == 0
+    over_one = fp.structure_map.image == 0
+    return tuple(
+        Subgroup(fp.carrier, np.flatnonzero(over_one & np.delete(at_one, j, 0).all(0)))
+        for j in range(fp.arity)
+    )
+
+
+@dataclass(frozen=True)
+class AbelianBlock:
+    """All factor positions whose kernels realize one simple module class."""
+
+    indices: tuple[int, ...]
+    module: object  # GModule of the block's first kernel
+    component: object  # Subgroup L ∩ (product of this block's axis kernels)
+
+
+@dataclass(frozen=True)
+class KernelDecomposition:
+    """How a normal subgroup inside the kernel splits along the axes."""
+
+    nonabelian_indices: tuple[int, ...]
+    abelian_blocks: tuple[AbelianBlock, ...]
+    swallowed_nonabelian: tuple[int, ...]  # axes with K_i <= L
+
+
+def _require_normal_inside_kernel(fp, sub):
+    from covercalc import same_group
+    from covercalc.errors import Incompatible, NotNormal
+
+    if not same_group(sub.parent, fp.carrier):
+        raise Incompatible("subgroup does not live in the carrier")
+    if not sub.is_normal():
+        raise NotNormal("subgroup is not normal in the carrier")
+    if sub.mask & ~fp.structure_map.kernel().mask:
+        raise NotInsideKernel("subgroup is not inside the structure kernel")
+
+
+def kernel_normal_decomposition(fp, sub):
+    """A normal subgroup L inside the kernel of a fiber product of
+    indecomposable covers is rebuilt from its axes: L is the internal
+    direct product of the non-abelian axes inside it and of its
+    intersections with the products of the axes of each abelian block
+    (the factors whose kernel modules are isomorphic).
+
+    Returns the non-abelian positions, the blocks with their components,
+    and the swallowed non-abelian axes; Incompatible if L is not rebuilt.
+    """
+    from covercalc import Subgroup, is_indecomposable
+    from covercalc.errors import Incompatible
+    from covercalc.groups import _product_set
+
+    if not all(is_indecomposable(c) for c in fp.factors):
+        raise Incompatible("all factors must be indecomposable")
+    _require_normal_inside_kernel(fp, sub)
+    axes = axis_kernels(fp)
+    blocks = []
+    for module, indices in _abelian_blocks(fp.factors):
+        block_elems = set(_product_set(fp.carrier, [axes[i].elements for i in indices]).tolist())
+        component = Subgroup(fp.carrier, tuple(x for x in sub.elements if x in block_elems))
+        blocks.append(AbelianBlock(indices=tuple(indices), module=module, component=component))
+    abelian = {i for b in blocks for i in b.indices}
+    nonabelian = tuple(i for i in range(fp.arity) if i not in abelian)
+    swallowed = tuple(i for i in nonabelian if axes[i].is_subgroup_of(sub))
+
+    pieces = [axes[i].elements for i in swallowed] + [b.component.elements for b in blocks]
+    rebuilt = tuple(_product_set(fp.carrier, pieces).tolist())
+    if math.prod(map(len, pieces)) != sub.order or rebuilt != sub.elements:
+        raise Incompatible(
+            "normal subgroup does not decompose along the axes; "
+            "is some factor decomposable?"
+        )
+    return KernelDecomposition(
+        nonabelian_indices=nonabelian,
+        abelian_blocks=tuple(blocks),
+        swallowed_nonabelian=swallowed,
     )
 
 

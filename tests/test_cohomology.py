@@ -37,17 +37,14 @@ from covercalc import (
     FiniteGroup,
     GModule,
     TwoCochain,
-    are_isomorphic_extensions,
     cocycle_from_extension,
     cohom_space,
     cover_cochain,
     endo_field,
     extension_from_cocycle,
-    fiber_cocycle,
     fiber_product,
     find_isomorphism_over,
     first_module_iso,
-    hom_space,
     identity_cover,
     inflate,
     inflate_module,
@@ -57,14 +54,12 @@ from covercalc import (
     terminal_cover,
     trivial_module,
     x2,
-    y2,
 )
 from covercalc.cli import Workspace
 from covercalc.groups import generating_set
 from covercalc.errors import (
     Incompatible,
     KernelNotAbelian,
-    Mismatch,
     NotAGenerated,
     NotCocycle,
     NotIsomorphism,
@@ -72,7 +67,7 @@ from covercalc.errors import (
     SpaceMismatch,
 )
 import oracles
-from oracles import are_congruent, h2_dim_by_enumeration
+from oracles import are_congruent, are_isomorphic_extensions, h2_dim_by_enumeration, y2
 
 C2 = SMALL_GROUPS["C2"]()
 C3 = SMALL_GROUPS["C3"]()
@@ -782,30 +777,6 @@ def test_pair_of_realization_recovers_values():
         stacked = np.vstack([got, want]) if got.size else want
         assert rank_mod_p(stacked, 2) == rank_mod_p(want, 2)
         assert pair.f_rank == rank_mod_p(want, 2)
-
-
-def test_fiber_cocycle_matches_componentwise():
-    eta0, eta1 = split_cover_c2(), nonsplit_cover_c2()
-    raw0, raw1 = cover_cochain(eta0), cover_cochain(eta1)
-    kmod = raw1.module
-    ident0 = first_module_iso(raw0.module, kmod)
-    pushed0 = push_cochain(raw0, ident0.matrix, kmod)
-    combined = fiber_cocycle([pushed0, raw1])
-    assert combined.module.dim == 2
-    assert combined.is_cocycle()
-    # realizing the combined cocycle gives the fiber product group
-    real = extension_from_cocycle(combined)
-    fp = fiber_product(eta0.target, [eta0, eta1])
-    assert find_isomorphism_over(real.cover, fp.structure_map) is not None
-
-
-def test_fiber_cocycle_validation():
-    raw1 = cover_cochain(nonsplit_cover_c2())
-    with pytest.raises(Mismatch):
-        fiber_cocycle([])
-    raw_sign = cover_cochain(sign_cover())
-    with pytest.raises(Mismatch):
-        fiber_cocycle([raw1, raw_sign])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Fiber products of covers: structure, restriction, presentation tests,
+"""Fiber products of covers: structure, numbering, presentation tests,
 compactness, and splitting normal subgroups of the kernel along the axes."""
 
 from __future__ import annotations
@@ -6,11 +6,15 @@ from __future__ import annotations
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 import oracles
-from oracles import is_fiber_presentation
+from oracles import (
+    NotInsideKernel,
+    axis_kernels,
+    is_fiber_presentation,
+    kernel_normal_decomposition,
+)
 from catalog import (
     alt5,
     dihedral4,
@@ -28,23 +32,18 @@ from catalog import (
 from covercalc import (
     BuildLimits,
     Subgroup,
-    align_normal_to_axes,
     compose,
     cyclic_group,
     fiber_product,
     identity_cover,
     is_compact_fiber_product,
     is_indecomposable,
-    kernel_normal_decomposition,
-    restrict,
     terminal_cover,
     trivial_group,
 )
 from covercalc.errors import (
-    BadIndex,
     EmptyFactorList,
     Incompatible,
-    NotInsideKernel,
     NotNormal,
     OrderCapExceeded,
     TargetMismatch,
@@ -169,18 +168,20 @@ def test_numbering_matches_oracle(combo):
     assert coords == carrier
     assert fp.carrier.mul.tolist() == [list(row) for row in table]
     assert fp.structure_map.image.tolist() == [int(combo[0].image[t[0]]) for t in coords]
-    for r in range(1, len(combo) + 1):
+    # the numbering depends only on the factors: every sub-family's
+    # product numbers its rows lexicographically too
+    for r in range(1, len(combo)):
         for subset in itertools.combinations(range(len(combo)), r):
-            _, proj = restrict(fp, subset)
             index = lex_index([combo[i] for i in subset])
-            want = [index[tuple(t[i] for i in subset)] for t in coords]
-            assert proj.image.tolist() == want
+            sub_coords = carrier_coords(make_fprod([combo[i] for i in subset]))
+            assert [index[t] for t in sub_coords] == list(range(len(sub_coords)))
 
 
 @pytest.mark.parametrize("combo", ALL_COMBOS)
 def test_axis_kernels(combo):
     fp = make_fprod(combo)
-    for i, ax in enumerate(fp.axis_kernels):
+    axes = axis_kernels(fp)
+    for i, ax in enumerate(axes):
         assert ax.is_normal()
         assert ax.order == combo[i].kernel().order
         # projection i is injective on the axis, the others kill it
@@ -193,9 +194,9 @@ def test_axis_kernels(combo):
                 )
     # the structure kernel is the internal direct product of the axes
     ker = fp.structure_map.kernel()
-    assert product_set(fp.carrier, fp.axis_kernels) == set(ker.elements)
+    assert product_set(fp.carrier, axes) == set(ker.elements)
     sizes = 1
-    for ax in fp.axis_kernels:
+    for ax in axes:
         sizes *= ax.order
     assert sizes == ker.order
 
@@ -229,38 +230,6 @@ def test_target_mismatch_rejected():
 def test_order_cap_respected():
     with pytest.raises(OrderCapExceeded):
         fiber_product(C2, [ETA1, ETA1, ETA1], limits=BuildLimits(order_cap=8))
-
-
-# ---------------------------------------------------------------------------
-# restriction
-
-
-def test_restrict_three_factors():
-    fp = make_fprod([ETA0, ETA1, ETA1])
-    for subset in [(0,), (1,), (0, 2), (1, 2), (0, 1, 2)]:
-        sub, proj = restrict(fp, subset)
-        assert sub.arity == len(subset)
-        assert proj.is_surjective()
-        # restriction commutes with the structure maps
-        assert compose(sub.structure_map, proj).same_map(fp.structure_map)
-        index = lex_index([fp.factors[i] for i in subset])
-        for x, t in enumerate(carrier_coords(fp)):
-            assert int(proj.image[x]) == index[tuple(t[i] for i in subset)]
-
-
-def test_restrict_empty_subset_gives_structure_map():
-    fp = make_fprod([ETA0, ETA1])
-    sub, proj = restrict(fp, ())
-    assert sub.arity == 0
-    assert proj.same_map(fp.structure_map)
-
-
-def test_restrict_bad_indices():
-    fp = make_fprod([ETA0, ETA1])
-    with pytest.raises(BadIndex):
-        restrict(fp, (0, 0))
-    with pytest.raises(BadIndex):
-        restrict(fp, (2,))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +384,7 @@ def test_compactness_survives_relabeling(fp):
 
 
 def decomposition_pieces(fp, decomp):
-    pieces = [fp.axis_kernels[i] for i in decomp.swallowed_nonabelian]
+    pieces = [axis_kernels(fp)[i] for i in decomp.swallowed_nonabelian]
     pieces += [b.component for b in decomp.abelian_blocks]
     return pieces
 
@@ -483,60 +452,3 @@ def test_decomposition_rejects_non_normal_subgroup():
     bad = next(s for s in cyclics if not s.is_normal())
     with pytest.raises(NotNormal):
         kernel_normal_decomposition(fp, bad)
-
-
-# ---------------------------------------------------------------------------
-# re-presenting so a normal subgroup becomes a product of axes
-
-
-def check_alignment(fp, sub):
-    new_fp, omega, axes = align_normal_to_axes(fp, sub)
-    assert omega.is_isomorphism()
-    # the base structure is preserved
-    assert np.array_equal(
-        new_fp.structure_map.image[omega.image], fp.structure_map.image
-    )
-    moved = omega.apply_subgroup(sub)
-    expected = _product_set(
-        new_fp.carrier, [new_fp.axis_kernels[i].elements for i in axes]
-    )
-    assert moved.elements == tuple(expected.tolist())
-    # omega keeps the coordinates of untouched factors, and lands on the
-    # row that the lexicographic numbering gives its new coordinates
-    index = lex_index(new_fp.factors)
-    old_coords, new_coords = carrier_coords(fp), carrier_coords(new_fp)
-    kept = [i for i in range(fp.arity) if new_fp.factors[i] is fp.factors[i]]
-    for x, y in enumerate(omega.image.tolist()):
-        assert index[new_coords[y]] == y
-        assert all(new_coords[y][i] == old_coords[x][i] for i in kept)
-    # the new family is still a presentation over the same base
-    if new_fp.arity >= 2:
-        assert is_fiber_presentation(new_fp.projections, new_fp.structure_map)
-    return new_fp, omega, axes
-
-
-@pytest.mark.parametrize("combo", ALL_COMBOS)
-def test_alignment_over_order_two(combo):
-    fp = make_fprod(combo)
-    ker = fp.structure_map.kernel()
-    for sub in normal_subgroups(fp.carrier, ker):
-        check_alignment(fp, sub)
-
-
-def test_alignment_over_order_three():
-    s3 = split_cover_c3()
-    n3 = nonsplit_cover_c3()
-    fp = fiber_product(s3.target, [s3, n3])
-    ker = fp.structure_map.kernel()
-    for sub in normal_subgroups(fp.carrier, ker):
-        check_alignment(fp, sub)
-
-
-def test_alignment_with_nonabelian_axis():
-    one = trivial_group()
-    t_a5 = terminal_cover(alt5())
-    t_c2 = terminal_cover(C2)
-    fp = fiber_product(one, [t_a5, t_c2])
-    ker = fp.structure_map.kernel()
-    for sub in normal_subgroups(fp.carrier, ker):
-        check_alignment(fp, sub)

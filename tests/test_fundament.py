@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import is_fundament_of, is_fundament_series
+from oracles import NotFundamentalStage, axis_kernels, is_fundament_of, is_fundament_series
 from catalog import (
     SMALL_GROUPS,
     alt5,
@@ -75,7 +75,6 @@ from covercalc.errors import (
     BaseMismatch,
     Incompatible,
     NotFundamental,
-    NotFundamentalStage,
 )
 from covercalc import gmodules as gm
 from covercalc import groups as groups_module
@@ -267,7 +266,7 @@ def test_decisions_and_series_do_not_build_the_lattice(monkeypatch):
     monkeypatch.setattr(groups_module, "_class_closures", record)
     fp = fiber_product(trivial_group(), [terminal_cover(alt5())] + [terminal_cover(C2)] * 5)
     assert fundament_kernel(fp.structure_map).is_trivial()
-    assert closed and all(s <= set(fp.axis_kernels[0].elements) for s in closed)
+    assert closed and all(s <= set(axis_kernels(fp)[0].elements) for s in closed)
 
 
 def test_accept_nonsolvable_kernel_with_abelian_part():

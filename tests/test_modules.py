@@ -35,16 +35,13 @@ from catalog import (
 from covercalc import (
     GModule,
     ModuleHom,
-    complement,
     cyclic_group,
-    decompose_isotypic,
     direct_sum_module,
     endo_field,
     fiber_product,
     first_module_iso,
     hom_space,
     inflate_module,
-    is_A_generated,
     is_simple_module,
     module_from_cover,
     quotient,
@@ -58,21 +55,16 @@ from covercalc.errors import (
     NotElementaryAbelian,
     NotAGenerated,
     NotSimple,
-    NotSubmodule,
 )
-from covercalc.gmodules import (
-    f_independent_subset,
-    homs_vanishing_on,
-    infer_simple_summand,
-    kernel_coordinates,
-    restrict_to_subspace,
-    submodule_generated,
-)
+from covercalc.gmodules import f_independent_subset, kernel_coordinates
 from covercalc.groups import generating_set
+from covercalc.linalg import spin
 from oracles import (
     commutant_dimension,
+    decompose_isotypic,
     field_tables,
     hom_system_nullspace,
+    is_A_generated,
     is_simple_by_sweep,
     modules_isomorphic,
     rref_mod_p,
@@ -335,9 +327,7 @@ KEY_CASES = {
     "from-cover": lambda: module_from_cover(sign_cover(), sign_cover().kernel()),
     "inflated": lambda: inflate_module(split_cover_c3(), F4MOD),
     "direct-sum": lambda: direct_sum_module(F4MOD, 3),
-    "restricted": lambda: restrict_to_subspace(
-        direct_sum_module(F4MOD, 2), np.array([[0, 0, 1, 0], [0, 0, 0, 1]])
-    ),
+    "restricted": lambda: GModule(C3, 2, direct_sum_module(F4MOD, 2).action[:, 2:, 2:]),
     "strided-input": lambda: GModule(C3, 2, F4MOD.action.transpose(0, 2, 1)),
 }
 
@@ -748,75 +738,24 @@ def test_decomposition_counts_multiplicity():
 
 
 # ---------------------------------------------------------------------------
-# complements and summands
-
-
-def test_complement_of_block():
-    from covercalc.linalg import rank_mod_p
-
-    big = direct_sum_module(F3SIGN, 2)
-    first = np.array([[1, 0]], dtype=np.int64)
-    comp = complement(big, first)
-    assert comp.shape == (1, 2)
-    assert rank_mod_p(np.vstack([first, comp]), 3) == 2  # jointly spanning
-
-
-def test_complement_of_diagonal():
-    from covercalc.linalg import rank_mod_p
-
-    big = direct_sum_module(F3SIGN, 2)
-    diag = np.array([[1, 1]], dtype=np.int64)
-    comp = complement(big, diag)
-    assert rank_mod_p(np.vstack([diag, comp]), 3) == 2
-    # the complement is itself invariant
-    restrict_to_subspace(big, comp)
-
-
-def test_complement_extremes():
-    big = direct_sum_module(F2TRIV, 2)
-    whole = np.eye(2, dtype=np.int64)
-    assert complement(big, whole).size == 0
-    empty = np.zeros((0, 2), dtype=np.int64)
-    assert complement(big, empty).shape[0] == 2
-
-
-def test_complement_rejects_non_invariant():
-    with pytest.raises(NotSubmodule):
-        complement(direct_sum_module(F4MOD, 2), np.array([[1, 0, 0, 0]]))
+# the submodule generated by one vector
 
 
 def test_submodule_generated_is_the_orbit_span():
     """Spinning under the generators gives the RREF of the orbit under
-    every group element, row for row."""
+    every group element, row for row (rows act by the transposes)."""
     rng = np.random.default_rng(31)
     modules = [direct_sum_module(F4MOD, 2), conjugated_sum(F3SIGN, 3, 4), _a4_over_c3()]
     modules += [_kernel_module(cov) for cov in cover_pool(split_cover_c3(), nonsplit_cover_c3())[1:]]
     modules += _random_cyclic_modules(2, 4, 4, rng) + _random_cyclic_modules(3, 3, 4, rng)
     for module in modules:
         p = module.p
+        gens = list(generating_set(module.group) or (0,))
         for _ in range(4):
             v = rng.integers(0, p, size=module.dim)
             orbit = np.array([m @ v % p for m in module.action], dtype=np.int64)
-            assert_bytes_equal(submodule_generated(module, v), rref_mod_p(orbit, p)[0])
-
-
-def test_submodule_generated_and_summand():
-    big = direct_sum_module(F3SIGN, 2)
-    rows = submodule_generated(big, np.array([1, 2]))
-    assert rows.shape[0] == 1
-    small = restrict_to_subspace(big, rows)
-    assert modules_isomorphic(small, F3SIGN)
-    assert modules_isomorphic(infer_simple_summand(big), F3SIGN)
-    plane = infer_simple_summand(direct_sum_module(F4MOD, 2))
-    assert modules_isomorphic(plane, F4MOD)
-
-
-def test_homs_vanishing_on_diagonal():
-    big = direct_sum_module(F3SIGN, 2)
-    dual = hom_space(big, F3SIGN)
-    vanish = homs_vanishing_on(dual, np.array([[1, 1]], dtype=np.int64))
-    assert len(vanish) == 1
-    assert all((m @ np.array([1, 1]) % 3 == 0).all() for m in vanish)
+            spun = spin(v, module.action[gens].transpose(0, 2, 1), p)
+            assert_bytes_equal(spun, rref_mod_p(orbit, p)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Smoke runs of the scripts in ``scripts/``, each in a child process:
 it must exit 0 and print its header line first. Also the public names
-that tooling (the benchmark's tracer) reads from every module, and the
-names that README's "Modules of note" lists."""
+that tooling (the benchmark's tracer) reads from every module, the
+names that README's "Modules of note" lists, and two static guards over
+``src/covercalc``: every definition is reached from the command line,
+the scripts or the benchmark, and every import is used."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import re
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "covercalc"
 
 SCRIPTS = [
     (
@@ -82,3 +86,117 @@ def test_readme_modules_of_note_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# static guards over the library's sources
+
+
+def read_names(node) -> set[str]:
+    """Every name read under ``node``: bare names and attribute names, so
+    that ``gm.hom_space`` reads ``hom_space``."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def covercalc_names(path: Path) -> set[str]:
+    """The names a file outside the package takes from covercalc: those
+    it imports from a covercalc module and the attributes it reads off a
+    covercalc module (``cc.quotient``, ``cli.main``)."""
+    tree = ast.parse(path.read_text())
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("covercalc"):
+            names.update(a.name for a in node.names)
+            modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(
+                a.asname or a.name.split(".")[0]
+                for a in node.names
+                if a.name.startswith("covercalc")
+            )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                names.add(node.attr)
+    return names
+
+
+# tests build their inputs with these two at 19 and 32 call sites, so
+# moving them to tests/oracles.py would move lines without removing any
+UNREACHED_BUILDERS = {"compose", "direct_sum_module"}
+
+
+def test_library_is_what_the_cli_reaches():
+    # the name closure over the top-level definitions and assignments of
+    # src/covercalc, rooted at every name of cli.py and every covercalc
+    # name that the scripts and the benchmark use
+    reads: dict[str, set[str]] = {}
+    defs, roots, raised = set(), set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+                defs.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name) and t.id != "__all__"]
+            else:
+                continue
+            for name in names:
+                assert name not in reads, f"{name} is defined in two modules"
+                reads[name] = read_names(stmt)
+            if path.name == "cli.py":
+                roots.update(names)
+        raised |= {
+            name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            for name in read_names(node.exc)
+        }
+    for path in sorted((REPO / "perfbench").glob("*.py")) + sorted((REPO / "scripts").glob("*.py")):
+        roots |= covercalc_names(path) & reads.keys()
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(reads[name] & reads.keys())
+    assert defs - seen == UNREACHED_BUILDERS
+    # every error class has a raise in the library
+    errors = ast.parse((SRC / "errors.py").read_text())
+    classes = {stmt.name for stmt in errors.body if isinstance(stmt, ast.ClassDef)}
+    assert sorted(classes - {"CovercalcError"} - raised) == []
+
+
+def test_every_import_is_used():
+    # an import at module level must be read somewhere in the module or
+    # be listed in its __all__; one inside a function, in that function
+    stale = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exported = set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "__all__":
+                exported = set(ast.literal_eval(stmt.value))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for scope, nodes, used in [(tree, tree.body, exported)] + [
+            (f, ast.walk(f), set()) for f in functions
+        ]:
+            used = used | read_names(scope)
+            stale += [
+                f"{path.name}: {bound}"
+                for node in nodes
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for bound in (a.asname or a.name.split(".")[0] for a in node.names)
+                if bound not in used
+            ]
+    assert stale == []

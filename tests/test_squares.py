@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import compose_horizontal
+from oracles import Mismatch, compose_horizontal
 from catalog import SMALL_GROUPS, normal_subgroups
 from covercalc import (
     Cover,
@@ -33,7 +33,7 @@ from covercalc import (
     make_square,
     quotient,
 )
-from covercalc.errors import Mismatch, NotCartesian, NotCommutative, SourceTargetMismatch
+from covercalc.errors import NotCartesian, NotCommutative, SourceTargetMismatch
 from covercalc.groups import closure_of
 
 SQUARE_GROUPS = ["V4", "C4", "C6", "S3", "D4", "Q8", "A4", "C3xC3"]
