@@ -57,8 +57,6 @@ __all__ = [
     "extension_from_cocycle",
     "cover_cochain",
     "cocycle_from_extension",
-    "inflate",
-    "inflate_module",
     "x2",
     "push_cochain",
 ]
@@ -259,14 +257,6 @@ class CohomSpace:
         vec = np.asarray(coords, dtype=np.int64) @ self.h_reps % self.p
         return _cochain_from_flat(self.group, self.module, vec)
 
-    def f_rank(self, vectors: np.ndarray) -> int:
-        """F-dimension of the F-span of coordinate vectors (rows)."""
-        # the F-span of the rows is the F_p-span of V, V·S^T, ..., V·(S^T)^(k-1)
-        powers = [np.asarray(vectors, dtype=np.int64) % self.p]
-        for _ in range(self.endo_field.k - 1):
-            powers.append(powers[-1] @ self.scalar_matrix.T % self.p)
-        return rank_mod_p(np.vstack(powers), self.p) // self.endo_field.k
-
     def __repr__(self) -> str:
         return (
             f"CohomSpace(H^2({self.group.name}, F{self.p}^{self.module.dim}),"
@@ -413,23 +403,6 @@ def push_cochain(cochain: TwoCochain, matrix: np.ndarray, target: GModule) -> Tw
     flatvals = cochain.table.reshape(-1, dk)
     out = flatvals @ matrix.T % target.p
     return TwoCochain(cochain.group, target, out.reshape(n, n, target.dim))
-
-
-def inflate_module(pi: Cover, module: GModule) -> GModule:
-    """Pull a module over the target back along a cover of groups."""
-    if not same_group(module.group, pi.target):
-        raise Incompatible("module is not over the cover target")
-    return GModule(pi.source, module.p, module.action[pi.image], check=False)
-
-
-def inflate(pi: Cover, cls: CohomClass) -> CohomClass:
-    """Inflation along pi: class of (s, t) -> f(pi(s), pi(t))."""
-    src = pi.source
-    rep = cls.representative()
-    mod_up = inflate_module(pi, rep.module)
-    table = rep.table[np.ix_(pi.image, pi.image)]
-    space_up = cohom_space(src, mod_up)
-    return space_up.class_of(TwoCochain(src, mod_up, table))
 
 
 # ---------------------------------------------------------------------------

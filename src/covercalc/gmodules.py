@@ -38,7 +38,6 @@ from .groups import (
     same_group,
 )
 from .linalg import (
-    independent_rows,
     nullspace_mod_p,
     projective_points,
     rank_mod_p,
@@ -58,7 +57,6 @@ __all__ = [
     "endo_field",
     "hom_space",
     "first_module_iso",
-    "f_independent_subset",
 ]
 
 
@@ -384,62 +382,34 @@ def endo_field(module: GModule) -> EndoField:
 
 @dataclass(frozen=True)
 class DualSpace:
-    """Hom_G(K, A) as an F = End_G(A) vector space: an F_p basis, one
-    (m, dA, dK) array, and an F-basis of maps."""
+    """Hom_G(K, A) as an F = End_G(A) vector space, presented by an F_p
+    basis, one (m, dA, dK) array; its F-dimension is m / [F : F_p]."""
 
     module: GModule  # K
     target: GModule  # A
     endo_field: EndoField
     fp_basis: np.ndarray  # (m, dA, dK): F_p-basis matrices
-    basis: tuple[ModuleHom, ...]  # F-basis
 
     @property
     def f_dim(self) -> int:
-        return len(self.basis)
+        return self.fp_dim // self.endo_field.k
 
     @property
     def fp_dim(self) -> int:
         return len(self.fp_basis)
 
 
-def f_independent_subset(items, scalar_fn, p: int, k: int):
-    """Greedy F-independent subset of ``items`` spanning their F-span.
-
-    ``scalar_fn`` applies the field generator; the F-span of v is the
-    F_p-span of scalar_fn^j(v) for j < k. Returns (picked, indices).
-    """
-    items = [np.asarray(v, dtype=np.int64) % p for v in items]
-    if not items:
-        return [], []
-    # item i is picked iff the greedy scan keeps row i·k of the stacked
-    # scalar images v, J v, ..., J^(k-1) v of every item
-    rows = []
-    for v in items:
-        for _ in range(k):
-            rows.append(v.reshape(-1))
-            v = scalar_fn(v)
-    indices = [i // k for i in independent_rows(np.array(rows), p) if i % k == 0]
-    return [items[i] for i in indices], indices
-
-
 def hom_space(module: GModule, target: GModule) -> DualSpace:
-    """Hom_G(K, A) for simple A, presented by F_p and F bases."""
+    """Hom_G(K, A) for simple A, presented by an F_p basis."""
     if module.p != target.p:
         raise CharacteristicMismatch("modules live over different primes")
     if not same_group(module.group, target.group):
         raise Incompatible("modules are over different groups")
     endo = endo_field(target)
-    p = module.p
     dk, da = module.dim, target.dim
     if dk == 0 or da == 0:
-        return DualSpace(module, target, endo, np.zeros((0, da, dk), dtype=np.int64), ())
-    fp_basis = _hom_basis(module, target).reshape(-1, da, dk)
-    J = endo.generator_matrix
-    picked, _ = f_independent_subset(
-        fp_basis, lambda m: J @ m % p, p, endo.k
-    )
-    f_basis = tuple(ModuleHom(module, target, m) for m in picked)
-    return DualSpace(module, target, endo, fp_basis, f_basis)
+        return DualSpace(module, target, endo, np.zeros((0, da, dk), dtype=np.int64))
+    return DualSpace(module, target, endo, _hom_basis(module, target).reshape(-1, da, dk))
 
 
 def _generates(dual: DualSpace) -> bool:

@@ -4,8 +4,8 @@ Everything here works on numpy int64 arrays with entries reduced mod p.
 Vectors are rows; a "basis" is a 2-D array whose rows span the subspace.
 This is the single linear-algebra core of the module, cohomology and
 fundament layers, with one elimination routine: ``row_echelon_mod_p``.
-Rank, nullspace, span containment and the greedy choice of independent
-rows are all read off its reduced row echelon form.
+Rank, nullspace and span containment are all read off its reduced row
+echelon form.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "rank_mod_p",
     "nullspace_mod_p",
     "row_space_le",
-    "independent_rows",
     "projective_points",
     "spin",
     "minimal_stable_subspaces",
@@ -111,18 +110,6 @@ def row_space_le(sub: np.ndarray, sup: np.ndarray, p: int) -> bool:
         return not (sub % p).any()
     stacked = np.vstack([sup, sub])
     return rank_mod_p(stacked, p) == rank_mod_p(sup, p)
-
-
-def independent_rows(mat: np.ndarray, p: int) -> list[int]:
-    """Indices of the rows a greedy scan keeps over GF(p).
-
-    Row i is kept iff it is not in the span of the rows before it; these
-    are exactly the pivot columns of the RREF of ``mat.T``.
-    """
-    M = np.asarray(mat, dtype=np.int64)
-    if M.ndim != 2:
-        M = M.reshape(1, -1)
-    return row_echelon_mod_p(M.T, p)[1]
 
 
 def projective_points(d: int, p: int) -> Iterator[np.ndarray]:

@@ -5,11 +5,16 @@ multiplication tables (tuples of tuples, identity at index 0), subset
 enumeration, exhaustive cochain enumeration, and the degree-2 linear
 systems over every group element, solved by plain dense elimination. It
 never imports the package under test, so agreement between the two is
-meaningful. Four exceptions say why: ``compact_by_independence`` states
+meaningful. Five exceptions say why: ``compact_by_independence`` states
 the paper's compactness criterion in the package's own terms, the
 per-pair class matching (``dominates_by_matching``,
 ``lift_by_matching``) is the route the package took before its per-base
-class registry, ``invariants_by_quotients`` is the route its
+class registry, the per-class inflation formula that ``lift_by_matching``
+reads (``inflate_module``, ``inflate``, ``lifted_support``, ``f_rank``)
+and the greedy F-basis of a Hom_G space (``independent_rows``,
+``f_independent_subset``, ``f_basis``) are the package's own code from
+before it decided a lift by ``dominates`` on the pullback and kept one
+F_p basis per Hom_G space, ``invariants_by_quotients`` is the route its
 ``invariants`` took before it read the dual pair off the cover itself,
 and the lemma checkers (``is_fundament_of``, ``is_fundament_series``,
 ``is_fiber_presentation``, ``are_congruent``,
@@ -400,7 +405,7 @@ def compact_by_independence(fp):
         if len(classes) - len(nonzero) > 1:
             return False
         space = ch.cohom_space(fp.base, module)
-        if nonzero and space.f_rank(np.array(nonzero, dtype=np.int64)) != len(nonzero):
+        if nonzero and f_rank(space, np.array(nonzero, dtype=np.int64)) != len(nonzero):
             return False
     return True
 
@@ -512,15 +517,90 @@ def dominates_by_matching(tau_prime, tau):
     return True
 
 
+def inflate_module(pi, module):
+    """Pull a module over the target back along a cover of groups."""
+    from covercalc import GModule, same_group
+    from covercalc.errors import Incompatible
+
+    if not same_group(module.group, pi.target):
+        raise Incompatible("module is not over the cover target")
+    return GModule(pi.source, module.p, module.action[pi.image], check=False)
+
+
+def inflate(pi, cls):
+    """Inflation along pi: class of (s, t) -> f(pi(s), pi(t))."""
+    from covercalc import TwoCochain, cohom_space
+
+    src = pi.source
+    rep = cls.representative()
+    mod_up = inflate_module(pi, rep.module)
+    table = rep.table[np.ix_(pi.image, pi.image)]
+    return cohom_space(src, mod_up).class_of(TwoCochain(src, mod_up, table))
+
+
+def f_rank(space, vectors):
+    """F-dimension of the F-span of H^2 coordinate vectors (rows) of
+    ``space``: the F-span of the rows is the F_p-span of
+    V, V·S^T, ..., V·(S^T)^(k-1), S the space's scalar matrix."""
+    from covercalc.linalg import rank_mod_p
+
+    powers = [np.asarray(vectors, dtype=np.int64) % space.p]
+    for _ in range(space.endo_field.k - 1):
+        powers.append(powers[-1] @ space.scalar_matrix.T % space.p)
+    return rank_mod_p(np.vstack(powers), space.p) // space.endo_field.k
+
+
+def independent_rows(mat, p):
+    """Indices of the rows a greedy scan keeps over GF(p): row i is kept
+    iff it is not in the span of the rows before it; these are exactly
+    the pivot columns of the RREF of ``mat.T``."""
+    from covercalc.linalg import row_echelon_mod_p
+
+    M = np.asarray(mat, dtype=np.int64)
+    if M.ndim != 2:
+        M = M.reshape(1, -1)
+    return row_echelon_mod_p(M.T, p)[1]
+
+
+def f_independent_subset(items, scalar_fn, p, k):
+    """Greedy F-independent subset of ``items`` spanning their F-span.
+
+    ``scalar_fn`` applies the field generator; the F-span of v is the
+    F_p-span of scalar_fn^j(v) for j < k. Returns (picked, indices).
+    """
+    items = [np.asarray(v, dtype=np.int64) % p for v in items]
+    if not items:
+        return [], []
+    # item i is picked iff the greedy scan keeps row i·k of the stacked
+    # scalar images v, J v, ..., J^(k-1) v of every item
+    rows = []
+    for v in items:
+        for _ in range(k):
+            rows.append(v.reshape(-1))
+            v = scalar_fn(v)
+    indices = [i // k for i in independent_rows(np.array(rows), p) if i % k == 0]
+    return [items[i] for i in indices], indices
+
+
+def f_basis(dual):
+    """An F-basis of Hom_G(K, A), as maps: the greedy F-independent subset
+    of the space's F_p basis."""
+    from covercalc import ModuleHom
+
+    j, p = dual.endo_field.generator_matrix, dual.module.p
+    picked, _ = f_independent_subset(dual.fp_basis, lambda m: j @ m % p, p, dual.endo_field.k)
+    return tuple(ModuleHom(dual.module, dual.target, m) for m in picked)
+
+
 def lifted_support(pi, cls):
     """The inflated module of a class of a cover of ``pi.target`` and the
     inflation of its support rows into H^2(pi.source, inflated module)."""
     from covercalc import cohomology as ch
 
-    module_up = ch.inflate_module(pi, cls.module)
+    module_up = inflate_module(pi, cls.module)
     space_small = ch.cohom_space(pi.target, cls.module)
     space_up = ch.cohom_space(pi.source, module_up)
-    lifted = [ch.inflate(pi, ch.CohomClass(space_small, r)).coords for r in cls.supp]
+    lifted = [inflate(pi, ch.CohomClass(space_small, r)).coords for r in cls.supp]
     return module_up, np.array(lifted, dtype=np.int64).reshape(len(lifted), space_up.dim_p)
 
 
@@ -545,7 +625,7 @@ def lift_by_matching(pi, tau, tau_prime):
     for cls in inv_p.ab_classes:
         module_up, lifted = lifted_support(pi, cls)
         space_up = ch.cohom_space(big, module_up)
-        nullity = len(cls.supp) // cls.endo_field.k - space_up.f_rank(lifted)
+        nullity = len(cls.supp) // cls.endo_field.k - f_rank(space_up, lifted)
         match = matching_class(module_up, inv.ab_classes)
         if match[0] is None:
             if lifted.any() or nullity + cls.mult > 0:
@@ -731,7 +811,7 @@ def are_isomorphic_extensions(c1, c2):
         raise SpaceMismatch("classes live in different cohomology spaces")
     if c1.is_zero() or c2.is_zero():
         return c1.is_zero() and c2.is_zero()
-    return c1.space.f_rank(np.vstack([c1.coords, c2.coords])) == 1
+    return f_rank(c1.space, np.vstack([c1.coords, c2.coords])) == 1
 
 
 def y2(group, module, values):
@@ -804,7 +884,7 @@ def decompose_isotypic(module, target):
     ambient = direct_sum_module(target, n)
     if n == 0:
         return ModuleHom(module, ambient, np.zeros((0, module.dim)))
-    stacked = np.vstack([h.matrix for h in dual.basis]) % module.p
+    stacked = np.vstack([h.matrix for h in f_basis(dual)]) % module.p
     hom = ModuleHom(module, ambient, stacked)
     if not hom.is_isomorphism():
         raise NotAGenerated("dual basis did not induce an isomorphism")

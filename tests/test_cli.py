@@ -534,6 +534,23 @@ def test_max_order_reaches_cyclic_builtins():
     assert ws.group("C5001").order == 5001
 
 
+@pytest.mark.parametrize(
+    "cover,factors",
+    [("C5003->1", ["5003"]), ("C5001->1", ["1667", "3"])],
+    ids=["indecomposable", "two-factors"],
+)
+def test_decompose_honours_max_order(capsys, cover, factors):
+    # the factors' fiber product is the cover's own source, so it is built
+    # under that order, not under the default cap of 5000
+    assert main(["--max-order", "6000", "decompose", cover]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    lines = out.out.splitlines()
+    assert lines[0] == f"indecomposable factors: {len(factors)}"
+    assert [line.split()[4].rstrip(",") for line in lines[1:-1]] == factors
+    assert lines[-1] == "isomorphism onto fiber product: true"
+
+
 def run_python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports covercalc from this checkout."""
     env = dict(os.environ)

@@ -46,8 +46,6 @@ from covercalc import (
     find_isomorphism_over,
     first_module_iso,
     identity_cover,
-    inflate,
-    inflate_module,
     module_from_cover,
     push_cochain,
     quotient,
@@ -67,7 +65,14 @@ from covercalc.errors import (
     SpaceMismatch,
 )
 import oracles
-from oracles import are_congruent, are_isomorphic_extensions, h2_dim_by_enumeration, y2
+from oracles import (
+    are_congruent,
+    are_isomorphic_extensions,
+    h2_dim_by_enumeration,
+    inflate,
+    inflate_module,
+    y2,
+)
 
 C2 = SMALL_GROUPS["C2"]()
 C3 = SMALL_GROUPS["C3"]()

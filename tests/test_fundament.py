@@ -80,7 +80,7 @@ from covercalc import gmodules as gm
 from covercalc import groups as groups_module
 from covercalc.cli import Workspace, run_command
 from covercalc.fundament import _cover_class, _cover_through, _module_class, _support_class
-from covercalc.cohomology import cover_cochain, inflate_module
+from covercalc.cohomology import cover_cochain
 from covercalc.gmodules import is_simple_module
 from covercalc.groups import closure_of, maximal_normal_in
 
@@ -686,7 +686,7 @@ def test_supports_are_carried_between_isomorphic_modules():
     )
     involutions = [x for x in range(g.order) if g.element_order(x) <= 2]
     _, to_c3 = quotient(g, Subgroup(g, closure_of(g, involutions)))
-    plane = inflate_module(to_c3, GModule(to_c3.target, 2, f4_over_c3().action))
+    plane = oracles.inflate_module(to_c3, GModule(to_c3.target, 2, f4_over_c3().action))
     t = np.array([[1, 1], [0, 1]])  # its own inverse over F2
     other = GModule(g, 2, tuple(t @ m @ t % 2 for m in plane.action))
     spaces = [cohom_space(g, plane), cohom_space(g, other)]
@@ -905,6 +905,26 @@ def point_covers():
     ]
 
 
+def a5_covers_over_c2():
+    """Covers of C2 with an A5 in the kernel: the projection of C2 x A5,
+    and its fiber product with eta0 (kernel A5 x C2)."""
+    one = trivial_group()
+    times_a5 = fiber_product(one, [terminal_cover(C2), terminal_cover(alt5())])
+    with_a5 = times_a5.projections[0]
+    return [identity_cover(C2), with_a5, fiber_product(C2, [with_a5, ETA0]).structure_map]
+
+
+def a5_covers_of_the_point():
+    one = trivial_group()
+    a5 = terminal_cover(alt5())
+    return [
+        identity_cover(one),
+        a5,
+        terminal_cover(C2),
+        fiber_product(one, [a5, terminal_cover(C2)]).structure_map,
+    ]
+
+
 def lift_oracle(pi, tau, tau_prime):
     """Search directly: a semi-cartesian lift exists iff the source of tau
     surjects over pi.source onto the fiber product of pi and tau_prime."""
@@ -917,6 +937,10 @@ LIFT_SETTINGS = [
     ("through-split", lambda: (ETA0, v4_covers(), c2_pool_small())),
     ("to-the-point", lambda: (terminal_cover(C2), c2_pool_small(), point_covers())),
     ("along-identity", lambda: (identity_cover(C2), c2_pool_small(), c2_pool_small())),
+    (
+        "non-abelian",
+        lambda: (terminal_cover(C2), a5_covers_over_c2(), a5_covers_of_the_point()),
+    ),
 ]
 
 
@@ -945,6 +969,41 @@ def test_lift_agrees_with_per_pair_matching(make):
     for tau_prime in tau_primes:
         for cls in invariants(tau_prime).ab_classes:
             _check_canonical(pi.source, *oracles.lifted_support(pi, cls))
+
+
+def _relabeled_setting(pi, taus, tau_primes, rng):
+    """The setting on relabeled copies: B = ``pi.source`` is relabeled
+    once and serves as both the source of pi and the target of every tau,
+    whose images follow the renaming; every source of tau and tau' is
+    relabeled too."""
+    big = pi.source
+    sigma = np.array([0] + rng.sample(range(1, big.order), big.order - 1))
+    twin = relabel(big, rng, sigma=sigma)
+    image = np.empty_like(pi.image)
+    image[sigma] = pi.image
+    moved = [relabel_cover(tau, rng) for tau in taus]
+    return (
+        Cover(twin, pi.target, image),
+        [Cover(tau.source, twin, sigma[tau.image]) for tau in moved],
+        [relabel_cover(tau_prime, rng) for tau_prime in tau_primes],
+    )
+
+
+@pytest.mark.parametrize(
+    "make", [m for _, m in LIFT_SETTINGS], ids=[i for i, _ in LIFT_SETTINGS]
+)
+def test_lift_decision_survives_relabeling(make):
+    pi, taus, tau_primes = make()
+    for seed in (1, 2):
+        twin, twin_taus, twin_primes = _relabeled_setting(
+            pi, taus, tau_primes, random.Random(seed)
+        )
+        for tau, twin_tau in zip(taus, twin_taus):
+            for tau_prime, twin_prime in zip(tau_primes, twin_primes):
+                decided = exists_semicartesian_lift(twin, twin_tau, twin_prime)
+                assert decided == exists_semicartesian_lift(pi, tau, tau_prime)
+                assert decided == lift_oracle(twin, twin_tau, twin_prime)
+                assert decided == oracles.lift_by_matching(twin, twin_tau, twin_prime)
 
 
 def _nonfund_over_c2():

@@ -17,7 +17,6 @@ from catalog import (
     alt5,
     cover_pool,
     generated_subgroup,
-    klein_four,
     nonsplit_cover_c2,
     nonsplit_cover_c3,
     normal_subgroups,
@@ -27,7 +26,6 @@ from catalog import (
     sl2_5,
     split_cover_c2,
     split_cover_c3,
-    sym3,
     sym5,
 )
 from covercalc import (

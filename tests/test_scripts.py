@@ -1,9 +1,10 @@
 """Smoke runs of the scripts in ``scripts/``, each in a child process:
 it must exit 0 and print its header line first. Also the public names
 that tooling (the benchmark's tracer) reads from every module, the
-names that README's "Modules of note" lists, and two static guards over
-``src/covercalc``: every definition is reached from the command line,
-the scripts or the benchmark, and every import is used."""
+names that README's "Modules of note" lists, and two static guards:
+every definition in ``src/covercalc`` is reached from the command line,
+the scripts or the benchmark, and every import in ``src/covercalc`` and
+``tests`` is used."""
 
 from __future__ import annotations
 
@@ -89,7 +90,7 @@ def test_readme_modules_of_note_resolve():
 
 
 # ---------------------------------------------------------------------------
-# static guards over the library's sources
+# static guards over the library's and the tests' sources
 
 
 def read_names(node) -> set[str]:
@@ -180,7 +181,7 @@ def test_every_import_is_used():
     # an import at module level must be read somewhere in the module or
     # be listed in its __all__; one inside a function, in that function
     stale = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted((REPO / "tests").glob("*.py")):
         tree = ast.parse(path.read_text())
         exported = set()
         for stmt in tree.body:
