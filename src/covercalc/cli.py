@@ -94,9 +94,6 @@ class Workspace:
         self.homs: dict[str, GroupHom] = {}
         self.limits = limits
 
-    def object_count(self) -> int:
-        return len(self.groups) + len(self.homs)
-
     def group(self, name: str) -> FiniteGroup:
         """A group by name: file-defined first, then built-ins."""
         if name in self.groups:

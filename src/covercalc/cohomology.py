@@ -2,8 +2,10 @@
 
 Cochains are normalized (zero whenever an argument is the identity), so a
 2-cochain is a table over the (n-1)^2 pairs of non-identity elements with
-values in F_p^d. All spaces are presented by F_p bases; the field
-F = End_G(A) acts through explicit scalar matrices.
+values in F_p^d. All spaces are presented by F_p bases. The field
+F = End_G(A) is read through its degree k alone: an F_p row space of an
+F-linear image is an F-subspace, and its F-dimension is its F_p
+dimension divided by k.
 """
 
 from __future__ import annotations
@@ -153,10 +155,6 @@ class CohomSpace:
         transform = np.eye(r, dtype=np.int64)[:, kept]
         transform[ends] -= reduced[:, ::-1][:, kept]
         self._transform = transform % p
-        # column i: the coordinates of J applied to every value of h_reps[i]
-        J = field.generator_matrix
-        images = (self.h_reps.reshape(-1, d) @ J.T).reshape(self.dim_p, u)
-        self.scalar_matrix = self._transform.T @ images[:, self._pivots].T % p
 
     # -- construction ---------------------------------------------------
 
@@ -307,9 +305,6 @@ class ExtensionRealization:
     """The explicit group built from a cocycle, with its projection cover."""
 
     cover: Cover
-    module: GModule
-    embed: np.ndarray  # module element index -> group element index
-    cochain: TwoCochain
 
 
 def extension_from_cocycle(cochain: TwoCochain) -> ExtensionRealization:
@@ -358,8 +353,8 @@ def extension_from_cocycle(cochain: TwoCochain) -> ExtensionRealization:
         vectors = np.zeros((size, d), dtype=np.int64)
         vectors[embed] = vecs
         basis = tuple(int(b) for b in embed[weights])
-        cover._kernel_module = (mod, KernelCoords(cover.kernel(), p, d, basis, vectors))
-    return ExtensionRealization(cover=cover, module=mod, embed=embed, cochain=cochain)
+        cover._kernel_module = (mod, KernelCoords(p, d, basis, vectors))
+    return ExtensionRealization(cover=cover)
 
 
 def cover_cochain(pi: Cover) -> TwoCochain:
@@ -422,13 +417,6 @@ class DualPairS:
         cols = self.s_matrix.shape[1]
         r = rank_mod_p(self.s_matrix, self.space.p) if cols else 0
         return (cols - r) // self.space.endo_field.k
-
-    @property
-    def f_rank(self) -> int:
-        cols = self.s_matrix.shape[1]
-        if not cols:
-            return 0
-        return rank_mod_p(self.s_matrix, self.space.p) // self.space.endo_field.k
 
     def image_rows(self) -> np.ndarray:
         """Canonical (RREF) F_p row basis of the image of S in H^2."""

@@ -3,15 +3,13 @@
 A module is a matrix action of a finite group on F_p^d: one read-only
 (order, d, d) int64 array, the invertible matrix of element g at index
 g. Simple modules carry an endomorphism field F = End_G(A); Hom-spaces
-are F-vector spaces presented by F_p bases, one (m, dA, dK) array,
-together with the scalar action, so a single GF(p) elimination core
-serves both F_p and F_q linear algebra.
+are F-vector spaces presented by F_p bases, one (m, dA, dK) array, so a
+single GF(p) elimination core serves both F_p and F_q linear algebra.
 
-F is kept as its F_p basis and one algebra generator J, a matrix with
-F_p[J] = F; its elements are never listed. Every reader of F uses it
-only through F-spans, and the F-span of v is the F_p-span of
-v, Jv, ..., J^(k-1)v for any such J, so the choice of J changes no
-answer.
+F is kept as its F_p basis and read through its degree k = [F : F_p]
+alone; its elements are never listed. The spaces that F acts on are
+handled by their F_p bases: an F_p row space of an F-linear image is
+already an F-subspace, and k turns F_p dimensions into F dimensions.
 """
 
 from __future__ import annotations
@@ -75,6 +73,14 @@ class GModule:
         action,
         check: bool = True,
     ) -> None:
+        # All arithmetic is int64: a sum of up to 2^14 products of
+        # residues stays exact while p²·2^14 < 2^63. The longest such sum
+        # runs over the unknowns of CohomSpace._cocycle_basis,
+        # m = (n-1)·|S|·d with |S| < n, so at most the (n-1)²·d ≤ 2500
+        # cochain coordinates that COCHAIN_COORDS_CAP admits. Checked
+        # first, as the trial division below takes O(√p) steps.
+        if p >= 1 << 24:
+            raise Incompatible(f"module coefficients need a prime p < 2^24, got {p}")
         # F_p arithmetic is a field only for prime p
         if _prime_divisors(p) != [p]:
             raise Incompatible(f"module coefficients need a prime p, got {p}")
@@ -98,9 +104,6 @@ class GModule:
             gens = list(generating_set(group))
             if not np.array_equal(acts[group.mul[gens]], acts[gens, None] @ acts % p):
                 raise Incompatible("action is not a homomorphism")
-
-    def act(self, g: int, vec: np.ndarray) -> np.ndarray:
-        return self.action[g] @ np.asarray(vec, dtype=np.int64) % self.p
 
     @property
     def size(self) -> int:
@@ -145,13 +148,6 @@ class ModuleHom:
     def __call__(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(vec, dtype=np.int64) % self.source.p
 
-    def is_equivariant(self) -> bool:
-        p, gens = self.source.p, list(generating_set(self.source.group))
-        return np.array_equal(
-            self.matrix @ self.source.action[gens] % p,
-            self.target.action[gens] @ self.matrix % p,
-        )
-
     def is_isomorphism(self) -> bool:
         return (
             self.source.dim == self.target.dim
@@ -168,7 +164,6 @@ class KernelCoords:
     Element b_j of ``basis_elements`` has the j-th unit vector, and
     multiplying elements adds their vectors."""
 
-    subgroup: Subgroup
     p: int
     dim: int
     basis_elements: tuple[int, ...]
@@ -198,7 +193,7 @@ def _read_coordinates(sub: Subgroup) -> KernelCoords:
     group = sub.parent
     elems = sub.elements
     if len(elems) == 1:
-        return KernelCoords(sub, 2, 0, (), np.zeros((group.order, 0), dtype=np.int64))
+        return KernelCoords(2, 0, (), np.zeros((group.order, 0), dtype=np.int64))
     if not _commute(group, elems, elems):
         raise NotElementaryAbelian("subgroup is not abelian")
     orders = set(group.element_orders()[list(elems)].tolist()) - {1}
@@ -231,7 +226,7 @@ def _read_coordinates(sub: Subgroup) -> KernelCoords:
         raise NotElementaryAbelian("order is not a prime power of the rank")
     vectors = np.zeros((group.order, dim), dtype=np.int64)
     vectors[list(to_vector)] = list(to_vector.values())
-    return KernelCoords(sub, p, dim, tuple(basis), vectors)
+    return KernelCoords(p, dim, tuple(basis), vectors)
 
 
 def module_from_cover(pi: Cover, sub: Subgroup) -> GModule:
@@ -303,19 +298,13 @@ def is_simple_module(module: GModule) -> bool:
 @dataclass(frozen=True)
 class EndoField:
     """The endomorphism field F = End_G(A) of a simple module, of order
-    p^k: its F_p basis (``basis_endos``, a read-only (k, d, d) array)
-    and one algebra generator J (``generator_matrix``, d x d), a matrix
-    with F_p[J] = F.
-
-    J is the first nonzero F_p-combination of the basis, in mixed-radix
-    order of its coefficients (that of ``basis_endos[0]`` varying
-    fastest), whose powers I, J, ..., J^(k-1) are independent. Readers
-    use J only through F-spans, the F_p-spans of v, Jv, ..., J^(k-1)v,
-    and these are the same for every J with F_p[J] = F."""
+    p^k: its F_p basis (``basis_endos``, a read-only (k, d, d) array).
+    Readers use F only through its degree k: the spaces it acts on are
+    presented by F_p bases, and an F-dimension is an F_p dimension
+    divided by k."""
 
     module: GModule
     basis_endos: np.ndarray
-    generator_matrix: np.ndarray
 
     @property
     def p(self) -> int:
@@ -356,27 +345,17 @@ def _intertwiners(ak: np.ndarray, aa: np.ndarray, p: int) -> np.ndarray:
 
 def endo_field(module: GModule) -> EndoField:
     """End_G(A) of a simple module: the F_p basis of the Kronecker
-    system's nullspace and the generator J of ``EndoField``. Any J with
-    F_p[J] = F gives the same F-spans, so the same answers. Memoized on
-    the module (``module._endo``); J and the basis are read-only.
+    system's nullspace. Memoized on the module (``module._endo``); the
+    basis is read-only.
     """
     if module._endo is not None:
         return module._endo
     if not is_simple_module(module):
         raise NotSimple("endomorphism field needs a simple module")
-    p, d = module.p, module.dim
-    basis = _hom_basis(module, module)
-    k = len(basis)
-    for code in range(1, p ** k):
-        J = (code // p ** np.arange(k) % p @ basis % p).reshape(d, d)
-        powers = [np.eye(d, dtype=np.int64)]
-        for _ in range(k - 1):
-            powers.append(powers[-1] @ J % p)
-        if rank_mod_p(np.reshape(powers, (k, -1)), p) == k:
-            break
-    basis = basis.reshape(k, d, d)
-    J.flags.writeable = basis.flags.writeable = False
-    module._endo = EndoField(module=module, basis_endos=basis, generator_matrix=J)
+    d = module.dim
+    basis = _hom_basis(module, module).reshape(-1, d, d)
+    basis.flags.writeable = False
+    module._endo = EndoField(module=module, basis_endos=basis)
     return module._endo
 
 
@@ -389,14 +368,6 @@ class DualSpace:
     target: GModule  # A
     endo_field: EndoField
     fp_basis: np.ndarray  # (m, dA, dK): F_p-basis matrices
-
-    @property
-    def f_dim(self) -> int:
-        return self.fp_dim // self.endo_field.k
-
-    @property
-    def fp_dim(self) -> int:
-        return len(self.fp_basis)
 
 
 def hom_space(module: GModule, target: GModule) -> DualSpace:

@@ -12,7 +12,6 @@ points: ``(p * q)(x) = q(p(x))``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -65,7 +64,6 @@ class FiniteGroup:
     Attributes:
         mul: (n, n) int array, ``mul[a, b]`` = index of the product a*b.
         order: number of elements.
-        identity: always 0.
         inv: (n,) int array of inverses.
         generators: indices of a generating set (may be empty for tiny groups).
         generator_labels: printable labels aligned with ``generators``.
@@ -87,7 +85,6 @@ class FiniteGroup:
             raise Incompatible("index 0 must be a two-sided identity")
         self.mul = mul
         self.order = n
-        self.identity = 0
         pos = np.argwhere(mul == 0)
         inv = np.empty(n, dtype=np.int32)
         inv[pos[:, 0]] = pos[:, 1]
@@ -119,13 +116,6 @@ class FiniteGroup:
     def product(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
 
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
-
-    def conjugate(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return int(self.mul[self.mul[g, x], self.inv[g]])
-
     def element_order(self, x: int) -> int:
         return int(self.element_orders()[x])
 
@@ -141,14 +131,6 @@ class FiniteGroup:
                 xs, powers = xs[~done], powers[~done]
             self._orders = out
         return self._orders
-
-    def exponent(self) -> int:
-        return int(reduce(np.lcm, self.element_orders()))
-
-    # -- subgroup helpers ----------------------------------------------------
-
-    def full_subgroup(self) -> Subgroup:
-        return Subgroup(self, tuple(range(self.order)))
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -176,17 +158,11 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def contains(self, x: int) -> bool:
-        return bool(self.mask >> x & 1)
-
     def is_trivial(self) -> bool:
         return self.elements == (0,)
 
     def is_full(self) -> bool:
         return len(self.elements) == self.parent.order
-
-    def is_subgroup_of(self, other: Subgroup) -> bool:
-        return self.mask & ~other.mask == 0
 
     def is_normal(self) -> bool:
         g = self.parent
@@ -593,23 +569,6 @@ class GroupHom:
             table.flags.writeable = False
             self._fibers = table
         return self._fibers
-
-    def apply_subgroup(self, sub: Subgroup) -> Subgroup:
-        elems = tuple(sorted({int(self.image[x]) for x in sub.elements}))
-        return Subgroup(self.target, elems)
-
-    def preimage_subgroup(self, sub: Subgroup) -> Subgroup:
-        keep = tuple(
-            int(x) for x in range(self.source.order) if sub.contains(int(self.image[x]))
-        )
-        return Subgroup(self.source, keep)
-
-    def same_map(self, other: GroupHom) -> bool:
-        return (
-            same_group(self.source, other.source)
-            and same_group(self.target, other.target)
-            and np.array_equal(self.image, other.image)
-        )
 
     def __repr__(self) -> str:
         return f"GroupHom({self.source.name} -> {self.target.name})"

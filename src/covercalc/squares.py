@@ -45,10 +45,6 @@ class CommSquare:
     def corner_source(self):
         return self.top.source
 
-    @property
-    def corner_base(self):
-        return self.bottom.target
-
 
 def make_square(top: Cover, left: Cover, bottom: Cover, right: Cover) -> CommSquare:
     """Assemble and validate a commutative square.

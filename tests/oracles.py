@@ -5,7 +5,7 @@ multiplication tables (tuples of tuples, identity at index 0), subset
 enumeration, exhaustive cochain enumeration, and the degree-2 linear
 systems over every group element, solved by plain dense elimination. It
 never imports the package under test, so agreement between the two is
-meaningful. Five exceptions say why: ``compact_by_independence`` states
+meaningful. Six exceptions say why: ``compact_by_independence`` states
 the paper's compactness criterion in the package's own terms, the
 per-pair class matching (``dominates_by_matching``,
 ``lift_by_matching``) is the route the package took before its per-base
@@ -16,8 +16,12 @@ and the greedy F-basis of a Hom_G space (``independent_rows``,
 before it decided a lift by ``dominates`` on the pullback and kept one
 F_p basis per Hom_G space, ``invariants_by_quotients`` is the route its
 ``invariants`` took before it read the dual pair off the cover itself,
-and the lemma checkers (``is_fundament_of``, ``is_fundament_series``,
-``is_fiber_presentation``, ``are_congruent``,
+the F-structure and the members that left the package
+(``endo_generator``, ``scalar_matrix``, ``pair_f_rank``,
+``dual_f_dim``, ``is_equivariant``, ``same_map``, ``is_subgroup_of``)
+are tools of the tests only, as the package reads End_G(A) through its
+degree alone, and the lemma checkers (``is_fundament_of``,
+``is_fundament_series``, ``is_fiber_presentation``, ``are_congruent``,
 ``are_isomorphic_extensions``, ``modules_isomorphic``,
 ``subgroup_from_elements``, ``compose_horizontal``, ``axis_kernels``,
 ``kernel_normal_decomposition``, ``is_A_generated``,
@@ -538,16 +542,85 @@ def inflate(pi, cls):
     return cohom_space(src, mod_up).class_of(TwoCochain(src, mod_up, table))
 
 
+def endo_generator(field):
+    """An algebra generator J of F = End_G(A), a matrix with F_p[J] = F:
+    the first nonzero F_p-combination of ``field.basis_endos``, in
+    mixed-radix order of its coefficients (that of ``basis_endos[0]``
+    varying fastest), whose powers I, J, ..., J^(k-1) are independent.
+    The F-span of v is the F_p-span of v, Jv, ..., J^(k-1)v."""
+    from covercalc.linalg import rank_mod_p
+
+    p, k, d = field.p, field.k, field.module.dim
+    basis = field.basis_endos.reshape(k, -1)
+    for code in range(1, p ** k):
+        J = (code // p ** np.arange(k) % p @ basis % p).reshape(d, d)
+        powers = [np.eye(d, dtype=np.int64)]
+        for _ in range(k - 1):
+            powers.append(powers[-1] @ J % p)
+        if rank_mod_p(np.reshape(powers, (k, -1)), p) == k:
+            return J
+    raise AssertionError("no generator: the basis is not a field")
+
+
+def scalar_matrix(space):
+    """The matrix S of ``endo_generator`` on the H^2 coordinates of a
+    package ``CohomSpace``: ``h2_scalar_matrix`` over its ``h_reps`` and
+    the coboundaries of the full system."""
+    table, action = space.group.mul.tolist(), space.module.action.tolist()
+    b = coboundary_rref(table, space.p, action)
+    return h2_scalar_matrix(space.h_reps, b, endo_generator(space.endo_field), space.p)
+
+
 def f_rank(space, vectors):
     """F-dimension of the F-span of H^2 coordinate vectors (rows) of
     ``space``: the F-span of the rows is the F_p-span of
-    V, V·S^T, ..., V·(S^T)^(k-1), S the space's scalar matrix."""
+    V, V·S^T, ..., V·(S^T)^(k-1), S the space's ``scalar_matrix``."""
     from covercalc.linalg import rank_mod_p
 
     powers = [np.asarray(vectors, dtype=np.int64) % space.p]
-    for _ in range(space.endo_field.k - 1):
-        powers.append(powers[-1] @ space.scalar_matrix.T % space.p)
+    if len(powers[0]) and space.endo_field.k > 1:
+        s_t = scalar_matrix(space).T
+        for _ in range(space.endo_field.k - 1):
+            powers.append(powers[-1] @ s_t % space.p)
     return rank_mod_p(np.vstack(powers), space.p) // space.endo_field.k
+
+
+def pair_f_rank(pair):
+    """F-dimension of the image of S in a dual pair (V, S): its F_p rank
+    over [F : F_p], as the image is an F-subspace."""
+    from covercalc.linalg import rank_mod_p
+
+    if not pair.s_matrix.shape[1]:
+        return 0
+    return rank_mod_p(pair.s_matrix, pair.space.p) // pair.space.endo_field.k
+
+
+def dual_f_dim(dual):
+    """F-dimension of a Hom_G space: its F_p dimension over [F : F_p]."""
+    return len(dual.fp_basis) // dual.endo_field.k
+
+
+def is_equivariant(hom):
+    """Whether a ModuleHom commutes with the action of every group element."""
+    src, dst, m = hom.source, hom.target, hom.matrix
+    return all(
+        np.array_equal(m @ a % src.p, b @ m % src.p) for a, b in zip(src.action, dst.action)
+    )
+
+
+def same_map(a, b):
+    """Whether two group homs have equal source and target tables and
+    equal images."""
+    return (
+        np.array_equal(a.source.mul, b.source.mul)
+        and np.array_equal(a.target.mul, b.target.mul)
+        and np.array_equal(a.image, b.image)
+    )
+
+
+def is_subgroup_of(a, b):
+    """Whether subgroup ``a`` lies inside subgroup ``b``, by elements."""
+    return set(a.elements) <= set(b.elements)
 
 
 def independent_rows(mat, p):
@@ -587,7 +660,7 @@ def f_basis(dual):
     of the space's F_p basis."""
     from covercalc import ModuleHom
 
-    j, p = dual.endo_field.generator_matrix, dual.module.p
+    j, p = endo_generator(dual.endo_field), dual.module.p
     picked, _ = f_independent_subset(dual.fp_basis, lambda m: j @ m % p, p, dual.endo_field.k)
     return tuple(ModuleHom(dual.module, dual.target, m) for m in picked)
 
@@ -854,7 +927,7 @@ def compose_horizontal(first, second):
     """
     from covercalc import compose, make_square
 
-    if not first.right.same_map(second.left):
+    if not same_map(first.right, second.left):
         raise Mismatch("shared vertical edge differs between the two squares")
     return make_square(
         top=compose(second.top, first.top),
@@ -880,7 +953,7 @@ def decompose_isotypic(module, target):
     if not is_A_generated(module, target):
         raise NotAGenerated("module is not generated by the simple module")
     dual = hom_space(module, target)
-    n = dual.f_dim
+    n = dual_f_dim(dual)
     ambient = direct_sum_module(target, n)
     if n == 0:
         return ModuleHom(module, ambient, np.zeros((0, module.dim)))
@@ -960,7 +1033,7 @@ def kernel_normal_decomposition(fp, sub):
         blocks.append(AbelianBlock(indices=tuple(indices), module=module, component=component))
     abelian = {i for b in blocks for i in b.indices}
     nonabelian = tuple(i for i in range(fp.arity) if i not in abelian)
-    swallowed = tuple(i for i in nonabelian if axes[i].is_subgroup_of(sub))
+    swallowed = tuple(i for i in nonabelian if is_subgroup_of(axes[i], sub))
 
     pieces = [axes[i].elements for i in swallowed] + [b.component.elements for b in blocks]
     rebuilt = tuple(_product_set(fp.carrier, pieces).tolist())

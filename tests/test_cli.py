@@ -39,7 +39,7 @@ def ws():
 
 
 def test_workspace_object_count(ws):
-    assert ws.object_count() == 5
+    assert len(ws.groups) + len(ws.homs) == 5
     assert set(ws.groups) == {"C2", "V4", "C4"}
     assert set(ws.homs) == {"eta0", "eta1"}
 
@@ -526,6 +526,33 @@ def test_h2_rejects_composite_fields():
     errors = proc.stderr.splitlines()
     assert len(errors) == 4, proc.stderr
     assert all(line.startswith("error:") and "prime" in line for line in errors)
+
+
+def test_h2_rejects_primes_past_int64_products():
+    # H^2(G, F_p) = 0 for p not dividing |G|, yet int64 products of
+    # residues overflow above about 2^31 and gave nonzero dimensions, and
+    # trial division of a prime near 2^63 did not finish: a fresh
+    # interpreter, so such a hang fails at its timeout
+    proc = run_python(
+        "-c",
+        "import time\n"
+        "from covercalc.cli import main\n"
+        "for argv in (['h2', 'S4', 'F2147483659triv'],\n"
+        "             ['--json', 'h2', 'D4', 'F3037000507triv'],\n"
+        "             ['h2', 'C2', 'F9223372036854775783triv']):\n"
+        "    start = time.perf_counter()\n"
+        "    print(main(argv), time.perf_counter() - start < 1)\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 True\n" * 3
+    errors = proc.stderr.splitlines()
+    assert len(errors) == 3, proc.stderr
+    assert all(line.startswith("error:") and "2^24" in line for line in errors)
+
+
+def test_h2_takes_primes_below_2_to_24(capsys):
+    assert main(["h2", "S4", "F16777213triv"]) == 0
+    assert "dim_p = 0" in capsys.readouterr().out.splitlines()
 
 
 def test_max_order_reaches_cyclic_builtins():

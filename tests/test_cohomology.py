@@ -152,8 +152,9 @@ def assert_space_matches_full_system(group, module):
     h = oracles.h2_representatives(z, b, p)
     assert_bytes_equal(space.z_basis, z)
     assert_bytes_equal(space.h_reps, h)
-    scalars = oracles.h2_scalar_matrix(h, b, space.endo_field.generator_matrix, p)
-    assert_bytes_equal(space.scalar_matrix, scalars)
+    # J maps each representative into Z^2 = <h> + B^2: h2_scalar_matrix
+    # asserts that the combination exists
+    oracles.h2_scalar_matrix(h, b, oracles.endo_generator(space.endo_field), p)
 
 
 @pytest.mark.parametrize("name", H2_GROUP_NAMES)
@@ -415,7 +416,8 @@ def test_embed_realizes_the_module():
     space = cohom_space(C2, F2TRIV_C2)
     real = extension_from_cocycle(space.representative(np.array([1])))
     ker = real.cover.kernel()
-    assert sorted(int(e) for e in real.embed) == sorted(ker.elements)
+    # module element a is the pair (a, 1), numbered a·|G|
+    assert ker.elements == tuple(a * C2.order for a in range(F2TRIV_C2.size))
     kmod = module_from_cover(real.cover, ker)
     assert kmod.p == 2 and kmod.dim == 1
 
@@ -445,7 +447,6 @@ def test_extension_stores_the_kernel_module_read_from_scratch(make):
         assert_bytes_equal(kc.vectors, want.vectors)
         assert kc.basis_elements == want.basis_elements
         assert (kc.p, kc.dim) == (want.p, want.dim)
-        assert kc.subgroup == want.subgroup
         assert module_from_cover(cov, cov.kernel()) is kmod
 
 
@@ -669,8 +670,8 @@ def test_inflation_is_additive():
 
 def test_pair_of_nonsplit_order_four():
     pair = x2(nonsplit_cover_c2(), F2TRIV_C2)
-    assert pair.dual.f_dim == 1
-    assert pair.f_rank == 1
+    assert oracles.dual_f_dim(pair.dual) == 1
+    assert oracles.pair_f_rank(pair) == 1
     assert pair.f_nullity == 0
     assert pair.s_matrix.shape == (1, 1)
     assert pair.s_matrix[0, 0] == 1
@@ -678,8 +679,8 @@ def test_pair_of_nonsplit_order_four():
 
 def test_pair_of_split_order_four():
     pair = x2(split_cover_c2(), F2TRIV_C2)
-    assert pair.dual.f_dim == 1
-    assert pair.f_rank == 0
+    assert oracles.dual_f_dim(pair.dual) == 1
+    assert oracles.pair_f_rank(pair) == 0
     assert pair.f_nullity == 1
     assert not pair.s_matrix.any()
 
@@ -688,8 +689,8 @@ def test_pair_of_mixed_fiber_product():
     eta0, eta1 = split_cover_c2(), nonsplit_cover_c2()
     fp = fiber_product(eta0.target, [eta0, eta1])
     pair = x2(fp.structure_map, F2TRIV_C2)
-    assert pair.dual.f_dim == 2
-    assert pair.f_rank == 1
+    assert oracles.dual_f_dim(pair.dual) == 2
+    assert oracles.pair_f_rank(pair) == 1
     assert pair.f_nullity == 1
 
 
@@ -735,7 +736,7 @@ def test_pair_image_rows_lie_in_h2():
 
 
 def test_realize_empty_family_is_identity():
-    assert y2(C2, F2TRIV_C2, []).same_map(identity_cover(C2))
+    assert oracles.same_map(y2(C2, F2TRIV_C2, []), identity_cover(C2))
 
 
 def test_realize_single_nonzero_class():
@@ -773,7 +774,7 @@ def test_pair_of_realization_recovers_values():
         values = [CohomClass(space, c) for c in coord_list]
         pi = y2(C2, F2TRIV_C2, values)
         pair = x2(pi, F2TRIV_C2)
-        assert pair.dual.f_dim == len(values)
+        assert oracles.dual_f_dim(pair.dual) == len(values)
         # the image of S is spanned by the prescribed classes
         want = np.array([v.coords for v in values]) % 2
         got = pair.image_rows()
@@ -781,7 +782,7 @@ def test_pair_of_realization_recovers_values():
 
         stacked = np.vstack([got, want]) if got.size else want
         assert rank_mod_p(stacked, 2) == rank_mod_p(want, 2)
-        assert pair.f_rank == rank_mod_p(want, 2)
+        assert oracles.pair_f_rank(pair) == rank_mod_p(want, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ from covercalc import gmodules as gm
 from covercalc import groups as groups_module
 from covercalc.cli import Workspace, run_command
 from covercalc.fundament import _cover_class, _cover_through, _module_class, _support_class
-from covercalc.cohomology import cover_cochain
+from covercalc.cohomology import cover_cochain, x2
 from covercalc.gmodules import is_simple_module
 from covercalc.groups import closure_of, maximal_normal_in
 
@@ -144,7 +144,7 @@ def test_series_structure(name):
     assert len(stages) == len(kernels) - 1
     assert kernels[-1].is_trivial()
     for bigger, smaller in zip(kernels, kernels[1:]):
-        assert smaller.is_subgroup_of(bigger)
+        assert oracles.is_subgroup_of(smaller, bigger)
         assert smaller.order < bigger.order
     for cov in stages:
         assert is_fundamental(cov)
@@ -152,7 +152,7 @@ def test_series_structure(name):
     total = identity_cover(pi.source)
     for cov in reversed(stages):
         total = compose(cov, total)
-    assert total.same_map(pi)
+    assert oracles.same_map(total, pi)
     if stages:
         assert is_fundament_series(stages)
 
@@ -311,12 +311,12 @@ def test_fundament_splits_off():
     pi = terminal_cover(SMALL_GROUPS["C4"]())
     pi_bar, rho = fundament(pi)
     assert is_fundamental(pi_bar)
-    assert compose(pi_bar, rho).same_map(pi)
+    assert oracles.same_map(compose(pi_bar, rho), pi)
     assert rho.kernel() == fundament_kernel(pi)
     # fundamental input: rho is a relabeling isomorphism
     pi_bar2, rho2 = fundament(ETA1)
     assert rho2.is_isomorphism()
-    assert compose(pi_bar2, rho2).same_map(ETA1)
+    assert oracles.same_map(compose(pi_bar2, rho2), ETA1)
 
 
 @pytest.mark.parametrize("pi", POOL_C2 + POOL_C3)
@@ -677,10 +677,9 @@ def test_second_pass_is_lookups(monkeypatch):
     assert calls == []
 
 
-def test_supports_are_carried_between_isomorphic_modules():
-    # the pools' modules are 1-dimensional, so every isomorphic pair has
-    # one key and nothing is moved; here H^2 is 2-dimensional over F4, so
-    # a support read in a module with another basis has other coordinates
+def a4xc2_f4_planes():
+    """A4xC2 with the F4-plane inflated along A4xC2 ->> C3, once in its
+    stored basis and once in another: H^2 is 2-dimensional over F4."""
     g = build_group(
         [(1, 2, 0, 3, 4, 5), (1, 0, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)], name="A4xC2"
     )
@@ -689,15 +688,24 @@ def test_supports_are_carried_between_isomorphic_modules():
     plane = oracles.inflate_module(to_c3, GModule(to_c3.target, 2, f4_over_c3().action))
     t = np.array([[1, 1], [0, 1]])  # its own inverse over F2
     other = GModule(g, 2, tuple(t @ m @ t % 2 for m in plane.action))
+    return g, plane, other
+
+
+def test_supports_are_carried_between_isomorphic_modules():
+    # the pools' modules are 1-dimensional, so every isomorphic pair has
+    # one key and nothing is moved; here H^2 is 2-dimensional over F4, so
+    # a support read in a module with another basis has other coordinates
+    g, plane, other = a4xc2_f4_planes()
     spaces = [cohom_space(g, plane), cohom_space(g, other)]
     assert spaces[0].f_dim == 2
     assert _module_class(g, plane) == (0, None)
     assert _module_class(g, other)[0] == 0
     covers = []
     for module, space in zip((plane, other), spaces):
+        scalars = oracles.scalar_matrix(space)
         for coords in product(range(2), repeat=space.dim_p):
             # the F4-line of coords: its F2-span with its scalar multiple
-            line = np.array([coords, space.scalar_matrix @ coords % 2])
+            line = np.array([coords, scalars @ coords % 2])
             _check_canonical(g, module, line)
         # moving the lines of (1,0,0,1) and (0,1,1,0) between the two
         # modules swaps them; the other lines keep their coordinates
@@ -709,6 +717,41 @@ def test_supports_are_carried_between_isomorphic_modules():
             dom = dominates(tau_prime, tau)
             assert dom == (find_epimorphism_over(tau, tau_prime) is not None)
             assert dom == oracles.dominates_by_matching(tau_prime, tau)
+
+
+def test_supports_are_f_subspaces_without_a_generator():
+    # F is read through its degree k alone: an F_p row space of an
+    # F-linear image is an F-subspace already. Checked against the
+    # oracles' generator J of F4 acting on H^2, in both bases
+    g, plane, other = a4xc2_f4_planes()
+    scalars = {}  # module key -> the matrix of J on its H^2 coordinates
+
+    def f_stable(module, rows):
+        space = cohom_space(g, module)
+        key = module.structural_key()
+        if key not in scalars:
+            b = oracles.coboundary_rref(g.mul.tolist(), 2, module.action.tolist())
+            j = oracles.endo_generator(space.endo_field)
+            scalars[key] = oracles.h2_scalar_matrix(space.h_reps, b, j, 2)
+        moved = rows @ scalars[key].T % 2
+        rank = len(oracles.rref_mod_p(rows, 2)[1]) if len(rows) else 0
+        return len(oracles.rref_mod_p(np.vstack([rows, moved]), 2)[1]) == rank
+
+    rng = random.Random(29)
+    for module in (plane, other):
+        space = cohom_space(g, module)
+        assert space.endo_field.k == 2
+        assert space.f_dim * space.endo_field.k == space.dim_p == 4
+        # the check has teeth: an F2-line is not an F4-line
+        assert not f_stable(module, np.eye(4, dtype=np.int64)[:1])
+        classes = [CohomClass(space, np.array(c)) for c in product(range(2), repeat=4)]
+        picks = [[c] for c in classes] + [rng.sample(classes, 2) for _ in range(8)]
+        for values in picks:
+            pi = oracles.y2(g, module, values)
+            rows = x2(pi, module).image_rows()
+            assert len(rows) % 2 == 0 and f_stable(module, rows)
+            for cls in invariants(pi).ab_classes:
+                assert len(cls.supp) % 2 == 0 and f_stable(cls.module, cls.supp)
 
 
 @pytest.mark.parametrize(

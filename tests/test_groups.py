@@ -209,7 +209,7 @@ def test_quaternion_matches_symbolic_table():
     )
     want = oracles.maximal_normal_inside(table, frozenset(range(len(table))))
     assert sorted(len(s) for s in want) == [
-        s.order for s in maximal_normal_in(q8, q8.full_subgroup())
+        s.order for s in maximal_normal_in(q8, Subgroup(q8, tuple(range(q8.order))))
     ]
 
 
@@ -487,7 +487,8 @@ def test_hom_check_agrees_with_the_full_table_one_entry_off():
     homs = []
     for g in GROUPS.values():
         homs.append(identity_cover(g))
-        homs += [quotient(g, n)[1] for n in maximal_normal_in(g, g.full_subgroup())]
+        whole = Subgroup(g, tuple(range(g.order)))
+        homs += [quotient(g, n)[1] for n in maximal_normal_in(g, whole)]
     rejected = 0
     for hom in homs:
         src, dst = hom.source, hom.target
@@ -501,7 +502,7 @@ def test_hom_check_agrees_with_the_full_table_one_entry_off():
                     image[src.mul], dst.mul[np.ix_(image, image)]
                 )
                 if full:
-                    assert GroupHom(src, dst, image).same_map(GroupHom(src, dst, image, False))
+                    assert oracles.same_map(GroupHom(src, dst, image), GroupHom(src, dst, image, False))
                 else:
                     with pytest.raises(Incompatible):
                         GroupHom(src, dst, image)
@@ -544,8 +545,8 @@ def test_kernel_and_preimage():
     eta = split_cover_c2()
     ker = eta.kernel()
     assert ker.order == 2
-    back = eta.preimage_subgroup(Subgroup(eta.target, (0,)))
-    assert back.elements == ker.elements
+    # the preimage of the identity is the fiber over it
+    assert tuple(eta.fibers[0].tolist()) == ker.elements
 
 
 def test_fiber_table_is_one_read_only_table_on_the_map():
@@ -685,8 +686,9 @@ def test_conjugation_is_automorphism(name, data):
     c = data.draw(st.integers(0, g.order - 1))
     a = data.draw(st.integers(0, g.order - 1))
     b = data.draw(st.integers(0, g.order - 1))
-    lhs = g.conjugate(c, int(g.mul[a, b]))
-    rhs = int(g.mul[g.conjugate(c, a), g.conjugate(c, b)])
+    table = g.mul.tolist()
+    lhs = oracles.conjugate(table, c, table[a][b])
+    rhs = table[oracles.conjugate(table, c, a)][oracles.conjugate(table, c, b)]
     assert lhs == rhs
 
 

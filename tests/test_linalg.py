@@ -274,10 +274,10 @@ def test_vector_outside_the_cocycles_is_not_a_cocycle(make):
 # F-ranks and F-independent subsets against the one-row-at-a-time scan
 
 
-def oracle_f_rank(space, rows):
+def oracle_f_rank(space, rows, scalars):
     return len(
         oracles.greedy_f_independent(
-            rows, lambda v: space.scalar_matrix @ v % space.p, space.p, space.endo_field.k
+            rows, lambda v: scalars @ v % space.p, space.p, space.endo_field.k
         )
     )
 
@@ -297,13 +297,14 @@ def test_f_rank_matches_greedy_scan(make):
     p, m = space.p, space.dim_p
     assert m
     rng = np.random.default_rng(m)
+    scalars = oracles.scalar_matrix(space)
     assert oracles.f_rank(space, np.zeros((0, m), dtype=np.int64)) == 0
     for count in (1, 2, 3, 5):
         rows = rng.integers(0, p, size=(count, m))
         rows[rng.integers(count)] = 0
         if count > 1:
-            rows[-1] = space.scalar_matrix @ rows[0] % p  # an F-multiple
-        assert oracles.f_rank(space, rows) == oracle_f_rank(space, rows)
+            rows[-1] = scalars @ rows[0] % p  # an F-multiple
+        assert oracles.f_rank(space, rows) == oracle_f_rank(space, rows, scalars)
     one = np.eye(m, dtype=np.int64)[:1]
     assert oracles.f_rank(space, one) == 1
 
@@ -321,7 +322,7 @@ def f_item_cases():
         (_f9_over_c8(), 3),
     ]:
         field = endo_field(module)
-        j, p = field.generator_matrix, module.p
+        j, p = oracles.endo_generator(field), module.p
         basis = list(hom_space(direct_sum_module(module, n), module).fp_basis)
         combo = sum(int(c) * b for c, b in zip(rng.integers(0, p, size=len(basis)), basis)) % p
         items = [basis[0], j @ basis[0] % p, basis[0]] + basis[1:] + [combo, 0 * combo]
@@ -330,7 +331,7 @@ def f_item_cases():
     f9 = _f9_over_c8()
     scrambled = conjugated_sum(f9, 1, 3)
     field = endo_field(f9)
-    j = field.generator_matrix
+    j = oracles.endo_generator(field)
     plane = [np.array(v) for v in ([1, 0], [0, 1], [1, 1], j @ [1, 2] % 3)]
     cases.append((plane, lambda v: j @ v % 3, 3, field.k))
     dual = hom_space(scrambled, f9)
