@@ -727,12 +727,9 @@ def test_supports_are_f_subspaces_without_a_generator():
     scalars = {}  # module key -> the matrix of J on its H^2 coordinates
 
     def f_stable(module, rows):
-        space = cohom_space(g, module)
         key = module.structural_key()
-        if key not in scalars:
-            b = oracles.coboundary_rref(g.mul.tolist(), 2, module.action.tolist())
-            j = oracles.endo_generator(space.endo_field)
-            scalars[key] = oracles.h2_scalar_matrix(space.h_reps, b, j, 2)
+        if key not in scalars:  # h2_scalar_matrix with endo_generator
+            scalars[key] = oracles.scalar_matrix(cohom_space(g, module))
         moved = rows @ scalars[key].T % 2
         rank = len(oracles.rref_mod_p(rows, 2)[1]) if len(rows) else 0
         return len(oracles.rref_mod_p(np.vstack([rows, moved]), 2)[1]) == rank
