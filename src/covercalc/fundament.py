@@ -19,10 +19,10 @@ Those with K/N non-abelian are centralizers of chief factors inside the
 perfect residual of K; no kernel lists its normal-subgroup lattice.
 
 Classes belong to the base, not to a pair of covers: each base group
-keeps a registry of them (``_class_index``), so a class is matched, and a
-support carried into its representative's H^2 coordinates, once per base.
-Comparing two covers then compares class indices, multiplicities and
-canonical supports.
+keeps a registry of them (``_class_index``), so a class is matched once
+per base, and a support is carried into its representative's H^2
+coordinates once per cover (``_indexed``). Comparing two covers then
+compares class indices, multiplicities and canonical supports.
 """
 
 from __future__ import annotations
@@ -207,11 +207,10 @@ def invariants(pi: Cover) -> CoverInvariants:
     A non-abelian K/N has no module: H/N is built and matched against
     the base's non-abelian classes.
 
-    Memoized on the cover (``pi._invariants``) once ``pi`` is known to be
-    fundamental; the ``supp`` arrays are read-only, as is ``pi.image``.
+    Not memoized: a decision reads the cover's classes from ``_indexed``
+    and a command computes them once. The ``supp`` arrays are read-only,
+    as is ``pi.image``.
     """
-    if pi._invariants is not None:
-        return pi._invariants
     from . import cohomology as ch
     from . import gmodules as gm
 
@@ -254,12 +253,11 @@ def invariants(pi: Cover) -> CoverInvariants:
                 mult=pair.f_nullity,
             )
         )
-    pi._invariants = CoverInvariants(
+    return CoverInvariants(
         base=pi.target,
         na_classes=tuple(NaClassInvariant(cover=c, mult=m) for c, m in na.values()),
         ab_classes=tuple(ab_classes),
     )
-    return pi._invariants
 
 
 def _same_top(a: tuple, b: tuple) -> bool:
@@ -308,38 +306,31 @@ def _module_class(base: FiniteGroup, module) -> tuple[int, object]:
     return _class_index(base, b"A" + module.structural_key(), module, _module_iso)
 
 
-def _support_class(base: FiniteGroup, module, rows: np.ndarray) -> tuple[int, np.ndarray, int]:
-    """The class index of ``module``, the F-subspace spanned by ``rows``
-    (coordinates in H^2(base, module)) carried into the representative's
-    H^2 coordinates and reduced to RREF, read-only, and the id of that
-    canonical support, interned per base (equal ids, equal supports).
+def _support_class(base: FiniteGroup, module, rows: np.ndarray) -> tuple[int, np.ndarray]:
+    """The class index of ``module`` and the F-subspace spanned by
+    ``rows`` (coordinates in H^2(base, module)) carried into the
+    representative's H^2 coordinates and reduced to RREF, read-only.
 
     Schur makes the isomorphisms onto the representative the nonzero
     F-multiples of one another, so the subspace does not depend on which
-    one carries it. Memoized on ``base`` by the exact support bytes."""
+    one carries it."""
     from . import cohomology as ch
 
     rows = np.asarray(rows, dtype=np.int64)
-    key = (module.structural_key(), rows.shape, rows.tobytes())
-    hit = base._supports.get(key)
-    if hit is None:
-        index, iso = _module_class(base, module)
-        if iso is not None:
-            space = ch.cohom_space(base, module)
-            rep = base._classes[index]
-            dst = ch.cohom_space(base, rep)
-            moved = [
-                dst.class_of(ch.push_cochain(space.representative(r), iso.matrix, rep))
-                for r in rows
-            ]
-            rows = np.array([c.coords for c in moved], dtype=np.int64)
-            rows = rows.reshape(len(moved), dst.dim_p)
-        canonical, _ = row_echelon_mod_p(rows, module.p)
-        canonical.flags.writeable = False
-        ids = base._support_ids
-        sid = ids.setdefault((index, canonical.shape, canonical.tobytes()), len(ids))
-        hit = base._supports[key] = (index, canonical, sid)
-    return hit
+    index, iso = _module_class(base, module)
+    if iso is not None:
+        space = ch.cohom_space(base, module)
+        rep = base._classes[index]
+        dst = ch.cohom_space(base, rep)
+        moved = [
+            dst.class_of(ch.push_cochain(space.representative(r), iso.matrix, rep))
+            for r in rows
+        ]
+        rows = np.array([c.coords for c in moved], dtype=np.int64)
+        rows = rows.reshape(len(moved), dst.dim_p)
+    canonical, _ = row_echelon_mod_p(rows, module.p)
+    canonical.flags.writeable = False
+    return index, canonical
 
 
 def _check_comparable(tau_prime: Cover, tau: Cover) -> None:
@@ -349,36 +340,39 @@ def _check_comparable(tau_prime: Cover, tau: Cover) -> None:
         raise NotFundamental("comparison needs fundamental covers")
 
 
-def _indexed(base: FiniteGroup, pi: Cover) -> tuple[dict, dict]:
+def _indexed(base: FiniteGroup, pi: Cover) -> dict:
     """The classes of ``invariants(pi)`` by their index in ``base``'s
-    registry: the multiplicity of each non-abelian class, and the
-    multiplicity, canonical support and support id of each simple-module
-    class. Memoized on the cover for the base object last used
-    (``pi._indexed``): the registry only grows, so the indices hold."""
+    registry, in one table: ``(mult, None)`` for a non-abelian class and
+    ``(mult, canonical support)`` for a simple-module class, the
+    non-abelian ones first. Memoized on the cover for the base object
+    last used (``pi._indexed``): the registry only grows, so the indices
+    hold."""
     if pi._indexed is None or pi._indexed[0] is not base:
         inv = invariants(pi)
-        na = {_cover_class(base, c.cover): c.mult for c in inv.na_classes}
-        ab = {}
+        table = {_cover_class(base, c.cover): (c.mult, None) for c in inv.na_classes}
         for c in inv.ab_classes:
-            index, supp, sid = _support_class(base, c.module, c.supp)
-            ab[index] = (c.mult, supp, sid)
-        pi._indexed = (base, (na, ab))
+            index, supp = _support_class(base, c.module, c.supp)
+            table[index] = (c.mult, supp)
+        pi._indexed = (base, table)
     return pi._indexed[1]
 
 
-def _bounded(base: FiniteGroup, index: int, mult: int, supp, sid: int, ab: dict) -> bool:
-    """Whether class ``index`` of ``ab`` has multiplicity at least
-    ``mult`` and a support containing ``supp`` (id ``sid``). A class of
-    ``invariants`` has mult + dim_F supp >= 1 (its own projection is a
-    nonzero G-map), so an absent class bounds none. Containment is
-    memoized on the base by class index and support ids
-    (``base._contained``)."""
-    if index not in ab:
+def _bounded(base: FiniteGroup, index: int, mult: int, supp, table: dict) -> bool:
+    """Whether class ``index`` of ``table`` has multiplicity at least
+    ``mult`` and, for a simple-module class, a support containing
+    ``supp``. A class of ``invariants`` has mult + dim_F supp >= 1 (its
+    own projection is a nonzero G-map), so an absent class bounds none.
+    Containment is memoized on the base (``base._contained``), keyed by
+    the class index and the bytes of both canonical supports: the index
+    fixes p and the column count dim_p, so the key is injective."""
+    if index not in table:
         return False
-    have, span, span_id = ab[index]
+    have, span = table[index]
     if mult > have:
         return False
-    key = (index, sid, span_id)
+    if supp is None:
+        return True
+    key = (index, supp.tobytes(), span.tobytes())
     hit = base._contained.get(key)
     if hit is None:
         hit = base._contained[key] = row_space_le(supp, span, base._classes[index].p)
@@ -392,16 +386,17 @@ def dominates(tau_prime: Cover, tau: Cover) -> bool:
     matching support.
 
     Classes are matched once per base: both sides are looked up in the
-    class registry of ``tau.target``, so a pair compares class indices,
-    multiplicities and supports in the representative's coordinates,
-    with no Hom_G solve or transport for a class seen before.
+    class registry of ``tau.target``, with no Hom_G solve for a class seen
+    before. A pair then runs one pass over the table of ``tau_prime``
+    (``_indexed``), non-abelian classes first, comparing class indices,
+    multiplicities and supports in the representative's coordinates.
     """
     _check_comparable(tau_prime, tau)
     base = tau.target
-    na, ab = _indexed(base, tau)
-    na_p, ab_p = _indexed(base, tau_prime)
-    return all(m <= na.get(i, 0) for i, m in na_p.items()) and all(
-        _bounded(base, i, m, supp, sid, ab) for i, (m, supp, sid) in ab_p.items()
+    table = _indexed(base, tau)
+    return all(
+        _bounded(base, i, m, supp, table)
+        for i, (m, supp) in _indexed(base, tau_prime).items()
     )
 
 

@@ -199,12 +199,10 @@ def _read_coordinates(sub: Subgroup) -> KernelCoords:
     orders = set(group.element_orders()[list(elems)].tolist()) - {1}
     if len(orders) != 1:
         raise NotElementaryAbelian("mixed element orders")
+    # every x != 1 has one order m, and for a prime q | m, x^(m/q) has
+    # order q, so m = q is prime: an abelian group of prime exponent p is
+    # F_p^dim, and the greedy basis below spans it
     p = orders.pop()
-    # p prime iff no proper divisor order appears; for elementary abelian
-    # groups every non-identity element has order exactly p
-    for d in range(2, p):
-        if p % d == 0:
-            raise NotElementaryAbelian(f"element order {p} is not prime")
     to_vector: dict[int, tuple[int, ...]] = {0: ()}
     basis: list[int] = []
     for x in elems:
@@ -222,8 +220,6 @@ def _read_coordinates(sub: Subgroup) -> KernelCoords:
         for elt, vec in current:
             to_vector[elt] = vec + (0,)
     dim = len(basis)
-    if p ** dim != len(elems):
-        raise NotElementaryAbelian("order is not a prime power of the rank")
     vectors = np.zeros((group.order, dim), dtype=np.int64)
     vectors[list(to_vector)] = list(to_vector.values())
     return KernelCoords(p, dim, tuple(basis), vectors)
@@ -391,21 +387,16 @@ def _generates(dual: DualSpace) -> bool:
     return rank_mod_p(dual.fp_basis.reshape(-1, d), dual.module.p) == d
 
 
-def _iso_basis(a: GModule, b: GModule) -> np.ndarray:
-    """F_p basis of Hom_G(a, b) for simple modules, flattened as in
-    ``_hom_basis``; by Schur it is empty or its nonzero combinations are
-    all isomorphisms."""
+def _module_iso(a: GModule, b: GModule) -> ModuleHom | None:
+    """The deterministic G-isomorphism between simple modules (the first
+    row of their Hom_G basis), or None when they are not isomorphic. By
+    Schur that basis is empty or its nonzero combinations are all
+    isomorphisms."""
     if not is_simple_module(a) or not is_simple_module(b):
         raise NotSimple("isomorphism test implemented for simple modules")
     if a.p != b.p or a.dim != b.dim or not same_group(a.group, b.group):
-        return np.zeros((0, b.dim * a.dim), dtype=np.int64)
-    return _hom_basis(a, b)
-
-
-def _module_iso(a: GModule, b: GModule) -> ModuleHom | None:
-    """The deterministic G-isomorphism between simple modules (the first
-    row of their Hom_G basis), or None when they are not isomorphic."""
-    basis = _iso_basis(a, b)
+        return None
+    basis = _hom_basis(a, b)
     if not len(basis):
         return None
     hom = ModuleHom(a, b, basis[0].reshape(b.dim, a.dim))

@@ -101,23 +101,13 @@ class FiniteGroup:
         self._classes: list = []
         # exact key -> (class index, map onto the representative or None)
         self._class_of: dict[bytes, tuple[int, object]] = {}
-        # (module key, shape, bytes) of a support -> (class index, the
-        # support in the representative's H^2 coordinates, RREF, read-only,
-        # its id in _support_ids)
-        self._supports: dict[tuple, tuple[int, np.ndarray, int]] = {}
-        self._support_ids: dict[tuple, int] = {}  # (index, shape, bytes) -> id
-        # (class index, support id, span id) -> containment (fundament._bounded)
-        self._contained: dict[tuple[int, int, int], bool] = {}
+        # (class index, bytes of two canonical supports) -> containment
+        # (fundament._bounded)
+        self._contained: dict[tuple[int, bytes, bytes], bool] = {}
         self._gen_cache: tuple[int, ...] | None = None
         self._gen_walk: list | None = None  # _walk of _gen_cache, by _search_hom
 
     # -- basic structure ----------------------------------------------------
-
-    def product(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
-    def element_order(self, x: int) -> int:
-        return int(self.element_orders()[x])
 
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
@@ -576,17 +566,17 @@ class GroupHom:
 
 class Cover(GroupHom):
     """A surjective homomorphism; caches its kernel (from the first
-    ``kernel()``), fundament kernel, invariants, and the conjugation
-    module on an elementary abelian kernel with the coordinates it is read
-    in (``_kernel_module``, filled by ``gmodules._module_and_coords`` or,
-    for the extension it builds, by ``cohomology.extension_from_cocycle``)."""
+    ``kernel()``), fundament kernel, its table of classes in a base's
+    registry (``_indexed``), and the conjugation module on an elementary
+    abelian kernel with the coordinates it is read in (``_kernel_module``,
+    filled by ``gmodules._module_and_coords`` or, for the extension it
+    builds, by ``cohomology.extension_from_cocycle``)."""
 
     def __init__(self, source, target, image, check: bool = True) -> None:
         super().__init__(source, target, image, check=check)
         if not self.is_surjective():
             raise Incompatible("cover must be surjective")
         self._kernel: Subgroup | None = None
-        self._invariants = None  # fundament.invariants memo
         self._fundament = None  # fundament.fundament_kernel memo
         self._indexed = None  # (base, fundament._indexed of it) memo
         self._kernel_module = None  # (GModule, KernelCoords) of the kernel
@@ -768,12 +758,12 @@ def build_group(
 # hom search over a common base
 
 
-def _search_hom(tau: Cover, tau_prime: Cover, want_iso: bool) -> np.ndarray | None:
+def _search_hom(tau: Cover, tau_prime: Cover) -> np.ndarray | None:
     """Backtracking search for a surjective hom f of the sources with
     tau_prime(f(x)) == tau(x) for all x; the image array or None.
 
-    ``want_iso`` additionally demands bijectivity (and prunes with exact
-    element orders, which make the kernel trivial).
+    Between sources of equal order such an f is bijective, so the search
+    prunes with exact element orders, which make the kernel trivial.
 
     The candidates for f(g) are the elements of ``tau_prime.fibers`` over
     tau(g) whose order fits, in ascending order. f(gens[i]) is chosen at
@@ -782,12 +772,9 @@ def _search_hom(tau: Cover, tau_prime: Cover, want_iso: bool) -> np.ndarray | No
     the Schreier relations.
     """
     src, dst = tau.source, tau_prime.source
-    if want_iso and src.order != dst.order:
-        return None
     if src.order % dst.order:
         return None  # the kernel of a surjection has order |src| / |dst|
-    if src.order == dst.order:
-        want_iso = True  # a surjection between equal orders is bijective
+    bijective = src.order == dst.order
     gens = generating_set(src)
     if not gens:  # trivial source: only the zero map, surjective iff dst trivial
         return np.zeros(src.order, dtype=np.int32) if dst.order == 1 else None
@@ -796,7 +783,7 @@ def _search_hom(tau: Cover, tau_prime: Cover, want_iso: bool) -> np.ndarray | No
     for g in gens:
         og = src_ord[g]
         fiber = tau_prime.fibers[tau.image[g]].tolist()
-        cand = [k for k in fiber if (og == dst_ord[k] if want_iso else og % dst_ord[k] == 0)]
+        cand = [k for k in fiber if (og == dst_ord[k] if bijective else og % dst_ord[k] == 0)]
         if not cand:
             return None
         candidates.append(cand)
@@ -823,7 +810,7 @@ def _search_hom(tau: Cover, tau_prime: Cover, want_iso: bool) -> np.ndarray | No
         tree, other = walk[i]
         for y, x, j in tree:
             fy = cols[j][img[x]]
-            if (src_ord[y] != dst_ord[fy]) if want_iso else (src_ord[y] % dst_ord[fy]):
+            if (src_ord[y] != dst_ord[fy]) if bijective else (src_ord[y] % dst_ord[fy]):
                 return False
             img[y] = fy
         for x, j, y in other:
@@ -887,7 +874,9 @@ def find_isomorphism_over(pi: Cover, pi_prime: Cover) -> GroupHom | None:
     """
     if not same_group(pi.target, pi_prime.target):
         raise Incompatible("covers do not share a base group")
-    img = _search_hom(pi, pi_prime, True)
+    if pi.source.order != pi_prime.source.order:
+        return None
+    img = _search_hom(pi, pi_prime)
     if img is None:
         return None
     return GroupHom(pi.source, pi_prime.source, img, check=False)
@@ -897,7 +886,7 @@ def find_epimorphism_over(tau: Cover, tau_prime: Cover) -> Cover | None:
     """A surjection f of sources with tau_prime o f = tau, or None."""
     if not same_group(tau.target, tau_prime.target):
         raise Incompatible("covers do not share a base group")
-    img = _search_hom(tau, tau_prime, False)
+    img = _search_hom(tau, tau_prime)
     if img is None:
         return None
     return Cover(tau.source, tau_prime.source, img, check=False)

@@ -28,6 +28,7 @@ from .groups import (
     DEFAULT_LIMITS,
     FiniteGroup,
     GroupHom,
+    _power,
     _walk,
     build_group,
 )
@@ -177,9 +178,9 @@ def evaluate_word(group: FiniteGroup, word: str, line: int) -> int:
             )
         power = int(m.group(2)) if m.group(2) is not None else 1
         elem = by_label[label]
-        order = group.element_order(elem)
-        for _ in range(power % order):
-            acc = group.product(acc, elem)
+        if power < 0:
+            elem, power = int(group.inv[elem]), -power
+        acc = int(group.mul[acc, _power(group, elem, power)])
     return acc
 
 

@@ -406,7 +406,6 @@ def test_invariants_raise_on_every_call_for_non_fundamental():
 def test_invariants_are_memoized_on_the_cover_and_frozen():
     pi = power_cover(ETA1, 2)
     inv = invariants(pi)
-    assert invariants(pi) is inv
     (ab,) = inv.ab_classes
     assert ab.supp.shape[0] == 1
     with pytest.raises(ValueError):
@@ -474,7 +473,7 @@ def test_comparison_validates_inputs():
 def _check_canonical(base, module, rows):
     """The registry's canonical support of ``rows`` is the RREF of what
     the oracle transports onto the class representative."""
-    index, canon, _ = _support_class(base, module, rows)
+    index, canon = _support_class(base, module, rows)
     rep = base._classes[index]
     iso = oracles.module_iso(module, rep)
     assert iso is not None
@@ -683,7 +682,7 @@ def a4xc2_f4_planes():
     g = build_group(
         [(1, 2, 0, 3, 4, 5), (1, 0, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)], name="A4xC2"
     )
-    involutions = [x for x in range(g.order) if g.element_order(x) <= 2]
+    involutions = [x for x in range(g.order) if g.element_orders()[x] <= 2]
     _, to_c3 = quotient(g, Subgroup(g, closure_of(g, involutions)))
     plane = oracles.inflate_module(to_c3, GModule(to_c3.target, 2, f4_over_c3().action))
     t = np.array([[1, 1], [0, 1]])  # its own inverse over F2
@@ -749,6 +748,51 @@ def test_supports_are_f_subspaces_without_a_generator():
             assert len(rows) % 2 == 0 and f_stable(module, rows)
             for cls in invariants(pi).ab_classes:
                 assert len(cls.supp) % 2 == 0 and f_stable(cls.module, cls.supp)
+
+
+def test_containment_keys_decode_to_their_supports():
+    # ``_bounded`` keys a containment by the class index and the bytes of
+    # two canonical supports; the index fixes the column count dim_p, so
+    # every key decodes into the pair of supports it was stored for
+    rng = random.Random(30)
+    runs = []  # (base, the covers decided over it)
+    for split, nonsplit in ((split_cover_c2, nonsplit_cover_c2), (split_cover_c3, nonsplit_cover_c3)):
+        pool = cover_pool(split(), nonsplit())  # fresh: an empty registry
+        runs.append((pool[0].target, pool + [relabel_cover(c, rng) for c in pool]))
+    g, plane, other = a4xc2_f4_planes()
+    covers = []
+    for module in (plane, other):
+        space = cohom_space(g, module)
+        for coords in ([0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 1, 1, 0]):
+            rep = CohomClass(space, np.array(coords)).representative()
+            covers.append(extension_from_cocycle(rep).cover)
+    runs.append((g, covers))
+
+    def rank(rows, p):
+        return len(oracles.rref_mod_p(rows, p)[1])
+
+    answers = set()
+    for base, covers in runs:
+        for tau, tau_prime in product(covers, repeat=2):
+            dominates(tau_prime, tau)
+            isomorphic_fundamental(tau, tau_prime)
+        carried = {  # every canonical support of a cover, by class index
+            (i, supp.tobytes())
+            for pi in covers
+            for i, (_, supp) in pi._indexed[1].items()
+            if supp is not None
+        }
+        assert base._contained
+        for (index, supp, span), inside in base._contained.items():
+            assert {(index, supp), (index, span)} <= carried
+            rep = base._classes[index]
+            dim = cohom_space(base, rep).dim_p
+            a, b = (np.frombuffer(x, dtype=np.int64).reshape(-1, dim) for x in (supp, span))
+            for rows in (a, b):  # canonical: each is its own RREF
+                assert np.array_equal(oracles.rref_mod_p(rows, rep.p)[0], rows)
+            assert inside == (rank(np.vstack([a, b]), rep.p) == rank(b, rep.p))
+            answers.add(inside)
+    assert answers == {True, False}
 
 
 @pytest.mark.parametrize(

@@ -303,7 +303,7 @@ def test_maximal_normal_in_is_memoized_per_bound():
 def test_non_normal_bound_raises_on_every_call():
     s3 = GROUPS["S3"]
     transposition = next(
-        generated_subgroup(s3, [x]) for x in range(s3.order) if s3.element_order(x) == 2
+        generated_subgroup(s3, [x]) for x in range(s3.order) if s3.element_orders()[x] == 2
     )
     for _ in range(2):
         with pytest.raises(NotNormal):
@@ -399,7 +399,7 @@ def test_quotient_labels_follow_their_generators():
         name="C2^3",
     )
     a, b, c = c2_cubed.generators
-    q, cover = quotient(c2_cubed, generated_subgroup(c2_cubed, [c2_cubed.product(a, b)]))
+    q, cover = quotient(c2_cubed, generated_subgroup(c2_cubed, [c2_cubed.mul[a, b]]))
     assert q.generators == (int(cover.image[a]), int(cover.image[c]))
     assert q.generator_labels == ("a", "c")
 

@@ -408,7 +408,7 @@ def _f9_over_c8():
 
 def _a4_over_c3():
     a4 = alt4()
-    v4 = generated_subgroup(a4, [x for x in range(a4.order) if a4.element_order(x) == 2])
+    v4 = generated_subgroup(a4, [x for x in range(a4.order) if a4.element_orders()[x] == 2])
     return _kernel_module(quotient(a4, v4)[1])
 
 

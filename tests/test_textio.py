@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from covercalc import BuildLimits, same_group
+from covercalc import BuildLimits, FiniteGroup, same_group
 from covercalc.errors import OrderCapExceeded, ParseError, UnknownReference
 from covercalc.textio import (
     evaluate_word,
@@ -207,3 +207,38 @@ def test_same_table_groups_interoperate():
     groups_b, homs_b = load(INTRO)
     assert same_group(groups_a["C2"], groups_b["C2"])
     assert np.array_equal(homs_a["eta1"].image, homs_b["eta1"].image)
+
+
+def by_repeated_products(group, word):
+    """A word's element, one factor multiplied in at a time."""
+    by_label = dict(zip(group.generator_labels, group.generators))
+    acc = 0
+    for tok in word.split():
+        label, _, power = tok.partition("^")
+        k = int(power or 1)
+        x = by_label[label] if k >= 0 else int(group.inv[by_label[label]])
+        for _ in range(abs(k)):
+            acc = int(group.mul[acc, x])
+    return acc
+
+
+def test_word_powers_read_no_element_orders(monkeypatch):
+    # powers past the order and negative powers are taken by squaring
+    # the generator or its inverse, with no table of element orders
+    def refuse(self):
+        raise AssertionError("element_orders called")
+
+    monkeypatch.setattr(FiniteGroup, "element_orders", refuse)
+    words = {
+        "C7": ["b^2", "b^9", "b^-1", "b^-9", "b^-16", "b^100 b^-3"],
+        "S3": ["r^-5", "r^7 s^-3", "s^5 r^-8 s"],
+    }
+    text = "group C7\ngen b = (1 2 3 4 5 6 7)\n\ngroup S3\ngen r = (1 2 3)\ngen s = (1 2)\n"
+    for i, word in enumerate(words["C7"]):
+        text += f"\nhom f{i} : C7 -> C7\nb -> {word}\n"
+    groups, homs = load(text)
+    c7, s3 = groups["C7"], groups["S3"]
+    for i, word in enumerate(words["C7"]):
+        assert homs[f"f{i}"](c7.generators[0]) == by_repeated_products(c7, word)
+    for word in words["S3"]:
+        assert evaluate_word(s3, word, 1) == by_repeated_products(s3, word)
