@@ -450,14 +450,3 @@ def x2(pi: Cover, target: GModule) -> DualPairS:
     flat = pushed.reshape(len(dual.fp_basis), -1)
     s_matrix = space.coordinates_of_flat(flat).T
     return DualPairS(dual=dual, space=space, s_matrix=s_matrix)
-
-
-def _extension_covers(group: FiniteGroup, module: GModule, values) -> list[Cover]:
-    """The extension cover realizing each class of H^2(group, module), in
-    order, each built from the class's representative cocycle."""
-    covers = []
-    for cls in values:
-        if cls.space.structural_key() != cohom_space(group, module).structural_key():
-            raise SpaceMismatch("class does not live in H^2(group, module)")
-        covers.append(extension_from_cocycle(cls.representative()).cover)
-    return covers

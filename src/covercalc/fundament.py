@@ -19,10 +19,11 @@ Those with K/N non-abelian are centralizers of chief factors inside the
 perfect residual of K; no kernel lists its normal-subgroup lattice.
 
 Classes belong to the base, not to a pair of covers: each base group
-keeps a registry of them (``_class_index``), so a class is matched once
-per base, and a support is carried into its representative's H^2
-coordinates once per cover (``_indexed``). Comparing two covers then
-compares class indices, multiplicities and canonical supports.
+keeps a registry of them (``_class_index``), one representative per
+class, so a class is matched once per base. Every support is read in its
+representative's H^2 coordinates, so no support is carried between
+modules. Comparing two covers then compares class indices,
+multiplicities and canonical supports (``_indexed``).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .groups import (
     same_group,
 )
 from .gmodules import _intertwiners, _module_iso
-from .linalg import row_echelon_mod_p, row_space_le
+from .linalg import row_space_le
 
 __all__ = [
     "CoverInvariants",
@@ -198,31 +199,42 @@ def invariants(pi: Cover) -> CoverInvariants:
     Every abelian K/N comes with its action matrices from
     ``maximal_normal_in``'s module route, so those N are grouped by
     comparing the small matrices. Only the least N of each class is
-    built as a quotient group; its module is the one registered for the
-    class, as when every N was built, and an equal registered module is
-    used in its place. The dual pair is read off the joint quotient by
-    the intersection M of the class's N: when M = 1, as for every
-    fundamental cover with one abelian class, that is ``pi`` itself,
-    whose memoized kernel module serves it, and otherwise H/M is built.
-    A non-abelian K/N has no module: H/N is built and matched against
-    the base's non-abelian classes.
+    built as a quotient group, and its module A is looked up in the
+    base's class registry. The dual pair is read against the class's
+    representative R, so ``module`` is R and ``supp`` is in the
+    coordinates of H^2(G, R): by Schur, Hom_G(K, R) is Hom_G(K, A)
+    composed with one isomorphism A -> R, so reading against R gives the
+    same multiplicity and the carried support. The dual pair is read off
+    the joint quotient by the intersection M of the class's N: when
+    M = 1, as for every fundamental cover with one abelian class, that
+    is ``pi`` itself, whose memoized kernel module serves it, and
+    otherwise H/M is built. A non-abelian K/N has no module: H/N is
+    built, matched against the base's non-abelian classes, and the
+    class's representative is reported.
 
     Not memoized: a decision reads the cover's classes from ``_indexed``
     and a command computes them once. The ``supp`` arrays are read-only,
     as is ``pi.image``.
     """
+    return _invariants(pi, pi.target)[0]
+
+
+def _invariants(pi: Cover, base: FiniteGroup) -> tuple[CoverInvariants, list[int]]:
+    """``invariants(pi)`` read against the registry of ``base`` (a group
+    with the table of ``pi.target``), with the registry index of each
+    class in order, the non-abelian ones first."""
     from . import cohomology as ch
     from . import gmodules as gm
 
     if not is_fundamental(pi):
         raise NotFundamental("invariants need a fundamental cover")
     src = pi.source
-    na: dict[int, list] = {}  # class index -> [representative cover, count]
+    na: dict[int, int] = {}  # class index -> count
     ab: list[list] = []  # [least N, its top (p, mats), mask of the class's N]
     for sub, top in _maximal_tops(src, pi.kernel()):
         if top is None:
-            cov = _cover_through(pi, quotient(src, sub)[1])
-            na.setdefault(_cover_class(pi.target, cov), [cov, 0])[1] += 1
+            index = _cover_class(base, _cover_through(pi, quotient(src, sub)[1]))
+            na[index] = na.get(index, 0) + 1
             continue
         for cls in ab:
             if _same_top(top, cls[1]):
@@ -230,13 +242,12 @@ def invariants(pi: Cover) -> CoverInvariants:
                 break
         else:
             ab.append([sub, top, sub.mask])
+    indices = list(na)
     ab_classes = []
     for least, _, common in ab:
         cov = _cover_through(pi, quotient(src, least)[1])
-        module = gm.module_from_cover(cov, cov.kernel())
-        index, iso = _module_class(pi.target, module)
-        if iso is None:  # equal key: the registered object, its memos filled
-            module = pi.target._classes[index]
+        indices.append(_module_class(base, gm.module_from_cover(cov, cov.kernel())))
+        module = base._classes[indices[-1]]
         if common == 1:  # the class meets in 1: the joint quotient is pi
             joint = pi
         else:
@@ -253,11 +264,8 @@ def invariants(pi: Cover) -> CoverInvariants:
                 mult=pair.f_nullity,
             )
         )
-    return CoverInvariants(
-        base=pi.target,
-        na_classes=tuple(NaClassInvariant(cover=c, mult=m) for c, m in na.values()),
-        ab_classes=tuple(ab_classes),
-    )
+    na_classes = tuple(NaClassInvariant(cover=base._classes[i], mult=m) for i, m in na.items())
+    return CoverInvariants(pi.target, na_classes, tuple(ab_classes)), indices
 
 
 def _same_top(a: tuple, b: tuple) -> bool:
@@ -270,25 +278,23 @@ def _same_top(a: tuple, b: tuple) -> bool:
     return np.array_equal(ma, mb) or len(_intertwiners(ma, mb, p)) > 0
 
 
-def _class_index(base: FiniteGroup, key: bytes, item, match) -> tuple[int, object]:
-    """The index of ``item``'s class in ``base``'s registry, with the map
-    ``match(item, rep)`` found onto its representative (None when ``item``
-    is the representative). ``match`` runs only for a key not seen before,
-    against the earlier representatives of the same type; an unmatched
-    item becomes a new representative. The exact key makes equal tables
-    take one path, whichever base object they came with."""
-    hit = base._class_of.get(key)
-    if hit is None:
-        for i, rep in enumerate(base._classes):
-            found = match(item, rep) if type(rep) is type(item) else None
-            if found is not None:
-                hit = (i, found)
+def _class_index(base: FiniteGroup, key: bytes, item, match) -> int:
+    """The index of ``item``'s class in ``base``'s registry. ``match(item,
+    rep)``, a map or None, runs only for a key not seen before, against
+    the earlier representatives of the same type; an unmatched item
+    becomes a new representative. The exact key makes equal tables take
+    one path, whichever base object they came with."""
+    index = base._class_of.get(key)
+    if index is None:
+        reps = base._classes
+        for index, rep in enumerate(reps):
+            if type(rep) is type(item) and match(item, rep) is not None:
                 break
         else:
-            base._classes.append(item)
-            hit = (len(base._classes) - 1, None)
-        base._class_of[key] = hit
-    return hit
+            index = len(reps)
+            reps.append(item)
+        base._class_of[key] = index
+    return index
 
 
 def _cover_class(base: FiniteGroup, cov: Cover) -> int:
@@ -297,40 +303,12 @@ def _cover_class(base: FiniteGroup, cov: Cover) -> int:
     src = cov.source
     key = b"N" + np.int64(src.order).tobytes() + src.mul.tobytes()
     key += cov.image.astype(np.int64).tobytes()
-    return _class_index(base, key, cov, find_isomorphism_over)[0]
+    return _class_index(base, key, cov, find_isomorphism_over)
 
 
-def _module_class(base: FiniteGroup, module) -> tuple[int, object]:
-    """Registry index of a simple module's class, with the isomorphism
-    onto the representative (None for the representative itself)."""
+def _module_class(base: FiniteGroup, module) -> int:
+    """Registry index of a simple module's class."""
     return _class_index(base, b"A" + module.structural_key(), module, _module_iso)
-
-
-def _support_class(base: FiniteGroup, module, rows: np.ndarray) -> tuple[int, np.ndarray]:
-    """The class index of ``module`` and the F-subspace spanned by
-    ``rows`` (coordinates in H^2(base, module)) carried into the
-    representative's H^2 coordinates and reduced to RREF, read-only.
-
-    Schur makes the isomorphisms onto the representative the nonzero
-    F-multiples of one another, so the subspace does not depend on which
-    one carries it."""
-    from . import cohomology as ch
-
-    rows = np.asarray(rows, dtype=np.int64)
-    index, iso = _module_class(base, module)
-    if iso is not None:
-        space = ch.cohom_space(base, module)
-        rep = base._classes[index]
-        dst = ch.cohom_space(base, rep)
-        moved = [
-            dst.class_of(ch.push_cochain(space.representative(r), iso.matrix, rep))
-            for r in rows
-        ]
-        rows = np.array([c.coords for c in moved], dtype=np.int64)
-        rows = rows.reshape(len(moved), dst.dim_p)
-    canonical, _ = row_echelon_mod_p(rows, module.p)
-    canonical.flags.writeable = False
-    return index, canonical
 
 
 def _check_comparable(tau_prime: Cover, tau: Cover) -> None:
@@ -341,19 +319,17 @@ def _check_comparable(tau_prime: Cover, tau: Cover) -> None:
 
 
 def _indexed(base: FiniteGroup, pi: Cover) -> dict:
-    """The classes of ``invariants(pi)`` by their index in ``base``'s
-    registry, in one table: ``(mult, None)`` for a non-abelian class and
-    ``(mult, canonical support)`` for a simple-module class, the
-    non-abelian ones first. Memoized on the cover for the base object
-    last used (``pi._indexed``): the registry only grows, so the indices
-    hold."""
+    """The classes of ``pi`` by their index in ``base``'s registry, in one
+    table: ``(mult, None)`` for a non-abelian class and ``(mult, support)``
+    for a simple-module class, its support the canonical one of
+    ``_invariants``, the non-abelian ones first. Memoized on the cover for
+    the base object last used (``pi._indexed``): the registry only grows,
+    so the indices hold."""
     if pi._indexed is None or pi._indexed[0] is not base:
-        inv = invariants(pi)
-        table = {_cover_class(base, c.cover): (c.mult, None) for c in inv.na_classes}
-        for c in inv.ab_classes:
-            index, supp = _support_class(base, c.module, c.supp)
-            table[index] = (c.mult, supp)
-        pi._indexed = (base, table)
+        inv, indices = _invariants(pi, base)
+        values = [(c.mult, None) for c in inv.na_classes]
+        values += [(c.mult, c.supp) for c in inv.ab_classes]
+        pi._indexed = (base, dict(zip(indices, values)))
     return pi._indexed[1]
 
 
@@ -437,14 +413,14 @@ def decompose_fundamental(pi: Cover) -> tuple[list[Cover], GroupHom]:
         factors.extend([cls.cover] * cls.mult)
     for cls in inv.ab_classes:
         space = ch.cohom_space(base, cls.module)
-        zero = ch.CohomClass(space, np.zeros(space.dim_p, dtype=np.int64))
-        values = [ch.CohomClass(space, row) for row in cls.supp] + [zero] * cls.mult
-        factors.extend(ch._extension_covers(base, cls.module, values))
+        zeros = np.zeros((cls.mult, space.dim_p), dtype=np.int64)
+        for row in np.vstack([cls.supp, zeros]):
+            factors.append(ch.extension_from_cocycle(space.representative(row)).cover)
     fp = fiber_product(base, factors, limits)
-    iso = find_isomorphism_over(pi, fp.structure_map)
-    if iso is None:
+    onto = find_isomorphism_over(pi, fp.structure_map)
+    if onto is None:
         raise Incompatible("no isomorphism onto the assembled fiber product")
-    return factors, iso
+    return factors, onto
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,8 @@ class FiniteGroup:
         # the class registry (fundament._class_index): one representative
         # per class of simple modules and of covers with non-abelian kernel
         self._classes: list = []
-        # exact key -> (class index, map onto the representative or None)
-        self._class_of: dict[bytes, tuple[int, object]] = {}
+        # exact key -> class index
+        self._class_of: dict[bytes, int] = {}
         # (class index, bytes of two canonical supports) -> containment
         # (fundament._bounded)
         self._contained: dict[tuple[int, bytes, bytes], bool] = {}

@@ -15,7 +15,8 @@ and the greedy F-basis of a Hom_G space (``independent_rows``,
 ``f_independent_subset``, ``f_basis``) are the package's own code from
 before it decided a lift by ``dominates`` on the pullback and kept one
 F_p basis per Hom_G space, ``invariants_by_quotients`` is the route its
-``invariants`` took before it read the dual pair off the cover itself,
+``invariants`` took before it read the dual pair off the cover itself
+and against the class representative,
 the F-structure and the members that left the package
 (``endo_generator``, ``scalar_matrix``, ``pair_f_rank``,
 ``dual_f_dim``, ``is_equivariant``, ``same_map``, ``is_subgroup_of``)
@@ -712,7 +713,8 @@ def lift_by_matching(pi, tau, tau_prime):
 
 def invariants_by_quotients(pi):
     """The simple-module classes of ``invariants(pi)`` for a fundamental
-    cover, as (module structural key, multiplicity, support rows): per
+    cover, in the cover's own modules, as (module, multiplicity, support
+    rows in the module's H^2 coordinates): per
     class the quotient by its least N gives the module, the quotient by
     the intersection M of its N (built even when M = 1) gives the cover
     whose cochain is pushed through each F_p basis map of Hom_G(K/M, A)
@@ -751,7 +753,7 @@ def invariants_by_quotients(pi):
         images = np.array(images, dtype=np.int64).reshape(len(images), space.dim_p)
         supp, _ = rref_mod_p(images, module.p)
         mult = (len(images) - len(supp)) // gm.endo_field(module).k
-        out.append((module.structural_key(), mult, supp))
+        out.append((module, mult, supp))
     return out
 
 
@@ -888,12 +890,13 @@ def are_isomorphic_extensions(c1, c2):
 
 
 def y2(group, module, values):
-    """The fiber product of the extensions realizing the given classes
-    (the base itself for no classes)."""
-    from covercalc import fiber_product
-    from covercalc.cohomology import _extension_covers
+    """The fiber product of the extensions realizing the given classes of
+    H^2(group, module), each built from its representative cocycle (the
+    base itself for no classes)."""
+    from covercalc import extension_from_cocycle, fiber_product
 
-    return fiber_product(group, _extension_covers(group, module, values)).structure_map
+    covers = [extension_from_cocycle(cls.representative()).cover for cls in values]
+    return fiber_product(group, covers).structure_map
 
 
 def modules_isomorphic(a, b):

@@ -755,12 +755,6 @@ def test_realize_zero_and_nonzero_pair():
     assert find_isomorphism_over(pi, want) is not None
 
 
-def test_realize_rejects_foreign_class():
-    space3 = cohom_space(C3, trivial_module(C3, 3, 1))
-    with pytest.raises(SpaceMismatch):
-        y2(C2, F2TRIV_C2, [CohomClass(space3, np.array([1]))])
-
-
 def test_pair_of_realization_recovers_values():
     # x2(y2(values)) reproduces the prescribed classes: S sends the i-th
     # coordinate projection to values[i]

@@ -79,7 +79,7 @@ from covercalc.errors import (
 from covercalc import gmodules as gm
 from covercalc import groups as groups_module
 from covercalc.cli import Workspace, run_command
-from covercalc.fundament import _cover_class, _cover_through, _module_class, _support_class
+from covercalc.fundament import _cover_class, _cover_through, _module_class
 from covercalc.cohomology import cover_cochain, x2
 from covercalc.gmodules import is_simple_module
 from covercalc.groups import closure_of, maximal_normal_in
@@ -388,7 +388,7 @@ def test_invariants_with_nonabelian_class():
     reps = pi.target._classes
     assert len(reps) == 2
     assert reps[_cover_class(pi.target, t_a5)] is inv.na_classes[0].cover
-    assert reps[_module_class(pi.target, ab.module)[0]] is ab.module
+    assert reps[_module_class(pi.target, ab.module)] is ab.module
 
 
 def test_invariants_require_fundamental():
@@ -403,7 +403,7 @@ def test_invariants_raise_on_every_call_for_non_fundamental():
             invariants(pi)
 
 
-def test_invariants_are_memoized_on_the_cover_and_frozen():
+def test_invariants_are_frozen():
     pi = power_cover(ETA1, 2)
     inv = invariants(pi)
     (ab,) = inv.ab_classes
@@ -470,28 +470,43 @@ def test_comparison_validates_inputs():
 # the per-base class registry, against per-pair matching
 
 
-def _check_canonical(base, module, rows):
-    """The registry's canonical support of ``rows`` is the RREF of what
-    the oracle transports onto the class representative."""
-    index, canon = _support_class(base, module, rows)
-    rep = base._classes[index]
-    iso = oracles.module_iso(module, rep)
+def _check_transported(base, cls, module, rows):
+    """A simple-module class ``cls`` of ``invariants`` over ``base`` is
+    reported by a registered representative, and its support is the RREF
+    of what the oracle transports ``rows`` (coordinates in
+    H^2(base, module)) onto along a module isomorphism."""
+    assert any(cls.module is rep for rep in base._classes)
+    iso = oracles.module_iso(module, cls.module)
     assert iso is not None
     moved = oracles.transport_rows(
-        rows, cohom_space(base, module), iso, cohom_space(base, rep)
+        rows, cohom_space(base, module), iso, cohom_space(base, cls.module)
     )
-    assert np.array_equal(canon, oracles.rref_mod_p(moved, module.p)[0])
-    assert not canon.flags.writeable
+    assert np.array_equal(cls.supp, oracles.rref_mod_p(moved, module.p)[0])
+    assert not cls.supp.flags.writeable
+
+
+def _check_own_route(pi):
+    """Every simple-module class of ``invariants(pi)`` against the
+    oracle's route in the cover's own modules: the same multiplicity, and
+    the own support transported onto the representative. Returns how many
+    own modules have another basis than their representative."""
+    classes = invariants(pi).ab_classes
+    own = oracles.invariants_by_quotients(pi)
+    assert len(classes) == len(own)
+    other_basis = 0
+    for cls, (module, mult, supp) in zip(classes, own):
+        assert cls.mult == mult
+        _check_transported(pi.target, cls, module, supp)
+        other_basis += module.structural_key() != cls.module.structural_key()
+    return other_basis
 
 
 @pytest.mark.parametrize(
     "pool", [POOL_C2_4, POOL_C2_6, POOL_C3], ids=["base-C2-4", "base-C2-6", "base-C3"]
 )
 def test_canonical_supports_match_transport_oracle(pool):
-    base = pool[0].target
     for pi in pool:
-        for cls in invariants(pi).ab_classes:
-            _check_canonical(base, cls.module, cls.supp)
+        _check_own_route(pi)
 
 
 @pytest.mark.parametrize(
@@ -505,8 +520,20 @@ def test_domination_agrees_with_per_pair_matching(pool):
             ), (tau, tau_prime)
 
 
-@pytest.mark.parametrize("pool", [POOL_C2, POOL_C3], ids=["base-C2", "base-C3"])
-def test_equal_table_bases_take_the_same_path(pool):
+EQUAL_TABLE_INPUTS = {
+    "base-C2": lambda: POOL_C2,
+    "base-C3": lambda: POOL_C3,
+    # 2-dimensional modules: copies whose own module has another basis
+    # than the representative of the original base
+    "a4xc2-f4-planes": lambda: f4_plane_covers()[-1],
+}
+
+
+@pytest.mark.parametrize(
+    "make", list(EQUAL_TABLE_INPUTS.values()), ids=list(EQUAL_TABLE_INPUTS)
+)
+def test_equal_table_bases_take_the_same_path(make):
+    pool = make()
     base = FiniteGroup(pool[0].target.mul.copy(), name="copy")
     copy = [Cover(c.source, base, c.image) for c in pool]
     for i, j in product(range(len(pool)), repeat=2):
@@ -604,15 +631,7 @@ def test_invariants_match_the_joint_quotient_route():
     a5_c2 = fiber_product(trivial_group(), [terminal_cover(alt5()), terminal_cover(C2)])
     covers = POOL_C2 + POOL_C3 + POOL_C2_6 + s3_trivial_and_sign_covers()
     for pi in covers + [a5_c2.structure_map]:
-        got = [
-            (c.module.structural_key(), c.mult, c.supp.shape, c.supp.tobytes())
-            for c in invariants(pi).ab_classes
-        ]
-        want = [
-            (key, mult, supp.shape, supp.tobytes())
-            for key, mult, supp in oracles.invariants_by_quotients(pi)
-        ]
-        assert got == want
+        _check_own_route(pi)
 
 
 def test_invariants_build_one_quotient_per_cover_of_the_c2_pool(monkeypatch):
@@ -630,7 +649,7 @@ def test_invariants_build_one_quotient_per_cover_of_the_c2_pool(monkeypatch):
         before = len(calls)
         (cls,) = invariants(pi).ab_classes
         assert len(calls) - before == 1
-        assert cls.module is C2._classes[_module_class(C2, cls.module)[0]]  # registered
+        assert cls.module is C2._classes[_module_class(C2, cls.module)]  # registered
     assert not invariants(pool[0]).ab_classes  # the identity cover
 
 
@@ -669,7 +688,7 @@ def test_second_pass_is_lookups(monkeypatch):
 
     want = one_pass()
     calls = []
-    for name in ("invariants", "_support_class", "row_space_le"):
+    for name in ("_invariants", "row_space_le"):
         real = getattr(fu, name)
         monkeypatch.setattr(fu, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
     assert one_pass() == want
@@ -690,27 +709,47 @@ def a4xc2_f4_planes():
     return g, plane, other
 
 
+def extension_cover(space, coords):
+    """The extension cover realizing the class ``coords`` of ``space``."""
+    rep = CohomClass(space, np.array(coords)).representative()
+    return extension_from_cocycle(rep).cover
+
+
+def f4_plane_covers():
+    """The A4xC2 F4-planes with the extension covers of four classes,
+    built in the stored basis and then in the other. The stored one is
+    registered first, so it is the representative of the other's covers,
+    which read their supports in another basis than their own module's."""
+    g, plane, other = a4xc2_f4_planes()
+    assert _module_class(g, plane) == _module_class(g, other) == 0
+    covers = [
+        extension_cover(cohom_space(g, module), coords)
+        for module in (plane, other)
+        for coords in ([0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 1, 1, 0])
+    ]
+    return g, plane, other, covers
+
+
 def test_supports_are_carried_between_isomorphic_modules():
     # the pools' modules are 1-dimensional, so every isomorphic pair has
-    # one key and nothing is moved; here H^2 is 2-dimensional over F4, so
-    # a support read in a module with another basis has other coordinates
-    g, plane, other = a4xc2_f4_planes()
-    spaces = [cohom_space(g, plane), cohom_space(g, other)]
-    assert spaces[0].f_dim == 2
-    assert _module_class(g, plane) == (0, None)
-    assert _module_class(g, other)[0] == 0
-    covers = []
-    for module, space in zip((plane, other), spaces):
-        scalars = oracles.scalar_matrix(space)
+    # one key; here H^2 is 2-dimensional over F4, so the covers built in
+    # the other basis have an own module that is not the representative,
+    # and every F4-line of theirs is read in the representative's basis
+    g, plane, other, covers = f4_plane_covers()
+    other_basis = []
+    for module in (plane, other):
+        space = cohom_space(g, module)
+        assert space.f_dim == 2
         for coords in product(range(2), repeat=space.dim_p):
-            # the F4-line of coords: its F2-span with its scalar multiple
-            line = np.array([coords, scalars @ coords % 2])
-            _check_canonical(g, module, line)
-        # moving the lines of (1,0,0,1) and (0,1,1,0) between the two
-        # modules swaps them; the other lines keep their coordinates
-        for coords in ([0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 1, 1, 0]):
-            rep = CohomClass(space, np.array(coords)).representative()
-            covers.append(extension_from_cocycle(rep).cover)
+            other_basis.append(_check_own_route(extension_cover(space, coords)))
+    assert other_basis == [0] * 16 + [1] * 16
+    # the lines of (1,0,0,1) and (0,1,1,0) in the other basis are those
+    # of (0,1,1,0) and (1,0,0,1) in the stored one; the other lines keep
+    # their coordinates
+    supports = [invariants(pi).ab_classes[0].supp for pi in covers]
+    for a, b in ((0, 4), (1, 5), (2, 7), (3, 6)):
+        assert np.array_equal(supports[a], supports[b])
+    assert not np.array_equal(supports[2], supports[3])
     for tau in covers:
         for tau_prime in covers:
             dom = dominates(tau_prime, tau)
@@ -759,13 +798,7 @@ def test_containment_keys_decode_to_their_supports():
     for split, nonsplit in ((split_cover_c2, nonsplit_cover_c2), (split_cover_c3, nonsplit_cover_c3)):
         pool = cover_pool(split(), nonsplit())  # fresh: an empty registry
         runs.append((pool[0].target, pool + [relabel_cover(c, rng) for c in pool]))
-    g, plane, other = a4xc2_f4_planes()
-    covers = []
-    for module in (plane, other):
-        space = cohom_space(g, module)
-        for coords in ([0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 1, 1, 0]):
-            rep = CohomClass(space, np.array(coords)).representative()
-            covers.append(extension_from_cocycle(rep).cover)
+    g, _, _, covers = f4_plane_covers()
     runs.append((g, covers))
 
     def rank(rows, p):
@@ -811,7 +844,7 @@ def test_pool_base_holds_one_representative_per_class(split, nonsplit, factors):
     for a, b in product(range(len(reps)), repeat=2):
         assert (oracles.module_iso(reps[a], reps[b]) is not None) == (a == b)
     modules = [cls.module for pi in pool for cls in invariants(pi).ab_classes]
-    indices = [_module_class(base, m)[0] for m in modules]
+    indices = [_module_class(base, m) for m in modules]
     assert sorted(set(indices)) == list(range(len(reps)))
     for m, i in zip(modules, indices):
         assert oracles.module_iso(m, reps[i]) is not None
@@ -1050,9 +1083,15 @@ def test_lift_agrees_with_per_pair_matching(make):
             assert exists_semicartesian_lift(
                 pi, tau, tau_prime
             ) == oracles.lift_by_matching(pi, tau, tau_prime), (tau, tau_prime)
+    # the pullback's classes are the inflated classes of tau_prime, with
+    # their inflated supports read in the representatives over pi.source
     for tau_prime in tau_primes:
+        pullback = fiber_product(pi.target, [pi, tau_prime]).projections[0]
+        classes = invariants(pullback).ab_classes
         for cls in invariants(tau_prime).ab_classes:
-            _check_canonical(pi.source, *oracles.lifted_support(pi, cls))
+            module_up, rows = oracles.lifted_support(pi, cls)
+            (up,) = [c for c in classes if oracles.module_iso(module_up, c.module) is not None]
+            _check_transported(pi.source, up, module_up, rows)
 
 
 def _relabeled_setting(pi, taus, tau_primes, rng):
