@@ -132,9 +132,11 @@ def parse_workspace(
         new_groups, new_homs = realize_declarations(
             groups, homs, known_groups=ws.groups, limits=limits
         )
-        for name, hom in new_homs.items():
-            if name in ws.homs or name in ws.groups or name in new_groups:
+        seen = ws.groups.keys() | ws.homs.keys()
+        for name in [*new_groups, *new_homs]:
+            if name in seen:
                 raise UsageError(f"duplicate name {name!r} across input files")
+            seen.add(name)
         ws.groups.update(new_groups)
         ws.homs.update(new_homs)
     return ws

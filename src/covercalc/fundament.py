@@ -14,13 +14,16 @@ The maximal H-normal subgroups N of a kernel K with K/N abelian are read
 off the F_p-modules M_p = K/[K,K]K^p, one per prime p dividing |K/[K,K]|:
 they are the preimages of the maximal submodules (``maximal_normal_in``),
 and each comes with the small action matrices of its top K/N, by which
-``invariants`` groups them into classes before building any quotient.
-Those with K/N non-abelian are centralizers of chief factors inside the
-perfect residual of K; no kernel lists its normal-subgroup lattice.
+``invariants`` matches it against the base's module classes before
+building any quotient. Those with K/N non-abelian are centralizers of
+chief factors inside the perfect residual of K; no kernel lists its
+normal-subgroup lattice.
 
 Classes belong to the base, not to a pair of covers: each base group
-keeps a registry of them (``_class_index``), one representative per
-class, so a class is matched once per base. Every support is read in its
+keeps a registry of them (``base._classes``), one representative per
+class. A simple top is matched by intertwining it with the module
+representatives (``_top_class``); a non-abelian class is keyed and
+searched once per base (``_cover_class``). Every support is read in its
 representative's H^2 coordinates, so no support is carried between
 modules. Comparing two covers then compares class indices,
 multiplicities and canonical supports (``_indexed``).
@@ -32,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cohomology as ch, fiber
+from . import gmodules as gm
 from .errors import (
     BaseMismatch,
     Incompatible,
@@ -45,12 +50,12 @@ from .groups import (
     Subgroup,
     _maximal_tops,
     find_isomorphism_over,
+    generating_set,
     is_indecomposable,
     maximal_normal_in,
     quotient,
     same_group,
 )
-from .gmodules import _intertwiners, _module_iso
 from .linalg import row_space_le
 
 __all__ = [
@@ -197,10 +202,10 @@ def invariants(pi: Cover) -> CoverInvariants:
     through the dual pair of the joint quotient.
 
     Every abelian K/N comes with its action matrices from
-    ``maximal_normal_in``'s module route, so those N are grouped by
-    comparing the small matrices. Only the least N of each class is
-    built as a quotient group, and its module A is looked up in the
-    base's class registry. The dual pair is read against the class's
+    ``maximal_normal_in``'s module route, and these are matched against
+    the base's module representatives (``_top_class``): only a top of a
+    class the base has not met builds H/N, whose kernel module becomes
+    the class's representative. The dual pair is read against the class's
     representative R, so ``module`` is R and ``supp`` is in the
     coordinates of H^2(G, R): by Schur, Hom_G(K, R) is Hom_G(K, A)
     composed with one isomorphism A -> R, so reading against R gives the
@@ -223,31 +228,21 @@ def _invariants(pi: Cover, base: FiniteGroup) -> tuple[CoverInvariants, list[int
     """``invariants(pi)`` read against the registry of ``base`` (a group
     with the table of ``pi.target``), with the registry index of each
     class in order, the non-abelian ones first."""
-    from . import cohomology as ch
-    from . import gmodules as gm
-
     if not is_fundamental(pi):
         raise NotFundamental("invariants need a fundamental cover")
     src = pi.source
     na: dict[int, int] = {}  # class index -> count
-    ab: list[list] = []  # [least N, its top (p, mats), mask of the class's N]
+    ab: dict[int, int] = {}  # class index -> mask of the class's N
     for sub, top in _maximal_tops(src, pi.kernel()):
         if top is None:
             index = _cover_class(base, _cover_through(pi, quotient(src, sub)[1]))
             na[index] = na.get(index, 0) + 1
-            continue
-        for cls in ab:
-            if _same_top(top, cls[1]):
-                cls[2] &= sub.mask
-                break
         else:
-            ab.append([sub, top, sub.mask])
-    indices = list(na)
+            index = _top_class(base, pi, sub, top)
+            ab[index] = ab.get(index, sub.mask) & sub.mask
     ab_classes = []
-    for least, _, common in ab:
-        cov = _cover_through(pi, quotient(src, least)[1])
-        indices.append(_module_class(base, gm.module_from_cover(cov, cov.kernel())))
-        module = base._classes[indices[-1]]
+    for index, common in ab.items():
+        module = base._classes[index]
         if common == 1:  # the class meets in 1: the joint quotient is pi
             joint = pi
         else:
@@ -265,7 +260,7 @@ def _invariants(pi: Cover, base: FiniteGroup) -> tuple[CoverInvariants, list[int
             )
         )
     na_classes = tuple(NaClassInvariant(cover=base._classes[i], mult=m) for i, m in na.items())
-    return CoverInvariants(pi.target, na_classes, tuple(ab_classes)), indices
+    return CoverInvariants(pi.target, na_classes, tuple(ab_classes)), list(na) + list(ab)
 
 
 def _same_top(a: tuple, b: tuple) -> bool:
@@ -275,40 +270,48 @@ def _same_top(a: tuple, b: tuple) -> bool:
     (p, ma), (q, mb) = a, b
     if p != q or ma.shape != mb.shape:
         return False
-    return np.array_equal(ma, mb) or len(_intertwiners(ma, mb, p)) > 0
+    return np.array_equal(ma, mb) or len(gm._intertwiners(ma, mb, p)) > 0
 
 
-def _class_index(base: FiniteGroup, key: bytes, item, match) -> int:
-    """The index of ``item``'s class in ``base``'s registry. ``match(item,
-    rep)``, a map or None, runs only for a key not seen before, against
-    the earlier representatives of the same type; an unmatched item
-    becomes a new representative. The exact key makes equal tables take
-    one path, whichever base object they came with."""
+def _top_class(base: FiniteGroup, pi: Cover, sub: Subgroup, top: tuple) -> int:
+    """Registry index in ``base`` of the simple module K/N, for N = ``sub``
+    with its abelian top ``(p, mats)`` from ``_maximal_tops``. K acts
+    trivially on K/N, so the top is a G-module already: it is compared
+    with each module representative on the images of the source's
+    generators. On a miss H/N ->> G is built and its kernel module becomes
+    the new representative; the tops come sorted, so N is the least of
+    its class in ``pi``."""
+    images = pi.image[list(generating_set(pi.source))]
+    reps = base._classes
+    for index, rep in enumerate(reps):
+        if isinstance(rep, gm.GModule) and _same_top(top, (rep.p, rep.action[images])):
+            return index
+    cov = _cover_through(pi, quotient(pi.source, sub)[1])
+    reps.append(gm.module_from_cover(cov, cov.kernel()))
+    return len(reps) - 1
+
+
+def _cover_class(base: FiniteGroup, cov: Cover) -> int:
+    """Registry index in ``base`` of the class of a cover with non-abelian
+    kernel. A cover not seen before is searched against the earlier
+    non-abelian representatives (``find_isomorphism_over``) and, unmatched,
+    becomes a new one. Memoized on the base (``base._class_of``) by an
+    exact key, the source order, table and image, since a miss costs an
+    isomorphism search: equal tables take one path, whichever base object
+    they came with."""
+    src = cov.source
+    key = np.int64(src.order).tobytes() + src.mul.tobytes() + cov.image.astype(np.int64).tobytes()
     index = base._class_of.get(key)
     if index is None:
         reps = base._classes
         for index, rep in enumerate(reps):
-            if type(rep) is type(item) and match(item, rep) is not None:
+            if isinstance(rep, Cover) and find_isomorphism_over(cov, rep) is not None:
                 break
         else:
             index = len(reps)
-            reps.append(item)
+            reps.append(cov)
         base._class_of[key] = index
     return index
-
-
-def _cover_class(base: FiniteGroup, cov: Cover) -> int:
-    """Registry index of the class of a cover over ``base`` (non-abelian
-    kernel), keyed by its source order, table and image."""
-    src = cov.source
-    key = b"N" + np.int64(src.order).tobytes() + src.mul.tobytes()
-    key += cov.image.astype(np.int64).tobytes()
-    return _class_index(base, key, cov, find_isomorphism_over)
-
-
-def _module_class(base: FiniteGroup, module) -> int:
-    """Registry index of a simple module's class."""
-    return _class_index(base, b"A" + module.structural_key(), module, _module_iso)
 
 
 def _check_comparable(tau_prime: Cover, tau: Cover) -> None:
@@ -392,9 +395,6 @@ def decompose_fundamental(pi: Cover) -> tuple[list[Cover], GroupHom]:
     fiber product of the factors, which is built under the cap
     ``pi.source.order``, its own order.
     """
-    from . import cohomology as ch
-    from .fiber import fiber_product
-
     if not is_fundamental(pi):
         raise NotFundamental("decomposition needs a fundamental cover")
     base = pi.target
@@ -402,7 +402,7 @@ def decompose_fundamental(pi: Cover) -> tuple[list[Cover], GroupHom]:
         return [], GroupHom(pi.source, base, pi.image, check=False)
     limits = BuildLimits(pi.source.order)
     if is_indecomposable(pi):
-        fp = fiber_product(base, [pi], limits)
+        fp = fiber.fiber_product(base, [pi], limits)
         ident = GroupHom(
             pi.source, fp.carrier, np.arange(pi.source.order), check=False
         )
@@ -416,7 +416,7 @@ def decompose_fundamental(pi: Cover) -> tuple[list[Cover], GroupHom]:
         zeros = np.zeros((cls.mult, space.dim_p), dtype=np.int64)
         for row in np.vstack([cls.supp, zeros]):
             factors.append(ch.extension_from_cocycle(space.representative(row)).cover)
-    fp = fiber_product(base, factors, limits)
+    fp = fiber.fiber_product(base, factors, limits)
     onto = find_isomorphism_over(pi, fp.structure_map)
     if onto is None:
         raise Incompatible("no isomorphism onto the assembled fiber product")
@@ -441,8 +441,6 @@ def exists_semicartesian_lift(pi: Cover, tau: Cover, tau_prime: Cover) -> bool:
     same normal subgroups inside it. A P larger than tau.source is no
     quotient of it, and is never built.
     """
-    from .fiber import fiber_product
-
     if not same_group(tau.target, pi.source):
         raise BaseMismatch("tau must cover the source of the base map")
     if not same_group(tau_prime.target, pi.target):
@@ -452,5 +450,5 @@ def exists_semicartesian_lift(pi: Cover, tau: Cover, tau_prime: Cover) -> bool:
     if pi.source.order * tau_prime.kernel().order > tau.source.order:
         return False
     limits = BuildLimits(tau.source.order)
-    pullback = fiber_product(pi.target, [pi, tau_prime], limits).projections[0]
+    pullback = fiber.fiber_product(pi.target, [pi, tau_prime], limits).projections[0]
     return dominates(pullback, tau)

@@ -387,26 +387,16 @@ def _generates(dual: DualSpace) -> bool:
     return rank_mod_p(dual.fp_basis.reshape(-1, d), dual.module.p) == d
 
 
-def _module_iso(a: GModule, b: GModule) -> ModuleHom | None:
-    """The deterministic G-isomorphism between simple modules (the first
-    row of their Hom_G basis), or None when they are not isomorphic. By
-    Schur that basis is empty or its nonzero combinations are all
-    isomorphisms."""
+def first_module_iso(a: GModule, b: GModule) -> ModuleHom:
+    """The deterministic G-isomorphism between isomorphic simple modules:
+    the first row of their Hom_G basis. By Schur that basis is empty or
+    its nonzero combinations are all isomorphisms."""
     if not is_simple_module(a) or not is_simple_module(b):
         raise NotSimple("isomorphism test implemented for simple modules")
-    if a.p != b.p or a.dim != b.dim or not same_group(a.group, b.group):
-        return None
-    basis = _hom_basis(a, b)
+    same = a.p == b.p and a.dim == b.dim and same_group(a.group, b.group)
+    basis = _hom_basis(a, b) if same else ()
     if not len(basis):
-        return None
+        raise NotSimple("modules are not isomorphic simple modules")
     hom = ModuleHom(a, b, basis[0].reshape(b.dim, a.dim))
     assert hom.is_isomorphism()
-    return hom
-
-
-def first_module_iso(a: GModule, b: GModule) -> ModuleHom:
-    """A deterministic G-isomorphism between isomorphic simple modules."""
-    hom = _module_iso(a, b)
-    if hom is None:
-        raise NotSimple("modules are not isomorphic simple modules")
     return hom

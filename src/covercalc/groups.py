@@ -96,10 +96,12 @@ class FiniteGroup:
         self._maximals: dict[int, tuple] = {}  # _maximal_tops, by bound mask
         self._coords: dict[int, object] = {}  # kernel_coordinates, by subgroup mask
         self._spaces: dict[bytes, object] = {}  # cohom_space memo, by module key
-        # the class registry (fundament._class_index): one representative
-        # per class of simple modules and of covers with non-abelian kernel
+        # the class registry: one representative per class of simple
+        # modules (fundament._top_class) and of covers with non-abelian
+        # kernel (fundament._cover_class)
         self._classes: list = []
-        # exact key -> class index
+        # exact key of a non-abelian quotient cover -> class index
+        # (fundament._cover_class)
         self._class_of: dict[bytes, int] = {}
         # (class index, bytes of two canonical supports) -> containment
         # (fundament._bounded)

@@ -57,7 +57,7 @@ class GroupDecl:
     name: str
     line: int
     labels: list[str] = field(default_factory=list)
-    perms: list[tuple[int, ...]] = field(default_factory=list)
+    perms: list[dict[int, int]] = field(default_factory=list)  # cycle maps
 
 
 @dataclass
@@ -71,13 +71,12 @@ class HomDecl:
     images: list[tuple[str, str, int]] = field(default_factory=list)  # label, word, line
 
 
-def _parse_cycles(text: str, line: int, col0: int) -> tuple[int, ...]:
-    """One-line permutation (0-based) from 1-based cycle notation."""
+def _parse_cycles(text: str, line: int, col0: int) -> dict[int, int]:
+    """The cycle map of 1-based cycle notation: each point it names to
+    its image, as written."""
     mapping: dict[int, int] = {}
     pos = 0
     n = len(text)
-    maxpoint = 0
-    seen: set[int] = set()
     while pos < n:
         ch = text[pos]
         if ch.isspace():
@@ -101,15 +100,12 @@ def _parse_cycles(text: str, line: int, col0: int) -> tuple[int, ...]:
         if len(set(points)) != len(points):
             raise ParseError("repeated point inside a cycle", line, col0 + pos + 1)
         for p in points:
-            if p in seen:
+            if p in mapping:
                 raise ParseError(f"point {p} appears in two cycles", line, col0 + pos + 1)
-            seen.add(p)
         for i, p in enumerate(points):
-            mapping[p - 1] = points[(i + 1) % len(points)] - 1
-            maxpoint = max(maxpoint, p)
+            mapping[p] = points[(i + 1) % len(points)]
         pos = close + 1
-    degree = max(maxpoint, 1)
-    return tuple(mapping.get(i, i) for i in range(degree))
+    return mapping
 
 
 def parse_source(text: str) -> tuple[list[GroupDecl], list[HomDecl]]:
@@ -227,9 +223,12 @@ def realize_declarations(
     for decl in groups:
         if decl.name in built or decl.name in out_groups:
             raise ParseError(f"duplicate group name {decl.name!r}", decl.line, 7)
-        group = build_group(
-            decl.perms, labels=tuple(decl.labels), name=decl.name, limits=limits
-        )
+        # the points the block names, numbered 0..k-1 in ascending order,
+        # so that the labels do not set the degree
+        points = sorted(set().union(*decl.perms)) or [1]
+        number = {p: i for i, p in enumerate(points)}
+        perms = [tuple(number[cyc.get(p, p)] for p in points) for cyc in decl.perms]
+        group = build_group(perms, labels=tuple(decl.labels), name=decl.name, limits=limits)
         out_groups[decl.name] = group
         built[decl.name] = group
     out_homs: dict[str, GroupHom] = {}

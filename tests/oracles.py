@@ -19,7 +19,8 @@ F_p basis per Hom_G space, ``invariants_by_quotients`` is the route its
 and against the class representative,
 the F-structure and the members that left the package
 (``endo_generator``, ``scalar_matrix``, ``pair_f_rank``,
-``dual_f_dim``, ``is_equivariant``, ``same_map``, ``is_subgroup_of``)
+``dual_f_dim``, ``is_equivariant``, ``same_map``, ``is_subgroup_of``,
+``module_class``)
 are tools of the tests only, as the package reads End_G(A) through its
 degree alone, and the lemma checkers (``is_fundament_of``,
 ``is_fundament_series``, ``is_fiber_presentation``, ``are_congruent``,
@@ -902,9 +903,33 @@ def y2(group, module, values):
 def modules_isomorphic(a, b):
     """G-isomorphism test for simple modules (Schur: any nonzero hom);
     NotSimple for any other module."""
-    from covercalc.gmodules import _module_iso
+    from covercalc.errors import NotSimple
+    from covercalc.gmodules import first_module_iso, is_simple_module
 
-    return _module_iso(a, b) is not None
+    if not is_simple_module(a) or not is_simple_module(b):
+        raise NotSimple("isomorphism test implemented for simple modules")
+    try:
+        first_module_iso(a, b)
+    except NotSimple:  # simple, so not isomorphic
+        return False
+    return True
+
+
+def module_class(base, module, register=False):
+    """The index of ``module``'s class among the module representatives
+    of ``base``'s class registry, by ``modules_isomorphic``; with
+    ``register``, an unmatched module becomes a new representative, and
+    otherwise it has no index (None)."""
+    from covercalc.gmodules import GModule
+
+    reps = base._classes
+    for index, rep in enumerate(reps):
+        if isinstance(rep, GModule) and modules_isomorphic(module, rep):
+            return index
+    if not register:
+        return None
+    reps.append(module)
+    return len(reps) - 1
 
 
 def subgroup_from_elements(group, elements):

@@ -98,6 +98,16 @@ def test_duplicate_hom_across_files(tmp_path):
         parse_workspace([INTRO, str(clash)])
 
 
+def test_group_named_like_a_hom_clashes_in_either_file_order(tmp_path):
+    # INTRO declares the hom eta0; a group of that name clashes whichever
+    # file is loaded first
+    clash = tmp_path / "clash.grp"
+    clash.write_text("group eta0\ngen a = (1 2)\n")
+    for files in ([INTRO, str(clash)], [str(clash), INTRO]):
+        with pytest.raises(UsageError, match="duplicate name 'eta0' across input files"):
+            parse_workspace(files)
+
+
 # ---------------------------------------------------------------------------
 # expression language
 

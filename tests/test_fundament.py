@@ -79,7 +79,7 @@ from covercalc.errors import (
 from covercalc import gmodules as gm
 from covercalc import groups as groups_module
 from covercalc.cli import Workspace, run_command
-from covercalc.fundament import _cover_class, _cover_through, _module_class
+from covercalc.fundament import _cover_class, _cover_through
 from covercalc.cohomology import cover_cochain, x2
 from covercalc.gmodules import is_simple_module
 from covercalc.groups import closure_of, maximal_normal_in
@@ -388,7 +388,7 @@ def test_invariants_with_nonabelian_class():
     reps = pi.target._classes
     assert len(reps) == 2
     assert reps[_cover_class(pi.target, t_a5)] is inv.na_classes[0].cover
-    assert reps[_module_class(pi.target, ab.module)] is ab.module
+    assert reps[oracles.module_class(pi.target, ab.module)] is ab.module
 
 
 def test_invariants_require_fundamental():
@@ -634,9 +634,19 @@ def test_invariants_match_the_joint_quotient_route():
         _check_own_route(pi)
 
 
-def test_invariants_build_one_quotient_per_cover_of_the_c2_pool(monkeypatch):
-    # the least N of the one class: no joint quotient, no quotient inside
-    # the maximal tops
+def fresh_pools():
+    """The C2 and C3 pools over new bases, whose registries start empty."""
+    return [
+        cover_pool(split_cover_c2(), nonsplit_cover_c2()),
+        cover_pool(split_cover_c3(), nonsplit_cover_c3()),
+    ]
+
+
+def test_invariants_build_a_quotient_only_for_a_new_class(monkeypatch):
+    # the first cover of the one class builds its least N's quotient for
+    # the representative; every later cover matches its top against that
+    # representative and builds none: no joint quotient, no quotient
+    # inside the maximal tops
     fu = importlib.import_module("covercalc.fundament")
     calls = []
     for owner in (fu, groups_module):
@@ -644,35 +654,38 @@ def test_invariants_build_one_quotient_per_cover_of_the_c2_pool(monkeypatch):
         monkeypatch.setattr(
             owner, "quotient", lambda *args, real=real: calls.append(args) or real(*args)
         )
-    pool = cover_pool(ETA0, ETA1, max_factors=3)  # fresh covers: no memos
-    for pi in pool[1:]:
-        before = len(calls)
-        (cls,) = invariants(pi).ab_classes
-        assert len(calls) - before == 1
-        assert cls.module is C2._classes[_module_class(C2, cls.module)]  # registered
-    assert not invariants(pool[0]).ab_classes  # the identity cover
+    for pool in fresh_pools():
+        base = pool[0].target
+        built = []
+        for pi in pool[1:]:
+            before = len(calls)
+            (cls,) = invariants(pi).ab_classes
+            built.append(len(calls) - before)
+            assert cls.module is base._classes[oracles.module_class(base, cls.module)]
+        assert built == [1] + [0] * (len(pool) - 2)
+        assert len(base._classes) == 1
+        assert not invariants(pool[0]).ab_classes  # the identity cover
 
 
 def test_first_invariants_read_each_kernel_once(monkeypatch):
     # the maximal tops and the kernel module of a cover read Ker(pi) in
-    # one set of coordinates, kept on the source; the least N's quotient
-    # reads its own kernel
+    # one set of coordinates, kept on the source; only the first cover of
+    # a class also reads the kernel of its least N's quotient
     computed = []
     real = gm._read_coordinates
     monkeypatch.setattr(
         gm, "_read_coordinates", lambda sub: computed.append(sub) or real(sub)
     )
-    pools = [  # fresh covers: no memos
-        cover_pool(split_cover_c2(), nonsplit_cover_c2()),
-        cover_pool(split_cover_c3(), nonsplit_cover_c3()),
-    ]
-    for pi in pools[0][1:] + pools[1][1:]:
-        before = len(computed)
-        assert len(invariants(pi).ab_classes) == 1
-        assert [sub.parent is pi.source for sub in computed[before:]] == [True, False]
-        assert computed[before].mask == pi.kernel().mask
+    pools = fresh_pools()
+    for pool in pools:
+        for k, pi in enumerate(pool[1:]):
+            before = len(computed)
+            assert len(invariants(pi).ab_classes) == 1
+            want = [True, False] if k == 0 else [True]
+            assert [sub.parent is pi.source for sub in computed[before:]] == want
+            assert computed[before].mask == pi.kernel().mask
     keys = [(id(sub.parent), sub.mask) for sub in computed]
-    assert len(keys) == len(set(keys)) == 2 * 18
+    assert len(keys) == len(set(keys)) == sum(len(pool) for pool in pools)
 
 
 def test_second_pass_is_lookups(monkeypatch):
@@ -721,7 +734,8 @@ def f4_plane_covers():
     registered first, so it is the representative of the other's covers,
     which read their supports in another basis than their own module's."""
     g, plane, other = a4xc2_f4_planes()
-    assert _module_class(g, plane) == _module_class(g, other) == 0
+    assert oracles.module_class(g, plane, register=True) == 0
+    assert oracles.module_class(g, other) == 0
     covers = [
         extension_cover(cohom_space(g, module), coords)
         for module in (plane, other)
@@ -844,7 +858,7 @@ def test_pool_base_holds_one_representative_per_class(split, nonsplit, factors):
     for a, b in product(range(len(reps)), repeat=2):
         assert (oracles.module_iso(reps[a], reps[b]) is not None) == (a == b)
     modules = [cls.module for pi in pool for cls in invariants(pi).ab_classes]
-    indices = [_module_class(base, m) for m in modules]
+    indices = [oracles.module_class(base, m) for m in modules]
     assert sorted(set(indices)) == list(range(len(reps)))
     for m, i in zip(modules, indices):
         assert oracles.module_iso(m, reps[i]) is not None

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from covercalc import BuildLimits, FiniteGroup, same_group
+from covercalc import textio
 from covercalc.errors import OrderCapExceeded, ParseError, UnknownReference
 from covercalc.textio import (
     evaluate_word,
@@ -68,6 +69,31 @@ def test_multi_cycle_generator():
 def test_points_may_be_comma_separated():
     groups, _ = load("group C3\ngen g = (1, 2, 3)\n")
     assert groups["C3"].order == 3
+
+
+def test_point_labels_do_not_set_the_degree(monkeypatch):
+    # a block's points are numbered 0..k-1 in ascending order before the
+    # group is built: a label of 10^6 gives 2 points, not 10^6; a block
+    # naming no point keeps one
+    degrees = []
+    real = textio.build_group
+
+    def spy(perms, **kwargs):
+        degrees.append([len(p) for p in perms])
+        assert all(len(p) <= 3 for p in perms)  # before any large BFS key
+        return real(perms, **kwargs)
+
+    monkeypatch.setattr(textio, "build_group", spy)
+    groups, _ = load(
+        "group A\ngen a = (1 1000000)\n\n"
+        "group B\ngen x = (9 5)(7)\ngen y = (9 7)\n\n"
+        "group E\ngen e = ()\n"
+    )
+    assert degrees == [[2], [3, 3], [1]]
+    assert [groups[n].order for n in "ABE"] == [2, 6, 1]
+    # the same table as the points 1..3
+    s3, _ = load("group B\ngen x = (3 1)(2)\ngen y = (3 2)\n")
+    assert np.array_equal(groups["B"].mul, s3["B"].mul)
 
 
 def test_word_evaluation():
