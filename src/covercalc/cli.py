@@ -476,32 +476,17 @@ def _cmd_invariants(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
     return lines, doc
 
 
-def _cmd_dominates(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
-    if len(args) != 2:
-        raise UsageError("dominates needs: tau_prime tau")
-    tau_prime = parse_cover(ws, args[0])
-    tau = parse_cover(ws, args[1])
-    ans = dominates(tau_prime, tau)
-    return [_bool(ans)], {"command": "dominates", "result": ans}
+def _cmd_decision(name: str, usage: str, decide):
+    """The handler of a yes/no command: one cover per word of ``usage``,
+    parsed left to right and passed to ``decide`` in that order."""
 
+    def run(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
+        if len(args) != len(usage.split()):
+            raise UsageError(f"{name} needs: {usage}")
+        ans = decide(*[parse_cover(ws, a) for a in args])
+        return [_bool(ans)], {"command": name, "result": ans}
 
-def _cmd_isomorphic(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
-    if len(args) != 2:
-        raise UsageError("isomorphic needs: tau tau_prime")
-    tau = parse_cover(ws, args[0])
-    tau_prime = parse_cover(ws, args[1])
-    ans = isomorphic_fundamental(tau, tau_prime)
-    return [_bool(ans)], {"command": "isomorphic", "result": ans}
-
-
-def _cmd_lift(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
-    if len(args) != 3:
-        raise UsageError("lift needs: pi tau tau_prime")
-    pi = parse_cover(ws, args[0])
-    tau = parse_cover(ws, args[1])
-    tau_prime = parse_cover(ws, args[2])
-    ans = exists_semicartesian_lift(pi, tau, tau_prime)
-    return [_bool(ans)], {"command": "lift", "result": ans}
+    return run
 
 
 def _cmd_decompose(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
@@ -536,9 +521,9 @@ _COMMANDS = {
     "fundament": _cmd_fundament,
     "series": _cmd_series,
     "invariants": _cmd_invariants,
-    "dominates": _cmd_dominates,
-    "isomorphic": _cmd_isomorphic,
-    "lift": _cmd_lift,
+    "dominates": _cmd_decision("dominates", "tau_prime tau", dominates),
+    "isomorphic": _cmd_decision("isomorphic", "tau tau_prime", isomorphic_fundamental),
+    "lift": _cmd_decision("lift", "pi tau tau_prime", exists_semicartesian_lift),
     "decompose": _cmd_decompose,
 }
 

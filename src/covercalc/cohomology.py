@@ -406,11 +406,11 @@ def push_cochain(cochain: TwoCochain, matrix: np.ndarray, target: GModule) -> Tw
 
 @dataclass(frozen=True)
 class DualPairS:
-    """Hom(K, A) together with the F-linear map S into H^2(G, A)."""
+    """The F-linear map S from Hom_G(K, A) into H^2(G, A), in the F_p
+    basis of ``hom_space(K, A)``."""
 
-    dual: object  # DualSpace
     space: CohomSpace
-    s_matrix: np.ndarray  # (dim_p H^2) x (fp_dim of dual), over F_p
+    s_matrix: np.ndarray  # (dim_p H^2) x (fp_dim of Hom_G(K, A)), over F_p
 
     @property
     def f_nullity(self) -> int:
@@ -427,8 +427,9 @@ class DualPairS:
 
 
 def x2(pi: Cover, target: GModule) -> DualPairS:
-    """The dual pair of a cover whose kernel is target-generated. The
-    kernel module (memoized on the cover) and Hom_G(K, A) are built once.
+    """The map S of the dual pair (V, S) of a cover whose kernel is
+    target-generated, on the F_p basis of V = ``hom_space(K, A)``. The
+    kernel module (memoized on the cover) and V are built once.
 
     The K-valued cochain f of the cover is pushed through every F_p
     basis map phi of Hom_G(K, A) at once, and ``coordinates_of_flat``
@@ -443,10 +444,10 @@ def x2(pi: Cover, target: GModule) -> DualPairS:
     space = cohom_space(pi.target, target)
     if not len(dual.fp_basis):
         s_matrix = np.zeros((space.dim_p, 0), dtype=np.int64)
-        return DualPairS(dual=dual, space=space, s_matrix=s_matrix)
+        return DualPairS(space=space, s_matrix=s_matrix)
     raw = cover_cochain(pi)
     # pushed[m, x, y] = phi_m(f(x, y)), over the non-identity pairs
     pushed = np.einsum("xyk,mak->mxya", raw.table[1:, 1:], dual.fp_basis)
     flat = pushed.reshape(len(dual.fp_basis), -1)
     s_matrix = space.coordinates_of_flat(flat).T
-    return DualPairS(dual=dual, space=space, s_matrix=s_matrix)
+    return DualPairS(space=space, s_matrix=s_matrix)

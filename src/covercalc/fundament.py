@@ -14,7 +14,7 @@ The maximal H-normal subgroups N of a kernel K with K/N abelian are read
 off the F_p-modules M_p = K/[K,K]K^p, one per prime p dividing |K/[K,K]|:
 they are the preimages of the maximal submodules (``maximal_normal_in``),
 and each comes with the small action matrices of its top K/N, by which
-``invariants`` matches it against the base's module classes before
+``_indexed`` matches it against the base's module classes before
 building any quotient. Those with K/N non-abelian are centralizers of
 chief factors inside the perfect residual of K; no kernel lists its
 normal-subgroup lattice.
@@ -25,8 +25,10 @@ class. A simple top is matched by intertwining it with the module
 representatives (``_top_class``); a non-abelian class is keyed and
 searched once per base (``_cover_class``). Every support is read in its
 representative's H^2 coordinates, so no support is carried between
-modules. Comparing two covers then compares class indices,
-multiplicities and canonical supports (``_indexed``).
+modules. Each cover keeps one table of its classes per base object
+(``_indexed``): class index -> multiplicity and canonical support.
+``invariants`` reads it, and comparing two covers compares the class
+indices, multiplicities and supports of their tables.
 """
 
 from __future__ import annotations
@@ -102,11 +104,14 @@ def is_fundamental(pi: Cover) -> bool:
     return fundament_kernel(pi).is_trivial()
 
 
-def _cover_through(pi: Cover, q: Cover) -> Cover:
-    """The cover induced on the quotient: Ker(q) <= Ker(pi) required."""
-    image = np.empty(q.target.order, dtype=np.int32)
-    image[np.asarray(q.image)] = np.asarray(pi.image)
-    return Cover(q.target, pi.target, image, check=False)
+def _quotient_over(pi: Cover, sub: Subgroup) -> tuple[Cover, Cover]:
+    """``(pi_bar, rho)``: the quotient ``rho`` of the source by ``sub``,
+    a normal subgroup inside Ker(pi), and the cover ``pi_bar`` it
+    induces, with ``pi_bar o rho = pi``."""
+    _, rho = quotient(pi.source, sub)
+    image = np.empty(rho.target.order, dtype=np.int32)
+    image[rho.image] = pi.image
+    return Cover(rho.target, pi.target, image, check=False), rho
 
 
 def fundament(pi: Cover) -> tuple[Cover, Cover]:
@@ -116,10 +121,7 @@ def fundament(pi: Cover) -> tuple[Cover, Cover]:
     ``pi_bar`` is the induced cover, which is fundamental. A fundamental
     ``pi`` returns ``(pi, identity)`` up to carrier relabeling.
     """
-    kernel = fundament_kernel(pi)
-    _, rho = quotient(pi.source, kernel)
-    pi_bar = _cover_through(pi, rho)
-    return pi_bar, rho
+    return _quotient_over(pi, fundament_kernel(pi))
 
 
 @dataclass(frozen=True)
@@ -139,17 +141,16 @@ class FundamentSeries:
 
 
 def fundament_series(pi: Cover) -> FundamentSeries:
-    """Iterate fundament kernels down to 1 and assemble the stage covers."""
-    src = pi.source
+    """Iterate fundament kernels down to 1 and assemble the stage covers:
+    each stage is induced by the quotient of the source by the next
+    kernel, over the quotient by the one before (over ``pi`` first)."""
     kernels: list[Subgroup] = [pi.kernel()]
-    quotients: list[Cover] = [quotient(src, kernels[0])[1]]
-    while kernels[-1].order > 1:
-        kernels.append(fundament_kernel(quotients[-1]))
-        quotients.append(quotient(src, kernels[-1])[1])
     stages: list[Cover] = []
-    for k in range(1, len(kernels)):
-        over = pi if k == 1 else quotients[k - 1]
-        stages.append(_cover_through(over, quotients[k]))
+    over = pi
+    while kernels[-1].order > 1:
+        kernels.append(fundament_kernel(over))
+        stage, over = _quotient_over(over, kernels[-1])
+        stages.append(stage)
     return FundamentSeries(cover=pi, kernels=tuple(kernels), stage_covers=tuple(stages))
 
 
@@ -194,40 +195,56 @@ class CoverInvariants:
 
 
 def invariants(pi: Cover) -> CoverInvariants:
-    """Classification invariants of a fundamental cover.
+    """Classification invariants of a fundamental cover: its table of
+    classes in the registry of its base (``_indexed``), each index read as
+    the class's representative. A non-abelian class reports its
+    representative cover, a simple-module class its representative
+    module R with End_G(R), the support in the coordinates of H^2(G, R)
+    and the multiplicity, in table order, the non-abelian ones first.
+
+    No memo of its own: a later ``invariants``, decision or
+    ``decompose_fundamental`` of the cover over the same base object
+    reads the table already built. The ``supp`` arrays are read-only, as
+    is ``pi.image``.
+    """
+    base = pi.target
+    na, ab = [], []
+    for index, (mult, supp) in _indexed(base, pi).items():
+        rep = base._classes[index]
+        if supp is None:
+            na.append(NaClassInvariant(rep, mult))
+        else:
+            ab.append(AbClassInvariant(rep, gm.endo_field(rep), supp, mult))
+    return CoverInvariants(base, tuple(na), tuple(ab))
+
+
+def _indexed(base: FiniteGroup, pi: Cover) -> dict:
+    """The classes of ``pi`` by their index in the registry of ``base`` (a
+    group with the table of ``pi.target``), in one table: ``(mult, None)``
+    for a non-abelian class and ``(mult, supp)`` for a simple-module class,
+    the non-abelian ones first. Memoized on the cover, one table per base
+    object (``pi._indexed``): the registry only grows, so the indices hold.
 
     The indecomposable quotient covers H/N ->> G, for N ranging over the
-    maximal H-normal subgroups of Ker(pi), are grouped by kernel type,
-    and per simple-module class (support, multiplicity) is computed
-    through the dual pair of the joint quotient.
-
+    maximal H-normal subgroups of Ker(pi), are grouped by kernel type.
     Every abelian K/N comes with its action matrices from
     ``maximal_normal_in``'s module route, and these are matched against
     the base's module representatives (``_top_class``): only a top of a
     class the base has not met builds H/N, whose kernel module becomes
     the class's representative. The dual pair is read against the class's
-    representative R, so ``module`` is R and ``supp`` is in the
-    coordinates of H^2(G, R): by Schur, Hom_G(K, R) is Hom_G(K, A)
-    composed with one isomorphism A -> R, so reading against R gives the
-    same multiplicity and the carried support. The dual pair is read off
-    the joint quotient by the intersection M of the class's N: when
-    M = 1, as for every fundamental cover with one abelian class, that
-    is ``pi`` itself, whose memoized kernel module serves it, and
-    otherwise H/M is built. A non-abelian K/N has no module: H/N is
-    built, matched against the base's non-abelian classes, and the
-    class's representative is reported.
-
-    Not memoized: a decision reads the cover's classes from ``_indexed``
-    and a command computes them once. The ``supp`` arrays are read-only,
-    as is ``pi.image``.
+    representative R, so ``supp`` is in the coordinates of H^2(G, R): by
+    Schur, Hom_G(K, R) is Hom_G(K, A) composed with one isomorphism
+    A -> R, so reading against R gives the same multiplicity and the
+    carried support. The dual pair is read off the joint quotient by the
+    intersection M of the class's N: when M = 1, as for every fundamental
+    cover with one abelian class, that is ``pi`` itself, whose memoized
+    kernel module serves it, and otherwise H/M is built. A non-abelian K/N
+    has no module: H/N is built and matched against the base's
+    non-abelian classes (``_cover_class``).
     """
-    return _invariants(pi, pi.target)[0]
-
-
-def _invariants(pi: Cover, base: FiniteGroup) -> tuple[CoverInvariants, list[int]]:
-    """``invariants(pi)`` read against the registry of ``base`` (a group
-    with the table of ``pi.target``), with the registry index of each
-    class in order, the non-abelian ones first."""
+    table = pi._indexed.get(base)
+    if table is not None:
+        return table
     if not is_fundamental(pi):
         raise NotFundamental("invariants need a fundamental cover")
     src = pi.source
@@ -235,32 +252,24 @@ def _invariants(pi: Cover, base: FiniteGroup) -> tuple[CoverInvariants, list[int
     ab: dict[int, int] = {}  # class index -> mask of the class's N
     for sub, top in _maximal_tops(src, pi.kernel()):
         if top is None:
-            index = _cover_class(base, _cover_through(pi, quotient(src, sub)[1]))
+            index = _cover_class(base, _quotient_over(pi, sub)[0])
             na[index] = na.get(index, 0) + 1
         else:
             index = _top_class(base, pi, sub, top)
             ab[index] = ab.get(index, sub.mask) & sub.mask
-    ab_classes = []
+    table = {index: (mult, None) for index, mult in na.items()}
     for index, common in ab.items():
-        module = base._classes[index]
         if common == 1:  # the class meets in 1: the joint quotient is pi
             joint = pi
         else:
             inside = tuple(x for x in pi.kernel().elements if common >> x & 1)
-            joint = _cover_through(pi, quotient(src, Subgroup(src, inside))[1])
-        pair = ch.x2(joint, module)
+            joint = _quotient_over(pi, Subgroup(src, inside))[0]
+        pair = ch.x2(joint, base._classes[index])
         supp = pair.image_rows()
         supp.flags.writeable = False
-        ab_classes.append(
-            AbClassInvariant(
-                module=module,
-                endo_field=pair.dual.endo_field,
-                supp=supp,
-                mult=pair.f_nullity,
-            )
-        )
-    na_classes = tuple(NaClassInvariant(cover=base._classes[i], mult=m) for i, m in na.items())
-    return CoverInvariants(pi.target, na_classes, tuple(ab_classes)), list(na) + list(ab)
+        table[index] = (pair.f_nullity, supp)
+    pi._indexed[base] = table
+    return table
 
 
 def _same_top(a: tuple, b: tuple) -> bool:
@@ -286,7 +295,7 @@ def _top_class(base: FiniteGroup, pi: Cover, sub: Subgroup, top: tuple) -> int:
     for index, rep in enumerate(reps):
         if isinstance(rep, gm.GModule) and _same_top(top, (rep.p, rep.action[images])):
             return index
-    cov = _cover_through(pi, quotient(pi.source, sub)[1])
+    cov = _quotient_over(pi, sub)[0]
     reps.append(gm.module_from_cover(cov, cov.kernel()))
     return len(reps) - 1
 
@@ -319,21 +328,6 @@ def _check_comparable(tau_prime: Cover, tau: Cover) -> None:
         raise BaseMismatch("covers are over different base groups")
     if not is_fundamental(tau_prime) or not is_fundamental(tau):
         raise NotFundamental("comparison needs fundamental covers")
-
-
-def _indexed(base: FiniteGroup, pi: Cover) -> dict:
-    """The classes of ``pi`` by their index in ``base``'s registry, in one
-    table: ``(mult, None)`` for a non-abelian class and ``(mult, support)``
-    for a simple-module class, its support the canonical one of
-    ``_invariants``, the non-abelian ones first. Memoized on the cover for
-    the base object last used (``pi._indexed``): the registry only grows,
-    so the indices hold."""
-    if pi._indexed is None or pi._indexed[0] is not base:
-        inv, indices = _invariants(pi, base)
-        values = [(c.mult, None) for c in inv.na_classes]
-        values += [(c.mult, c.supp) for c in inv.ab_classes]
-        pi._indexed = (base, dict(zip(indices, values)))
-    return pi._indexed[1]
 
 
 def _bounded(base: FiniteGroup, index: int, mult: int, supp, table: dict) -> bool:

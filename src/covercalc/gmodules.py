@@ -225,6 +225,15 @@ def _read_coordinates(sub: Subgroup) -> KernelCoords:
     return KernelCoords(p, dim, tuple(basis), vectors)
 
 
+def _conjugation_matrices(coords: KernelCoords, group: FiniteGroup, elements) -> np.ndarray:
+    """The matrices of conjugation by each of ``elements`` on the subgroup
+    of ``group`` that ``coords`` reads: column j of the matrix of e is the
+    vector of e·b_j·e^-1, for the basis elements b_j."""
+    e = np.asarray(elements, dtype=np.intp)[:, None]
+    basis = np.asarray(coords.basis_elements, dtype=np.intp)
+    return coords.vectors[group.mul[group.mul[e, basis], group.inv[e]]].transpose(0, 2, 1)
+
+
 def module_from_cover(pi: Cover, sub: Subgroup) -> GModule:
     """The conjugation module on ``sub`` induced along ``pi``.
 
@@ -253,21 +262,16 @@ def _module_and_coords(pi: Cover, sub: Subgroup) -> tuple[GModule, KernelCoords]
     if not _commute(src, ker.elements, sub.elements):
         raise NotCentralInKernel("subgroup is not centralized by the kernel")
     coords = kernel_coordinates(sub)
-    base = pi.target
-    section = pi.fibers[:, 0]
-    # column j of the matrix for g is the vector of s·b_j·s^-1, s = section[g]
-    basis = np.asarray(coords.basis_elements, dtype=np.intp)
-    conj = src.mul[src.mul[section[:, None], basis], src.inv[section][:, None]]
-    mats = coords.vectors[conj].transpose(0, 2, 1) % coords.p
-    out = GModule(base, coords.p, mats, check=True), coords
+    mats = _conjugation_matrices(coords, src, pi.fibers[:, 0])
+    out = GModule(pi.target, coords.p, mats, check=True), coords
     if is_kernel:
         pi._kernel_module = out
     return out
 
 
-def trivial_module(group: FiniteGroup, p: int, dim: int = 1) -> GModule:
-    ident = np.eye(dim, dtype=np.int64)
-    return GModule(group, p, np.broadcast_to(ident, (group.order, dim, dim)), check=False)
+def trivial_module(group: FiniteGroup, p: int) -> GModule:
+    """F_p with every element acting as the identity."""
+    return GModule(group, p, np.ones((group.order, 1, 1), dtype=np.int64), check=False)
 
 
 def direct_sum_module(module: GModule, n: int) -> GModule:

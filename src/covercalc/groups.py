@@ -81,11 +81,16 @@ class FiniteGroup:
         n = mul.shape[0]
         if mul.shape != (n, n):
             raise Incompatible("multiplication table must be square")
-        if not (np.array_equal(mul[0], np.arange(n)) and np.array_equal(mul[:, 0], np.arange(n))):
+        ident = np.arange(n)
+        if not (np.array_equal(mul[0], ident) and np.array_equal(mul[:, 0], ident)):
             raise Incompatible("index 0 must be a two-sided identity")
+        pos = np.argwhere(mul == 0)  # (row, column) of each identity, row-major
+        if len(pos) != n or not (
+            np.array_equal(pos[:, 0], ident) and np.array_equal(np.sort(pos[:, 1]), ident)
+        ):
+            raise Incompatible("every row and column must hold the identity exactly once")
         self.mul = mul
         self.order = n
-        pos = np.argwhere(mul == 0)
         inv = np.empty(n, dtype=np.int32)
         inv[pos[:, 0]] = pos[:, 1]
         self.inv = inv
@@ -357,7 +362,8 @@ def _tops_from_modules(group: FiniteGroup, bound: Subgroup, k_gens, lower, lower
     N_W = {k in K : W·v(k) = 0}, and K/N_W in the coordinates W·v is
     acted on by the C_h with W·A_h = C_h·W.
     """
-    from .gmodules import kernel_coordinates  # gmodules imports this module
+    # gmodules imports this module
+    from .gmodules import _conjugation_matrices, kernel_coordinates
 
     kel = np.asarray(bound.elements, dtype=np.intp)
     h = np.asarray(generating_set(group), dtype=np.intp)
@@ -371,10 +377,7 @@ def _tops_from_modules(group: FiniteGroup, bound: Subgroup, k_gens, lower, lower
             rho = cov.image
         coords = kernel_coordinates(Subgroup(bar, tuple(_distinct(rho[kel], bar.order).tolist())))
         vectors = coords.vectors[rho[kel]]
-        # column j of A_h is the vector of h·b_j·h^-1
-        hb = rho[h][:, None]
-        basis = np.asarray(coords.basis_elements, dtype=np.intp)
-        mats = coords.vectors[bar.mul[bar.mul[hb, basis], bar.inv[hb]]].transpose(0, 2, 1)
+        mats = _conjugation_matrices(coords, bar, rho[h])
         for w in minimal_stable_subspaces(mats, p):
             inside = ~(vectors @ w.T % p).any(axis=1)
             pivots = np.argmax(w != 0, axis=1)  # w is in RREF
@@ -522,6 +525,8 @@ class GroupHom:
         image = np.array(image, dtype=np.int32)  # a private, read-only copy
         if image.shape != (source.order,):
             raise Incompatible("image array has wrong length")
+        if image.min() < 0 or image.max() >= target.order:
+            raise Incompatible("image value is not an element of the target")
         if check:
             if image[0] != 0:
                 raise Incompatible("map does not send identity to identity")
@@ -568,11 +573,12 @@ class GroupHom:
 
 class Cover(GroupHom):
     """A surjective homomorphism; caches its kernel (from the first
-    ``kernel()``), fundament kernel, its table of classes in a base's
-    registry (``_indexed``), and the conjugation module on an elementary
-    abelian kernel with the coordinates it is read in (``_kernel_module``,
-    filled by ``gmodules._module_and_coords`` or, for the extension it
-    builds, by ``cohomology.extension_from_cocycle``)."""
+    ``kernel()``), fundament kernel, its tables of classes, one per base
+    object whose registry they index (``_indexed``), and the conjugation
+    module on an elementary abelian kernel with the coordinates it is
+    read in (``_kernel_module``, filled by ``gmodules._module_and_coords``
+    or, for the extension it builds, by
+    ``cohomology.extension_from_cocycle``)."""
 
     def __init__(self, source, target, image, check: bool = True) -> None:
         super().__init__(source, target, image, check=check)
@@ -580,7 +586,7 @@ class Cover(GroupHom):
             raise Incompatible("cover must be surjective")
         self._kernel: Subgroup | None = None
         self._fundament = None  # fundament.fundament_kernel memo
-        self._indexed = None  # (base, fundament._indexed of it) memo
+        self._indexed: dict = {}  # base -> fundament._indexed of it
         self._kernel_module = None  # (GModule, KernelCoords) of the kernel
 
     def kernel(self) -> Subgroup:

@@ -189,8 +189,8 @@ def cover_pool(split: Cover, nonsplit: Cover, max_factors: int = 3) -> list[Cove
 # coefficient modules
 
 
-def f2_trivial(group=None, dim: int = 1) -> GModule:
-    return trivial_module(group if group is not None else cyclic_group(2), 2, dim)
+def f2_trivial(group=None) -> GModule:
+    return trivial_module(group if group is not None else cyclic_group(2), 2)
 
 
 def f3_sign() -> GModule:

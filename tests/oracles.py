@@ -724,8 +724,8 @@ def invariants_by_quotients(pi):
     go to 0."""
     from covercalc import cohomology as ch
     from covercalc import gmodules as gm
-    from covercalc.fundament import _cover_through, _same_top
-    from covercalc.groups import Subgroup, _maximal_tops, quotient
+    from covercalc.fundament import _quotient_over, _same_top
+    from covercalc.groups import Subgroup, _maximal_tops
 
     src, ker = pi.source, pi.kernel()
     classes = []  # [least N, its top, mask of the class's N]
@@ -740,10 +740,10 @@ def invariants_by_quotients(pi):
             classes.append([sub, top, sub.mask])
     out = []
     for least, _, common in classes:
-        cov = _cover_through(pi, quotient(src, least)[1])
+        cov = _quotient_over(pi, least)[0]
         module = gm.module_from_cover(cov, cov.kernel())
         inside = tuple(x for x in ker.elements if common >> x & 1)
-        joint = _cover_through(pi, quotient(src, Subgroup(src, inside))[1])
+        joint = _quotient_over(pi, Subgroup(src, inside))[0]
         dual = gm.hom_space(gm.module_from_cover(joint, joint.kernel()), module)
         space = ch.cohom_space(pi.target, module)
         raw = ch.cover_cochain(joint)

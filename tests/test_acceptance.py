@@ -61,6 +61,7 @@ from covercalc import (
     is_semi_cartesian,
     isomorphic_fundamental,
     make_square,
+    module_from_cover,
     quotient,
     terminal_cover,
     trivial_group,
@@ -215,7 +216,7 @@ def test_accept_h2_dimensions():
     expected = {"C2": 1, "V4": 3, "C3": 0}
     for name, want in expected.items():
         group = SMALL_GROUPS[name]()
-        module = f2_trivial(group, 1)
+        module = f2_trivial(group)
         space = cohom_space(group, module)
         assert space.f_dim == want
         table = [[int(x) for x in row] for row in group.mul]
@@ -242,7 +243,7 @@ def test_accept_h2_s4_any_labeling():
     for p, want in ((2, 2), (3, 0)):
         _, doc = run_command(ws, "h2", ["S4", f"F{p}triv"])
         assert doc["dim_p"] == want
-        assert cohom_space(relabeled, trivial_module(relabeled, p, 1)).dim_p == want
+        assert cohom_space(relabeled, trivial_module(relabeled, p)).dim_p == want
     elapsed = time.perf_counter() - t0
     assert elapsed < 20.0
     report(
@@ -407,7 +408,7 @@ def test_accept_compactness_above_order_2000():
 
 def _simple_modules():
     return [
-        ("F2-trivial/C2", f2_trivial(C2, 1)),
+        ("F2-trivial/C2", f2_trivial(C2)),
         ("F3-sign/C2", f3_sign()),
         ("F4-plane/C3", f4_over_c3()),
     ]
@@ -454,7 +455,8 @@ def test_accept_duality_round_trip():
                 pi = y2(group, module, vals)
                 assert pi.kernel().order == module.size**kappa
                 pair = x2(pi, module)
-                assert oracles.dual_f_dim(pair.dual) == kappa
+                dual = hom_space(module_from_cover(pi, pi.kernel()), module)
+                assert oracles.dual_f_dim(dual) == kappa
                 stacked = np.array(
                     [v.coords for v in vals], dtype=np.int64
                 ).reshape(kappa, space.dim_p)

@@ -45,6 +45,7 @@ from covercalc import (
     fiber_product,
     find_isomorphism_over,
     first_module_iso,
+    hom_space,
     identity_cover,
     module_from_cover,
     push_cochain,
@@ -79,7 +80,7 @@ C3 = SMALL_GROUPS["C3"]()
 C4 = SMALL_GROUPS["C4"]()
 V4 = SMALL_GROUPS["V4"]()
 
-F2TRIV_C2 = f2_trivial(C2, 1)
+F2TRIV_C2 = f2_trivial(C2)
 F3SIGN = f3_sign()
 F4MOD = f4_over_c3()
 
@@ -98,10 +99,10 @@ def table_rows(group):
 
 H2_CASES = [
     ("C2-F2", lambda: (C2, F2TRIV_C2), 1),
-    ("V4-F2", lambda: (V4, f2_trivial(V4, 1)), 3),
-    ("C3-F2", lambda: (C3, f2_trivial(C3, 1)), 0),
-    ("C3-F3", lambda: (C3, trivial_module(C3, 3, 1)), 1),
-    ("C4-F2", lambda: (C4, f2_trivial(C4, 1)), 1),
+    ("V4-F2", lambda: (V4, f2_trivial(V4)), 3),
+    ("C3-F2", lambda: (C3, f2_trivial(C3)), 0),
+    ("C3-F3", lambda: (C3, trivial_module(C3, 3)), 1),
+    ("C4-F2", lambda: (C4, f2_trivial(C4)), 1),
     ("C2-F3sign", lambda: (C2, F3SIGN), 0),
     ("C3-F4", lambda: (C3, F4MOD), 0),
 ]
@@ -161,7 +162,7 @@ def assert_space_matches_full_system(group, module):
 def test_h2_bases_equal_full_system(name):
     group = builtin(name)
     for p in (2, 3, 5):
-        assert_space_matches_full_system(group, trivial_module(group, p, 1))
+        assert_space_matches_full_system(group, trivial_module(group, p))
 
 
 @pytest.mark.parametrize("keep_generators", [True, False], ids=["stored", "greedy"])
@@ -170,7 +171,7 @@ def test_h2_bases_equal_full_system_relabeled(name, keep_generators):
     group = relabel(builtin(name), random.Random(f"{name}-{keep_generators}"), keep_generators)
     assert bool(group.generators) == keep_generators
     for p in (2, 3, 5):
-        assert_space_matches_full_system(group, trivial_module(group, p, 1))
+        assert_space_matches_full_system(group, trivial_module(group, p))
 
 
 @pytest.mark.parametrize(
@@ -194,11 +195,11 @@ def _oracle_is_cocycle(cochain):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: trivial_module(builtin("S3"), 3, 1),
-        lambda: trivial_module(builtin("D4"), 2, 1),
-        lambda: trivial_module(builtin("Q8"), 2, 1),
-        lambda: trivial_module(relabel(builtin("A4"), random.Random(3), False), 2, 1),
-        lambda: trivial_module(builtin("S4"), 2, 1),
+        lambda: trivial_module(builtin("S3"), 3),
+        lambda: trivial_module(builtin("D4"), 2),
+        lambda: trivial_module(builtin("Q8"), 2),
+        lambda: trivial_module(relabel(builtin("A4"), random.Random(3), False), 2),
+        lambda: trivial_module(builtin("S4"), 2),
         f4_over_c3,
         a4_f4,
     ],
@@ -250,7 +251,7 @@ def test_h2_bases_with_identity_and_repeated_generators():
     group = _with_generators(d4, (0, a, a, b))
     assert generating_set(group) == (0, a, a, b)
     for p in (2, 3, 5):
-        assert_space_matches_full_system(group, trivial_module(group, p, 1))
+        assert_space_matches_full_system(group, trivial_module(group, p))
     c3 = F4MOD.group
     g = generating_set(c3)[0]
     group = _with_generators(c3, (g, 0, g, int(c3.mul[g, g])))
@@ -260,10 +261,10 @@ def test_h2_bases_with_identity_and_repeated_generators():
 @pytest.mark.parametrize(
     "make,columns",
     [
-        (lambda: trivial_module(builtin("A4"), 2, 1), 22),
-        (lambda: trivial_module(builtin("A4"), 3, 1), 22),
-        (lambda: trivial_module(builtin("S4"), 2, 1), 46),
-        (lambda: trivial_module(builtin("S4"), 3, 1), 46),
+        (lambda: trivial_module(builtin("A4"), 2), 22),
+        (lambda: trivial_module(builtin("A4"), 3), 22),
+        (lambda: trivial_module(builtin("S4"), 2), 46),
+        (lambda: trivial_module(builtin("S4"), 3), 46),
         (a4_f4, 44),
     ],
     ids=["A4-F2", "A4-F3", "S4-F2", "S4-F3", "A4-F4"],
@@ -298,8 +299,8 @@ def test_space_is_memoized():
 
 def test_space_cache_key_is_exact():
     # 509 = 7 (mod 251): a key that keeps p modulo a byte confuses them
-    small = cohom_space(C2, trivial_module(C2, 7, 1))
-    big = cohom_space(C2, trivial_module(C2, 509, 1))
+    small = cohom_space(C2, trivial_module(C2, 7))
+    big = cohom_space(C2, trivial_module(C2, 509))
     assert big.p == 509
     assert big is not small
 
@@ -322,7 +323,7 @@ def test_cocycle_identity_detection():
     rep = space.representative(np.array([1]))
     assert rep.is_cocycle()
     # flipping one interior value of a 3x3 table breaks the identity
-    c3space = cohom_space(C3, trivial_module(C3, 3, 1))
+    c3space = cohom_space(C3, trivial_module(C3, 3))
     rep3 = c3space.representative(np.array([1]))
     broken = rep3.table.copy()
     broken[1, 2] = (broken[1, 2] + 1) % 3
@@ -333,7 +334,7 @@ def test_cocycle_identity_detection():
 
 @pytest.mark.parametrize(
     "make",
-    [f4_over_c3, a4_f4, lambda: trivial_module(SMALL_GROUPS["S3"](), 3, 1)],
+    [f4_over_c3, a4_f4, lambda: trivial_module(SMALL_GROUPS["S3"](), 3)],
     ids=["C3-F4", "A4-F4", "S3-F3"],
 )
 def test_class_of_rejects_exactly_the_non_cocycles(make):
@@ -359,7 +360,7 @@ def test_class_of_rejects_exactly_the_non_cocycles(make):
 
 
 def test_class_round_trip_through_representative():
-    space = cohom_space(V4, f2_trivial(V4, 1))
+    space = cohom_space(V4, f2_trivial(V4))
     assert space.dim_p == 3
     for idx in range(8):
         coords = np.array([(idx >> j) & 1 for j in range(3)])
@@ -425,7 +426,7 @@ def test_embed_realizes_the_module():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda name=name, p=p: trivial_module(builtin(name), p, 1)
+        lambda name=name, p=p: trivial_module(builtin(name), p)
         for name in H2_GROUP_NAMES
         for p in (2, 3)
     ]
@@ -451,7 +452,7 @@ def test_extension_stores_the_kernel_module_read_from_scratch(make):
 
 
 def test_extension_rejects_non_cocycle():
-    mod3 = trivial_module(C3, 3, 1)
+    mod3 = trivial_module(C3, 3)
     table = np.zeros((3, 3, 1), dtype=np.int64)
     table[1, 2, 0] = 1  # not a cocycle on its own
     table[2, 1, 0] = 2
@@ -478,7 +479,7 @@ def test_extension_class_round_trip_f4():
     # H^2(C3, F3) instead, plus the nonsplit order-9 cover directly
     n3 = nonsplit_cover_c3()
     kmod = module_from_cover(n3, n3.kernel())
-    target = trivial_module(C3, 3, 1)
+    target = trivial_module(C3, 3)
     ident = first_module_iso(kmod, target)
     cls = cocycle_from_extension(n3, ident)
     assert not cls.is_zero()
@@ -490,7 +491,7 @@ def test_extension_class_round_trip_f4():
 def test_split_cover_has_zero_class():
     s3 = split_cover_c3()
     kmod = module_from_cover(s3, s3.kernel())
-    target = trivial_module(C3, 3, 1)
+    target = trivial_module(C3, 3)
     ident = first_module_iso(kmod, target)
     assert cocycle_from_extension(s3, ident).is_zero()
 
@@ -529,7 +530,7 @@ def test_cocycle_from_extension_validates_identification():
 
 
 def test_congruent_iff_equal_coordinates():
-    space = cohom_space(V4, f2_trivial(V4, 1))
+    space = cohom_space(V4, f2_trivial(V4))
     a = CohomClass(space, np.array([1, 0, 0]))
     b = CohomClass(space, np.array([1, 0, 0]))
     c = CohomClass(space, np.array([0, 1, 0]))
@@ -543,7 +544,7 @@ def test_congruent_iff_equal_coordinates():
 def test_isomorphic_extensions_orbit_under_scalars():
     # over the order-4 endomorphism field scalar multiples stay isomorphic
     c9 = nonsplit_cover_c3().source
-    space = cohom_space(C3, trivial_module(C3, 3, 1))
+    space = cohom_space(C3, trivial_module(C3, 3))
     assert space.dim_p == 1
     one = CohomClass(space, np.array([1]))
     two = CohomClass(space, np.array([2]))
@@ -579,7 +580,7 @@ def _scalar_orbits(space):
 
 @pytest.mark.parametrize(
     "make,dims",
-    [(a4_f4, (2, 2)), (lambda: trivial_module(SMALL_GROUPS["C3xC3"](), 3, 1), (3, 1))],
+    [(a4_f4, (2, 2)), (lambda: trivial_module(SMALL_GROUPS["C3xC3"](), 3), (3, 1))],
     ids=["A4-F4", "C3xC3-F3"],
 )
 def test_isomorphic_extensions_match_scalar_pushes(make, dims):
@@ -607,7 +608,7 @@ def test_inflate_module_pulls_back_action():
     for g in range(pi.source.order):
         assert np.array_equal(up.action[g], F3SIGN.action[int(pi.image[g])])
     with pytest.raises(Incompatible):
-        inflate_module(pi, trivial_module(C3, 3, 1))
+        inflate_module(pi, trivial_module(C3, 3))
 
 
 def test_inflate_along_identity_is_identity():
@@ -635,7 +636,7 @@ def test_inflate_reads_the_table_through_the_cover():
     to_c3 = quotient(a4, v4)[1]
     for cover, module in [
         (split_cover_c2(), F2TRIV_C2),
-        (to_c3, trivial_module(to_c3.target, 3, 1)),
+        (to_c3, trivial_module(to_c3.target, 3)),
     ]:
         space = cohom_space(cover.target, module)
         n = cover.source.order
@@ -651,7 +652,7 @@ def test_inflate_reads_the_table_through_the_cover():
 
 
 def test_inflation_is_additive():
-    space = cohom_space(V4, f2_trivial(V4, 1))
+    space = cohom_space(V4, f2_trivial(V4))
     pi = identity_cover(V4)
     for a_idx in range(4):
         for b_idx in range(4):
@@ -669,8 +670,9 @@ def test_inflation_is_additive():
 
 
 def test_pair_of_nonsplit_order_four():
-    pair = x2(nonsplit_cover_c2(), F2TRIV_C2)
-    assert oracles.dual_f_dim(pair.dual) == 1
+    pi = nonsplit_cover_c2()
+    pair = x2(pi, F2TRIV_C2)
+    assert oracles.dual_f_dim(hom_space(module_from_cover(pi, pi.kernel()), F2TRIV_C2)) == 1
     assert oracles.pair_f_rank(pair) == 1
     assert pair.f_nullity == 0
     assert pair.s_matrix.shape == (1, 1)
@@ -678,8 +680,9 @@ def test_pair_of_nonsplit_order_four():
 
 
 def test_pair_of_split_order_four():
-    pair = x2(split_cover_c2(), F2TRIV_C2)
-    assert oracles.dual_f_dim(pair.dual) == 1
+    pi = split_cover_c2()
+    pair = x2(pi, F2TRIV_C2)
+    assert oracles.dual_f_dim(hom_space(module_from_cover(pi, pi.kernel()), F2TRIV_C2)) == 1
     assert oracles.pair_f_rank(pair) == 0
     assert pair.f_nullity == 1
     assert not pair.s_matrix.any()
@@ -688,15 +691,16 @@ def test_pair_of_split_order_four():
 def test_pair_of_mixed_fiber_product():
     eta0, eta1 = split_cover_c2(), nonsplit_cover_c2()
     fp = fiber_product(eta0.target, [eta0, eta1])
-    pair = x2(fp.structure_map, F2TRIV_C2)
-    assert oracles.dual_f_dim(pair.dual) == 2
+    pi = fp.structure_map
+    pair = x2(pi, F2TRIV_C2)
+    assert oracles.dual_f_dim(hom_space(module_from_cover(pi, pi.kernel()), F2TRIV_C2)) == 2
     assert oracles.pair_f_rank(pair) == 1
     assert pair.f_nullity == 1
 
 
 def test_pair_requires_generated_kernel():
     with pytest.raises(NotAGenerated):
-        x2(sign_cover(), trivial_module(C2, 3, 1))
+        x2(sign_cover(), trivial_module(C2, 3))
 
 
 def test_pair_builds_the_kernel_module_once(monkeypatch):
@@ -768,7 +772,8 @@ def test_pair_of_realization_recovers_values():
         values = [CohomClass(space, c) for c in coord_list]
         pi = y2(C2, F2TRIV_C2, values)
         pair = x2(pi, F2TRIV_C2)
-        assert oracles.dual_f_dim(pair.dual) == len(values)
+        dual = hom_space(module_from_cover(pi, pi.kernel()), F2TRIV_C2)
+        assert oracles.dual_f_dim(dual) == len(values)
         # the image of S is spanned by the prescribed classes
         want = np.array([v.coords for v in values]) % 2
         got = pair.image_rows()
@@ -793,7 +798,7 @@ def test_inflation_commutes_with_the_pairing():
     up_target = inflate_module(v4_to_c2, target)
     up_space = cohom_space(v4_to_c2.source, up_target)
     raw = cover_cochain(eta1)
-    for phi in pair.dual.fp_basis:
+    for phi in hom_space(module_from_cover(eta1, eta1.kernel()), target).fp_basis:
         pushed = push_cochain(raw, phi, target)
         cls = pair.space.class_of(pushed)
         inflated = inflate(v4_to_c2, cls)

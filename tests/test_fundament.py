@@ -79,7 +79,7 @@ from covercalc.errors import (
 from covercalc import gmodules as gm
 from covercalc import groups as groups_module
 from covercalc.cli import Workspace, run_command
-from covercalc.fundament import _cover_class, _cover_through
+from covercalc.fundament import _cover_class, _quotient_over
 from covercalc.cohomology import cover_cochain, x2
 from covercalc.gmodules import is_simple_module
 from covercalc.groups import closure_of, maximal_normal_in
@@ -345,7 +345,7 @@ def test_power_table_of_split_cover():
 def test_power_table_of_nonsplit_cover():
     # kappa non-split copies: multiplicity kappa - 1, support the span of
     # the cover's own class (the full one-dimensional cohomology space)
-    space = cohom_space(C2, f2_trivial(C2, 1))
+    space = cohom_space(C2, f2_trivial(C2))
     assert space.dim_p == 1
     for kappa in range(4):
         pi = power_cover(ETA1, kappa)
@@ -532,20 +532,35 @@ EQUAL_TABLE_INPUTS = {
 @pytest.mark.parametrize(
     "make", list(EQUAL_TABLE_INPUTS.values()), ids=list(EQUAL_TABLE_INPUTS)
 )
-def test_equal_table_bases_take_the_same_path(make):
+def test_equal_table_bases_take_the_same_path(make, monkeypatch):
     pool = make()
     base = FiniteGroup(pool[0].target.mul.copy(), name="copy")
     copy = [Cover(c.source, base, c.image) for c in pool]
-    for i, j in product(range(len(pool)), repeat=2):
-        dom = dominates(pool[j], pool[i])
-        iso = isomorphic_fundamental(pool[i], pool[j])
-        assert dominates(copy[j], copy[i]) == dom
-        assert dominates(copy[j], pool[i]) == dominates(pool[j], copy[i]) == dom
-        assert isomorphic_fundamental(copy[i], copy[j]) == iso
-        assert isomorphic_fundamental(pool[i], copy[j]) == iso
-        assert (find_epimorphism_over(copy[i], copy[j]) is not None) == dom
-        assert (find_isomorphism_over(copy[i], copy[j]) is not None) == iso
+
+    def one_pass():
+        for i, j in product(range(len(pool)), repeat=2):
+            dom = dominates(pool[j], pool[i])
+            iso = isomorphic_fundamental(pool[i], pool[j])
+            assert dominates(copy[j], copy[i]) == dom
+            assert dominates(copy[j], pool[i]) == dominates(pool[j], copy[i]) == dom
+            assert isomorphic_fundamental(copy[i], copy[j]) == iso
+            assert isomorphic_fundamental(pool[i], copy[j]) == iso
+            assert (find_epimorphism_over(copy[i], copy[j]) is not None) == dom
+            assert (find_isomorphism_over(copy[i], copy[j]) is not None) == iso
+
+    one_pass()
     assert len(base._classes) == 1
+    # each cover keeps one table per base object, so switching between
+    # the two bases classifies nothing again
+    calls = _watch_classification(monkeypatch)
+    one_pass()
+    assert calls == []
+    for pi, twin in zip(pool, copy):
+        got, want = invariants(twin), invariants(pi)
+        assert [c.mult for c in got.na_classes] == [c.mult for c in want.na_classes]
+        assert [(c.mult, c.supp.tobytes()) for c in got.ab_classes] == [
+            (c.mult, c.supp.tobytes()) for c in want.ab_classes
+        ]
 
 
 def test_decisions_do_not_depend_on_session_order():
@@ -688,10 +703,23 @@ def test_first_invariants_read_each_kernel_once(monkeypatch):
     assert len(keys) == len(set(keys)) == sum(len(pool) for pool in pools)
 
 
+def _watch_classification(monkeypatch, *more):
+    """The list of calls, by name, to the steps that classify a cover in
+    a base's registry, and to the ``more`` names of ``fundament``."""
+    fu = importlib.import_module("covercalc.fundament")
+    calls = []
+    owners = [(fu, name) for name in ("_top_class", "_cover_class", "quotient", *more)]
+    for owner, name in owners + [(fu.ch, "x2")]:
+        real = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    return calls
+
+
 def test_second_pass_is_lookups(monkeypatch):
     # a warm decision reads each cover's indexed classes and each
     # containment from their memos
-    fu = importlib.import_module("covercalc.fundament")
 
     def one_pass():
         return [
@@ -700,10 +728,7 @@ def test_second_pass_is_lookups(monkeypatch):
         ]
 
     want = one_pass()
-    calls = []
-    for name in ("_invariants", "row_space_le"):
-        real = getattr(fu, name)
-        monkeypatch.setattr(fu, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    calls = _watch_classification(monkeypatch, "row_space_le")
     assert one_pass() == want
     assert calls == []
 
@@ -826,7 +851,7 @@ def test_containment_keys_decode_to_their_supports():
         carried = {  # every canonical support of a cover, by class index
             (i, supp.tobytes())
             for pi in covers
-            for i, (_, supp) in pi._indexed[1].items()
+            for i, (_, supp) in pi._indexed[base].items()
             if supp is not None
         }
         assert base._contained
@@ -999,7 +1024,7 @@ def test_decomposition_requires_fundamental():
 
 def c4_covers():
     c4 = SMALL_GROUPS["C4"]()
-    space = cohom_space(c4, f2_trivial(c4, 1))
+    space = cohom_space(c4, f2_trivial(c4))
     covers = [identity_cover(c4)]
     for coords in ([0], [1]):
         rep = CohomClass(space, np.array(coords)).representative()
@@ -1009,7 +1034,7 @@ def c4_covers():
 
 def v4_covers():
     v4 = SMALL_GROUPS["V4"]()
-    space = cohom_space(v4, f2_trivial(v4, 1))
+    space = cohom_space(v4, f2_trivial(v4))
     covers = [identity_cover(v4)]
     for coords in ([0, 0, 0], [1, 0, 0], [0, 1, 0]):
         rep = CohomClass(space, np.array(coords)).representative()
@@ -1149,7 +1174,7 @@ def _nonfund_over_c2():
     not fundamental."""
     c4 = SMALL_GROUPS["C4"]()
     _, to_c2 = quotient(c4, Subgroup(c4, (0, 2)))
-    space = cohom_space(c4, f2_trivial(c4, 1))
+    space = cohom_space(c4, f2_trivial(c4))
     c8_over_c4 = extension_from_cocycle(
         CohomClass(space, np.array([1])).representative()
     ).cover
@@ -1256,8 +1281,7 @@ def _assert_fundament_routes_agree(pi):
         assert is_fundament_series(stages)
         chains.append(stages)
     for m in normal_subgroups(src, pi.kernel()):
-        rho = quotient(src, m)[1]
-        pi_bar = _cover_through(pi, rho)
+        pi_bar, rho = _quotient_over(pi, m)
         if not is_fundamental(pi_bar):
             continue
         assert is_fundament_of(rho, pi_bar) == (fundament_kernel(pi) == m)

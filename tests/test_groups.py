@@ -31,6 +31,7 @@ from catalog import (
 from covercalc import (
     BuildLimits,
     Cover,
+    FiniteGroup,
     GroupHom,
     Subgroup,
     build_group,
@@ -72,6 +73,21 @@ def test_identity_is_index_zero():
     for g in GROUPS.values():
         assert (g.mul[0] == np.arange(g.order)).all()
         assert (g.mul[:, 0] == np.arange(g.order)).all()
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 1, 2], [1, 2, 2], [2, 2, 2]],  # one identity in all
+        [[0, 1, 2], [1, 0, 0], [2, 1, 1]],  # row 1 twice, row 2 never
+        [[0, 1, 2], [1, 0, 2], [2, 0, 1]],  # column 1 twice, column 2 never
+    ],
+)
+def test_table_holds_the_identity_once_per_row_and_column(table):
+    # with a row or column that misses 0, inverses were read from empty
+    # memory and element_orders did not return
+    with pytest.raises(Incompatible, match="exactly once"):
+        FiniteGroup(table)
 
 
 def test_build_group_is_deterministic():
@@ -520,6 +536,16 @@ def test_hom_check_allocates_no_order_squared_table():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20  # the full-table test took over 100 MB here
+
+
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("image", [[0, 5], [0, 2], [0, -1]])
+def test_hom_rejects_image_values_outside_the_target(image, check):
+    # these raised numpy's IndexError, or read -1 as the last element
+    c2 = GROUPS["C2"]
+    for make in (GroupHom, Cover):
+        with pytest.raises(Incompatible, match="not an element"):
+            make(c2, c2, image, check=check)
 
 
 def test_cover_requires_surjectivity():

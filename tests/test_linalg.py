@@ -203,7 +203,7 @@ COORD_CASES = [(name, p) for name in H2_GROUP_NAMES for p in (2, 3)]
 
 def space_for(name, p):
     group = builtin(name)
-    return cohom_space(group, trivial_module(group, p, 1))
+    return cohom_space(group, trivial_module(group, p))
 
 
 def a4_f4_space():
@@ -315,7 +315,7 @@ def f_item_cases():
     rng = np.random.default_rng(5)
     cases = []
     for module, n in [
-        (trivial_module(builtin("C2"), 2, 1), 3),
+        (trivial_module(builtin("C2"), 2), 3),
         (f3_sign(), 2),
         (f4_over_c3(), 3),
         (_f9_over_c8(), 2),
@@ -353,12 +353,12 @@ def test_f_independent_subset_matches_greedy_scan():
 
 def test_space_is_memoized_on_its_group():
     group = builtin("D4")
-    module = trivial_module(group, 2, 1)
+    module = trivial_module(group, 2)
     space = cohom_space(group, module)
     assert group._spaces[module.structural_key()] is space
-    assert cohom_space(group, trivial_module(group, 2, 1)) is space
+    assert cohom_space(group, trivial_module(group, 2)) is space
     twin = FiniteGroup(group.mul.copy(), name="D4'")
-    twin_space = cohom_space(twin, trivial_module(twin, 2, 1))
+    twin_space = cohom_space(twin, trivial_module(twin, 2))
     assert twin_space is not space and twin._spaces and not set(twin._spaces.values()) & {space}
     assert twin_space.structural_key() == space.structural_key()
     assert not hasattr(covercalc.cohomology, "_space_cache")

@@ -78,7 +78,7 @@ from oracles import (
 C2 = SMALL_GROUPS["C2"]()
 C3 = SMALL_GROUPS["C3"]()
 
-F2TRIV = f2_trivial(C2, 1)
+F2TRIV = f2_trivial(C2)
 F3SIGN = f3_sign()
 F4MOD = f4_over_c3()
 
@@ -325,7 +325,7 @@ def test_structural_key_is_memoized_on_the_module():
 
 
 KEY_CASES = {
-    "trivial": lambda: trivial_module(C3, 2, 2),
+    "trivial": lambda: direct_sum_module(trivial_module(C3, 2), 2),
     "from-cover": lambda: module_from_cover(sign_cover(), sign_cover().kernel()),
     "inflated": lambda: inflate_module(split_cover_c3(), F4MOD),
     "direct-sum": lambda: direct_sum_module(F4MOD, 3),
@@ -425,7 +425,7 @@ def _f16_over_c5():
 
 
 FIELD_CASES = (
-    [lambda p=p: trivial_module(C2, p, 1) for p in (2, 3, 5, 7, 11, 509)]
+    [lambda p=p: trivial_module(C2, p) for p in (2, 3, 5, 7, 11, 509)]
     + [f3_sign, f4_over_c3, _f9_over_c8, _a4_over_c3]
     + [
         lambda cov=cov: _kernel_module(cov())
@@ -536,7 +536,7 @@ def assert_bytes_equal(got, want):
 
 @pytest.mark.parametrize(
     "make",
-    [lambda p=p: trivial_module(C2, p, 1) for p in (2, 3, 509)]
+    [lambda p=p: trivial_module(C2, p) for p in (2, 3, 509)]
     + [f3_sign, f4_over_c3, _f9_over_c8, lambda: conjugated_sum(_f9_over_c8(), 1, 3)],
     ids=["F2", "F3", "F509", "f3-sign", "f4-plane", "f9-plane", "f9-scrambled"],
 )
@@ -550,7 +550,7 @@ def test_endo_field_equals_kron_system(make):
 
 def _hom_system_cases():
     f9 = _f9_over_c8()
-    simples = [trivial_module(C2, p, 1) for p in (3, 509)] + [F2TRIV, F3SIGN, F4MOD, f9]
+    simples = [trivial_module(C2, p) for p in (3, 509)] + [F2TRIV, F3SIGN, F4MOD, f9]
     cases = [(m, m) for m in simples]
     cases += [(direct_sum_module(F4MOD, 2), F4MOD), (direct_sum_module(F3SIGN, 3), F3SIGN)]
     # scrambled coordinates, so that a generator matrix is not symmetric
@@ -565,7 +565,7 @@ def _hom_system_cases():
         for cov in cover_pool(split, nonsplit, max_factors=3):
             if cov.kernel().order >= 4:
                 module = _kernel_module(cov)
-                cases.append((module, trivial_module(split.target, module.p, 1)))
+                cases.append((module, trivial_module(split.target, module.p)))
     return cases
 
 
@@ -589,7 +589,7 @@ def test_hom_space_equals_kron_system():
 
 def test_first_module_iso_rejects_non_isomorphic_and_non_simple():
     with pytest.raises(NotSimple):
-        first_module_iso(trivial_module(C2, 3, 1), F3SIGN)
+        first_module_iso(trivial_module(C2, 3), F3SIGN)
     with pytest.raises(NotSimple):
         first_module_iso(direct_sum_module(F2TRIV, 2), F2TRIV)
     with pytest.raises(NotSimple):
@@ -613,7 +613,7 @@ def test_hom_space_dimensions(module, n):
 
 
 def test_hom_space_between_distinct_simples_is_zero():
-    triv3 = trivial_module(C2, 3, 1)
+    triv3 = trivial_module(C2, 3)
     dual = hom_space(triv3, F3SIGN)
     assert dual_f_dim(dual) == 0 and len(dual.fp_basis) == 0
     assert not modules_isomorphic(triv3, F3SIGN)
@@ -623,7 +623,7 @@ def test_hom_space_mismatches():
     with pytest.raises(CharacteristicMismatch):
         hom_space(F2TRIV, F3SIGN)
     with pytest.raises(Incompatible):
-        hom_space(trivial_module(C3, 2, 1), F2TRIV)
+        hom_space(trivial_module(C3, 2), F2TRIV)
 
 
 def test_direct_sum_is_block_diagonal():
@@ -697,8 +697,8 @@ def test_coordinate_projections_are_an_f_basis():
 @pytest.mark.parametrize("module", SIMPLES, ids=SIMPLE_IDS)
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_sums_are_generated(module, n):
-    big = direct_sum_module(module, n) if n else trivial_module(
-        module.group, module.p, 0
+    big = direct_sum_module(module, n) if n else direct_sum_module(
+        trivial_module(module.group, module.p), 0
     )
     assert is_A_generated(big, module)
 
@@ -710,7 +710,7 @@ def test_mixed_module_is_not_generated():
         (np.eye(2, dtype=np.int64), np.diag([1, -1]).astype(np.int64) % 3),
     )
     assert not is_A_generated(mixed, F3SIGN)
-    assert not is_A_generated(mixed, trivial_module(C2, 3, 1))
+    assert not is_A_generated(mixed, trivial_module(C2, 3))
     with pytest.raises(NotAGenerated):
         decompose_isotypic(mixed, F3SIGN)
 
