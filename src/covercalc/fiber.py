@@ -21,7 +21,6 @@ from .groups import (
     Cover,
     DEFAULT_LIMITS,
     FiniteGroup,
-    _has_proper_supplement,
     identity_cover,
     same_group,
 )
@@ -130,10 +129,13 @@ def fiber_product(
 def is_compact_fiber_product(fp: FiberProduct) -> bool:
     """True iff no proper subgroup of the carrier surjects onto every factor.
 
-    One search at every order: ``_has_proper_supplement`` over the
-    projections, which backtracks over one preimage per generator of each
-    factor. Raises EmptyFactorList for the empty product.
+    Read off the factors' class tables, with no search over the carrier:
+    for k >= 2 the product of the first k - 1 factors and the k-th share
+    no indecomposable quotient cover (``fundament._compact_over``). Raises
+    EmptyFactorList for the empty product.
     """
     if fp.arity == 0:
         raise EmptyFactorList("compactness needs at least one factor")
-    return not _has_proper_supplement(fp.carrier, fp.projections)
+    from .fundament import _compact_over  # fundament builds fiber products
+
+    return _compact_over(fp.base, fp.factors)

@@ -58,7 +58,7 @@ from .groups import (
     quotient,
     same_group,
 )
-from .linalg import row_space_le
+from .linalg import rank_mod_p, row_space_le
 
 __all__ = [
     "CoverInvariants",
@@ -321,6 +321,38 @@ def _cover_class(base: FiniteGroup, cov: Cover) -> int:
             reps.append(cov)
         base._class_of[key] = index
     return index
+
+
+def _compact_over(base: FiniteGroup, factors) -> bool:
+    """Whether the fiber product over ``base`` of ``factors`` is compact.
+
+    A subgroup of A x_G B onto both is the graph of an isomorphism over G
+    of quotient covers of A and B (Goursat), so P_k = P_(k-1) x_G H_k is
+    compact iff P_(k-1) is and the two share no indecomposable quotient
+    cover. A cover's indecomposable quotients are its fundament's, read
+    off its table (``_indexed``): each non-abelian class; per module class
+    the split quotient when mult > 0 and each nonzero class of its
+    support. While no class is shared, the running table of P_(k-1) is
+    the factors' tables with multiplicities added and supports stacked,
+    the sum being direct.
+    """
+    if len(factors) < 2:
+        return True
+    run: dict = {}
+    for cov in factors:
+        table = _indexed(base, cov if is_fundamental(cov) else fundament(cov)[0])
+        for index, (mult, supp) in table.items():
+            if index not in run:
+                run[index] = (mult, supp)
+                continue
+            have, span = run[index]
+            if supp is None or (mult and have):
+                return False
+            stacked = np.vstack([span, supp])
+            if rank_mod_p(stacked, base._classes[index].p) < len(stacked):
+                return False  # the supports meet in a nonzero class
+            run[index] = (have + mult, stacked)
+    return True
 
 
 def _check_comparable(tau_prime: Cover, tau: Cover) -> None:

@@ -78,22 +78,20 @@ class FiniteGroup:
         generator_labels: tuple[str, ...] = (),
     ) -> None:
         mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int32))
-        n = mul.shape[0]
-        if mul.shape != (n, n):
-            raise Incompatible("multiplication table must be square")
+        n = mul.shape[0] if mul.ndim else 0
+        if not n or mul.shape != (n, n):
+            raise Incompatible("multiplication table must be a nonempty square")
         ident = np.arange(n)
         if not (np.array_equal(mul[0], ident) and np.array_equal(mul[:, 0], ident)):
             raise Incompatible("index 0 must be a two-sided identity")
-        pos = np.argwhere(mul == 0)  # (row, column) of each identity, row-major
-        if len(pos) != n or not (
-            np.array_equal(pos[:, 0], ident) and np.array_equal(np.sort(pos[:, 1]), ident)
-        ):
-            raise Incompatible("every row and column must hold the identity exactly once")
+        if mul.min() < 0 or mul.max() >= n:
+            raise Incompatible(f"table entries must lie in 0..{n - 1}")
+        if not _is_latin(mul):
+            raise Incompatible("every row and column must hold each element exactly once")
         self.mul = mul
         self.order = n
-        inv = np.empty(n, dtype=np.int32)
-        inv[pos[:, 0]] = pos[:, 1]
-        self.inv = inv
+        # each row holds the identity once, at the least entry
+        self.inv = mul.argmin(axis=1).astype(np.int32)
         self.name = name
         self.generators = tuple(int(g) for g in generators)
         self.generator_labels = tuple(generator_labels)
@@ -117,20 +115,45 @@ class FiniteGroup:
     # -- basic structure ----------------------------------------------------
 
     def element_orders(self) -> np.ndarray:
+        """The order of every element, memoized. For each prime power q^a
+        exactly dividing n, x^(n/q^a) has order q^k, the q-part of the
+        order of x, so raising it to the q-th power k times reaches 1.
+        Powers are taken by squaring, for all elements at once; the q-th
+        powers at most a times, so the loop ends on any Latin table."""
         if self._orders is None:
-            out = np.ones(self.order, dtype=np.int32)
-            xs = np.arange(1, self.order)
-            powers, k = xs, 1
-            while xs.size:  # powers[i] = xs[i]^k; drop each x once it hits 0
-                powers, k = self.mul[powers, xs], k + 1
-                done = powers == 0
-                out[xs[done]] = k
-                xs, powers = xs[~done], powers[~done]
+            n = self.order
+            out = np.ones(n, dtype=np.int32)
+            for q in _prime_divisors(n):
+                a, m = 0, n
+                while m % q == 0:
+                    a, m = a + 1, m // q
+                y = _power(self, np.arange(n), m)
+                for _ in range(a):
+                    out[y != 0] *= q
+                    y = _power(self, y, q)
             self._orders = out
         return self._orders
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def _is_latin(mul: np.ndarray) -> bool:
+    """Whether every row and every column of a square table with entries
+    in 0..n-1 holds each of them exactly once. Strips of 64 rows and of
+    64 columns are each scattered into one small flag array, which keeps
+    the writes in cache: O(n²), with no sort."""
+    n = len(mul)
+    for start in range(0, n, 64):
+        rows, cols = mul[start:start + 64], mul[:, start:start + 64]
+        k = len(rows)
+        # row i's entries land in [i·n, (i+1)·n); column j's entry v at v·k + j
+        for flat in (rows + np.arange(0, k * n, n)[:, None], cols * k + np.arange(k)):
+            seen = np.zeros(k * n, dtype=bool)
+            seen[flat.ravel()] = True
+            if not seen.all():
+                return False
+    return True
 
 
 def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
@@ -457,13 +480,14 @@ def _derived_series(group: FiniteGroup, elements) -> tuple:
     return k_gens, lower, lower_gens, elems
 
 
-def _power(group: FiniteGroup, x: int, e: int) -> int:
-    """x^e, by repeated squaring."""
+def _power(group: FiniteGroup, x, e: int):
+    """x^e, by repeated squaring: of an element, or of each element of
+    an index array (then e >= 1)."""
     out = 0
     while e:
         if e & 1:
-            out = int(group.mul[out, x])
-        x = int(group.mul[x, x])
+            out = group.mul[out, x]
+        x = group.mul[x, x]
         e >>= 1
     return out
 
@@ -832,47 +856,6 @@ def _search_hom(tau: Cover, tau_prime: Cover) -> np.ndarray | None:
         return any(passes(i, k) and backtrack(i + 1) for k in candidates[i])
 
     return np.array(img, dtype=np.int32) if backtrack(0) else None
-
-
-def _has_proper_supplement(group: FiniteGroup, covers) -> bool:
-    """Whether some proper subgroup of ``group`` maps onto the target of
-    every cover in ``covers`` (each with source ``group``).
-
-    A minimal such subgroup L is generated by one element of each fiber
-    ``cov.fibers[s]``, over every cover and every s in
-    ``generating_set(cov.target)``: one element of L from each fiber
-    generates a subgroup of L that still maps onto every target. So the
-    search backtracks over the fibers with ``closure_of``, choosing an
-    element only from a fiber the partial subgroup does not meet yet. A
-    branch whose closure is the whole group is pruned, and each (depth,
-    elements) pair is explored once. Choices inside a proper supplement
-    are never pruned, so the search finds one whenever one exists
-    (Holt–Eick–O'Brien, ch. 4; the same shape as ``_search_hom``). The
-    trivial group has no proper subgroup, so it gives False.
-    """
-    n = group.order
-    fibers = [cov.fibers[s].tolist() for cov in covers for s in generating_set(cov.target)]
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-
-    def search(i: int, gens: list[int], elems: tuple[int, ...]) -> bool:
-        member = bytearray(n)
-        for x in elems:
-            member[x] = 1
-        while i < len(fibers) and any(member[x] for x in fibers[i]):
-            i += 1
-        if i == len(fibers):
-            return len(elems) < n
-        for x in fibers[i]:
-            more = gens + [x]
-            sub = closure_of(group, more)
-            if len(sub) == n or (i, sub) in seen:
-                continue
-            seen.add((i, sub))
-            if search(i + 1, more, sub):
-                return True
-        return False
-
-    return search(0, [], (0,))
 
 
 def find_isomorphism_over(pi: Cover, pi_prime: Cover) -> GroupHom | None:

@@ -11,9 +11,10 @@ A square has four covers::
        bottom
 
 The (semi-)cartesian predicates work on kernels, which is both the
-cheapest route and the one stable under recomposition; compactness is the
-supplement search of ``groups``. The remaining textbook criteria are kept
-as test oracles.
+cheapest route and the one stable under recomposition. A cartesian
+square's corner is the fiber product of the right and bottom edges, so
+its compactness is read off their class tables as for any fiber
+product. The remaining textbook criteria are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotCartesian, NotCommutative, SourceTargetMismatch
-from .groups import Cover, _has_proper_supplement, same_group
+from .fundament import _compact_over
+from .groups import Cover, same_group
 
 __all__ = [
     "CommSquare",
@@ -40,10 +42,6 @@ class CommSquare:
     left: Cover
     bottom: Cover
     right: Cover
-
-    @property
-    def corner_source(self):
-        return self.top.source
 
 
 def make_square(top: Cover, left: Cover, bottom: Cover, right: Cover) -> CommSquare:
@@ -87,12 +85,13 @@ def is_compact_cartesian(sq: CommSquare) -> bool:
     """For a cartesian square: no proper subgroup of the corner source
     surjects onto both edges out of it.
 
-    Raises NotCartesian when the square is not cartesian. Otherwise one
-    search, ``_has_proper_supplement`` over the top and left covers. (When
-    the bottom cover is indecomposable this is equivalent to the absence
-    of a surjection g: G ->> B with bottom o g = right; the tests compare
-    the two.)
+    Raises NotCartesian when the square is not cartesian. The corner is
+    then right x_A bottom, so the answer is that of the two-factor fiber
+    product: the right and bottom covers share no indecomposable quotient
+    cover (``fundament._compact_over``). (When the bottom cover is
+    indecomposable this is equivalent to the absence of a surjection
+    g: G ->> B with bottom o g = right; the tests compare the two.)
     """
     if not is_cartesian(sq):
         raise NotCartesian("compactness is defined for cartesian squares only")
-    return not _has_proper_supplement(sq.corner_source, (sq.top, sq.left))
+    return _compact_over(sq.right.target, (sq.right, sq.bottom))

@@ -5,8 +5,12 @@ multiplication tables (tuples of tuples, identity at index 0), subset
 enumeration, exhaustive cochain enumeration, and the degree-2 linear
 systems over every group element, solved by plain dense elimination. It
 never imports the package under test, so agreement between the two is
-meaningful. Six exceptions say why: ``compact_by_independence`` states
-the paper's compactness criterion in the package's own terms, the
+meaningful. Eight exceptions say why: ``compact_by_independence`` states
+the paper's compactness criterion in the package's own terms,
+``has_proper_supplement_by_search`` is the package's own compactness
+search from before it read compactness off the factors' class tables,
+``element_orders_by_steps`` is its element-order loop from before it
+took prime-power parts by squaring, the
 per-pair class matching (``dominates_by_matching``,
 ``lift_by_matching``) is the route the package took before its per-base
 class registry, the per-class inflation formula that ``lift_by_matching``
@@ -141,6 +145,22 @@ def element_order(table, x):
 
 def element_orders(table):
     return sorted(element_order(table, x) for x in range(len(table)))
+
+
+def element_orders_by_steps(mul):
+    """The order of every element of the table ``mul`` (a numpy array),
+    stepping all powers together until the last one reaches 1: the
+    package's own loop from before it took prime-power parts by squaring,
+    O(n·exponent)."""
+    out = np.ones(len(mul), dtype=np.int32)
+    xs = np.arange(1, len(mul))
+    powers, k = xs, 1
+    while xs.size:  # powers[i] = xs[i]^k; drop each x once it hits 0
+        powers, k = mul[powers, xs], k + 1
+        done = powers == 0
+        out[xs[done]] = k
+        xs, powers = xs[~done], powers[~done]
+    return out
 
 
 def is_subgroup_set(table, s):
@@ -381,6 +401,52 @@ def has_proper_supplement(table, maps):
     )
 
 
+def has_proper_supplement_by_search(group, covers) -> bool:
+    """Whether some proper subgroup of ``group`` maps onto the target of
+    every cover in ``covers`` (each with source ``group``).
+
+    A minimal such subgroup L is generated by one element of each fiber
+    ``cov.fibers[s]``, over every cover and every s in
+    ``generating_set(cov.target)``: one element of L from each fiber
+    generates a subgroup of L that still maps onto every target. So the
+    search backtracks over the fibers with ``closure_of``, choosing an
+    element only from a fiber the partial subgroup does not meet yet. A
+    branch whose closure is the whole group is pruned, and each (depth,
+    elements) pair is explored once. Choices inside a proper supplement
+    are never pruned, so the search finds one whenever one exists
+    (Holt–Eick–O'Brien, ch. 4; the same shape as ``_search_hom``). The
+    trivial group has no proper subgroup, so it gives False.
+
+    The package's compactness route before it read compactness off the
+    factors' class tables; it imports the package's closures.
+    """
+    from covercalc.groups import closure_of, generating_set
+
+    n = group.order
+    fibers = [cov.fibers[s].tolist() for cov in covers for s in generating_set(cov.target)]
+    seen: set[tuple[int, tuple[int, ...]]] = set()
+
+    def search(i: int, gens: list[int], elems: tuple[int, ...]) -> bool:
+        member = bytearray(n)
+        for x in elems:
+            member[x] = 1
+        while i < len(fibers) and any(member[x] for x in fibers[i]):
+            i += 1
+        if i == len(fibers):
+            return len(elems) < n
+        for x in fibers[i]:
+            more = gens + [x]
+            sub = closure_of(group, more)
+            if len(sub) == n or (i, sub) in seen:
+                continue
+            seen.add((i, sub))
+            if search(i + 1, more, sub):
+                return True
+        return False
+
+    return search(0, [], (0,))
+
+
 def compact_by_independence(fp):
     """The paper's compactness criterion for a fiber product ``fp`` of
     indecomposable covers: no two factors with non-abelian kernels are
@@ -390,8 +456,9 @@ def compact_by_independence(fp):
 
     Unlike the rest of this file it is built from the package (its
     isomorphism search, modules and H^2), because the criterion is stated
-    in those terms; what makes it a check is that it is a different
-    theorem from the subgroup search that decides compactness.
+    in those terms; what makes it a check is that it compares the factors
+    pairwise, by isomorphism search and extension classes, where the
+    package reads their class tables in the base's registry.
     """
     from covercalc import cohomology as ch
     from covercalc import gmodules as gm

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
 import oracles
@@ -16,6 +18,7 @@ from oracles import (
     kernel_normal_decomposition,
 )
 from catalog import (
+    alt4,
     alt5,
     dihedral4,
     generated_subgroup,
@@ -31,13 +34,19 @@ from catalog import (
 )
 from covercalc import (
     BuildLimits,
+    Cover,
+    GModule,
     Subgroup,
+    cohom_space,
     compose,
     cyclic_group,
+    extension_from_cocycle,
     fiber_product,
     identity_cover,
+    is_compact_cartesian,
     is_compact_fiber_product,
     is_indecomposable,
+    make_square,
     terminal_cover,
     trivial_group,
 )
@@ -311,9 +320,17 @@ def terminal_product(*groups):
 
 
 def swept_compact(fp) -> bool:
-    """Compactness by the oracle's sweep of the whole subgroup lattice."""
+    """Compactness by the oracle's sweep of the whole subgroup lattice,
+    which the search over minimal supplements must match."""
     table = tuple(map(tuple, fp.carrier.mul.tolist()))
-    return not oracles.has_proper_supplement(table, [p.image.tolist() for p in fp.projections])
+    want = not oracles.has_proper_supplement(table, [p.image.tolist() for p in fp.projections])
+    assert searched_compact(fp) == want
+    return want
+
+
+def searched_compact(fp) -> bool:
+    """Compactness by the oracle's search over minimal supplements."""
+    return not oracles.has_proper_supplement_by_search(fp.carrier, fp.projections)
 
 
 C3_PAIRS = [
@@ -354,7 +371,7 @@ def test_independence_route_with_alternating_factor(second):
     # lattice sweep) is not, its two non-abelian factors being isomorphic
     fp = terminal_product(alt5(), second)
     want = oracles.compact_by_independence(fp)
-    assert want == (second.order == 13)
+    assert want == (second.order == 13) == searched_compact(fp)
     assert is_compact_fiber_product(fp) == want
 
 
@@ -377,6 +394,131 @@ def test_compactness_survives_relabeling(fp):
         factors = [relabel_cover(cov, rng) for cov in fp.factors]
         relabeled = fiber_product(fp.base, factors)
         assert is_compact_fiber_product(relabeled) == is_compact_fiber_product(fp)
+
+
+# ---------------------------------------------------------------------------
+# compactness from class tables: atoms, non-fundamental factors, squares
+
+
+def module_on_generators(group, p, mats) -> GModule:
+    """The module on which the stored generators of ``group`` act by
+    ``mats``, its matrices read along a walk of the table."""
+    act = {0: np.eye(len(mats[0]), dtype=np.int64)}
+    walk = [0]
+    for x in walk:  # the loop sees elements appended to it
+        for g, m in zip(group.generators, mats):
+            y = int(group.mul[x, g])
+            if y not in act:
+                act[y] = act[x] @ np.asarray(m) % p
+                walk.append(y)
+    return GModule(group, p, [act[x] for x in range(group.order)])
+
+
+@lru_cache(maxsize=None)
+def atom_pool(name):
+    """Indecomposable covers of S3 or A4, each the extension by a simple
+    module with a given class of H^2 in F_p coordinates, zero for the
+    split one. S3 (a 3-cycle, then a transposition): F3 with the sign,
+    split and not; the natural plane F2², whose H^2 is 0; F2, split and
+    not. A4 (a 3-cycle, then a double transposition): the F4 plane
+    through A4 -> C3, split and two non-split classes that are F4-scalar
+    multiples of each other; F2 and F3, split and not."""
+    base, specs = {
+        "S3": (sym3(), [
+            ([[[1]], [[2]]], 3, [[0], [1]]),
+            ([[[0, 1], [1, 1]], [[0, 1], [1, 0]]], 2, [[]]),
+            ([[[1]], [[1]]], 2, [[0], [1]]),
+        ]),
+        "A4": (alt4(), [
+            ([[[0, 1], [1, 1]], [[1, 0], [0, 1]]], 2, [[0, 0], [1, 0], [1, 1]]),
+            ([[[1]], [[1]]], 2, [[0], [1]]),
+            ([[[1]], [[1]]], 3, [[0], [1]]),
+        ]),
+    }[name]
+    atoms = []
+    for mats, p, classes in specs:
+        space = cohom_space(base, module_on_generators(base, p, mats))
+        assert space.dim_p == len(classes[0])
+        for v in classes:
+            rep = space.representative(np.array(v, dtype=np.int64))
+            atoms.append(extension_from_cocycle(rep).cover)
+    return atoms
+
+
+def oracle_compact(fp) -> bool:
+    """Compactness by the search over minimal supplements, and by the
+    lattice sweep too where that is affordable."""
+    return swept_compact(fp) if fp.carrier.order <= 100 else searched_compact(fp)
+
+
+def last_factor_square(fp):
+    """The cartesian square of P_k = P_(k-1) x_G H_k: top the projection
+    onto H_k, left the projection onto the first k - 1 coordinates,
+    bottom the structure map of P_(k-1), right H_k ->> G."""
+    head = fiber_product(fp.base, fp.factors[:-1])
+    row = {t: i for i, t in enumerate(zip(*(p.image.tolist() for p in head.projections)))}
+    coords = zip(*(p.image.tolist() for p in fp.projections[:-1]))
+    left = Cover(fp.carrier, head.carrier, np.array([row[t] for t in coords], dtype=np.int32))
+    return make_square(fp.projections[-1], left, head.structure_map, fp.factors[-1])
+
+
+def check_compactness(factors, rng) -> bool:
+    """The product of ``factors`` and its last-factor square against the
+    oracles, and again with every factor source relabeled; the oracles'
+    compactness of the product."""
+    fp = fiber_product(factors[0].target, factors)
+    want = oracle_compact(fp)
+    relabeled = fiber_product(fp.base, [relabel_cover(c, rng) for c in factors])
+    assert is_compact_fiber_product(fp) == is_compact_fiber_product(relabeled) == want
+    if len(factors) > 1:
+        sq = last_factor_square(fp)
+        want_sq = not oracles.has_proper_supplement_by_search(sq.top.source, (sq.top, sq.left))
+        assert is_compact_cartesian(sq) == is_compact_cartesian(last_factor_square(relabeled)) == want_sq
+        # onto P_(k-1) means onto its factors, so a compact head decides both alike
+        if oracle_compact(fiber_product(fp.base, factors[:-1])):
+            assert want_sq == want
+    return want
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("base", ["S3", "A4"])
+def test_compactness_of_atom_products(base, arity):
+    # shared split quotients, shared non-split classes (also through the
+    # F4 scalars), modules of two characteristics and a zero H^2. The
+    # third A4 atom's class is an F4 multiple of the second's: the pairs
+    # cover it, and the triples leave it out
+    pool = atom_pool(base)
+    if base == "A4" and arity == 3:
+        pool = pool[:2] + pool[3:]
+    rng = random.Random(arity)
+    for combo in itertools.combinations_with_replacement(range(len(pool)), arity):
+        check_compactness([pool[i] for i in combo], rng)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_compactness_with_non_fundamental_factors(arity):
+    # C4, D4 and Q8 over the point are read through their fundaments
+    # C2, V4 and V4, beside fundamental and decomposable factors
+    groups = {"C2": cyclic_group(2), "C3": cyclic_group(3), "C4": cyclic_group(4),
+              "D4": dihedral4(), "Q8": quaternion8(), "S3": sym3()}
+    rng = random.Random(arity)
+    for names in itertools.combinations_with_replacement(groups, arity):
+        if {"C4", "D4", "Q8"} & set(names):
+            check_compactness([terminal_cover(groups[n]) for n in names], rng)
+
+
+def test_compactness_with_alternating_kernels():
+    # A5 x C2 ->> C2 has a non-abelian class of its own; beside the
+    # order-two atoms and S3 ->> C2 it shares no quotient, and two of
+    # those atoms may. The search oracle is fast with the A5 factor
+    # first; the product's other order must give the same answer
+    a5c2 = terminal_product(alt5(), cyclic_group(2)).projections[1]
+    rng = random.Random(5)
+    others = [ETA0, ETA1, sign_cover()]
+    for r in (1, 2):
+        for combo in itertools.combinations_with_replacement(others, r):
+            want = check_compactness([a5c2, *combo], rng)
+            assert is_compact_fiber_product(make_fprod([*combo, a5c2])) == want
 
 
 # ---------------------------------------------------------------------------

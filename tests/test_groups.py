@@ -90,6 +90,22 @@ def test_table_holds_the_identity_once_per_row_and_column(table):
         FiniteGroup(table)
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 1, 2], [1, 2, 0], [2, 0, 2]],  # 2 twice in the last row and column
+        [[0, 1, 2], [1, 7, 0], [2, 0, 1]],  # an entry past the last element
+        np.zeros((0, 0), dtype=np.int32),  # no element at all
+    ],
+    ids=["repeat", "out-of-range", "empty"],
+)
+def test_table_must_be_a_latin_square(table):
+    # accepted before, the first made element_orders loop forever and the
+    # second failed later with an IndexError; the empty one raised one
+    with pytest.raises(Incompatible):
+        FiniteGroup(table)
+
+
 def test_build_group_is_deterministic():
     a = build_group([(1, 2, 0), (1, 0, 2)])
     b = build_group([(1, 2, 0), (1, 0, 2)])
@@ -215,6 +231,19 @@ def test_element_orders_match_oracle():
         assert g.element_orders().tolist() == [
             oracles.element_order(table, x) for x in range(g.order)
         ]
+
+
+def test_element_orders_match_the_step_loop():
+    # the prime-power parts by squaring give the step loop's arrays byte
+    # for byte: catalog groups, relabeled copies and two large cyclic groups
+    rng = random.Random(5)
+    groups = list(GROUPS.values()) + [alt5(), sym5(), sl2_5()]
+    groups += [relabel(g, rng) for g in list(groups) if g.order > 1]
+    groups += [cyclic_group(n, limits=BuildLimits(order_cap=n)) for n in (4096, 5001)]
+    for g in groups:
+        want = oracles.element_orders_by_steps(g.mul)
+        got = g.element_orders()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), g.name
 
 
 def test_quaternion_matches_symbolic_table():

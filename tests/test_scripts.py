@@ -137,8 +137,6 @@ UNREACHED_BUILDERS = {"compose", "direct_sum_module"}
 KEPT_MEMBERS = {
     # where in the source a parse error sits, next to its line
     "ParseError.column",
-    # the fourth edge of the square, which make_square validated
-    "CommSquare.right",
 }
 
 

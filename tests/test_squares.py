@@ -85,7 +85,7 @@ def tower_triples(h):
 def swept_compact(sq) -> bool:
     """Compactness of a cartesian square by the oracle's sweep of the
     corner's whole subgroup lattice."""
-    table = tuple(map(tuple, sq.corner_source.mul.tolist()))
+    table = tuple(map(tuple, sq.top.source.mul.tolist()))
     return not oracles.has_proper_supplement(
         table, [sq.top.image.tolist(), sq.left.image.tolist()]
     )
@@ -97,7 +97,7 @@ def universal_map(sq):
     fp = fiber_product(sq.bottom.target, [sq.bottom, sq.right])
     coords = zip(*(p.image.tolist() for p in fp.projections))
     index = {t: i for i, t in enumerate(coords)}
-    h = sq.corner_source
+    h = sq.top.source
     img = np.array(
         [
             index[(int(sq.left.image[x]), int(sq.top.image[x]))]
