@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fundament  # the module: fundament imports this one too
 from .errors import EmptyFactorList, OrderCapExceeded, TargetMismatch
 from .groups import (
     BuildLimits,
@@ -136,6 +137,4 @@ def is_compact_fiber_product(fp: FiberProduct) -> bool:
     """
     if fp.arity == 0:
         raise EmptyFactorList("compactness needs at least one factor")
-    from .fundament import _compact_over  # fundament builds fiber products
-
-    return _compact_over(fp.base, fp.factors)
+    return fundament._compact_over(fp.base, fp.factors)

@@ -28,7 +28,9 @@ representative's H^2 coordinates, so no support is carried between
 modules. Each cover keeps one table of its classes per base object
 (``_indexed``): class index -> multiplicity and canonical support.
 ``invariants`` reads it, and comparing two covers compares the class
-indices, multiplicities and supports of their tables.
+indices, multiplicities and supports of their tables. Compactness of a
+fiber product reads the class indices first (``_class_tops``) and a
+support only for a module class that two factors share.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .errors import (
     BaseMismatch,
     Incompatible,
     NotFundamental,
+    OrderCapExceeded,
 )
 from .groups import (
     BuildLimits,
@@ -224,6 +227,27 @@ def _indexed(base: FiniteGroup, pi: Cover) -> dict:
     for a non-abelian class and ``(mult, supp)`` for a simple-module class,
     the non-abelian ones first. Memoized on the cover, one table per base
     object (``pi._indexed``): the registry only grows, so the indices hold.
+    Built from ``_class_tops`` and ``_class_support``.
+    """
+    table = pi._indexed.get(base)
+    if table is None:
+        if not is_fundamental(pi):
+            raise NotFundamental("invariants need a fundamental cover")
+        na, ab, _ = _class_tops(base, pi)
+        table = {index: (mult, None) for index, mult in na.items()}
+        table.update((index, _class_support(base, pi, index)) for index in ab)
+        pi._indexed[base] = table
+    return table
+
+
+def _class_tops(base: FiniteGroup, pi: Cover) -> tuple[dict, dict, dict]:
+    """``(na, ab, supports)``: the classes of the indecomposable quotients
+    of ``pi``, any cover, by registry index in ``base``, with no H^2. ``na``
+    counts each non-abelian class; ``ab`` maps each module class to the
+    mask of the intersection M of its N; ``supports`` is filled by
+    ``_class_support``. Memoized on the cover per base object
+    (``pi._class_tops``). A cover's indecomposable quotients are its
+    fundament's, so a cover that is not fundamental is read as it is.
 
     The indecomposable quotient covers H/N ->> G, for N ranging over the
     maximal H-normal subgroups of Ker(pi), are grouped by kernel type.
@@ -231,45 +255,51 @@ def _indexed(base: FiniteGroup, pi: Cover) -> dict:
     ``maximal_normal_in``'s module route, and these are matched against
     the base's module representatives (``_top_class``): only a top of a
     class the base has not met builds H/N, whose kernel module becomes
-    the class's representative. The dual pair is read against the class's
+    the class's representative. A non-abelian K/N has no module: H/N is
+    built and matched against the base's non-abelian classes
+    (``_cover_class``).
+    """
+    found = pi._class_tops.get(base)
+    if found is None:
+        na: dict[int, int] = {}  # class index -> count
+        ab: dict[int, int] = {}  # class index -> mask of the class's N
+        for sub, top in _maximal_tops(pi.source, pi.kernel()):
+            if top is None:
+                index = _cover_class(base, _quotient_over(pi, sub)[0])
+                na[index] = na.get(index, 0) + 1
+            else:
+                index = _top_class(base, pi, sub, top)
+                ab[index] = ab.get(index, sub.mask) & sub.mask
+        found = pi._class_tops[base] = (na, ab, {})
+    return found
+
+
+def _class_support(base: FiniteGroup, pi: Cover, index: int) -> tuple:
+    """``(mult, supp)`` of the module class ``index`` of ``pi``, memoized in
+    ``_class_tops``. The dual pair is read against the class's
     representative R, so ``supp`` is in the coordinates of H^2(G, R): by
     Schur, Hom_G(K, R) is Hom_G(K, A) composed with one isomorphism
     A -> R, so reading against R gives the same multiplicity and the
-    carried support. The dual pair is read off the joint quotient by the
+    carried support. It is read off the joint quotient by the
     intersection M of the class's N: when M = 1, as for every fundamental
     cover with one abelian class, that is ``pi`` itself, whose memoized
-    kernel module serves it, and otherwise H/M is built. A non-abelian K/N
-    has no module: H/N is built and matched against the base's
-    non-abelian classes (``_cover_class``).
+    kernel module serves it, and otherwise H/M is built. Raises
+    OrderCapExceeded when H^2(G, R) is past the cochain cap.
     """
-    table = pi._indexed.get(base)
-    if table is not None:
-        return table
-    if not is_fundamental(pi):
-        raise NotFundamental("invariants need a fundamental cover")
-    src = pi.source
-    na: dict[int, int] = {}  # class index -> count
-    ab: dict[int, int] = {}  # class index -> mask of the class's N
-    for sub, top in _maximal_tops(src, pi.kernel()):
-        if top is None:
-            index = _cover_class(base, _quotient_over(pi, sub)[0])
-            na[index] = na.get(index, 0) + 1
-        else:
-            index = _top_class(base, pi, sub, top)
-            ab[index] = ab.get(index, sub.mask) & sub.mask
-    table = {index: (mult, None) for index, mult in na.items()}
-    for index, common in ab.items():
+    _, ab, supports = _class_tops(base, pi)
+    found = supports.get(index)
+    if found is None:
+        common = ab[index]
         if common == 1:  # the class meets in 1: the joint quotient is pi
             joint = pi
         else:
             inside = tuple(x for x in pi.kernel().elements if common >> x & 1)
-            joint = _quotient_over(pi, Subgroup(src, inside))[0]
+            joint = _quotient_over(pi, Subgroup(pi.source, inside))[0]
         pair = ch.x2(joint, base._classes[index])
         supp = pair.image_rows()
         supp.flags.writeable = False
-        table[index] = (pair.f_nullity, supp)
-    pi._indexed[base] = table
-    return table
+        found = supports[index] = (pair.f_nullity, supp)
+    return found
 
 
 def _same_top(a: tuple, b: tuple) -> bool:
@@ -329,30 +359,52 @@ def _compact_over(base: FiniteGroup, factors) -> bool:
     A subgroup of A x_G B onto both is the graph of an isomorphism over G
     of quotient covers of A and B (Goursat), so P_k = P_(k-1) x_G H_k is
     compact iff P_(k-1) is and the two share no indecomposable quotient
-    cover. A cover's indecomposable quotients are its fundament's, read
-    off its table (``_indexed``): each non-abelian class; per module class
-    the split quotient when mult > 0 and each nonzero class of its
-    support. While no class is shared, the running table of P_(k-1) is
-    the factors' tables with multiplicities added and supports stacked,
-    the sum being direct.
+    cover. The classes of those quotients are read off each factor's
+    ``_class_tops``, and while no class is shared, those of P_(k-1) are
+    the union of its factors'. A common non-abelian class is a shared
+    quotient; a common module class is decided by
+    ``_shares_module_class``, so H^2 is built only for a class that two
+    factors have.
     """
     if len(factors) < 2:
         return True
-    run: dict = {}
+    having: dict = {}  # class index -> the factors so far with that class
     for cov in factors:
-        table = _indexed(base, cov if is_fundamental(cov) else fundament(cov)[0])
-        for index, (mult, supp) in table.items():
-            if index not in run:
-                run[index] = (mult, supp)
-                continue
-            have, span = run[index]
-            if supp is None or (mult and have):
+        na, ab, _ = _class_tops(base, cov)
+        if any(index in having for index in na):
+            return False
+        for index in ab:
+            if index in having and _shares_module_class(base, index, having[index], cov):
                 return False
-            stacked = np.vstack([span, supp])
-            if rank_mod_p(stacked, base._classes[index].p) < len(stacked):
-                return False  # the supports meet in a nonzero class
-            run[index] = (have + mult, stacked)
+        for index in (*na, *ab):
+            having.setdefault(index, []).append(cov)
     return True
+
+
+def _shares_module_class(base: FiniteGroup, index: int, earlier: list, cov: Cover) -> bool:
+    """Whether ``cov`` shares a quotient cover of the module class ``index``
+    with the fiber product of ``earlier``, the factors before it with the
+    class (those without it have no quotient of the class), which share
+    no class among them. The split quotient is shared when ``cov`` and
+    one of ``earlier`` have mult > 0, a non-split one when the supports
+    meet: the product's support is the direct sum of theirs, so the
+    stacked supports drop rank. Past the cochain cap for H^2 the quotient
+    covers of the class are matched instead, one search per pair.
+    """
+    try:
+        entries = [_class_support(base, c, index) for c in (*earlier, cov)]
+    except OrderCapExceeded:
+        run = earlier[0] if len(earlier) == 1 else fiber.fiber_product(base, earlier).structure_map
+        mine, theirs = (
+            [_quotient_over(c, sub)[0] for sub, top in _maximal_tops(c.source, c.kernel())
+             if top is not None and _top_class(base, c, sub, top) == index]
+            for c in (cov, run)
+        )
+        return any(find_isomorphism_over(a, b) is not None for a in mine for b in theirs)
+    if entries[-1][0] and any(mult for mult, _ in entries[:-1]):
+        return True
+    stacked = np.vstack([supp for _, supp in entries])
+    return rank_mod_p(stacked, base._classes[index].p) < len(stacked)
 
 
 def _check_comparable(tau_prime: Cover, tau: Cover) -> None:

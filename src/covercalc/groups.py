@@ -598,7 +598,8 @@ class GroupHom:
 class Cover(GroupHom):
     """A surjective homomorphism; caches its kernel (from the first
     ``kernel()``), fundament kernel, its tables of classes, one per base
-    object whose registry they index (``_indexed``), and the conjugation
+    object whose registry they index (``_indexed``, and ``_class_tops``
+    with no H^2), and the conjugation
     module on an elementary abelian kernel with the coordinates it is
     read in (``_kernel_module``, filled by ``gmodules._module_and_coords``
     or, for the extension it builds, by
@@ -611,6 +612,7 @@ class Cover(GroupHom):
         self._kernel: Subgroup | None = None
         self._fundament = None  # fundament.fundament_kernel memo
         self._indexed: dict = {}  # base -> fundament._indexed of it
+        self._class_tops: dict = {}  # base -> fundament._class_tops of it
         self._kernel_module = None  # (GModule, KernelCoords) of the kernel
 
     def kernel(self) -> Subgroup:

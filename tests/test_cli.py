@@ -180,6 +180,47 @@ def test_cmd_fprod_compactness_distinguishes(ws):
     assert doc00["compact"] is False
 
 
+A5_PRODUCTS = """
+group A5C2
+gen x = (1 2 3)
+gen y = (3 4 5)
+gen z = (6 7)
+
+group A5C3
+gen x = (1 2 3)
+gen y = (3 4 5)
+gen w = (6 7 8)
+
+group A5
+gen x = (1 2 3)
+gen y = (3 4 5)
+
+hom pr : A5C2 -> A5
+x -> x
+y -> y
+z -> 1
+
+hom pt : A5C3 -> A5
+x -> x
+y -> y
+w -> 1
+"""
+
+
+@pytest.mark.parametrize(
+    "factors,compact",
+    [(["pr", "pr"], "false"), (["pr", "pt"], "true"), (["pt", "pr", "pr"], "false")],
+)
+def test_cmd_fprod_over_a5(tmp_path, capsys, factors, compact):
+    # H^2 of A5 with a 1-dim module is past the cochain cap: a class the
+    # factors share is decided without it, and one they do not share
+    # needs none
+    defs = tmp_path / "a5.grp"
+    defs.write_text(A5_PRODUCTS)
+    assert main(["-f", str(defs), "fprod", *factors]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"compact: {compact}"
+
+
 def test_cmd_check_square_cartesian(tmp_path):
     # the two coordinate projections of V4 form a cartesian square over
     # the trivial group, with the diagonal as a proper full subgroup

@@ -28,6 +28,7 @@ from catalog import (
     quaternion8,
     relabel_cover,
     sign_cover,
+    sl2_5,
     split_cover_c2,
     split_cover_c3,
     sym3,
@@ -47,8 +48,10 @@ from covercalc import (
     is_compact_fiber_product,
     is_indecomposable,
     make_square,
+    quotient,
     terminal_cover,
     trivial_group,
+    trivial_module,
 )
 from covercalc.errors import (
     EmptyFactorList,
@@ -507,18 +510,42 @@ def test_compactness_with_non_fundamental_factors(arity):
             check_compactness([terminal_cover(groups[n]) for n in names], rng)
 
 
-def test_compactness_with_alternating_kernels():
-    # A5 x C2 ->> C2 has a non-abelian class of its own; beside the
-    # order-two atoms and S3 ->> C2 it shares no quotient, and two of
-    # those atoms may. The search oracle is fast with the A5 factor
-    # first; the product's other order must give the same answer
-    a5c2 = terminal_product(alt5(), cyclic_group(2)).projections[1]
+@pytest.mark.parametrize("order", [2, 3])
+def test_compactness_with_alternating_kernels(order):
+    # A5 x G ->> G has a non-abelian class of its own; beside the atoms
+    # over G (and S3 ->> C2) it shares no quotient, and two of those
+    # atoms may. The search oracle is fast with the A5 factor first; the
+    # product's other order must give the same answer
+    a5g = terminal_product(alt5(), cyclic_group(order)).projections[1]
     rng = random.Random(5)
-    others = [ETA0, ETA1, sign_cover()]
+    others = {
+        2: [ETA0, ETA1, sign_cover()],
+        3: [split_cover_c3(), nonsplit_cover_c3()],
+    }[order]
     for r in (1, 2):
         for combo in itertools.combinations_with_replacement(others, r):
-            want = check_compactness([a5c2, *combo], rng)
-            assert is_compact_fiber_product(make_fprod([*combo, a5c2])) == want
+            want = check_compactness([a5g, *combo], rng)
+            assert is_compact_fiber_product(make_fprod([*combo, a5g])) == want
+
+
+def test_compactness_past_the_cochain_cap():
+    # over A5, H^2 with a 1-dim module is past the cochain cap, so a module
+    # class two factors have is decided by matching quotient covers: the
+    # split A5 x C2 and the non-split SL(2,5) both have the class of F2
+    # (and share no quotient), and A5 x C3 has F3 alone
+    sl = sl2_5()
+    centre = Subgroup(sl, (0, int(np.flatnonzero(sl.element_orders() == 2)[0])))
+    nonsplit = quotient(sl, centre)[1]
+    base = nonsplit.target
+    with pytest.raises(OrderCapExceeded):
+        cohom_space(base, trivial_module(base, 2))
+    split2, split3 = (terminal_product(base, cyclic_group(n)).projections[0] for n in (2, 3))
+    rng = random.Random(7)
+    answers = set()
+    for r in (2, 3):
+        for combo in itertools.combinations_with_replacement([split2, nonsplit, split3], r):
+            answers.add(check_compactness(list(combo), rng))
+    assert answers == {True, False}
 
 
 # ---------------------------------------------------------------------------
