@@ -36,6 +36,7 @@ import json
 import os
 import re
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -288,7 +289,7 @@ def _subgroup_doc(sub) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# commands
+# commands: each returns the text lines and the JSON body
 
 
 def _cmd_fprod(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
@@ -303,43 +304,14 @@ def _cmd_fprod(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
         f"carrier order: {fp.carrier.order}",
         f"kernel size: {len(fp.structure_map.kernel().elements)}",
         f"element orders: {orders}",
-        f"compact: {'true' if compact else 'false'}",
+        f"compact: {_bool(compact)}",
     ]
     doc = {
-        "command": "fprod",
         "base": _group_doc(fp.base),
         "carrier": _group_doc(fp.carrier),
         "structure_map": _hom_doc(fp.structure_map),
         "kernel": _subgroup_doc(fp.structure_map.kernel()),
         "element_orders": orders,
-        "compact": compact,
-    }
-    return lines, doc
-
-
-def _cmd_check_square(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
-    if len(args) != 4:
-        raise UsageError("check-square needs: top left bottom right")
-    top, left, bottom, right = (parse_cover(ws, a) for a in args)
-    try:
-        sq = make_square(top, left, bottom, right)
-    except NotCommutative:
-        lines = ["commutes: false"]
-        return lines, {"command": "check-square", "commutes": False}
-    cart = is_cartesian(sq)
-    semi = is_semi_cartesian(sq)
-    compact = is_compact_cartesian(sq) if cart else None
-    lines = [
-        "commutes: true",
-        f"cartesian: {'true' if cart else 'false'}",
-        f"semi-cartesian: {'true' if semi else 'false'}",
-        f"compact: {'true' if compact else 'false' if compact is not None else 'n/a'}",
-    ]
-    doc = {
-        "command": "check-square",
-        "commutes": True,
-        "cartesian": cart,
-        "semi_cartesian": semi,
         "compact": compact,
     }
     return lines, doc
@@ -358,7 +330,6 @@ def _cmd_h2(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
         f"dim_F = {space.f_dim}",
     ]
     doc = {
-        "command": "h2",
         "group": _group_doc(group),
         "module_dim": module.dim,
         "p": module.p,
@@ -369,10 +340,25 @@ def _cmd_h2(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
     return lines, doc
 
 
-def _cmd_cocycle(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
-    if len(args) != 1:
-        raise UsageError("cocycle needs: cover")
-    pi = parse_cover(ws, args[0])
+def _cmd_check_square(*square: Cover) -> tuple[list[str], dict]:
+    try:
+        sq = make_square(*square)
+    except NotCommutative:
+        return ["commutes: false"], {"commutes": False}
+    cart = is_cartesian(sq)
+    semi = is_semi_cartesian(sq)
+    compact = is_compact_cartesian(sq) if cart else None
+    lines = [
+        "commutes: true",
+        f"cartesian: {_bool(cart)}",
+        f"semi-cartesian: {_bool(semi)}",
+        f"compact: {'n/a' if compact is None else _bool(compact)}",
+    ]
+    doc = {"commutes": True, "cartesian": cart, "semi_cartesian": semi, "compact": compact}
+    return lines, doc
+
+
+def _cmd_cocycle(pi: Cover) -> tuple[list[str], dict]:
     cochain = cover_cochain(pi)
     space = cohom_space(pi.target, cochain.module)
     cls = space.class_of(cochain)
@@ -381,10 +367,9 @@ def _cmd_cocycle(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
         f"kernel module: dim {cochain.module.dim} over F{cochain.module.p}",
         f"H^2 dim_p = {space.dim_p}, endo field order {space.endo_field.order}",
         f"class coordinates: {coords}",
-        f"split: {'true' if cls.is_zero() else 'false'}",
+        f"split: {_bool(cls.is_zero())}",
     ]
     doc = {
-        "command": "cocycle",
         "module_dim": cochain.module.dim,
         "p": cochain.module.p,
         "dim_p": space.dim_p,
@@ -395,20 +380,16 @@ def _cmd_cocycle(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
     return lines, doc
 
 
-def _cmd_fundament(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
-    if len(args) != 1:
-        raise UsageError("fundament needs: cover")
-    pi = parse_cover(ws, args[0])
+def _cmd_fundament(pi: Cover) -> tuple[list[str], dict]:
     pi_bar, rho = fundament(pi)
     m = rho.kernel()
     lines = [
         f"kernel size: {len(pi.kernel().elements)}",
         f"fundament kernel size: {len(m.elements)}",
         f"fundamental quotient order: {pi_bar.source.order}",
-        f"already fundamental: {'true' if len(m.elements) == 1 else 'false'}",
+        f"already fundamental: {_bool(len(m.elements) == 1)}",
     ]
     doc = {
-        "command": "fundament",
         "kernel": _subgroup_doc(pi.kernel()),
         "fundament_kernel": _subgroup_doc(m),
         "quotient_cover": _hom_doc(pi_bar),
@@ -417,30 +398,21 @@ def _cmd_fundament(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
     return lines, doc
 
 
-def _cmd_series(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
-    if len(args) != 1:
-        raise UsageError("series needs: cover")
-    pi = parse_cover(ws, args[0])
+def _cmd_series(pi: Cover) -> tuple[list[str], dict]:
     ser = fundament_series(pi)
     sizes = [len(k.elements) for k in ser.kernels]
-    lines = [f"{sizes}"]
     doc = {
-        "command": "series",
         "sizes": sizes,
         "kernels": [_subgroup_doc(k) for k in ser.kernels],
         "stage_covers": [_hom_doc(c) for c in ser.stage_covers],
     }
-    return lines, doc
+    return [f"{sizes}"], doc
 
 
-def _cmd_invariants(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
-    if len(args) != 1:
-        raise UsageError("invariants needs: cover")
-    pi = parse_cover(ws, args[0])
+def _cmd_invariants(pi: Cover) -> tuple[list[str], dict]:
     inv = invariants(pi)
-    lines = [f"base: {inv.base.name}"]
+    lines = [f"base: {inv.base.name}", f"non-abelian classes: {len(inv.na_classes)}"]
     na_docs = []
-    lines.append(f"non-abelian classes: {len(inv.na_classes)}")
     for i, cls in enumerate(inv.na_classes, start=1):
         lines.append(
             f"  class {i}: quotient order {cls.cover.source.order}, mult {cls.mult}"
@@ -465,9 +437,8 @@ def _cmd_invariants(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
                 "mult": cls.mult,
             }
         )
-    lines.append(f"empty: {'true' if inv.is_empty() else 'false'}")
+    lines.append(f"empty: {_bool(inv.is_empty())}")
     doc = {
-        "command": "invariants",
         "base": _group_doc(inv.base),
         "na_classes": na_docs,
         "ab_classes": ab_docs,
@@ -476,23 +447,7 @@ def _cmd_invariants(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
     return lines, doc
 
 
-def _cmd_decision(name: str, usage: str, decide):
-    """The handler of a yes/no command: one cover per word of ``usage``,
-    parsed left to right and passed to ``decide`` in that order."""
-
-    def run(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
-        if len(args) != len(usage.split()):
-            raise UsageError(f"{name} needs: {usage}")
-        ans = decide(*[parse_cover(ws, a) for a in args])
-        return [_bool(ans)], {"command": name, "result": ans}
-
-    return run
-
-
-def _cmd_decompose(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
-    if len(args) != 1:
-        raise UsageError("decompose needs: cover")
-    pi = parse_cover(ws, args[0])
+def _cmd_decompose(pi: Cover) -> tuple[list[str], dict]:
     factors, iso = decompose_fundamental(pi)
     lines = [f"indecomposable factors: {len(factors)}"]
     for i, f in enumerate(factors, start=1):
@@ -502,29 +457,36 @@ def _cmd_decompose(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
         )
     lines.append(f"isomorphism onto fiber product: {_bool(iso.is_isomorphism())}")
     doc = {
-        "command": "decompose",
         "factors": [_hom_doc(f) for f in factors],
         "isomorphism": _hom_doc(iso),
     }
     return lines, doc
 
 
+def _answer(decide, *covers: Cover) -> tuple[list[str], dict]:
+    """A yes/no command: ``decide`` of its covers, in the usage order."""
+    ans = decide(*covers)
+    return [_bool(ans)], {"result": ans}
+
+
 def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
+# name -> (usage words, function of one parsed cover per word); fprod and h2,
+# whose words are not one cover each, have no usage and take the words
 _COMMANDS = {
-    "fprod": _cmd_fprod,
-    "check-square": _cmd_check_square,
-    "h2": _cmd_h2,
-    "cocycle": _cmd_cocycle,
-    "fundament": _cmd_fundament,
-    "series": _cmd_series,
-    "invariants": _cmd_invariants,
-    "dominates": _cmd_decision("dominates", "tau_prime tau", dominates),
-    "isomorphic": _cmd_decision("isomorphic", "tau tau_prime", isomorphic_fundamental),
-    "lift": _cmd_decision("lift", "pi tau tau_prime", exists_semicartesian_lift),
-    "decompose": _cmd_decompose,
+    "check-square": ("top left bottom right", _cmd_check_square),
+    "cocycle": ("cover", _cmd_cocycle),
+    "decompose": ("cover", _cmd_decompose),
+    "dominates": ("tau_prime tau", partial(_answer, dominates)),
+    "fprod": (None, _cmd_fprod),
+    "fundament": ("cover", _cmd_fundament),
+    "h2": (None, _cmd_h2),
+    "invariants": ("cover", _cmd_invariants),
+    "isomorphic": ("tau tau_prime", partial(_answer, isomorphic_fundamental)),
+    "lift": ("pi tau tau_prime", partial(_answer, exists_semicartesian_lift)),
+    "series": ("cover", _cmd_series),
 }
 
 
@@ -534,9 +496,14 @@ def run_command(ws: Workspace, command: str, args: list[str]) -> tuple[list[str]
         raise UsageError(
             f"unknown command {command!r}; choose from {sorted(_COMMANDS)}"
         )
-    lines, doc = _COMMANDS[command](ws, args)
-    doc = {"schema": 1, **doc}
-    return lines, doc
+    usage, run = _COMMANDS[command]
+    if usage is None:
+        lines, body = run(ws, args)
+    elif len(args) != len(usage.split()):
+        raise UsageError(f"{command} needs: {usage}")
+    else:
+        lines, body = run(*[parse_cover(ws, a) for a in args])
+    return lines, {"schema": 1, "command": command, **body}
 
 
 _USAGE = f"""\
