@@ -22,6 +22,13 @@ and its arguments; every token after ``--`` is positional. A missing
 command, a flag without its value, a bad N and any other token starting
 with ``-`` (abbreviations such as ``--js`` included) are usage errors.
 
+A cover command is one row of the command table: its usage words, one
+cover expression each, and a function of the parsed covers that returns
+the text lines and the JSON body. ``run_command`` checks the number of
+words, parses them and adds the ``"schema"`` and ``"command"`` keys;
+only ``fprod`` (one or more covers) and ``h2`` (a group and a module)
+read their own words.
+
 Decision commands (``dominates``, ``isomorphic``, ``lift``) print exactly
 ``true`` or ``false`` on the last line. With ``--json`` every command
 emits one JSON document with a top-level ``"schema": 1`` field. Exit
@@ -47,7 +54,7 @@ from .errors import (
     UnknownReference,
     UsageError,
 )
-from .fiber import fiber_product, is_compact_fiber_product
+from .fiber import fiber_product
 from .fundament import (
     decompose_fundamental,
     dominates,
@@ -55,6 +62,7 @@ from .fundament import (
     fundament,
     fundament_series,
     invariants,
+    is_compact_fiber_product,
     isomorphic_fundamental,
 )
 from .gmodules import module_from_cover, trivial_module
@@ -241,25 +249,28 @@ def _as_cover(hom: GroupHom) -> Cover:
     return Cover(hom.source, hom.target, hom.image, check=False)
 
 
-def parse_cover(ws: Workspace, text: str) -> Cover:
+def _parse(ws: Workspace, text: str, rule):
+    """``rule`` of a parser over ``text``, which must use up all of it."""
     p = _ExprParser(ws, text)
-    cov = p.cover()
+    try:
+        out = rule(p)
+    except RecursionError:
+        # the parser recurses once per level of nesting
+        raise UsageError("expression nested too deeply") from None
     p.done()
-    return cov
+    return out
+
+
+def parse_cover(ws: Workspace, text: str) -> Cover:
+    return _parse(ws, text, _ExprParser.cover)
 
 
 def parse_group(ws: Workspace, text: str) -> FiniteGroup:
-    p = _ExprParser(ws, text)
-    name = p.next()
-    p.done()
-    return ws.group(name)
+    return ws.group(_parse(ws, text, _ExprParser.next))
 
 
 def parse_module(ws: Workspace, group: FiniteGroup, text: str):
-    p = _ExprParser(ws, text)
-    mod = p.module(group)
-    p.done()
-    return mod
+    return _parse(ws, text, lambda p: p.module(group))
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fundament  # the module: fundament imports this one too
-from .errors import EmptyFactorList, OrderCapExceeded, TargetMismatch
+from .errors import OrderCapExceeded, TargetMismatch
 from .groups import (
     BuildLimits,
     Cover,
@@ -26,7 +25,7 @@ from .groups import (
     same_group,
 )
 
-__all__ = ["FiberProduct", "fiber_product", "is_compact_fiber_product"]
+__all__ = ["FiberProduct", "fiber_product"]
 
 
 @dataclass(frozen=True)
@@ -126,15 +125,3 @@ def fiber_product(
         structure_map=structure,
     )
 
-
-def is_compact_fiber_product(fp: FiberProduct) -> bool:
-    """True iff no proper subgroup of the carrier surjects onto every factor.
-
-    Read off the factors' class tables, with no search over the carrier:
-    for k >= 2 the product of the first k - 1 factors and the k-th share
-    no indecomposable quotient cover (``fundament._compact_over``). Raises
-    EmptyFactorList for the empty product.
-    """
-    if fp.arity == 0:
-        raise EmptyFactorList("compactness needs at least one factor")
-    return fundament._compact_over(fp.base, fp.factors)

@@ -30,7 +30,8 @@ modules. Each cover keeps one table of its classes per base object
 ``invariants`` reads it, and comparing two covers compares the class
 indices, multiplicities and supports of their tables. Compactness of a
 fiber product reads the class indices first (``_class_tops``) and a
-support only for a module class that two factors share.
+support only for a module class that two factors share
+(``is_compact_fiber_product``).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from . import cohomology as ch, fiber
 from . import gmodules as gm
 from .errors import (
     BaseMismatch,
+    EmptyFactorList,
     Incompatible,
     NotFundamental,
     OrderCapExceeded,
@@ -77,6 +79,7 @@ __all__ = [
     "isomorphic_fundamental",
     "decompose_fundamental",
     "exists_semicartesian_lift",
+    "is_compact_fiber_product",
 ]
 
 
@@ -351,6 +354,19 @@ def _cover_class(base: FiniteGroup, cov: Cover) -> int:
             reps.append(cov)
         base._class_of[key] = index
     return index
+
+
+def is_compact_fiber_product(fp: fiber.FiberProduct) -> bool:
+    """True iff no proper subgroup of the carrier surjects onto every factor.
+
+    Read off the factors' class tables, with no search over the carrier:
+    for k >= 2 the product of the first k - 1 factors and the k-th share
+    no indecomposable quotient cover (``_compact_over``). Raises
+    EmptyFactorList for the empty product.
+    """
+    if fp.arity == 0:
+        raise EmptyFactorList("compactness needs at least one factor")
+    return _compact_over(fp.base, fp.factors)
 
 
 def _compact_over(base: FiniteGroup, factors) -> bool:

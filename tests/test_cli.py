@@ -347,22 +347,44 @@ def test_unknown_command(ws):
         run_command(ws, "frobnicate", [])
 
 
-def test_command_arity_errors(ws):
-    for cmd, args in [
-        ("fprod", []),
-        ("check-square", ["eta0"]),
-        ("h2", ["C2"]),
-        ("cocycle", []),
-        ("fundament", []),
-        ("series", []),
-        ("invariants", []),
-        ("dominates", ["eta0"]),
-        ("isomorphic", ["eta0"]),
-        ("lift", ["eta0", "eta1"]),
-        ("decompose", []),
+def test_command_arity_errors(ws, capsys):
+    # the exact messages, which main prints after "error: " on stderr
+    for cmd, args, msg in [
+        ("fprod", [], "fprod needs at least one cover expression"),
+        ("check-square", ["eta0"], "check-square needs: top left bottom right"),
+        ("h2", ["C2"], "h2 needs: group module (e.g. h2 C2 F2triv)"),
+        ("cocycle", [], "cocycle needs: cover"),
+        ("fundament", [], "fundament needs: cover"),
+        ("series", [], "series needs: cover"),
+        ("invariants", [], "invariants needs: cover"),
+        ("dominates", ["eta0"], "dominates needs: tau_prime tau"),
+        ("isomorphic", ["eta0"], "isomorphic needs: tau tau_prime"),
+        ("lift", ["eta0", "eta1"], "lift needs: pi tau tau_prime"),
+        ("decompose", [], "decompose needs: cover"),
     ]:
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError) as err:
             run_command(ws, cmd, args)
+        assert str(err.value) == msg
+    names = (
+        "['check-square', 'cocycle', 'decompose', 'dominates', 'fprod',"
+        " 'fundament', 'h2', 'invariants', 'isomorphic', 'lift', 'series']"
+    )
+    with pytest.raises(UsageError) as err:
+        run_command(ws, "bogus", ["eta0"])
+    assert str(err.value) == f"unknown command 'bogus'; choose from {names}"
+    assert main(["-f", INTRO]) == 1
+    assert capsys.readouterr().err == f"error: missing command; choose from {names}\n"
+
+
+def test_deep_nesting_is_a_usage_error(capsys):
+    # the expression parser recurses once per level; past the interpreter's
+    # recursion limit the command fails with an error line, not a traceback
+    deep = "fprod(" * 5000 + "C2->1" + ")" * 5000
+    for argv in (["series", deep], ["h2", "C2", f"ker({deep})"]):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

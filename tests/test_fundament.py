@@ -12,11 +12,11 @@ extensions, and ten over the order-3 base from the order-9 extensions.
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 import math
 import random
 import time
+import types
 from itertools import product
 
 import numpy as np
@@ -58,7 +58,6 @@ from covercalc import (
     fiber_product,
     find_epimorphism_over,
     find_isomorphism_over,
-    fundament,
     fundament_kernel,
     fundament_series,
     identity_cover,
@@ -79,7 +78,8 @@ from covercalc.errors import (
 from covercalc import gmodules as gm
 from covercalc import groups as groups_module
 from covercalc.cli import Workspace, run_command
-from covercalc.fundament import _cover_class, _quotient_over
+import covercalc.fundament as fu
+from covercalc.fundament import _cover_class, _quotient_over, fundament
 from covercalc.cohomology import cover_cochain, x2
 from covercalc.gmodules import is_simple_module
 from covercalc.groups import closure_of, maximal_normal_in
@@ -102,6 +102,14 @@ def power_cover(eta, k):
 
 # ---------------------------------------------------------------------------
 # fundament kernels and series sizes
+
+
+def test_covercalc_fundament_is_the_module():
+    # the package re-exports no function under its submodule's name
+    import covercalc.fundament as fd
+
+    assert isinstance(fd, types.ModuleType)
+    assert fd.fundament is fundament
 
 
 SERIES_SIZES = {
@@ -662,7 +670,6 @@ def test_invariants_build_a_quotient_only_for_a_new_class(monkeypatch):
     # the representative; every later cover matches its top against that
     # representative and builds none: no joint quotient, no quotient
     # inside the maximal tops
-    fu = importlib.import_module("covercalc.fundament")
     calls = []
     for owner in (fu, groups_module):
         real = owner.quotient
@@ -706,7 +713,6 @@ def test_first_invariants_read_each_kernel_once(monkeypatch):
 def _watch_classification(monkeypatch, *more):
     """The list of calls, by name, to the steps that classify a cover in
     a base's registry, and to the ``more`` names of ``fundament``."""
-    fu = importlib.import_module("covercalc.fundament")
     calls = []
     owners = [(fu, name) for name in ("_top_class", "_cover_class", "quotient", *more)]
     for owner, name in owners + [(fu.ch, "x2")]:
@@ -900,8 +906,6 @@ def test_nonabelian_classes_are_matched_once_per_base(monkeypatch):
         for factors in ([t_a5], [t_a5, t_c2], [t_c2, t_a5], [t_c2])
     ]
 
-    # the module, which ``from covercalc import fundament`` would not give
-    fu = importlib.import_module("covercalc.fundament")
     searches = []
     real = fu.find_isomorphism_over
     monkeypatch.setattr(
