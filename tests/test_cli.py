@@ -383,8 +383,7 @@ def test_deep_nesting_is_a_usage_error(capsys):
     for argv in (["series", deep], ["h2", "C2", f"ker({deep})"]):
         assert main(argv) == 1
         out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert (out.out, out.err) == ("", "error: expression nested too deeply\n")
 
 
 # ---------------------------------------------------------------------------
