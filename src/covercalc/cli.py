@@ -432,7 +432,7 @@ def _cmd_invariants(pi: Cover) -> tuple[list[str], dict]:
     ab_docs = []
     lines.append(f"abelian classes: {len(inv.ab_classes)}")
     for i, cls in enumerate(inv.ab_classes, start=1):
-        supp_rows = [[int(x) for x in row] for row in np.atleast_2d(cls.supp)]
+        supp_rows = [[int(x) for x in row] for row in cls.supp]
         supp_rank = len([r for r in supp_rows if any(r)])
         lines.append(
             f"  class {i}: module dim {cls.module.dim} over F{cls.module.p},"

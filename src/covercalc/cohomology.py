@@ -99,7 +99,7 @@ class TwoCochain:
         g, t = self.group, self.table
         xs = np.array(generating_set(g), dtype=np.intp)
         # axes (x, y, z, value) with x in S
-        acted = np.einsum("xac,yzc->xyza", self.module.action[xs], t)
+        acted = t @ self.module.action[xs, None].swapaxes(-1, -2)
         diff = acted + t[xs[:, None, None], g.mul] - t[g.mul[xs]] - t[xs, :, None]
         return not (diff % self.module.p).any()
 
@@ -144,7 +144,9 @@ class CohomSpace:
         # greedy scan of the unit vectors after B^2 keeps the others.
         reduced, rev = row_echelon_mod_p(self._coboundaries_at_pivots()[:, ::-1], p)
         ends = [r - 1 - c for c in rev]
-        kept = np.delete(np.arange(r), ends)
+        dropped = np.zeros(r, dtype=bool)
+        dropped[ends] = True
+        kept = (~dropped).nonzero()[0]
         self.h_reps = self.z_basis[kept]
         self.dim_p = len(kept)
         if self.dim_p % field.k:
@@ -202,7 +204,7 @@ class CohomSpace:
             for y, x, i in edges:
                 tree[y] = across(x, i)
             rows += [(tree[y] - across(x, i)).reshape(n * d, m) for x, i, y in relations]
-        null = nullspace_mod_p(np.vstack(rows) % p, p)
+        null = nullspace_mod_p(np.concatenate(rows) % p, p)
         # the cochain table[w, z, r] = f(w, z)_r, over the non-identity pairs
         expand = tree.transpose(1, 0, 2, 3)[1:, 1:]
         span = null @ expand.reshape(u, m).T % p
@@ -218,7 +220,8 @@ class CohomSpace:
         (x, y, c) holds A_x[c, j]·[w = y] - [w = xy]·[j = c] + [w = x]·[j = c]."""
         g, mod = self.group, self.module
         n, d, cols = g.order, mod.dim, self._pivots
-        x, y, c = np.unravel_index(cols, (n - 1, n - 1, d))
+        xy, c = np.divmod(cols, d)
+        x, y = np.divmod(xy, n - 1)
         x, y, k = x + 1, y + 1, np.arange(len(cols))
         # rows (w, j) for every w; w = 1 takes the -c(xy) terms with xy = 1
         b = np.zeros((n, d, len(cols)), dtype=np.int64)
@@ -368,7 +371,7 @@ def cover_cochain(pi: Cover) -> TwoCochain:
     mod, coords = _module_and_coords(pi, ker)
     # f(s, t) is the kernel part of u_s u_t against u_st, u the section
     section = pi.fibers[:, 0]
-    h = src.mul[np.ix_(section, section)]
+    h = src.mul[section[:, None], section]
     k = src.mul[h, src.inv[section[pi.image[h]]]]
     return TwoCochain(pi.target, mod, coords.vectors[k])
 
@@ -447,7 +450,7 @@ def x2(pi: Cover, target: GModule) -> DualPairS:
         return DualPairS(space=space, s_matrix=s_matrix)
     raw = cover_cochain(pi)
     # pushed[m, x, y] = phi_m(f(x, y)), over the non-identity pairs
-    pushed = np.einsum("xyk,mak->mxya", raw.table[1:, 1:], dual.fp_basis)
+    pushed = raw.table[1:, 1:] @ dual.fp_basis[:, None].swapaxes(-1, -2)
     flat = pushed.reshape(len(dual.fp_basis), -1)
     s_matrix = space.coordinates_of_flat(flat).T
     return DualPairS(space=space, s_matrix=s_matrix)

@@ -109,7 +109,7 @@ def fiber_product(
     for start in range(0, n, 1024):
         block = slice(start, start + 1024)
         for table, col in zip(ranked, coords):
-            mul[block] += table[np.ix_(col[block], col)]
+            mul[block] += table[col[block, None], col]
     name = "fprod(" + ",".join(c.source.name for c in factors) + ")"
     carrier = FiniteGroup(mul, name=name)
 

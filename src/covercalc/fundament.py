@@ -312,7 +312,7 @@ def _same_top(a: tuple, b: tuple) -> bool:
     (p, ma), (q, mb) = a, b
     if p != q or ma.shape != mb.shape:
         return False
-    return np.array_equal(ma, mb) or len(gm._intertwiners(ma, mb, p)) > 0
+    return bool((ma == mb).all()) or len(gm._intertwiners(ma, mb, p)) > 0
 
 
 def _top_class(base: FiniteGroup, pi: Cover, sub: Subgroup, top: tuple) -> int:
@@ -419,7 +419,7 @@ def _shares_module_class(base: FiniteGroup, index: int, earlier: list, cov: Cove
         return any(find_isomorphism_over(a, b) is not None for a in mine for b in theirs)
     if entries[-1][0] and any(mult for mult, _ in entries[:-1]):
         return True
-    stacked = np.vstack([supp for _, supp in entries])
+    stacked = np.concatenate([supp for _, supp in entries])
     return rank_mod_p(stacked, base._classes[index].p) < len(stacked)
 
 
@@ -508,7 +508,7 @@ def decompose_fundamental(pi: Cover) -> tuple[list[Cover], GroupHom]:
     for cls in inv.ab_classes:
         space = ch.cohom_space(base, cls.module)
         zeros = np.zeros((cls.mult, space.dim_p), dtype=np.int64)
-        for row in np.vstack([cls.supp, zeros]):
+        for row in np.concatenate([cls.supp, zeros]):
             factors.append(ch.extension_from_cocycle(space.representative(row)).cover)
     fp = fiber.fiber_product(base, factors, limits)
     onto = find_isomorphism_over(pi, fp.structure_map)

@@ -99,10 +99,10 @@ class GModule:
         self._simple: bool | None = None  # is_simple_module memo
         self._key: bytes | None = None  # structural_key memo
         if check and self.dim:
-            if not np.array_equal(acts[0], np.eye(self.dim, dtype=np.int64)):
+            if not (acts[0] == np.eye(self.dim, dtype=np.int64)).all():
                 raise Incompatible("identity must act trivially")
             gens = list(generating_set(group))
-            if not np.array_equal(acts[group.mul[gens]], acts[gens, None] @ acts % p):
+            if not (acts[group.mul[gens]] == acts[gens, None] @ acts % p).all():
                 raise Incompatible("action is not a homomorphism")
 
     @property
@@ -334,11 +334,13 @@ def _intertwiners(ak: np.ndarray, aa: np.ndarray, p: int) -> np.ndarray:
 
     The nullspace of the system whose row (g, i, j) holds the
     coefficients of entry (i, j) of X·ak[g] - aa[g]·X, built for all
-    generators by one einsum over the stacked matrices.
+    generators by one broadcast over the stacked matrices: axes
+    (g, i, j, a, b) for the unknown X[a, b].
     """
     dk, da = ak.shape[-1], aa.shape[-1]
-    system = np.einsum("ab,gdc->gacbd", np.eye(da, dtype=np.int64), ak) - np.einsum(
-        "gab,cd->gacbd", aa, np.eye(dk, dtype=np.int64)
+    system = (
+        np.eye(da, dtype=np.int64)[:, None, :, None] * ak.swapaxes(-1, -2)[:, None, :, None]
+        - aa[:, :, None, :, None] * np.eye(dk, dtype=np.int64)[:, None]
     )
     return nullspace_mod_p(system.reshape(-1, da * dk) % p, p)
 
@@ -398,7 +400,13 @@ def first_module_iso(a: GModule, b: GModule) -> ModuleHom:
     if not is_simple_module(a) or not is_simple_module(b):
         raise NotSimple("isomorphism test implemented for simple modules")
     same = a.p == b.p and a.dim == b.dim and same_group(a.group, b.group)
-    basis = _hom_basis(a, b) if same else ()
+    if not same:
+        basis = ()
+    elif (a.action == b.action).all():
+        # Hom_G(A, A) = End_G(A), whose basis endo_field solved for already
+        basis = endo_field(b).basis_endos
+    else:
+        basis = _hom_basis(a, b)
     if not len(basis):
         raise NotSimple("modules are not isomorphic simple modules")
     hom = ModuleHom(a, b, basis[0].reshape(b.dim, a.dim))

@@ -82,7 +82,7 @@ class FiniteGroup:
         if not n or mul.shape != (n, n):
             raise Incompatible("multiplication table must be a nonempty square")
         ident = np.arange(n)
-        if not (np.array_equal(mul[0], ident) and np.array_equal(mul[:, 0], ident)):
+        if not ((mul[0] == ident).all() and (mul[:, 0] == ident).all()):
             raise Incompatible("index 0 must be a two-sided identity")
         if mul.min() < 0 or mul.max() >= n:
             raise Incompatible(f"table entries must lie in 0..{n - 1}")
@@ -158,7 +158,7 @@ def _is_latin(mul: np.ndarray) -> bool:
 
 def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
     """Equality of groups: identical object or identical table."""
-    return a is b or (a.order == b.order and np.array_equal(a.mul, b.mul))
+    return a is b or (a.order == b.order and bool((a.mul == b.mul).all()))
 
 
 class Subgroup:
@@ -286,7 +286,7 @@ def _distinct(indices, n: int) -> np.ndarray:
     """
     member = np.zeros(n, dtype=bool)
     member[indices] = True
-    return np.flatnonzero(member)
+    return member.nonzero()[0]
 
 
 def _product_set(group: FiniteGroup, parts) -> np.ndarray:
@@ -403,7 +403,7 @@ def _tops_from_modules(group: FiniteGroup, bound: Subgroup, k_gens, lower, lower
         mats = _conjugation_matrices(coords, bar, rho[h])
         for w in minimal_stable_subspaces(mats, p):
             inside = ~(vectors @ w.T % p).any(axis=1)
-            pivots = np.argmax(w != 0, axis=1)  # w is in RREF
+            pivots = (w != 0).argmax(axis=1)  # w is in RREF
             action = (w @ mats % p)[:, :, pivots]
             tops.append((Subgroup(group, tuple(kel[inside].tolist())), (p, action)))
     return tops
@@ -522,7 +522,7 @@ def generating_set(group: FiniteGroup) -> tuple[int, ...]:
             group._gen_cache = group.generators
             return group.generators
     orders = group.element_orders()
-    ranked = np.lexsort((np.arange(group.order), -orders))
+    ranked = (-orders).argsort(kind="stable")
     gens = _closure(group, ranked.tolist())[1]
     group._gen_cache = tuple(gens)
     return group._gen_cache
@@ -557,7 +557,7 @@ class GroupHom:
             # f(x·s) = f(x)·f(s) for all x and generators s: f is multiplicative
             gens = list(generating_set(source))
             got = target.mul[image[:, None], image[gens]]
-            if not np.array_equal(image[source.mul[:, gens]], got):
+            if not (image[source.mul[:, gens]] == got).all():
                 raise Incompatible("map is not a homomorphism")
         self.source = source
         self.target = target
@@ -575,7 +575,7 @@ class GroupHom:
         return self.source.order == self.target.order and self.is_surjective()
 
     def kernel(self) -> Subgroup:
-        elems = tuple(int(x) for x in np.nonzero(self.image == 0)[0])
+        elems = tuple(int(x) for x in (self.image == 0).nonzero()[0])
         return Subgroup(self.source, elems)
 
     @property
@@ -586,7 +586,7 @@ class GroupHom:
         if self._fibers is None:
             if not self.is_surjective():
                 raise Incompatible("only a surjective map has a fiber table")
-            table = np.argsort(self.image, kind="stable").reshape(self.target.order, -1)
+            table = self.image.argsort(kind="stable").reshape(self.target.order, -1)
             table.flags.writeable = False
             self._fibers = table
         return self._fibers
@@ -675,7 +675,7 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, Cover]:
     number = np.empty(n, dtype=np.int32)
     number[reps] = np.arange(len(reps), dtype=np.int32)
     coset_of = number[least]
-    qmul = coset_of[group.mul[np.ix_(reps, reps)]]
+    qmul = coset_of[group.mul[reps[:, None], reps]]
     # the first generator in each non-identity coset, with its own label
     first: dict[int, int] = {}
     for i, g in enumerate(group.generators):

@@ -56,20 +56,22 @@ def row_echelon_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        hits = np.nonzero(M[r:, c])[0]
+        hits = M[r:, c].nonzero()[0]
         if hits.size == 0:
             continue
         pr = r + int(hits[0])
         if pr != r:
             M[[r, pr]] = M[[pr, r]]
-        M[r] = (M[r] * inv_mod(int(M[r, c]), p)) % p
+        lead = int(M[r, c])
+        if lead != 1:
+            M[r] = (M[r] * inv_mod(lead, p)) % p
         # clear column c from every other row with one rank-1 update; row r
         # is zero left of c, so only columns c.. change
         coef = M[:, c].copy()
         coef[r] = 0
-        other = np.flatnonzero(coef)
+        other = coef.nonzero()[0]
         if other.size:
-            M[other, c:] = (M[other, c:] - np.outer(coef[other], M[r, c:])) % p
+            M[other, c:] = (M[other, c:] - coef[other, None] * M[r, c:]) % p
         pivot_cols.append(c)
         r += 1
     return M[: len(pivot_cols)], pivot_cols
@@ -101,14 +103,15 @@ def nullspace_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
 
 
 def row_space_le(sub: np.ndarray, sup: np.ndarray, p: int) -> bool:
-    """True iff row space of ``sub`` is contained in row space of ``sup``."""
+    """True iff row space of ``sub`` is contained in row space of ``sup``
+    (both 2-D)."""
     sub = np.asarray(sub, dtype=np.int64)
     sup = np.asarray(sup, dtype=np.int64)
     if sub.size == 0:
         return True
     if sup.size == 0:
         return not (sub % p).any()
-    stacked = np.vstack([sup, sub])
+    stacked = np.concatenate([sup, sub])
     return rank_mod_p(stacked, p) == rank_mod_p(sup, p)
 
 
@@ -139,7 +142,7 @@ def spin(vec: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
         residue = (images - images[:, pivots] @ reduced) % p
         todo = residue[residue.any(axis=1)]
         if len(todo):
-            reduced, pivots = row_echelon_mod_p(np.vstack([reduced, todo]), p)
+            reduced, pivots = row_echelon_mod_p(np.concatenate([reduced, todo]), p)
             todo, _ = row_echelon_mod_p(todo, p)
     return reduced
 
@@ -164,7 +167,7 @@ def minimal_stable_subspaces(mats: np.ndarray, p: int) -> list[np.ndarray]:
         return []
     points = np.array(list(projective_points(d, p)), dtype=np.int64)
     images = points @ mats % p  # (k, points, d)
-    lead = np.argmax(points != 0, axis=1)
+    lead = (points != 0).argmax(axis=1)
     scale = images[:, np.arange(len(points)), lead]
     on_line = ~((images - scale[..., None] * points) % p).any(axis=(0, 2))
     spins: dict[bytes, np.ndarray] = {}

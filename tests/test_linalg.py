@@ -48,8 +48,16 @@ PRIMES = (2, 3, 5, 509)
 
 def random_matrices(p, seed):
     """Seeded matrices of every kind the scan has to get right: empty,
-    zero-width, zero rows, repeated rows, low rank and full rank."""
+    zero-width, zero rows, repeated rows, low rank and full rank; a pivot
+    found below its row (a swap), leading entries other than 1 (at p > 7),
+    and a wide sparse 3 x 600 one with long runs of zero columns, the shape
+    of H^2 coordinate systems."""
     rng = np.random.default_rng(seed)
+    # the first pivot lies in row 2 at every p, so the scan swaps it up
+    swaps = np.array([[0, 0, 3, 1], [0, 2, 5, 0], [4, 1, 0, 6]], dtype=np.int64) % p
+    leads = np.array([[2, 4, 6, 1], [0, 3, 7, 5], [0, 0, p - 1, 2]], dtype=np.int64) % p
+    sparse = np.zeros((3, 600), dtype=np.int64)
+    sparse[[1, 0, 2, 1, 2], [40, 333, 333, 512, 599]] = rng.integers(1, p, size=5)
     mats = [
         np.zeros((0, 4), dtype=np.int64),
         np.zeros((3, 0), dtype=np.int64),
@@ -58,6 +66,9 @@ def random_matrices(p, seed):
         rng.integers(0, p, size=(6, 6)),
         rng.integers(0, p, size=(9, 4)),
         rng.integers(0, p, size=(3, 11)),
+        swaps,
+        leads,
+        sparse,
     ]
     for rank in (1, 2, 3):
         low = rng.integers(0, p, size=(10, rank)) @ rng.integers(0, p, size=(rank, 7)) % p

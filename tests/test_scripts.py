@@ -1,10 +1,12 @@
 """Smoke runs of the scripts in ``scripts/``, each in a child process:
 it must exit 0 and print its header line first. Also the public names
 that tooling (the benchmark's tracer) reads from every module, the
-names that README's "Modules of note" lists, and two static guards:
+names that README's "Modules of note" lists, and three static guards:
 every definition in ``src/covercalc``, and every member of its classes,
-is reached from the command line, the scripts or the benchmark, and
-every import in ``src/covercalc``, ``tests`` and ``scripts`` is used."""
+is reached from the command line, the scripts or the benchmark; every
+import in ``src/covercalc``, ``tests`` and ``scripts`` is used; and the
+library calls none of the numpy helpers that have an array-method,
+operator or indexing spelling."""
 
 from __future__ import annotations
 
@@ -272,3 +274,38 @@ def test_every_import_is_used():
                 if bound not in used
             ]
     assert stale == []
+
+
+# numpy functions written in Python, each with a C-level spelling: the
+# first call of each costs a fresh process tens of microseconds more than
+# its replacement, and every command is a fresh process
+PYTHON_LEVEL_HELPERS = {
+    "array_equal": "(a == b).all() on arrays of equal shape",
+    "flatnonzero": "x.nonzero()[0]",
+    "nonzero": "x.nonzero()",
+    "ix_": "a[r[:, None], c]",
+    "outer": "a[:, None] * b",
+    "vstack": "np.concatenate of 2-D arrays",
+    "delete": "a boolean mask",
+    "einsum": "matmul or broadcasting",
+    "argmax": "x.argmax(axis=...)",
+    "argsort": 'x.argsort(kind="stable")',
+    "lexsort": 'x.argsort(kind="stable")',
+    "unique": "a boolean scatter (groups._distinct)",
+    "atleast_2d": "nothing: every caller already has 2-D arrays",
+}
+
+
+def test_library_calls_no_python_level_numpy_helpers():
+    found = [
+        f"{path.name}:{node.lineno}: np.{node.func.attr}, use"
+        f" {PYTHON_LEVEL_HELPERS[node.func.attr]}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+        and node.func.attr in PYTHON_LEVEL_HELPERS
+    ]
+    assert not found, "\n".join(found)
