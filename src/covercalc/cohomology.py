@@ -232,9 +232,6 @@ class CohomSpace:
 
     # -- queries ----------------------------------------------------------
 
-    def structural_key(self) -> bytes:
-        return self.module.structural_key()
-
     def coordinates_of_flat(self, vec: np.ndarray) -> np.ndarray:
         """H^2-coordinates of a cocycle given by its flat table; for a
         2-D array, of each row, every row checked against Z^2.

@@ -11,13 +11,14 @@ per simple-module class A, a multiplicity and a support subspace of
 H^2(G, A).
 
 The maximal H-normal subgroups N of a kernel K with K/N abelian are read
-off the F_p-modules M_p = K/[K,K]K^p, one per prime p dividing |K/[K,K]|:
-they are the preimages of the maximal submodules (``maximal_normal_in``),
-and each comes with the small action matrices of its top K/N, by which
-``_indexed`` matches it against the base's module classes before
-building any quotient. Those with K/N non-abelian are centralizers of
-chief factors inside the perfect residual of K; no kernel lists its
-normal-subgroup lattice.
+off the F_p-modules M_p = K/[K,K]K^p, one per prime p dividing |K/[K,K]|,
+each in the coordinates that Hom(K, F_p) gives it on the Schreier walk
+of K, with no quotient built: they are the preimages of the maximal
+submodules (``maximal_normal_in``), and each comes with the small action
+matrices of its top K/N, by which ``_indexed`` matches it against the
+base's module classes before building any quotient. Those with K/N
+non-abelian are centralizers of chief factors inside the perfect
+residual of K; no kernel lists its normal-subgroup lattice.
 
 Classes belong to the base, not to a pair of covers: each base group
 keeps a registry of them (``base._classes``), one representative per
@@ -141,7 +142,6 @@ class FundamentSeries:
     stage is fundamental.
     """
 
-    cover: Cover
     kernels: tuple[Subgroup, ...]
     stage_covers: tuple[Cover, ...]
 
@@ -157,7 +157,7 @@ def fundament_series(pi: Cover) -> FundamentSeries:
         kernels.append(fundament_kernel(over))
         stage, over = _quotient_over(over, kernels[-1])
         stages.append(stage)
-    return FundamentSeries(cover=pi, kernels=tuple(kernels), stage_covers=tuple(stages))
+    return FundamentSeries(kernels=tuple(kernels), stage_covers=tuple(stages))
 
 
 # ---------------------------------------------------------------------------

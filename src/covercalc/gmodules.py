@@ -30,8 +30,10 @@ from .groups import (
     Cover,
     FiniteGroup,
     Subgroup,
+    _closure,
     _commute,
     _prime_divisors,
+    _words,
     generating_set,
     same_group,
 )
@@ -176,53 +178,26 @@ class KernelCoords:
 def kernel_coordinates(sub: Subgroup) -> KernelCoords:
     """Deterministic coordinates on an elementary abelian subgroup.
 
-    Basis elements are chosen greedily by ascending element index.
-    Raises NotElementaryAbelian if the subgroup is not elementary abelian.
-    Memoized on the group (``group._coords``, keyed by ``sub.mask``): a
-    cover's first ``invariants`` reads its kernel both for the maximal
-    tops and for its kernel module.
+    Basis elements are chosen greedily by ascending element index: the
+    generators that ``_closure`` picks. An element's vector is its word
+    in the Schreier walk of that basis (``groups._words``) mod p, for the
+    prime p dividing |sub|. Raises NotElementaryAbelian if the subgroup
+    is not elementary abelian.
     """
-    coords = sub.parent._coords.get(sub.mask)
-    if coords is None:
-        coords = sub.parent._coords[sub.mask] = _read_coordinates(sub)
-    return coords
-
-
-def _read_coordinates(sub: Subgroup) -> KernelCoords:
-    """The coordinates of ``kernel_coordinates``, computed."""
     group = sub.parent
     elems = sub.elements
     if len(elems) == 1:
         return KernelCoords(2, 0, (), np.zeros((group.order, 0), dtype=np.int64))
     if not _commute(group, elems, elems):
         raise NotElementaryAbelian("subgroup is not abelian")
-    orders = set(group.element_orders()[list(elems)].tolist()) - {1}
-    if len(orders) != 1:
+    basis = _closure(group, elems)[1]
+    words, relations = _words(group, basis)
+    p = _prime_divisors(len(elems))[0]
+    # with no relation left mod p, the words mod p are a homomorphism
+    # onto F_p^dim, and a bijection iff |sub| = p^dim
+    if p ** len(basis) != len(elems) or (relations % p).any():
         raise NotElementaryAbelian("mixed element orders")
-    # every x != 1 has one order m, and for a prime q | m, x^(m/q) has
-    # order q, so m = q is prime: an abelian group of prime exponent p is
-    # F_p^dim, and the greedy basis below spans it
-    p = orders.pop()
-    to_vector: dict[int, tuple[int, ...]] = {0: ()}
-    basis: list[int] = []
-    for x in elems:
-        if x in to_vector:
-            continue
-        # extend every known element by powers of the new basis vector x
-        basis.append(x)
-        col = group.mul[:, x].tolist()
-        current = list(to_vector.items())
-        for elt, vec in current:
-            acc = elt
-            for k in range(1, p):
-                acc = col[acc]
-                to_vector[acc] = vec + (k,)
-        for elt, vec in current:
-            to_vector[elt] = vec + (0,)
-    dim = len(basis)
-    vectors = np.zeros((group.order, dim), dtype=np.int64)
-    vectors[list(to_vector)] = list(to_vector.values())
-    return KernelCoords(p, dim, tuple(basis), vectors)
+    return KernelCoords(p, len(basis), tuple(basis), words % p)
 
 
 def _conjugation_matrices(coords: KernelCoords, group: FiniteGroup, elements) -> np.ndarray:

@@ -21,7 +21,7 @@ from .errors import (
     NotNormal,
     OrderCapExceeded,
 )
-from .linalg import minimal_stable_subspaces
+from .linalg import minimal_stable_subspaces, nullspace_mod_p
 
 __all__ = [
     "BuildLimits",
@@ -97,7 +97,6 @@ class FiniteGroup:
         self.generator_labels = tuple(generator_labels)
         self._orders: np.ndarray | None = None
         self._maximals: dict[int, tuple] = {}  # _maximal_tops, by bound mask
-        self._coords: dict[int, object] = {}  # kernel_coordinates, by subgroup mask
         self._spaces: dict[bytes, object] = {}  # cohom_space memo, by module key
         # the class registry: one representative per class of simple
         # modules (fundament._top_class) and of covers with non-abelian
@@ -277,6 +276,28 @@ def _walk(group: FiniteGroup, gens) -> list[tuple[list, list]]:
     return steps
 
 
+def _words(group: FiniteGroup, gens) -> tuple[np.ndarray, np.ndarray]:
+    """``(words, relations)`` of ``_walk(group, gens)``: row x of the
+    (order, |gens|) array ``words`` counts the uses of each generator on
+    x's tree path, zero off the closure, and each other edge (x, j, y)
+    gives the relation row words[x] + e_j - words[y]. A map of the
+    closure K into an abelian group, set along the tree edges from values
+    v on the generators, is a homomorphism iff every relation row takes
+    the value 0 at v (Reidemeister–Schreier): over F_p, Hom(K, F_p) is
+    the nullspace of the relations mod p, and f(x) = words[x]·v."""
+    words = np.zeros((group.order, len(gens)), dtype=np.int64)
+    other = []
+    for tree, edges in _walk(group, gens):
+        for y, x, j in tree:
+            words[y] = words[x]
+            words[y, j] += 1
+        other += edges
+    x, j, y = np.array(other, dtype=np.intp).reshape(-1, 3).T
+    relations = words[x] - words[y]
+    relations[np.arange(len(j)), j] += 1
+    return words, relations
+
+
 def _distinct(indices, n: int) -> np.ndarray:
     """Sorted distinct values of an index array over ``range(n)``.
 
@@ -345,10 +366,12 @@ def maximal_normal_in(group: FiniteGroup, bound: Subgroup) -> tuple[Subgroup, ..
     Cannon–Holt, J. Symbolic Comput. 24, 1997). An abelian one is
     elementary abelian of some prime order p, so N contains
     Φ_p = [K,K]K^p and N/Φ_p is a maximal submodule of M_p = K/Φ_p, on
-    which the group acts by conjugation. A non-abelian one is perfect,
-    so K = N·R for the perfect residual R of K, and N is the centralizer
-    of a chief factor of a chief series through R. Both kinds are found
-    with no subgroup lattice: see ``_maximal_tops``.
+    which the group acts by conjugation. M_p is read off the Schreier
+    walk of K, in the coordinates that Hom(K, F_p) gives it, with no
+    quotient by Φ_p built. A non-abelian one is perfect, so K = N·R for
+    the perfect residual R of K, and N is the centralizer of a chief
+    factor of a chief series through R. Both kinds are found with no
+    subgroup lattice: see ``_maximal_tops``.
     """
     return tuple(sub for sub, _ in _maximal_tops(group, bound))
 
@@ -366,41 +389,43 @@ def _maximal_tops(group: FiniteGroup, bound: Subgroup) -> tuple:
     if found is None:
         if not bound.is_normal():
             raise NotNormal("bound subgroup is not normal")
-        k_gens, lower, lower_gens, residual = _derived_series(group, bound.elements)
-        tops = _tops_from_modules(group, bound, k_gens, lower, lower_gens)
+        k_gens, lower, residual = _derived_series(group, bound.elements)
+        tops = _tops_from_modules(group, bound, k_gens, lower)
         tops += _tops_from_chief_series(group, bound, residual)
         tops.sort(key=lambda top: (top[0].order, top[0].elements))
         found = group._maximals[bound.mask] = tuple(tops)
     return found
 
 
-def _tops_from_modules(group: FiniteGroup, bound: Subgroup, k_gens, lower, lower_gens) -> list:
-    """The abelian tops of ``_maximal_tops``, from K's generators and
-    [K,K] (its elements and generators).
+def _tops_from_modules(group: FiniteGroup, bound: Subgroup, k_gens, lower) -> list:
+    """The abelian tops of ``_maximal_tops``, from K's generators and the
+    elements of [K,K].
 
-    Per prime p, M_p = K/Φ_p gets coordinates through one quotient, and
-    ``mats`` holds the conjugation matrices A_h of the group's
-    generators. A maximal submodule of M_p is the annihilator of a
-    simple submodule W of the dual, i.e. rows w with w·A_h in W, so
-    N_W = {k in K : W·v(k) = 0}, and K/N_W in the coordinates W·v is
-    acted on by the C_h with W·A_h = C_h·W.
+    Per prime p, M_p = K/Φ_p is read off the Schreier walk of K
+    (``_words``): the nullspace of its relations mod p is a basis of
+    Hom(K, F_p), whose values ``words @ dual.T`` are coordinates on M_p.
+    Each row of that RREF nullspace is 1 at its last nonzero entry, a
+    free column where the other rows are 0, so the generators at those
+    columns are M_p's basis, and ``mats`` holds the conjugation matrices
+    A_h of the group's generators. A maximal submodule of M_p is the
+    annihilator of a simple submodule W of the dual, i.e. rows w with
+    w·A_h in W, so N_W = {k in K : W·v(k) = 0}, and K/N_W in the
+    coordinates W·v is acted on by the C_h with W·A_h = C_h·W.
     """
-    # gmodules imports this module
-    from .gmodules import _conjugation_matrices, kernel_coordinates
-
+    mul, inv = group.mul, group.inv
     kel = np.asarray(bound.elements, dtype=np.intp)
-    h = np.asarray(generating_set(group), dtype=np.intp)
+    h = np.asarray(generating_set(group), dtype=np.intp)[:, None]
+    primes = _prime_divisors(bound.order // len(lower))
+    if not primes:  # K is perfect
+        return []
+    words, relations = _words(group, k_gens)
     tops = []
-    for p in _prime_divisors(bound.order // len(lower)):
-        phi = closure_of(group, lower_gens + [_power(group, g, p) for g in k_gens])
-        if len(phi) == 1:
-            bar, rho = group, np.arange(group.order)
-        else:
-            bar, cov = quotient(group, Subgroup(group, phi))
-            rho = cov.image
-        coords = kernel_coordinates(Subgroup(bar, tuple(_distinct(rho[kel], bar.order).tolist())))
-        vectors = coords.vectors[rho[kel]]
-        mats = _conjugation_matrices(coords, bar, rho[h])
+    for p in primes:
+        dual = nullspace_mod_p(relations % p, p)
+        vectors = words[kel] @ dual.T % p
+        last = len(k_gens) - 1 - (dual[:, ::-1] != 0).argmax(axis=1)
+        basis = np.asarray(k_gens, dtype=np.intp)[last]
+        mats = (words[mul[mul[h, basis], inv[h]]] @ dual.T % p).transpose(0, 2, 1)
         for w in minimal_stable_subspaces(mats, p):
             inside = ~(vectors @ w.T % p).any(axis=1)
             pivots = (w != 0).argmax(axis=1)  # w is in RREF
@@ -452,9 +477,9 @@ def _tops_from_chief_series(group: FiniteGroup, bound: Subgroup, residual) -> li
 
 
 def _derived_series(group: FiniteGroup, elements) -> tuple:
-    """(generators of K, elements of [K,K], generators of [K,K], elements
-    of the perfect residual K^(∞)) for the subgroup K with these
-    elements; [K,K] is K itself when K is perfect.
+    """(generators of K, elements of [K,K], elements of the perfect
+    residual K^(∞)) for the subgroup K with these elements; [K,K] is K
+    itself when K is perfect.
 
     The derived series is walked down until a term is abelian (then
     K^(∞) = 1) or perfect. The commutators [a, y] = a^-1·y^-1·a·y of
@@ -469,15 +494,14 @@ def _derived_series(group: FiniteGroup, elements) -> tuple:
         a = np.asarray(gens, dtype=np.intp)[:, None]
         y = np.asarray(elems, dtype=np.intp)
         comm = mul[mul[inv[a], inv[y]], mul[a, y]]
-        lower, lower_gens = _closure(group, _distinct(comm, group.order))
-        first = first or (lower, lower_gens)
-        if len(lower) == len(elems):
+        lower = _closure(group, _distinct(comm, group.order))  # (elements, generators)
+        first = first or lower[0]
+        if len(lower[0]) == len(elems):
             break
-        elems, gens = lower, lower_gens
+        elems, gens = lower
     else:
         elems = [0]
-    lower, lower_gens = first or ([0], [])
-    return k_gens, lower, lower_gens, elems
+    return k_gens, first or [0], elems
 
 
 def _power(group: FiniteGroup, x, e: int):

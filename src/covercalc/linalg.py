@@ -92,13 +92,13 @@ def nullspace_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
         M = M.reshape(1, -1)
     n = M.shape[1]
     R, pivots = row_echelon_mod_p(M, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    free = free.nonzero()[0]
+    # row k sets free column k to 1 and solves the pivot columns for it
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(R[i, fc])) % p
+    basis[:, pivots] = -R[:, free].T % p
+    basis[np.arange(len(free)), free] = 1
     return basis
 
 

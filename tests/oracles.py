@@ -939,7 +939,9 @@ def are_congruent(c1, c2):
     """Equal classes in the same cohomology space."""
     from covercalc.errors import SpaceMismatch
 
-    if c1.space is not c2.space and c1.space.structural_key() != c2.space.structural_key():
+    if c1.space is not c2.space and (
+        c1.space.module.structural_key() != c2.space.module.structural_key()
+    ):
         raise SpaceMismatch("classes live in different cohomology spaces")
     return bool(np.array_equal(c1.coords, c2.coords))
 
@@ -950,7 +952,9 @@ def are_isomorphic_extensions(c1, c2):
     are zero, or both are nonzero and span one F-line."""
     from covercalc.errors import SpaceMismatch
 
-    if c1.space is not c2.space and c1.space.structural_key() != c2.space.structural_key():
+    if c1.space is not c2.space and (
+        c1.space.module.structural_key() != c2.space.module.structural_key()
+    ):
         raise SpaceMismatch("classes live in different cohomology spaces")
     if c1.is_zero() or c2.is_zero():
         return c1.is_zero() and c2.is_zero()

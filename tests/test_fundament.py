@@ -51,6 +51,7 @@ from covercalc import (
     build_group,
     cohom_space,
     compose,
+    cyclic_group,
     decompose_fundamental,
     dominates,
     exists_semicartesian_lift,
@@ -244,6 +245,24 @@ def test_maximal_normal_in_pool_kernels_match_oracle(monkeypatch):
         for cov in (pi, relabel_cover(pi, rng)):
             table = tuple(tuple(row) for row in cov.source.mul.tolist())
             _check_maximals(cov.source, cov.kernel(), table)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    ["C3xC9", "C9xC3", "C4xC4", "C2xC8", "C4xC2xC2", "D4xC2", "Q8xC2"],
+)
+def test_maximal_normal_in_matches_oracle_on_relabeled_products(factors):
+    # M_p's basis is the generators at the free columns of the RREF basis
+    # of Hom(K, F_p), each row's last nonzero entry; relabelings with no
+    # stored generators move the walk's generators and their columns
+    parts = [cyclic_group(8) if n == "C8" else SMALL_GROUPS[n]() for n in factors.split("x")]
+    group = _direct_product(*parts)
+    rng = random.Random(factors)
+    for _ in range(20):
+        g = relabel(group, rng, keep_generators=False)
+        table = tuple(tuple(row) for row in g.mul.tolist())
+        for bound in normal_subgroups(g):
+            _check_maximals(g, bound, table)
 
 
 def test_decisions_and_series_do_not_build_the_lattice(monkeypatch):
@@ -690,22 +709,23 @@ def test_invariants_build_a_quotient_only_for_a_new_class(monkeypatch):
 
 
 def test_first_invariants_read_each_kernel_once(monkeypatch):
-    # the maximal tops and the kernel module of a cover read Ker(pi) in
-    # one set of coordinates, kept on the source; only the first cover of
-    # a class also reads the kernel of its least N's quotient
+    # the maximal tops read no kernel coordinates: Ker(pi) is read once,
+    # by its kernel module; only the first cover of a class also reads the
+    # kernel of its least N's quotient, for the class's representative,
+    # and before its own
     computed = []
-    real = gm._read_coordinates
+    real = gm.kernel_coordinates
     monkeypatch.setattr(
-        gm, "_read_coordinates", lambda sub: computed.append(sub) or real(sub)
+        gm, "kernel_coordinates", lambda sub: computed.append(sub) or real(sub)
     )
     pools = fresh_pools()
     for pool in pools:
         for k, pi in enumerate(pool[1:]):
             before = len(computed)
             assert len(invariants(pi).ab_classes) == 1
-            want = [True, False] if k == 0 else [True]
+            want = [False, True] if k == 0 else [True]
             assert [sub.parent is pi.source for sub in computed[before:]] == want
-            assert computed[before].mask == pi.kernel().mask
+            assert computed[-1].mask == pi.kernel().mask
     keys = [(id(sub.parent), sub.mask) for sub in computed]
     assert len(keys) == len(set(keys)) == sum(len(pool) for pool in pools)
 

@@ -371,5 +371,5 @@ def test_space_is_memoized_on_its_group():
     twin = FiniteGroup(group.mul.copy(), name="D4'")
     twin_space = cohom_space(twin, trivial_module(twin, 2))
     assert twin_space is not space and twin._spaces and not set(twin._spaces.values()) & {space}
-    assert twin_space.structural_key() == space.structural_key()
+    assert twin_space.module.structural_key() == space.module.structural_key()
     assert not hasattr(covercalc.cohomology, "_space_cache")
