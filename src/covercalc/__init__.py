@@ -11,7 +11,6 @@ from __future__ import annotations
 from .cohomology import (
     CohomClass,
     CohomSpace,
-    DualPairS,
     ExtensionRealization,
     TwoCochain,
     cocycle_from_extension,
@@ -19,7 +18,6 @@ from .cohomology import (
     cover_cochain,
     extension_from_cocycle,
     push_cochain,
-    x2,
 )
 from .errors import CovercalcError
 from .fiber import FiberProduct, fiber_product
@@ -39,14 +37,12 @@ from .fundament import (
     isomorphic_fundamental,
 )
 from .gmodules import (
-    DualSpace,
     EndoField,
     GModule,
     ModuleHom,
     direct_sum_module,
     endo_field,
     first_module_iso,
-    hom_space,
     is_simple_module,
     module_from_cover,
     trivial_module,
@@ -92,8 +88,6 @@ __all__ = [
     "CoverInvariants",
     "CovercalcError",
     "DEFAULT_LIMITS",
-    "DualPairS",
-    "DualSpace",
     "EndoField",
     "ExtensionRealization",
     "FiberProduct",
@@ -123,7 +117,6 @@ __all__ = [
     "first_module_iso",
     "fundament_kernel",
     "fundament_series",
-    "hom_space",
     "identity_cover",
     "invariants",
     "is_cartesian",
@@ -145,5 +138,4 @@ __all__ = [
     "terminal_cover",
     "trivial_group",
     "trivial_module",
-    "x2",
 ]

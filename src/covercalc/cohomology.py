@@ -1,4 +1,4 @@
-"""Degree-2 cohomology, the extension dictionary, and the dual pair (V, S).
+"""Degree-2 cohomology and the extension dictionary.
 
 Cochains are normalized (zero whenever an argument is the identity), so a
 2-cochain is a table over the (n-1)^2 pairs of non-identity elements with
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     Incompatible,
     KernelNotAbelian,
-    NotAGenerated,
     NotCocycle,
     NotIsomorphism,
     NotSimple,
@@ -37,15 +36,12 @@ from .gmodules import (
     GModule,
     KernelCoords,
     ModuleHom,
-    _generates,
     _module_and_coords,
     endo_field,
-    hom_space,
     is_simple_module,
 )
 from .linalg import (
     nullspace_mod_p,
-    rank_mod_p,
     row_echelon_mod_p,
 )
 
@@ -53,13 +49,11 @@ __all__ = [
     "TwoCochain",
     "CohomSpace",
     "CohomClass",
-    "DualPairS",
     "ExtensionRealization",
     "cohom_space",
     "extension_from_cocycle",
     "cover_cochain",
     "cocycle_from_extension",
-    "x2",
     "push_cochain",
 ]
 
@@ -398,56 +392,3 @@ def push_cochain(cochain: TwoCochain, matrix: np.ndarray, target: GModule) -> Tw
     flatvals = cochain.table.reshape(-1, dk)
     out = flatvals @ matrix.T % target.p
     return TwoCochain(cochain.group, target, out.reshape(n, n, target.dim))
-
-
-# ---------------------------------------------------------------------------
-# the dual pair (V, S) of a cover, and its inverse construction
-
-
-@dataclass(frozen=True)
-class DualPairS:
-    """The F-linear map S from Hom_G(K, A) into H^2(G, A), in the F_p
-    basis of ``hom_space(K, A)``."""
-
-    space: CohomSpace
-    s_matrix: np.ndarray  # (dim_p H^2) x (fp_dim of Hom_G(K, A)), over F_p
-
-    @property
-    def f_nullity(self) -> int:
-        cols = self.s_matrix.shape[1]
-        r = rank_mod_p(self.s_matrix, self.space.p) if cols else 0
-        return (cols - r) // self.space.endo_field.k
-
-    def image_rows(self) -> np.ndarray:
-        """Canonical (RREF) F_p row basis of the image of S in H^2."""
-        if not self.s_matrix.size:
-            return np.zeros((0, self.space.dim_p), dtype=np.int64)
-        reduced, _ = row_echelon_mod_p(self.s_matrix.T, self.space.p)
-        return reduced
-
-
-def x2(pi: Cover, target: GModule) -> DualPairS:
-    """The map S of the dual pair (V, S) of a cover whose kernel is
-    target-generated, on the F_p basis of V = ``hom_space(K, A)``. The
-    kernel module (memoized on the cover) and V are built once.
-
-    The K-valued cochain f of the cover is pushed through every F_p
-    basis map phi of Hom_G(K, A) at once, and ``coordinates_of_flat``
-    checks every pushed table against Z^2. That is the only cocycle
-    test f needs: a G-map commutes with the coboundary, so
-    phi(df) = d(phi f) = 0 for every phi, and as K is A-generated the
-    phi have zero common kernel, so df = 0."""
-    kmod = _module_and_coords(pi, pi.kernel())[0]
-    dual = hom_space(kmod, target)
-    if kmod.dim and not _generates(dual):
-        raise NotAGenerated("cover kernel is not generated by the module")
-    space = cohom_space(pi.target, target)
-    if not len(dual.fp_basis):
-        s_matrix = np.zeros((space.dim_p, 0), dtype=np.int64)
-        return DualPairS(space=space, s_matrix=s_matrix)
-    raw = cover_cochain(pi)
-    # pushed[m, x, y] = phi_m(f(x, y)), over the non-identity pairs
-    pushed = raw.table[1:, 1:] @ dual.fp_basis[:, None].swapaxes(-1, -2)
-    flat = pushed.reshape(len(dual.fp_basis), -1)
-    s_matrix = space.coordinates_of_flat(flat).T
-    return DualPairS(space=space, s_matrix=s_matrix)

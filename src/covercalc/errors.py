@@ -67,14 +67,6 @@ class NotSimple(CovercalcError):
     """A module required to be simple is not."""
 
 
-class CharacteristicMismatch(CovercalcError):
-    """Two modules/spaces live over different characteristics."""
-
-
-class NotAGenerated(CovercalcError):
-    """A module is not generated by copies of the given simple module."""
-
-
 # -- cohomology -----------------------------------------------------------------
 
 class NotCocycle(CovercalcError):

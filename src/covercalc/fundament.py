@@ -15,8 +15,10 @@ off the F_p-modules M_p = K/[K,K]K^p, one per prime p dividing |K/[K,K]|,
 each in the coordinates that Hom(K, F_p) gives it on the Schreier walk
 of K, with no quotient built: they are the preimages of the maximal
 submodules (``maximal_normal_in``), and each comes with the small action
-matrices of its top K/N, by which ``_indexed`` matches it against the
-base's module classes before building any quotient. Those with K/N
+matrices of its top K/N, by which ``_class_tops`` matches it against the
+base's module classes before building any quotient. A module class's
+multiplicity and support are read off the same M_p (``_class_support``):
+no joint quotient and no kernel module is built. Those with K/N
 non-abelian are centralizers of chief factors inside the perfect
 residual of K; no kernel lists its normal-subgroup lattice.
 
@@ -64,7 +66,7 @@ from .groups import (
     quotient,
     same_group,
 )
-from .linalg import rank_mod_p, row_space_le
+from .linalg import rank_mod_p, row_echelon_mod_p, row_space_le
 
 __all__ = [
     "CoverInvariants",
@@ -247,69 +249,86 @@ def _class_tops(base: FiniteGroup, pi: Cover) -> tuple[dict, dict, dict]:
     """``(na, ab, supports)``: the classes of the indecomposable quotients
     of ``pi``, any cover, by registry index in ``base``, with no H^2. ``na``
     counts each non-abelian class; ``ab`` maps each module class to the
-    mask of the intersection M of its N; ``supports`` is filled by
-    ``_class_support``. Memoized on the cover per base object
-    (``pi._class_tops``). A cover's indecomposable quotients are its
-    fundament's, so a cover that is not fundamental is read as it is.
+    reading ``(values, mats)`` of M_p, for its prime p, from
+    ``_maximal_tops``; ``supports`` is filled by ``_class_support``.
+    Memoized on the cover per base object (``pi._class_tops``). A cover's
+    indecomposable quotients are its fundament's, so a cover that is not
+    fundamental is read as it is.
 
     The indecomposable quotient covers H/N ->> G, for N ranging over the
     maximal H-normal subgroups of Ker(pi), are grouped by kernel type.
     Every abelian K/N comes with its action matrices from
-    ``maximal_normal_in``'s module route, and these are matched against
-    the base's module representatives (``_top_class``): only a top of a
-    class the base has not met builds H/N, whose kernel module becomes
-    the class's representative. A non-abelian K/N has no module: H/N is
-    built and matched against the base's non-abelian classes
-    (``_cover_class``).
+    ``maximal_normal_in``'s module route, and each distinct action (p and
+    the bytes of the matrices) is matched against the base's module
+    representatives once (``_top_class``): only a top of a class the
+    base has not met builds H/N, whose kernel module becomes the class's
+    representative. A non-abelian K/N has no module: H/N is built and
+    matched against the base's non-abelian classes (``_cover_class``).
     """
     found = pi._class_tops.get(base)
     if found is None:
         na: dict[int, int] = {}  # class index -> count
-        ab: dict[int, int] = {}  # class index -> mask of the class's N
+        ab: dict[int, tuple] = {}  # class index -> reading of M_p
+        seen: dict[tuple, int] = {}  # (p, bytes of the action) -> class index
         for sub, top in _maximal_tops(pi.source, pi.kernel()):
             if top is None:
                 index = _cover_class(base, _quotient_over(pi, sub)[0])
                 na[index] = na.get(index, 0) + 1
             else:
-                index = _top_class(base, pi, sub, top)
-                ab[index] = ab.get(index, sub.mask) & sub.mask
+                p, action, reading = top
+                key = (p, action.tobytes())  # the generator count fixes the shape
+                index = seen.get(key)
+                if index is None:
+                    index = seen[key] = _top_class(base, pi, sub, top)
+                ab[index] = reading
         found = pi._class_tops[base] = (na, ab, {})
     return found
 
 
 def _class_support(base: FiniteGroup, pi: Cover, index: int) -> tuple:
     """``(mult, supp)`` of the module class ``index`` of ``pi``, memoized in
-    ``_class_tops``. The dual pair is read against the class's
-    representative R, so ``supp`` is in the coordinates of H^2(G, R): by
-    Schur, Hom_G(K, R) is Hom_G(K, A) composed with one isomorphism
-    A -> R, so reading against R gives the same multiplicity and the
-    carried support. It is read off the joint quotient by the
-    intersection M of the class's N: when M = 1, as for every fundamental
-    cover with one abelian class, that is ``pi`` itself, whose memoized
-    kernel module serves it, and otherwise H/M is built. Raises
-    OrderCapExceeded when H^2(G, R) is past the cochain cap.
+    ``_class_tops``, read off M_p = K/[K,K]K^p with no quotient built.
+
+    A nonzero G-map K -> R, for the class's representative R, is onto
+    the simple R, so its kernel is one of the class's N: every such map
+    kills the intersection M of the class's N and factors through M_p.
+    So Hom_G(K/M, R) = Hom_G(M_p, R), the X with X·A_h = R(h)·X on the
+    source's generators h, for M_p's matrices A_h and coordinates v.
+    The cover's cocycle c(x, y) = s_x·s_y·s_xy^-1, through its least
+    section s, is pushed through each basis map X as X·v(c), which is
+    the cocycle of H/M pushed through the map up to a coboundary. The
+    RREF of the pushed classes in H^2(G, R) is ``supp`` and the
+    F-dimension of the maps sent to 0 is ``mult``: the dual pair of
+    H/M, read against R. Raises OrderCapExceeded when H^2(G, R) is past
+    the cochain cap.
     """
     _, ab, supports = _class_tops(base, pi)
     found = supports.get(index)
     if found is None:
-        common = ab[index]
-        if common == 1:  # the class meets in 1: the joint quotient is pi
-            joint = pi
-        else:
-            inside = tuple(x for x in pi.kernel().elements if common >> x & 1)
-            joint = _quotient_over(pi, Subgroup(pi.source, inside))[0]
-        pair = ch.x2(joint, base._classes[index])
-        supp = pair.image_rows()
+        rep = base._classes[index]
+        space = ch.cohom_space(base, rep)
+        values, mats = ab[index]
+        src, p = pi.source, rep.p
+        images = pi.image[list(generating_set(src))]
+        maps = gm._intertwiners(mats, rep.action[images], p).reshape(-1, rep.dim, mats.shape[-1])
+        section = pi.fibers[1:, 0]
+        h = src.mul[section[:, None], section]
+        cocycle = values[src.mul[h, src.inv[pi.fibers[pi.image[h], 0]]]]
+        # pushed[m, x, y] = X_m·v(c(x, y)), over the non-identity pairs
+        pushed = cocycle @ maps[:, None].swapaxes(-1, -2)
+        classes = space.coordinates_of_flat(pushed.reshape(len(maps), -1))
+        supp, _ = row_echelon_mod_p(classes, p)
         supp.flags.writeable = False
-        found = supports[index] = (pair.f_nullity, supp)
+        mult = (len(maps) - len(supp)) // space.endo_field.k
+        found = supports[index] = (mult, supp)
     return found
 
 
 def _same_top(a: tuple, b: tuple) -> bool:
-    """Whether two simple tops (p, matrices of the same generators) are
-    isomorphic modules: equal matrices, or by Schur any nonzero
-    intertwiner."""
-    (p, ma), (q, mb) = a, b
+    """Whether two simple tops (p, matrices of the same generators, and
+    anything after) are isomorphic modules: equal matrices, or by Schur
+    any nonzero intertwiner."""
+    (p, ma, *_), (q, mb, *_) = a, b
     if p != q or ma.shape != mb.shape:
         return False
     return bool((ma == mb).all()) or len(gm._intertwiners(ma, mb, p)) > 0
@@ -317,12 +336,12 @@ def _same_top(a: tuple, b: tuple) -> bool:
 
 def _top_class(base: FiniteGroup, pi: Cover, sub: Subgroup, top: tuple) -> int:
     """Registry index in ``base`` of the simple module K/N, for N = ``sub``
-    with its abelian top ``(p, mats)`` from ``_maximal_tops``. K acts
-    trivially on K/N, so the top is a G-module already: it is compared
-    with each module representative on the images of the source's
-    generators. On a miss H/N ->> G is built and its kernel module becomes
-    the new representative; the tops come sorted, so N is the least of
-    its class in ``pi``."""
+    with its abelian top ``(p, mats, reading)`` from ``_maximal_tops``. K
+    acts trivially on K/N, so the top is a G-module already: it is
+    compared with each module representative on the images of the
+    source's generators. On a miss H/N ->> G is built and its kernel
+    module becomes the new representative; the tops come sorted, so N is
+    the least of its class in ``pi``."""
     images = pi.image[list(generating_set(pi.source))]
     reps = base._classes
     for index, rep in enumerate(reps):

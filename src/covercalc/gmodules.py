@@ -1,10 +1,11 @@
-"""Finite group modules over prime fields, and the Hom(-, A) duality.
+"""Finite group modules over prime fields and their G-maps.
 
 A module is a matrix action of a finite group on F_p^d: one read-only
 (order, d, d) int64 array, the invertible matrix of element g at index
-g. Simple modules carry an endomorphism field F = End_G(A); Hom-spaces
-are F-vector spaces presented by F_p bases, one (m, dA, dK) array, so a
-single GF(p) elimination core serves both F_p and F_q linear algebra.
+g. Simple modules carry an endomorphism field F = End_G(A). A space of
+G-maps is the nullspace of one intertwiner system (``_intertwiners``),
+presented by an F_p basis of flattened matrices, so a single GF(p)
+elimination core serves both F_p and F_q linear algebra.
 
 F is kept as its F_p basis and read through its degree k = [F : F_p]
 alone; its elements are never listed. The spaces that F acts on are
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CharacteristicMismatch,
     Incompatible,
     NotCentralInKernel,
     NotElementaryAbelian,
@@ -47,7 +47,6 @@ __all__ = [
     "GModule",
     "ModuleHom",
     "EndoField",
-    "DualSpace",
     "KernelCoords",
     "module_from_cover",
     "kernel_coordinates",
@@ -55,7 +54,6 @@ __all__ = [
     "direct_sum_module",
     "is_simple_module",
     "endo_field",
-    "hom_space",
     "first_module_iso",
 ]
 
@@ -334,38 +332,6 @@ def endo_field(module: GModule) -> EndoField:
     basis.flags.writeable = False
     module._endo = EndoField(module=module, basis_endos=basis)
     return module._endo
-
-
-@dataclass(frozen=True)
-class DualSpace:
-    """Hom_G(K, A) as an F = End_G(A) vector space, presented by an F_p
-    basis, one (m, dA, dK) array; its F-dimension is m / [F : F_p]."""
-
-    module: GModule  # K
-    target: GModule  # A
-    endo_field: EndoField
-    fp_basis: np.ndarray  # (m, dA, dK): F_p-basis matrices
-
-
-def hom_space(module: GModule, target: GModule) -> DualSpace:
-    """Hom_G(K, A) for simple A, presented by an F_p basis."""
-    if module.p != target.p:
-        raise CharacteristicMismatch("modules live over different primes")
-    if not same_group(module.group, target.group):
-        raise Incompatible("modules are over different groups")
-    endo = endo_field(target)
-    dk, da = module.dim, target.dim
-    if dk == 0 or da == 0:
-        return DualSpace(module, target, endo, np.zeros((0, da, dk), dtype=np.int64))
-    return DualSpace(module, target, endo, _hom_basis(module, target).reshape(-1, da, dk))
-
-
-def _generates(dual: DualSpace) -> bool:
-    """Whether the maps of ``dual`` have zero common kernel."""
-    d = dual.module.dim
-    if not len(dual.fp_basis):
-        return d == 0
-    return rank_mod_p(dual.fp_basis.reshape(-1, d), dual.module.p) == d
 
 
 def first_module_iso(a: GModule, b: GModule) -> ModuleHom:

@@ -378,11 +378,12 @@ def maximal_normal_in(group: FiniteGroup, bound: Subgroup) -> tuple[Subgroup, ..
 
 def _maximal_tops(group: FiniteGroup, bound: Subgroup) -> tuple:
     """The N of ``maximal_normal_in``, each paired with its top K/N: for
-    an abelian top the F_p-module ``(p, mats)``, where ``mats[i]`` is the
-    matrix of ``generating_set(group)[i]`` acting by conjugation on K/N,
-    and None for a non-abelian top. Memoized on the group
-    (``group._maximals``, keyed by ``bound.mask``); a non-normal bound
-    is never stored."""
+    an abelian top the F_p-module ``(p, mats, reading)``, where
+    ``mats[i]`` is the matrix of ``generating_set(group)[i]`` acting by
+    conjugation on K/N and ``reading`` is M_p's from
+    ``_tops_from_modules``, one object per prime; None for a
+    non-abelian top. Memoized on the group (``group._maximals``, keyed
+    by ``bound.mask``); a non-normal bound is never stored."""
     if not same_group(bound.parent, group):
         raise Incompatible("subgroup belongs to a different group")
     found = group._maximals.get(bound.mask)
@@ -410,7 +411,9 @@ def _tops_from_modules(group: FiniteGroup, bound: Subgroup, k_gens, lower) -> li
     A_h of the group's generators. A maximal submodule of M_p is the
     annihilator of a simple submodule W of the dual, i.e. rows w with
     w·A_h in W, so N_W = {k in K : W·v(k) = 0}, and K/N_W in the
-    coordinates W·v is acted on by the C_h with W·A_h = C_h·W.
+    coordinates W·v is acted on by the C_h with W·A_h = C_h·W. Every top
+    of p keeps M_p's reading ``(values, mats)``: ``values`` is the
+    |H| x d_p array of v, zero off K.
     """
     mul, inv = group.mul, group.inv
     kel = np.asarray(bound.elements, dtype=np.intp)
@@ -422,15 +425,17 @@ def _tops_from_modules(group: FiniteGroup, bound: Subgroup, k_gens, lower) -> li
     tops = []
     for p in primes:
         dual = nullspace_mod_p(relations % p, p)
-        vectors = words[kel] @ dual.T % p
+        values = words @ dual.T % p
+        vectors = values[kel]
         last = len(k_gens) - 1 - (dual[:, ::-1] != 0).argmax(axis=1)
         basis = np.asarray(k_gens, dtype=np.intp)[last]
-        mats = (words[mul[mul[h, basis], inv[h]]] @ dual.T % p).transpose(0, 2, 1)
+        mats = values[mul[mul[h, basis], inv[h]]].transpose(0, 2, 1)
+        reading = (values, mats)
         for w in minimal_stable_subspaces(mats, p):
             inside = ~(vectors @ w.T % p).any(axis=1)
             pivots = (w != 0).argmax(axis=1)  # w is in RREF
             action = (w @ mats % p)[:, :, pivots]
-            tops.append((Subgroup(group, tuple(kel[inside].tolist())), (p, action)))
+            tops.append((Subgroup(group, tuple(kel[inside].tolist())), (p, action, reading)))
     return tops
 
 

@@ -175,7 +175,10 @@ def minimal_stable_subspaces(mats: np.ndarray, p: int) -> list[np.ndarray]:
         span = point[None, :] if line else spin(point, mats, p)
         spins.setdefault(span.tobytes(), span)  # d is fixed: bytes fix the rows
     kept: list[np.ndarray] = []
+    smaller = 0  # kept[:smaller] are the kept spans of smaller dimension
     for span in sorted(spins.values(), key=len):
-        if not any(len(w) < len(span) and row_space_le(w, span, p) for w in kept):
+        while smaller < len(kept) and len(kept[smaller]) < len(span):
+            smaller += 1
+        if not any(row_space_le(w, span, p) for w in kept[:smaller]):
             kept.append(span)
     return kept

@@ -811,7 +811,7 @@ def invariants_by_quotients(pi):
         module = gm.module_from_cover(cov, cov.kernel())
         inside = tuple(x for x in ker.elements if common >> x & 1)
         joint = _quotient_over(pi, Subgroup(src, inside))[0]
-        dual = gm.hom_space(gm.module_from_cover(joint, joint.kernel()), module)
+        dual = hom_space(gm.module_from_cover(joint, joint.kernel()), module)
         space = ch.cohom_space(pi.target, module)
         raw = ch.cover_cochain(joint)
         images = [
@@ -823,6 +823,112 @@ def invariants_by_quotients(pi):
         mult = (len(images) - len(supp)) // gm.endo_field(module).k
         out.append((module, mult, supp))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the dual pair (V, S) of a cover, read on its whole kernel
+
+
+class CharacteristicMismatch(Exception):
+    """Two modules live over different characteristics."""
+
+
+class NotAGenerated(Exception):
+    """A module is not generated by copies of the given simple module."""
+
+
+@dataclass(frozen=True)
+class DualSpace:
+    """Hom_G(K, A) as an F = End_G(A) vector space, presented by an F_p
+    basis, one (m, dA, dK) array; its F-dimension is m / [F : F_p]."""
+
+    module: object  # GModule K
+    target: object  # GModule A
+    endo_field: object  # EndoField of A
+    fp_basis: np.ndarray  # (m, dA, dK): F_p-basis matrices
+
+
+def hom_space(module, target):
+    """Hom_G(K, A) for simple A, presented by an F_p basis."""
+    from covercalc import endo_field, same_group
+    from covercalc.errors import Incompatible
+    from covercalc.gmodules import _hom_basis
+
+    if module.p != target.p:
+        raise CharacteristicMismatch("modules live over different primes")
+    if not same_group(module.group, target.group):
+        raise Incompatible("modules are over different groups")
+    endo = endo_field(target)
+    dk, da = module.dim, target.dim
+    if dk == 0 or da == 0:
+        return DualSpace(module, target, endo, np.zeros((0, da, dk), dtype=np.int64))
+    return DualSpace(module, target, endo, _hom_basis(module, target).reshape(-1, da, dk))
+
+
+def _generates(dual):
+    """Whether the maps of ``dual`` have zero common kernel."""
+    from covercalc.linalg import rank_mod_p
+
+    d = dual.module.dim
+    if not len(dual.fp_basis):
+        return d == 0
+    return rank_mod_p(dual.fp_basis.reshape(-1, d), dual.module.p) == d
+
+
+@dataclass(frozen=True)
+class DualPairS:
+    """The F-linear map S from Hom_G(K, A) into H^2(G, A), in the F_p
+    basis of ``hom_space(K, A)``."""
+
+    space: object  # CohomSpace
+    s_matrix: np.ndarray  # (dim_p H^2) x (fp_dim of Hom_G(K, A)), over F_p
+
+    @property
+    def f_nullity(self) -> int:
+        from covercalc.linalg import rank_mod_p
+
+        cols = self.s_matrix.shape[1]
+        r = rank_mod_p(self.s_matrix, self.space.p) if cols else 0
+        return (cols - r) // self.space.endo_field.k
+
+    def image_rows(self) -> np.ndarray:
+        """Canonical (RREF) F_p row basis of the image of S in H^2."""
+        from covercalc.linalg import row_echelon_mod_p
+
+        if not self.s_matrix.size:
+            return np.zeros((0, self.space.dim_p), dtype=np.int64)
+        reduced, _ = row_echelon_mod_p(self.s_matrix.T, self.space.p)
+        return reduced
+
+
+def x2(pi, target):
+    """The map S of the dual pair (V, S) of a cover whose kernel is
+    target-generated, on the F_p basis of V = ``hom_space(K, A)``. The
+    kernel module (memoized on the cover) and V are built once.
+
+    The K-valued cochain f of the cover is pushed through every F_p
+    basis map phi of Hom_G(K, A) at once, and ``coordinates_of_flat``
+    checks every pushed table against Z^2. That is the only cocycle
+    test f needs: a G-map commutes with the coboundary, so
+    phi(df) = d(phi f) = 0 for every phi, and as K is A-generated the
+    phi have zero common kernel, so df = 0."""
+    from covercalc import cohom_space, cover_cochain
+    from covercalc.gmodules import _module_and_coords
+
+    kmod = _module_and_coords(pi, pi.kernel())[0]
+    dual = hom_space(kmod, target)
+    if kmod.dim and not _generates(dual):
+        raise NotAGenerated("cover kernel is not generated by the module")
+    space = cohom_space(pi.target, target)
+    if not len(dual.fp_basis):
+        s_matrix = np.zeros((space.dim_p, 0), dtype=np.int64)
+        return DualPairS(space=space, s_matrix=s_matrix)
+    raw = cover_cochain(pi)
+    # pushed[m, x, y] = phi_m(f(x, y)), over the non-identity pairs
+    pushed = raw.table[1:, 1:] @ dual.fp_basis[:, None].swapaxes(-1, -2)
+    flat = pushed.reshape(len(dual.fp_basis), -1)
+    s_matrix = space.coordinates_of_flat(flat).T
+    return DualPairS(space=space, s_matrix=s_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -1038,16 +1144,13 @@ def compose_horizontal(first, second):
 
 def is_A_generated(module, target):
     """True iff the elements of Hom_G(K, A) have zero common kernel."""
-    from covercalc.gmodules import _generates, hom_space
-
     return module.dim == 0 or _generates(hom_space(module, target))
 
 
 def decompose_isotypic(module, target):
     """An A-generated module K is A^n: the isomorphism K -> A^n assembled
     from an F-basis of Hom_G(K, A)."""
-    from covercalc import ModuleHom, direct_sum_module, hom_space
-    from covercalc.errors import NotAGenerated
+    from covercalc import ModuleHom, direct_sum_module
 
     if not is_A_generated(module, target):
         raise NotAGenerated("module is not generated by the simple module")

@@ -23,7 +23,9 @@ from oracles import (
     axis_kernels,
     compose_horizontal,
     decompose_isotypic,
+    hom_space,
     kernel_normal_decomposition,
+    x2,
     y2,
 )
 from catalog import (
@@ -53,7 +55,6 @@ from covercalc import (
     find_epimorphism_over,
     find_isomorphism_over,
     fundament_series,
-    hom_space,
     invariants,
     is_cartesian,
     is_compact_cartesian,
@@ -66,7 +67,6 @@ from covercalc import (
     terminal_cover,
     trivial_group,
     trivial_module,
-    x2,
 )
 from covercalc.cli import Workspace, main, parse_workspace, run_command
 from covercalc.groups import (

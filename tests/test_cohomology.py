@@ -45,21 +45,18 @@ from covercalc import (
     fiber_product,
     find_isomorphism_over,
     first_module_iso,
-    hom_space,
     identity_cover,
     module_from_cover,
     push_cochain,
     quotient,
     terminal_cover,
     trivial_module,
-    x2,
 )
 from covercalc.cli import Workspace
 from covercalc.groups import generating_set
 from covercalc.errors import (
     Incompatible,
     KernelNotAbelian,
-    NotAGenerated,
     NotCocycle,
     NotIsomorphism,
     NotSimple,
@@ -67,11 +64,14 @@ from covercalc.errors import (
 )
 import oracles
 from oracles import (
+    NotAGenerated,
     are_congruent,
     are_isomorphic_extensions,
     h2_dim_by_enumeration,
+    hom_space,
     inflate,
     inflate_module,
+    x2,
     y2,
 )
 

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import NotFundamentalStage, axis_kernels, is_fundament_of, is_fundament_series
+from oracles import NotFundamentalStage, axis_kernels, is_fundament_of, is_fundament_series, x2
 from catalog import (
     SMALL_GROUPS,
     alt5,
@@ -81,7 +81,7 @@ from covercalc import groups as groups_module
 from covercalc.cli import Workspace, run_command
 import covercalc.fundament as fu
 from covercalc.fundament import _cover_class, _quotient_over, fundament
-from covercalc.cohomology import cover_cochain, x2
+from covercalc.cohomology import cover_cochain
 from covercalc.gmodules import is_simple_module
 from covercalc.groups import closure_of, maximal_normal_in
 
@@ -676,6 +676,92 @@ def test_invariants_match_the_joint_quotient_route():
         _check_own_route(pi)
 
 
+def joint_quotient_pairs(pi):
+    """``{index: (mult, supp)}`` for the module classes of ``pi``, any
+    cover, in the registry of its base: each abelian top's class by
+    ``oracles.module_class`` of its quotient's kernel module, and per
+    class ``oracles.x2`` on the joint quotient H/M, for the intersection
+    M of the class's N, read against the class's representative."""
+    base, src, ker = pi.target, pi.source, pi.kernel()
+    common = {}  # class index -> mask of the class's N
+    for sub, top in groups_module._maximal_tops(src, ker):
+        if top is not None:
+            cov = _quotient_over(pi, sub)[0]
+            index = oracles.module_class(base, gm.module_from_cover(cov, cov.kernel()))
+            assert index is not None
+            common[index] = common.get(index, sub.mask) & sub.mask
+    pairs = {}
+    for index, mask in common.items():
+        inside = tuple(x for x in ker.elements if mask >> x & 1)
+        joint = _quotient_over(pi, Subgroup(src, inside))[0]
+        pair = x2(joint, base._classes[index])
+        pairs[index] = (pair.f_nullity, pair.image_rows())
+    return pairs
+
+
+def two_prime_products():
+    """C2xC3, C2^2xC3, S3xC2 and A4xC2 over 1: an F2 and an F3 class."""
+    one = trivial_group()
+    c2, c3 = terminal_cover(cyclic_group(2)), terminal_cover(cyclic_group(3))
+    s3, a4 = (terminal_cover(SMALL_GROUPS[name]()) for name in ("S3", "A4"))
+    return [
+        fiber_product(one, factors).structure_map
+        for factors in ([c2, c3], [c2, c2, c3], [s3, c2], [a4, c2])
+    ]
+
+
+def s3_sign_and_plane_covers():
+    """The covers of S3 by F3 with the sign action, split and not, and by
+    the natural plane F2^2 (S4 ->> S3, whose H^2 is 0), each with its
+    square."""
+    sc = sign_cover()
+    s3 = sc.source
+    sign = GModule(s3, 3, tuple(np.array([[2 if sc.image[g] else 1]]) for g in range(6)))
+    space = cohom_space(s3, sign)
+    assert space.dim_p == 1
+    s4 = SMALL_GROUPS["S4"]()
+    atoms = [extension_cover(space, [0]), extension_cover(space, [1])]
+    atoms.append(quotient(s4, normal_subgroups(s4)[1])[1])  # by V4
+    return atoms + [power_cover(atom, 2) for atom in atoms]
+
+
+def f4_plane_covers_over_c3():
+    """The split extension of C3 by the F4-plane, whose H^2 is 0, and its
+    square."""
+    f4 = f4_over_c3()
+    split = extension_cover(cohom_space(f4.group, f4), np.zeros(0, dtype=np.int64))
+    return [split, power_cover(split, 2)]
+
+
+CLASS_SUPPORT_COVERS = {
+    "pool-C2": lambda: POOL_C2[1:],
+    "pool-C3": lambda: POOL_C3[1:],
+    "two-primes-over-1": two_prime_products,
+    "s3-sign-and-plane": s3_sign_and_plane_covers,
+    "f4-planes": lambda: f4_plane_covers_over_c3() + f4_plane_covers()[-1],
+    # factors that compactness reads as they are
+    "compactness-factors": lambda: [terminal_cover(cyclic_group(4)), power_cover(ETA1, 2)],
+}
+
+
+@pytest.mark.parametrize("make", list(CLASS_SUPPORT_COVERS.values()), ids=list(CLASS_SUPPORT_COVERS))
+def test_class_supports_match_x2_on_the_joint_quotient(make):
+    # the pair read off M_p with no quotient is x2's on H/M: the same
+    # multiplicity and the same canonical support bytes, for every
+    # module class of every cover and three relabelings of it
+    rng = random.Random(5)
+    for cov in make():
+        for pi in [cov] + [relabel_cover(cov, rng) for _ in range(3)]:
+            base = pi.target
+            ab = fu._class_tops(base, pi)[1]
+            want = joint_quotient_pairs(pi)
+            assert sorted(ab) == sorted(want)
+            for index, (mult, supp) in want.items():
+                got_mult, got_supp = fu._class_support(base, pi, index)
+                assert got_mult == mult
+                assert (got_supp.shape, got_supp.tobytes()) == (supp.shape, supp.tobytes())
+
+
 def fresh_pools():
     """The C2 and C3 pools over new bases, whose registries start empty."""
     return [
@@ -706,13 +792,28 @@ def test_invariants_build_a_quotient_only_for_a_new_class(monkeypatch):
         assert built == [1] + [0] * (len(pool) - 2)
         assert len(base._classes) == 1
         assert not invariants(pool[0]).ab_classes  # the identity cover
+    # over 1, covers with an F2 and an F3 class, each meeting in the other
+    # prime: the first cover builds the two representatives, and once
+    # both exist no cover builds a quotient
+    one = trivial_group()
+    c2, c3 = terminal_cover(cyclic_group(2)), terminal_cover(cyclic_group(3))
+    combos = ([c2, c3], [c2, c2, c3], [c3, c3, c2], [c3, c2], [c2], [c3])
+    built = []
+    for factors in combos:
+        pi = fiber_product(one, factors).structure_map
+        before = len(calls)
+        primes = sorted(cls.module.p for cls in invariants(pi).ab_classes)
+        built.append(len(calls) - before)
+        assert primes == sorted({cov.source.order for cov in factors})
+    assert built == [2, 0, 0, 0, 0, 0]
+    assert len(one._classes) == 2
 
 
 def test_first_invariants_read_each_kernel_once(monkeypatch):
-    # the maximal tops read no kernel coordinates: Ker(pi) is read once,
-    # by its kernel module; only the first cover of a class also reads the
-    # kernel of its least N's quotient, for the class's representative,
-    # and before its own
+    # a first classification reads no coordinates of the cover's own
+    # kernel: its tops and its classes' multiplicities and supports come
+    # off M_p. Only the first cover of a class reads a kernel, that of
+    # its least N's quotient, for the class's representative
     computed = []
     real = gm.kernel_coordinates
     monkeypatch.setattr(
@@ -720,14 +821,15 @@ def test_first_invariants_read_each_kernel_once(monkeypatch):
     )
     pools = fresh_pools()
     for pool in pools:
+        base = pool[0].target
         for k, pi in enumerate(pool[1:]):
             before = len(computed)
-            assert len(invariants(pi).ab_classes) == 1
-            want = [False, True] if k == 0 else [True]
-            assert [sub.parent is pi.source for sub in computed[before:]] == want
-            assert computed[-1].mask == pi.kernel().mask
-    keys = [(id(sub.parent), sub.mask) for sub in computed]
-    assert len(keys) == len(set(keys)) == sum(len(pool) for pool in pools)
+            (cls,) = invariants(pi).ab_classes
+            read = computed[before:]
+            assert all(sub.parent is not pi.source for sub in read)
+            assert [sub.order for sub in read] == ([cls.module.p] if k == 0 else [])
+            assert cls.module is base._classes[0]
+    assert len(computed) == len(pools)
 
 
 def _watch_classification(monkeypatch, *more):
@@ -735,7 +837,7 @@ def _watch_classification(monkeypatch, *more):
     a base's registry, and to the ``more`` names of ``fundament``."""
     calls = []
     owners = [(fu, name) for name in ("_top_class", "_cover_class", "quotient", *more)]
-    for owner, name in owners + [(fu.ch, "x2")]:
+    for owner, name in owners + [(gm, "_intertwiners")]:
         real = getattr(owner, name)
         monkeypatch.setattr(
             owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)

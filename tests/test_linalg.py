@@ -22,7 +22,6 @@ from covercalc import (
     cohom_space,
     direct_sum_module,
     endo_field,
-    hom_space,
     trivial_module,
 )
 from covercalc.errors import NotCocycle
@@ -177,6 +176,18 @@ def test_minimal_stable_subspaces_match_spins_exactly(p, d):
         got = minimal_stable_subspaces(mats, p)
         want = oracles.minimal_stable_subspaces_by_spins(mats, p)
         assert [(w.shape, w.tobytes()) for w in got] == [(w.shape, w.tobytes()) for w in want]
+
+
+def test_a_stable_plane_over_a_stable_line_is_dropped():
+    # on F_2^3, (a, b, c) -> (a, a + b, c) fixes the three lines with
+    # a = 0; the spins of (1, 0, 0) and (1, 0, 1) are stable planes that
+    # contain the line of (0, 1, 0), so both are dropped
+    mats = np.eye(3, dtype=np.int64)[None]
+    mats[0, 0, 1] = 1
+    got = minimal_stable_subspaces(mats, 2)
+    assert [w.tolist() for w in got] == [[[0, 1, 0]], [[0, 1, 1]], [[0, 0, 1]]]
+    want = oracles.minimal_stable_subspaces_by_spins(mats, 2)
+    assert [w.tolist() for w in got] == [w.tolist() for w in want]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -334,7 +345,7 @@ def f_item_cases():
     ]:
         field = endo_field(module)
         j, p = oracles.endo_generator(field), module.p
-        basis = list(hom_space(direct_sum_module(module, n), module).fp_basis)
+        basis = list(oracles.hom_space(direct_sum_module(module, n), module).fp_basis)
         combo = sum(int(c) * b for c, b in zip(rng.integers(0, p, size=len(basis)), basis)) % p
         items = [basis[0], j @ basis[0] % p, basis[0]] + basis[1:] + [combo, 0 * combo]
         order = rng.permutation(len(items))
@@ -345,7 +356,7 @@ def f_item_cases():
     j = oracles.endo_generator(field)
     plane = [np.array(v) for v in ([1, 0], [0, 1], [1, 1], j @ [1, 2] % 3)]
     cases.append((plane, lambda v: j @ v % 3, 3, field.k))
-    dual = hom_space(scrambled, f9)
+    dual = oracles.hom_space(scrambled, f9)
     cases.append((list(dual.fp_basis), lambda m: j @ m % 3, 3, field.k))
     return cases
 

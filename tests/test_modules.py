@@ -40,7 +40,6 @@ from covercalc import (
     endo_field,
     fiber_product,
     first_module_iso,
-    hom_space,
     is_simple_module,
     module_from_cover,
     quotient,
@@ -48,17 +47,17 @@ from covercalc import (
     trivial_module,
 )
 from covercalc.errors import (
-    CharacteristicMismatch,
     Incompatible,
     NotCentralInKernel,
     NotElementaryAbelian,
-    NotAGenerated,
     NotSimple,
 )
 from covercalc.gmodules import kernel_coordinates
 from covercalc.groups import generating_set
 from covercalc.linalg import spin
 from oracles import (
+    CharacteristicMismatch,
+    NotAGenerated,
     commutant_dimension,
     decompose_isotypic,
     dual_f_dim,
@@ -66,6 +65,7 @@ from oracles import (
     f_basis,
     f_independent_subset,
     field_tables,
+    hom_space,
     hom_system_nullspace,
     inflate_module,
     is_A_generated,

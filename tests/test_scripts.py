@@ -97,7 +97,7 @@ def test_readme_modules_of_note_resolve():
 
 def read_names(node) -> set[str]:
     """Every name read under ``node``: bare names and attribute names, so
-    that ``gm.hom_space`` reads ``hom_space``."""
+    that ``gm.endo_field`` reads ``endo_field``."""
     return {
         sub.id if isinstance(sub, ast.Name) else sub.attr
         for sub in ast.walk(node)
