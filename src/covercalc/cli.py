@@ -135,8 +135,11 @@ def parse_workspace(
     """Parse and resolve every file into one shared namespace."""
     ws = Workspace(limits)
     for path in files:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path} is not UTF-8 text ({exc.reason})") from None
         groups, homs = parse_source(text)
         new_groups, new_homs = realize_declarations(
             groups, homs, known_groups=ws.groups, limits=limits
@@ -308,12 +311,12 @@ def _cmd_fprod(ws: Workspace, args: list[str]) -> tuple[list[str], dict]:
         raise UsageError("fprod needs at least one cover expression")
     factors = [parse_cover(ws, a) for a in args]
     fp = fiber_product(factors[0].target, factors, limits=ws.limits)
-    orders = sorted(int(fp.carrier.element_orders()[x]) for x in range(fp.carrier.order))
+    orders = sorted(fp.carrier.element_orders().tolist())
     compact = is_compact_fiber_product(fp)
     lines = [
         f"fiber product of {fp.arity} covers over {fp.base.name}",
         f"carrier order: {fp.carrier.order}",
-        f"kernel size: {len(fp.structure_map.kernel().elements)}",
+        f"kernel size: {fp.structure_map.kernel().order}",
         f"element orders: {orders}",
         f"compact: {_bool(compact)}",
     ]
@@ -395,10 +398,10 @@ def _cmd_fundament(pi: Cover) -> tuple[list[str], dict]:
     pi_bar, rho = fundament(pi)
     m = rho.kernel()
     lines = [
-        f"kernel size: {len(pi.kernel().elements)}",
-        f"fundament kernel size: {len(m.elements)}",
+        f"kernel size: {pi.kernel().order}",
+        f"fundament kernel size: {m.order}",
         f"fundamental quotient order: {pi_bar.source.order}",
-        f"already fundamental: {_bool(len(m.elements) == 1)}",
+        f"already fundamental: {_bool(m.order == 1)}",
     ]
     doc = {
         "kernel": _subgroup_doc(pi.kernel()),
@@ -411,7 +414,7 @@ def _cmd_fundament(pi: Cover) -> tuple[list[str], dict]:
 
 def _cmd_series(pi: Cover) -> tuple[list[str], dict]:
     ser = fundament_series(pi)
-    sizes = [len(k.elements) for k in ser.kernels]
+    sizes = [k.order for k in ser.kernels]
     doc = {
         "sizes": sizes,
         "kernels": [_subgroup_doc(k) for k in ser.kernels],
@@ -464,7 +467,7 @@ def _cmd_decompose(pi: Cover) -> tuple[list[str], dict]:
     for i, f in enumerate(factors, start=1):
         lines.append(
             f"  factor {i}: carrier order {f.source.order},"
-            f" kernel size {len(f.kernel().elements)}"
+            f" kernel size {f.kernel().order}"
         )
     lines.append(f"isomorphism onto fiber product: {_bool(iso.is_isomorphism())}")
     doc = {

@@ -111,4 +111,5 @@ class UnknownReference(CovercalcError):
 
 
 class UsageError(CovercalcError):
-    """Bad command-line usage (unknown command, wrong arity, bad flag)."""
+    """Bad command-line usage (unknown command, wrong arity, bad flag,
+    a definition file that is not UTF-8)."""

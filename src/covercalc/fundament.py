@@ -99,12 +99,9 @@ def fundament_kernel(pi: Cover) -> Subgroup:
     """
     if pi._fundament is None:
         ker = pi.kernel()
-        common = ker.mask
-        for sub in maximal_normal_in(pi.source, ker):
-            common &= sub.mask
-        pi._fundament = Subgroup(
-            pi.source, tuple(x for x in ker.elements if common >> x & 1)
-        )
+        maximals = maximal_normal_in(pi.source, ker)
+        common = set(ker.elements).intersection(*(n.elements for n in maximals))
+        pi._fundament = Subgroup(pi.source, common)
     return pi._fundament
 
 

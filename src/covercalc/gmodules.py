@@ -225,12 +225,12 @@ def _module_and_coords(pi: Cover, sub: Subgroup) -> tuple[GModule, KernelCoords]
     if not same_group(sub.parent, src):
         raise Incompatible("subgroup lives in a different group")
     ker = pi.kernel()
-    is_kernel = sub.mask == ker.mask
+    is_kernel = sub.elements == ker.elements
     if is_kernel and pi._kernel_module is not None:
         return pi._kernel_module
     if not sub.is_normal():
         raise NotNormal("subgroup is not normal in the cover source")
-    if sub.mask & ~ker.mask:
+    if pi.image[list(sub.elements)].any():  # Ker(pi) is what maps to 0
         raise NotCentralInKernel("subgroup is not inside the kernel")
     if not _commute(src, ker.elements, sub.elements):
         raise NotCentralInKernel("subgroup is not centralized by the kernel")

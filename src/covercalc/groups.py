@@ -96,7 +96,7 @@ class FiniteGroup:
         self.generators = tuple(int(g) for g in generators)
         self.generator_labels = tuple(generator_labels)
         self._orders: np.ndarray | None = None
-        self._maximals: dict[int, tuple] = {}  # _maximal_tops, by bound mask
+        self._maximals: dict[tuple, tuple] = {}  # _maximal_tops, by bound elements
         self._spaces: dict[bytes, object] = {}  # cohom_space memo, by module key
         # the class registry: one representative per class of simple
         # modules (fundament._top_class) and of covers with non-abelian
@@ -161,17 +161,13 @@ def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
 
 
 class Subgroup:
-    """A subgroup of a fixed parent, as a sorted element tuple + bitmask."""
+    """A subgroup of a fixed parent, as its sorted element tuple."""
 
-    __slots__ = ("parent", "elements", "mask")
+    __slots__ = ("parent", "elements")
 
     def __init__(self, parent: FiniteGroup, elements: tuple[int, ...]) -> None:
         self.parent = parent
         self.elements = tuple(sorted(int(e) for e in elements))
-        mask = 0
-        for e in self.elements:
-            mask |= 1 << e
-        self.mask = mask
 
     @property
     def order(self) -> int:
@@ -196,10 +192,10 @@ class Subgroup:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.mask == other.mask and same_group(self.parent, other.parent)
+        return self.elements == other.elements and same_group(self.parent, other.parent)
 
     def __hash__(self) -> int:
-        return hash((self.mask, self.parent.order))
+        return hash((self.elements, self.parent.order))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.name})"
@@ -383,10 +379,10 @@ def _maximal_tops(group: FiniteGroup, bound: Subgroup) -> tuple:
     conjugation on K/N and ``reading`` is M_p's from
     ``_tops_from_modules``, one object per prime; None for a
     non-abelian top. Memoized on the group (``group._maximals``, keyed
-    by ``bound.mask``); a non-normal bound is never stored."""
+    by ``bound.elements``); a non-normal bound is never stored."""
     if not same_group(bound.parent, group):
         raise Incompatible("subgroup belongs to a different group")
-    found = group._maximals.get(bound.mask)
+    found = group._maximals.get(bound.elements)
     if found is None:
         if not bound.is_normal():
             raise NotNormal("bound subgroup is not normal")
@@ -394,7 +390,7 @@ def _maximal_tops(group: FiniteGroup, bound: Subgroup) -> tuple:
         tops = _tops_from_modules(group, bound, k_gens, lower)
         tops += _tops_from_chief_series(group, bound, residual)
         tops.sort(key=lambda top: (top[0].order, top[0].elements))
-        found = group._maximals[bound.mask] = tuple(tops)
+        found = group._maximals[bound.elements] = tuple(tops)
     return found
 
 
@@ -565,7 +561,8 @@ class GroupHom:
     """A homomorphism, stored as the full image array.
 
     ``image[h]`` is the index in the target of the image of element ``h``;
-    the array is a read-only copy, so data memoized on the map stays valid.
+    the array is a read-only copy, so data memoized on the map (its fiber
+    table and kernel) stays valid.
     """
 
     def __init__(
@@ -593,6 +590,7 @@ class GroupHom:
         self.image = image
         image.flags.writeable = False
         self._fibers: np.ndarray | None = None
+        self._kernel: Subgroup | None = None
 
     def __call__(self, x: int) -> int:
         return int(self.image[x])
@@ -604,8 +602,10 @@ class GroupHom:
         return self.source.order == self.target.order and self.is_surjective()
 
     def kernel(self) -> Subgroup:
-        elems = tuple(int(x) for x in (self.image == 0).nonzero()[0])
-        return Subgroup(self.source, elems)
+        """Ker = the elements that map to 0, memoized."""
+        if self._kernel is None:
+            self._kernel = Subgroup(self.source, (self.image == 0).nonzero()[0].tolist())
+        return self._kernel
 
     @property
     def fibers(self) -> np.ndarray:
@@ -625,29 +625,23 @@ class GroupHom:
 
 
 class Cover(GroupHom):
-    """A surjective homomorphism; caches its kernel (from the first
-    ``kernel()``), fundament kernel, its tables of classes, one per base
-    object whose registry they index (``_indexed``, and ``_class_tops``
-    with no H^2), and the conjugation
+    """A surjective homomorphism; caches its fundament kernel, its tables
+    of classes, one per base object whose registry they index
+    (``_indexed``, and ``_class_tops`` with no H^2), and the conjugation
     module on an elementary abelian kernel with the coordinates it is
     read in (``_kernel_module``, filled by ``gmodules._module_and_coords``
     or, for the extension it builds, by
-    ``cohomology.extension_from_cocycle``)."""
+    ``cohomology.extension_from_cocycle``). The kernel itself is
+    memoized by ``GroupHom.kernel``."""
 
     def __init__(self, source, target, image, check: bool = True) -> None:
         super().__init__(source, target, image, check=check)
         if not self.is_surjective():
             raise Incompatible("cover must be surjective")
-        self._kernel: Subgroup | None = None
         self._fundament = None  # fundament.fundament_kernel memo
         self._indexed: dict = {}  # base -> fundament._indexed of it
         self._class_tops: dict = {}  # base -> fundament._class_tops of it
         self._kernel_module = None  # (GModule, KernelCoords) of the kernel
-
-    def kernel(self) -> Subgroup:
-        if self._kernel is None:
-            self._kernel = super().kernel()
-        return self._kernel
 
     def __repr__(self) -> str:
         return f"Cover({self.source.name} ->> {self.target.name})"

@@ -90,7 +90,7 @@ def _parse_cycles(text: str, line: int, col0: int) -> dict[int, int]:
         body = text[pos + 1 : close]
         points: list[int] = []
         for tok in body.replace(",", " ").split():
-            if not tok.isdigit() or int(tok) < 1:
+            if not tok.isdecimal() or int(tok) < 1:
                 raise ParseError(
                     f"cycle points must be positive integers, got {tok!r}",
                     line,

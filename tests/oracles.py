@@ -46,6 +46,17 @@ from itertools import product
 
 import numpy as np
 
+
+def bits(sub) -> int:
+    """The element set of a library ``Subgroup`` as a bitmask: bit x is
+    set iff x lies in ``sub``, so ``&`` intersects and ``a & ~b == 0``
+    tests inclusion."""
+    mask = 0
+    for e in sub.elements:
+        mask |= 1 << e
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # table builders
 
@@ -801,10 +812,10 @@ def invariants_by_quotients(pi):
             continue
         for cls in classes:
             if _same_top(top, cls[1]):
-                cls[2] &= sub.mask
+                cls[2] &= bits(sub)
                 break
         else:
-            classes.append([sub, top, sub.mask])
+            classes.append([sub, top, bits(sub)])
     out = []
     for least, _, common in classes:
         cov = _quotient_over(pi, least)[0]
@@ -1022,13 +1033,13 @@ def is_fiber_presentation(p_list, pi):
     for p in p_list:
         if not same_group(p.source, src):
             raise Incompatible("covers do not share a source")
-        if p.kernel().mask & ~ker_pi.mask:
+        if bits(p.kernel()) & ~bits(ker_pi):
             raise Incompatible("cover kernel not inside the base kernel")
     l_full = ker_pi.elements
-    masks = [p.kernel().mask for p in p_list]
+    masks = [bits(p.kernel()) for p in p_list]
     parts = []
     for j in range(len(p_list)):
-        cur = ker_pi.mask
+        cur = bits(ker_pi)
         for i, mask in enumerate(masks):
             if i != j:
                 cur &= mask
@@ -1206,7 +1217,7 @@ def _require_normal_inside_kernel(fp, sub):
         raise Incompatible("subgroup does not live in the carrier")
     if not sub.is_normal():
         raise NotNormal("subgroup is not normal in the carrier")
-    if sub.mask & ~fp.structure_map.kernel().mask:
+    if bits(sub) & ~bits(fp.structure_map.kernel()):
         raise NotInsideKernel("subgroup is not inside the structure kernel")
 
 

@@ -489,7 +489,7 @@ def test_accept_duality_round_trip():
 
 
 def _q(h, sub, cache={}):
-    key = (id(h), sub.mask)
+    key = (id(h), sub.elements)
     if key not in cache:
         cache[key] = quotient(h, sub)
     return cache[key]

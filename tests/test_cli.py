@@ -680,6 +680,16 @@ def test_console_script_runs():
     assert proc.stdout.strip() == "true"
 
 
+def test_non_utf8_file_exits_1_without_traceback(tmp_path):
+    bad = tmp_path / "latin1.grp"
+    bad.write_bytes(b"group G\ngen a = (1 2)\xff\n")
+    proc = run_python("-m", "covercalc", "-f", str(bad), "series", "G->1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert str(bad) in proc.stderr and "UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
 def test_closed_stdout_exits_1_without_traceback(flags):
     # a reader that stops early, such as head, leaves the pipe closed

@@ -265,6 +265,25 @@ def test_maximal_normal_in_matches_oracle_on_relabeled_products(factors):
             _check_maximals(g, bound, table)
 
 
+@pytest.mark.parametrize(
+    "orders",
+    [(2,) * 6, (3,) * 4, (2, 2, 2, 3, 3), (4, 2, 2, 2)],
+    ids=["C2^6", "C3^4", "C2^3xC3^2", "C4xC2^3"],
+)
+def test_fundament_kernel_intersects_many_maximals(orders):
+    # G ->> 1 for an abelian G has one maximal N per hyperplane of each
+    # G/Φ_p: 63 of them for C2^6. The oracle runs once on the stored
+    # table; each relabeling with no stored generators carries its answer
+    group = _direct_product(*(cyclic_group(n) for n in orders))
+    table = tuple(tuple(row) for row in group.mul.tolist())
+    want = oracles.fundament_kernel_set(table, frozenset(range(group.order)))
+    rng = random.Random(len(orders))
+    for _ in range(3):
+        sigma = np.array([0] + rng.sample(range(1, group.order), group.order - 1))
+        g = relabel(group, rng, keep_generators=False, sigma=sigma)
+        assert set(fundament_kernel(terminal_cover(g)).elements) == {int(sigma[x]) for x in want}
+
+
 def test_decisions_and_series_do_not_build_the_lattice(monkeypatch):
     _lattice_route_is_off(monkeypatch)
     pools = [
@@ -689,7 +708,8 @@ def joint_quotient_pairs(pi):
             cov = _quotient_over(pi, sub)[0]
             index = oracles.module_class(base, gm.module_from_cover(cov, cov.kernel()))
             assert index is not None
-            common[index] = common.get(index, sub.mask) & sub.mask
+            mask = oracles.bits(sub)
+            common[index] = common.get(index, mask) & mask
     pairs = {}
     for index, mask in common.items():
         inside = tuple(x for x in ker.elements if mask >> x & 1)

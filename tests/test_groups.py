@@ -309,7 +309,7 @@ def test_normal_subgroups_inside_is_the_filtered_whole_lattice(name):
     whole = normal_subgroups(g)
     for bound in whole:
         got = normal_subgroups(g, bound)
-        assert got == tuple(s for s in whole if s.mask & ~bound.mask == 0)
+        assert got == tuple(s for s in whole if set(s.elements) <= set(bound.elements))
 
 
 @pytest.mark.parametrize("name", ["V4", "S3", "D4", "Q8", "A4"])
@@ -343,6 +343,35 @@ def test_maximal_normal_in_is_memoized_per_bound():
     # an equal bound built afresh hits the same entry
     assert _maximal_tops(d4, Subgroup(d4, center.elements)) is tops
     assert maximal_normal_in(d4, center) == tuple(sub for sub, _ in tops)
+
+
+def test_subgroup_is_its_parent_and_sorted_elements():
+    d4 = GROUPS["D4"]
+    center = next(s for s in normal_subgroups(d4) if s.order == 2)
+    assert Subgroup.__slots__ == ("parent", "elements")
+    # unsorted input, or numpy ints, give an equal subgroup with an equal hash
+    for elements in (center.elements[::-1], np.array(center.elements, dtype=np.int32)):
+        sub = Subgroup(d4, elements)
+        assert sub.elements == center.elements
+        assert all(type(e) is int for e in sub.elements)
+        assert sub == center and hash(sub) == hash(center)
+    # groups with equal tables give equal subgroups
+    twin = FiniteGroup(d4.mul.copy(), name="twin")
+    assert Subgroup(twin, center.elements) == center
+    assert hash(Subgroup(twin, center.elements)) == hash(center)
+    assert Subgroup(d4, (0,)) != center
+    # two objects for one bound share one memo entry
+    tops = _maximal_tops(d4, Subgroup(d4, center.elements[::-1]))
+    keys = set(d4._maximals)
+    assert _maximal_tops(d4, Subgroup(d4, center.elements)) is tops
+    assert set(d4._maximals) == keys and d4._maximals[center.elements] is tops
+    # the kernel is memoized on the map, for a plain GroupHom too
+    cov = terminal_cover(d4)
+    hom = GroupHom(cov.source, cov.target, cov.image)
+    for f in (cov, hom):
+        assert f.kernel() is f.kernel()
+        assert f.kernel().elements == tuple(range(d4.order))
+    assert "kernel" not in vars(Cover)
 
 
 def test_non_normal_bound_raises_on_every_call():

@@ -43,7 +43,7 @@ _qcache: dict = {}
 
 
 def cached_quotient(h, sub: Subgroup):
-    key = (id(h), sub.mask)
+    key = (id(h), sub.elements)
     if key not in _qcache:
         _qcache[key] = quotient(h, sub)
     return _qcache[key]

@@ -134,6 +134,12 @@ def test_parse_errors(text):
         load(text)
 
 
+def test_non_ascii_digit_is_a_parse_error():
+    # '²' passes str.isdigit but int() rejects it
+    with pytest.raises(ParseError, match="'²'"):
+        load("group X\ngen a = (1 ²)\n")
+
+
 def test_parse_error_carries_position():
     try:
         load("group X\ngen a = (1 1)\n")
